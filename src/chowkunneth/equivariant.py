@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .correspondences import CorrespondenceClass, diagonal
 from .errors import RingMismatch, UnsupportedAction
-from .kunneth import ProjectorSet
+from .kunneth import ProjectorSet, report_passes
 
 
 # -- groups and parameter rings ---------------------------------------------
@@ -737,16 +737,21 @@ def compare_lifted_coefficients(F1, F2, D):
 
 
 def stabilization_check(X, G, P, D, N1, N2):
-    """Whether the lift of P is independent of the truncation bound in
-    parameter degrees up to D: lifts at bounds N1 and N2 must agree on
-    every coefficient of parameter degree <= D. Requires D <= N1 <= N2."""
+    """Whether P lifts to a verified family at bounds N1 and N2 that is
+    independent of the bound in parameter degrees up to D: both lifts
+    must pass `verify_equivariant`, and they must agree on every
+    coefficient of parameter degree <= D. Requires D <= N1 <= N2."""
     if P.ring != X:
         raise RingMismatch("projector set does not live over the given ring")
     if not 0 <= D <= N1 <= N2:
         raise ValueError("bounds must satisfy 0 <= D <= N1 <= N2")
     F1 = lift_projectors(P, G, N1)
     F2 = lift_projectors(P, G, N2)
-    return compare_lifted_coefficients(F1, F2, D)
+    return (
+        report_passes(verify_equivariant(F1))
+        and report_passes(verify_equivariant(F2))
+        and compare_lifted_coefficients(F1, F2, D)
+    )
 
 
 def bottom_weight_restriction(q, P):

@@ -91,59 +91,3 @@ def rank(a):
         if rk == n:
             break
     return rk
-
-
-def congruence_diagonalize(m):
-    """Rational congruence diagonalization of a symmetric matrix.
-
-    Returns (q, d) with q invertible and q^T m q = d diagonal. No square
-    roots: diagonal entries stay arbitrary nonzero rationals (or zero on
-    a degenerate input, which callers reject separately).
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    q = [list(row) for row in identity(n)]
-
-    def add_col(dst, src, f):
-        # simultaneous column+row operation keeps symmetry
-        for i in range(n):
-            a[i][dst] += f * a[i][src]
-        for i in range(n):
-            a[dst][i] += f * a[src][i]
-        for i in range(n):
-            q[i][dst] += f * q[i][src]
-
-    def swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            a[i][r], a[j][r] = a[j][r], a[i][r]
-        for r in range(n):
-            q[r][i], q[r][j] = q[r][j], q[r][i]
-
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = None
-            for j in range(k + 1, n):
-                if a[j][j] != 0:
-                    piv = j
-                    break
-            if piv is not None:
-                swap(k, piv)
-            else:
-                # all remaining diagonal entries vanish; pull in an
-                # off-diagonal one (char 0, so 2*a[k][j] != 0)
-                found = None
-                for j in range(k + 1, n):
-                    if a[k][j] != 0:
-                        found = j
-                        break
-                if found is None:
-                    continue  # row is entirely zero: degenerate block
-                add_col(k, found, Fraction(1))
-        if a[k][k] == 0:
-            continue
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                add_col(j, k, -a[k][j] / a[k][k])
-    return tuple(tuple(r) for r in q), tuple(tuple(r) for r in a)

@@ -29,7 +29,7 @@ from .equivariant import (
 )
 from .errors import InvalidSpec
 from .kunneth import ProjectorSet
-from .spaces import build_space
+from .spaces import build_space, parse_fraction
 
 __all__ = [
     "fraction_str",
@@ -58,15 +58,6 @@ __all__ = [
 def fraction_str(value):
     """Canonical lowest-terms string form: "p/q", or "p" when q = 1."""
     return str(Fraction(value))
-
-
-def parse_fraction(text, where="coefficient"):
-    if isinstance(text, bool) or not isinstance(text, (str, int)):
-        raise InvalidSpec(f"{where}: expected an exact rational string, got {text!r}")
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidSpec(f"{where}: bad rational {text!r}") from exc
 
 
 # -- documents on disk ---------------------------------------------------------

@@ -65,16 +65,30 @@ def _require_int(spec, field, minimum=None):
     return v
 
 
-def _coeff_dict(raw, where, allow_empty=False):
+def parse_fraction(value, where="coefficient"):
+    """An exact rational from a document: an integer or a rational
+    string such as "7/3". Floats and booleans are rejected, so no
+    document coefficient ever passes through binary floating point."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InvalidSpec(f"{where}: expected an exact rational string, got {value!r}")
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidSpec(f"{where}: bad rational {value!r}") from exc
+
+
+def _label_class(ring, raw, where, degree=None, allow_empty=False):
+    """The class of `ring` given by a {label: coefficient} object."""
     if not isinstance(raw, dict) or (not raw and not allow_empty):
         raise InvalidSpec(f"{where}: expected a nonempty object of label -> coefficient")
-    out = {}
-    for label, val in raw.items():
-        try:
-            out[label] = Fraction(str(val))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidSpec(f"{where}: bad coefficient for {label!r}: {val!r}") from exc
-    return out
+    unknown = sorted(label for label in raw if label not in ring.label_index)
+    if unknown:
+        raise InvalidSpec(f"{where}: unknown basis labels {unknown}")
+    coeffs = {label: parse_fraction(val, f"{where}[{label!r}]") for label, val in raw.items()}
+    try:
+        return ring.from_label_dict(coeffs, degree=degree)
+    except ValueError as exc:
+        raise InvalidSpec(f"{where}: {exc}") from exc
 
 
 # -- projective space ---------------------------------------------------------
@@ -199,15 +213,14 @@ def _default_middle_pairing(rank, odd):
     return m
 
 
-def _build_ci_model(spec):
+def _build_ci_model(spec, space=None):
+    """The ci_model ring of `spec`, described by `space` when given
+    (a plane curve family is a ci_model under its own description)."""
     amb = build_space(_require_field(spec, "ambient"))
     if any(deg % 2 for _, deg in amb.basis):
         raise InvalidSpec("ci_model ambient must have even cohomology only")
-    xi = amb.from_label_dict(
-        _coeff_dict(
-            _require_field(spec, "fundamental_class_expr"),
-            "ci_model fundamental_class_expr",
-        )
+    xi = _label_class(
+        amb, _require_field(spec, "fundamental_class_expr"), "ci_model fundamental_class_expr"
     )
     if xi.is_zero() or xi.degree % 2 or xi.degree == 0:
         raise InvalidSpec(
@@ -248,7 +261,7 @@ def _build_ci_model(spec):
             or any(not isinstance(r, list) or len(r) != k_prim for r in rawp)
         ):
             raise InvalidSpec("middle_pairing must be a middle_rank x middle_rank matrix")
-        prim_pairing = [[Fraction(str(v)) for v in row] for row in rawp]
+        prim_pairing = [[parse_fraction(v, "middle_pairing") for v in row] for row in rawp]
         for i in range(k_prim):
             for j in range(k_prim):
                 want = -prim_pairing[j][i] if odd_middle else prim_pairing[j][i]
@@ -337,7 +350,9 @@ def _build_ci_model(spec):
             if out:
                 structure[(a, b)] = out
 
-    ring = GradedBasisRing(d, basis, structure, {point_index: Fraction(1)}, space=spec)
+    ring = GradedBasisRing(
+        d, basis, structure, {point_index: Fraction(1)}, space=spec if space is None else space
+    )
 
     images = []
     for i in range(len(amb.basis)):
@@ -353,7 +368,6 @@ def _build_ci_model(spec):
             images.append(ClassVector(ring, t, coeffs))
     ring.restrict_map = RingMap(amb, ring, images)
     ring.ci_ambient = amb
-    ring.ci_xi = xi
     ring.ci_primitive_indices = tuple(prim_to_x[p] for p in range(k_prim))
     return ring
 
@@ -418,7 +432,7 @@ def _build_blowup(spec):
     for zi, (zl, zdeg) in enumerate(center.basis):
         if zl not in raw_push:
             raise InvalidSpec(f"blowup: pushforward missing center class {zl!r}")
-        img = base.from_label_dict(_coeff_dict(raw_push[zl], f"pushforward of {zl!r}"))
+        img = _label_class(base, raw_push[zl], f"pushforward of {zl!r}")
         if not img.is_zero() and img.degree != zdeg + 2 * c:
             raise InvalidSpec(
                 f"blowup: pushforward of {zl!r} must have degree {zdeg + 2 * c}"
@@ -430,15 +444,14 @@ def _build_blowup(spec):
 
     need = list(range(1, c)) + ([c] if c >= 3 else [])
     raw_chern = spec.get("normal_chern") or {}
+    if not isinstance(raw_chern, dict):
+        raise InvalidSpec("blowup: 'normal_chern' must map j to center classes")
     chern = {0: center.unit()}
     for j in need:
         rawj = raw_chern.get(str(j), raw_chern.get(j))
         if rawj is None:
             raise InvalidSpec(f"blowup: normal_chern missing c_{j}")
-        cls = center.from_label_dict(
-            _coeff_dict(rawj, f"normal_chern c_{j}", allow_empty=True), degree=2 * j
-        )
-        chern[j] = cls
+        chern[j] = _label_class(center, rawj, f"normal_chern c_{j}", 2 * j, allow_empty=True)
 
     def push_linear(v):
         out = {}
@@ -598,16 +611,7 @@ def _build_plane_curve_family(spec):
         "fundamental_class_expr": {"h # 1": str(d), "1 # h": "1"},
         "middle_rank": middle_rank,
     }
-    inner = build_space(ci_spec)
-    # Same ring data, reported under the family's own description.
-    ring = GradedBasisRing(
-        inner.dim, inner.basis, inner.structure, inner.integration, space=spec
-    )
-    ring.restrict_map = inner.restrict_map
-    ring.ci_ambient = inner.ci_ambient
-    ring.ci_xi = inner.ci_xi
-    ring.ci_primitive_indices = inner.ci_primitive_indices
-    return ring
+    return _build_ci_model(ci_spec, space=spec)
 
 
 # -- primitive-killing surjection ---------------------------------------------

@@ -1,0 +1,165 @@
+"""Light's associativity test against the full triple loop.
+
+The construction check verifies associativity only with a middle factor
+from a generating set found degree by degree. The O(n^3) loop over every
+basis triple, which the check used before, is kept here as the oracle:
+both must give the same verdict on every ring of the acceptance corpus,
+on G(4,8), and on seeded perturbations of their structure constants.
+"""
+
+import random
+from fractions import Fraction
+
+from chowkunneth import spaces
+from chowkunneth.graded_ring import _generators, run_ring_checks
+from test_acceptance import corpus_rings
+
+
+def full_associativity(dim, basis, structure):
+    """First basis triple (i, j, k) with (e_i*e_j)*e_k != e_i*(e_j*e_k)
+    inside the top degree, or None when there is none."""
+    n = len(basis)
+    top = 2 * dim
+    deg = [d for _, d in basis]
+
+    def prod(i, j):
+        return structure.get((i, j), {})
+
+    def combine(vec, product):
+        out = {}
+        for m, c in vec.items():
+            for t, s in product(m).items():
+                out[t] = out.get(t, Fraction(0)) + c * s
+        return {t: c for t, c in out.items() if c != 0}
+
+    for i in range(n):
+        for j in range(n):
+            if deg[i] + deg[j] > top:
+                continue
+            ij = prod(i, j)
+            for k in range(n):
+                if deg[i] + deg[j] + deg[k] > top:
+                    continue
+                left = combine(ij, lambda m: prod(m, k))
+                right = combine(prod(j, k), lambda m: prod(i, m))
+                if left != right:
+                    return (i, j, k)
+    return None
+
+
+def light_verdict(ring, structure):
+    """The associativity verdict of the construction checks; every
+    check before it must pass, so that it is reached."""
+    for name, ok, detail in run_ring_checks(
+        ring.dim, ring.basis, structure, ring.integration
+    ):
+        if name == "associativity":
+            assert ok == (detail == "")
+            return ok
+        assert ok, f"{name} failed before associativity: {detail}"
+    raise AssertionError("associativity check not reached")
+
+
+def perturbations(ring, count, seed):
+    """Seeded copies of the structure table, each with one product
+    e_i*e_j of positive-degree classes shifted by a rational multiple of
+    a class of the right degree, mirrored onto e_j*e_i with the graded
+    sign, so grading, unit and graded commutativity still hold."""
+    rng = random.Random(seed)
+    deg = [d for _, d in ring.basis]
+    top = 2 * ring.dim
+    pairs = [
+        (i, j)
+        for i in range(len(deg))
+        for j in range(i, len(deg))
+        if deg[i] and deg[j] and deg[i] + deg[j] <= top
+        and ring.degree_indices(deg[i] + deg[j])
+        and not (i == j and deg[i] % 2)
+    ]
+    for _ in range(count if pairs else 0):
+        i, j = rng.choice(pairs)
+        k = rng.choice(ring.degree_indices(deg[i] + deg[j]))
+        c = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+        sign = -1 if deg[i] % 2 and deg[j] % 2 else 1
+        structure = {key: dict(prod) for key, prod in ring.structure.items()}
+        for a, b, s in {(i, j, 1), (j, i, sign)}:
+            entry = structure.setdefault((a, b), {})
+            entry[k] = entry.get(k, Fraction(0)) + s * c
+        yield structure
+
+
+def extra_rings():
+    """Rings with generators in degrees other than 2: primitive middle
+    classes in degrees 1, 4 and 5, and a point blow-up of P^3."""
+    return {
+        "plane cubic, 2 primitives": spaces.hypersurface_model(2, 3, 2),
+        "cubic fourfold, 2 primitives": spaces.hypersurface_model(5, 3, 2),
+        "quadric fivefold, 2 primitives": spaces.hypersurface_model(6, 2, 2),
+        "P^3 blown up at a point": spaces.blowup(
+            spaces.projective_space(3),
+            spaces.projective_space(0),
+            3,
+            {"1": {"h^3": 1}},
+            normal_chern={1: {}, 2: {}, 3: {}},
+        ),
+    }
+
+
+def oracle_rings():
+    rings = {spaces.canonical_spec_key(r.space): r for r in corpus_rings()}
+    rings.update(extra_rings())
+    return rings
+
+
+def must_break(ring):
+    """Whether some mirrored perturbation must be rejected. Exempt are
+    rings where every product of two positive-degree classes lands in
+    the top degree (P^1, P^2 and its blow-up, curves, surfaces), and
+    rings of rank at most one in every degree where no triple of
+    positive-degree classes stays below the top degree (P^3, the quadric
+    threefold): no single perturbation makes those non-associative."""
+    top = 2 * ring.dim
+    low = min(d for _, d in ring.basis if d)
+    if 2 * low >= top:
+        return False
+    return 3 * low < top or any(ring.rank(d) > 1 for d in ring.degrees())
+
+
+def test_generators_span_other_degrees():
+    degrees = {
+        name: sorted(ring.basis[g][1] for g in _generators(
+            [d for _, d in ring.basis], lambda i, j, r=ring: r.structure.get((i, j), {})
+        ))
+        for name, ring in extra_rings().items()
+    }
+    assert degrees == {
+        "plane cubic, 2 primitives": [1, 1],
+        "cubic fourfold, 2 primitives": [2, 4, 4],
+        "quadric fivefold, 2 primitives": [2, 5, 5],
+        "P^3 blown up at a point": [2, 2],
+    }
+    G25 = spaces.grassmannian(2, 5)
+    gens = _generators([d for _, d in G25.basis], lambda i, j: G25.structure.get((i, j), {}))
+    assert [G25.basis[g][1] for g in gens] == [2, 4]
+
+
+def test_same_verdict_on_corpus_and_grassmannian():
+    rings = list(oracle_rings().values()) + [spaces.grassmannian(4, 8)]
+    for ring in rings:
+        assert light_verdict(ring, ring.structure)
+        assert full_associativity(ring.dim, ring.basis, ring.structure) is None
+
+
+def test_same_verdict_on_perturbed_tables():
+    required = 0
+    for seed, (name, ring) in enumerate(sorted(oracle_rings().items())):
+        rejected = 0
+        for structure in perturbations(ring, 30, seed):
+            light = light_verdict(ring, structure)
+            oracle = full_associativity(ring.dim, ring.basis, structure) is None
+            assert light == oracle, name
+            rejected += not light
+        if must_break(ring):
+            required += 1
+            assert rejected, f"no perturbation of {name} was rejected"
+    assert required == 12

@@ -1,16 +1,21 @@
 """Command-line interface: exit codes, reports, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import chowkunneth
 from chowkunneth import cli, serialize, spaces
 from chowkunneth.correspondences import diagonal
-from chowkunneth.kunneth import full_projectors
+from chowkunneth.kunneth import ProjectorSet, full_projectors
 
 P1 = '{"kind": "projective_space", "n": 1}'
 P2 = '{"kind": "projective_space", "n": 2}'
 P3 = '{"kind": "projective_space", "n": 3}'
+SRC = os.path.dirname(os.path.dirname(chowkunneth.__file__))
 
 
 def run(capsys, *argv):
@@ -48,6 +53,59 @@ def test_build_malformed_space_exits_2(capsys):
     code, _, err = run(capsys, "build", "--space", '{"kind": "mystery"}')
     assert code == 2
     assert "error:" in err
+
+
+P3_CI = {"kind": "ci_model", "ambient": {"kind": "projective_space", "n": 3}}
+BL_LINE = {
+    "kind": "blowup",
+    "base": {"kind": "projective_space", "n": 3},
+    "center": {"kind": "projective_space", "n": 1},
+    "codim": 2,
+    "center_pushforward_expr": {"1": {"h^2": "1"}, "h": {"h^3": "1"}},
+    "normal_chern": {"1": {"h": "2"}},
+}
+
+
+def _with(base, **fields):
+    return json.dumps(dict(base, **fields))
+
+
+MALFORMED_SPACES = {
+    "unknown label": _with(P3_CI, fundamental_class_expr={"zz": "2"}, middle_rank=0),
+    "inhomogeneous": _with(
+        P3_CI, fundamental_class_expr={"h": "2", "h^2": "1"}, middle_rank=0
+    ),
+    "float": _with(P3_CI, fundamental_class_expr={"h": 0.5}, middle_rank=0),
+    "float pairing": _with(
+        P3_CI, fundamental_class_expr={"h": "2"}, middle_rank=1, middle_pairing=[[1.0]]
+    ),
+    "chern unknown label": _with(BL_LINE, normal_chern={"1": {"zz": "2"}}),
+    "chern wrong degree": _with(BL_LINE, normal_chern={"1": {"1": "2"}}),
+    "chern not an object": _with(BL_LINE, normal_chern=["h"]),
+    "pushforward unknown label": _with(
+        BL_LINE, center_pushforward_expr={"1": {"zz": "1"}, "h": {"h^3": "1"}}
+    ),
+    "pushforward inhomogeneous": _with(
+        BL_LINE, center_pushforward_expr={"1": {"h^2": "1", "h": "1"}, "h": {"h^3": "1"}}
+    ),
+    "pushforward float": _with(
+        BL_LINE, center_pushforward_expr={"1": {"h^2": 2.5}, "h": {"h^3": "1"}}
+    ),
+}
+
+
+@pytest.mark.parametrize("space", MALFORMED_SPACES.values(), ids=MALFORMED_SPACES.keys())
+def test_malformed_space_coefficients_exit_2(space):
+    # A fresh process: a malformed description must end in an error
+    # line, never in a traceback.
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowkunneth.cli", "build", "--space", space],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr + proc.stdout
 
 
 def test_build_bad_inline_json_exits_2(capsys):
@@ -304,6 +362,22 @@ def test_stabilize_pass(capsys, tmp_path):
             {"check": "stabilization", "indices": [4, 6, 10], "pass": True}
         ],
     }
+
+
+def test_stabilize_scaled_member_exits_1(capsys, monkeypatch):
+    def scaled(ring):
+        P = full_projectors(ring)
+        projs = dict(P.projectors)
+        projs[2] = projs[2].scale(3)
+        return ProjectorSet(ring, projs, complete=P.complete)
+
+    monkeypatch.setattr(cli, "full_projectors", scaled)
+    code, text, _ = run(
+        capsys, "stabilize", "--space", P2, "--degrees", "4", "--n1", "6",
+        "--n2", "10",
+    )
+    assert code == 1
+    assert "FAIL stabilization [4, 6, 10]" in text
 
 
 def test_stabilize_bound_validation(capsys):

@@ -26,6 +26,7 @@ from chowkunneth.equivariant import (
 from chowkunneth.errors import RingMismatch, UnsupportedAction
 from chowkunneth.graded_ring import RingMap
 from chowkunneth.kunneth import (
+    ProjectorSet,
     full_projectors,
     report_passes,
     verify_ck,
@@ -317,6 +318,24 @@ def test_stabilization_for_trivial_lifts():
     P = full_projectors(P2)
     assert stabilization_check(P2, torus_group(1), P, 4, 6, 10)
     assert stabilization_check(P2, general_linear_group(2), P, 4, 6, 10)
+
+
+def scaled_member_set(ring, index, factor):
+    P = full_projectors(ring)
+    projs = dict(P.projectors)
+    projs[index] = projs[index].scale(factor)
+    return ProjectorSet(ring, projs, complete=P.complete)
+
+
+def test_stabilization_fails_when_a_lift_fails_verification():
+    # Member 2 scaled by 3 is no projector; the lifts at both bounds
+    # still agree coefficient by coefficient, so only their verification
+    # can see it, as verify_ck does on the base.
+    P2 = spaces.projective_space(2)
+    bad = scaled_member_set(P2, 2, 3)
+    assert not report_passes(verify_ck(bad))
+    assert not stabilization_check(P2, torus_group(1), bad, 4, 6, 10)
+    assert not stabilization_check(P2, general_linear_group(2), bad, 4, 6, 10)
 
 
 def test_stabilization_bound_validation():

@@ -93,28 +93,3 @@ def test_rank_bounds_and_empty():
     assert linalg.rank(()) == 0
     assert linalg.rank(((Fraction(0),),)) == 0
     assert linalg.rank(linalg.identity(4)) == 4
-
-
-def test_congruence_diagonalize_random_symmetric():
-    rng = random.Random(16)
-    for _ in range(25):
-        n = rng.randint(1, 5)
-        raw = random_matrix(rng, n, n)
-        sym = linalg.mat(
-            [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
-        )
-        q, d = linalg.congruence_diagonalize(sym)
-        assert linalg.inverse(q) is not None
-        assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(q), sym), q) == d
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
-
-
-def test_congruence_diagonalize_handles_zero_diagonal():
-    m = linalg.mat([[0, 1], [1, 0]])
-    q, d = linalg.congruence_diagonalize(m)
-    assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(q), m), q) == d
-    assert d[0][1] == 0 and d[1][0] == 0
-    assert d[0][0] != 0 and d[1][1] != 0

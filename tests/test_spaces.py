@@ -10,6 +10,7 @@ from chowkunneth.errors import (
     InvalidSpec,
     NonLefschetzRange,
 )
+from chowkunneth.graded_ring import GradedBasisRing
 
 
 # -- projective spaces -----------------------------------------------------------
@@ -301,6 +302,27 @@ def test_plane_curve_family_dimensions():
         assert X.rank(0) == 1
         assert X.space["kind"] == "plane_curve_family"
     assert spaces.plane_curve_family(3) is spaces.plane_curve_family(3)
+
+
+def test_plane_curve_family_validates_each_ring_once(monkeypatch):
+    built = []
+    init = GradedBasisRing.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(spaces, "_CACHE", {})
+    monkeypatch.setattr(GradedBasisRing, "__init__", counting_init)
+    X = spaces.plane_curve_family(3)
+    assert [r.space["kind"] for r in built] == [
+        "projective_space", "projective_space", "product", "plane_curve_family",
+    ]
+    assert [r.dim for r in built] == [2, 9, 11, 10]
+    assert built[-1] is X
+    assert X.restrict_map.target is X
+    assert X.restrict_map.source is built[2]
+    assert X.ci_ambient is built[2]
 
 
 def test_plane_curve_family_middle_rank_parameter():
