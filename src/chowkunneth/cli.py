@@ -26,6 +26,7 @@ import sys
 from . import serialize
 from .correspondences import act, compose, diagonal
 from .equivariant import (
+    EquivariantProjectorFamily,
     GroupSpec,
     bottom_weight_restriction,
     equivariant_projective_torus,
@@ -151,6 +152,19 @@ def _load_projector_file(path):
     )
 
 
+def _load_set(path):
+    """A projector set or a lifted family, as the document's head field
+    ('space' or 'model') says."""
+    doc = serialize.read_document(path)
+    if isinstance(doc, dict) and "model" in doc:
+        return serialize.family_from_document(doc, where=path)
+    if isinstance(doc, dict) and "space" in doc:
+        return serialize.projector_set_from_document(doc, where=path)
+    raise InvalidSpec(
+        f"{path}: not a projector document (expected a 'space' or 'model' field)"
+    )
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -194,23 +208,15 @@ def _cmd_projectors(args):
         + (f"; remainder at {sorted(P.remainder_indices)}" if P.remainder_indices else "")
     )
     if args.verify:
-        return _finish_verified(args, doc, verify_ck(P, jobs=args.jobs))
+        return _finish_verified(args, doc, verify_ck(P))
     _write_out(args, doc)
     return 0
 
 
 def _cmd_verify(args):
-    doc = serialize.read_document(args.input)
-    if isinstance(doc, dict) and "model" in doc:
-        family = serialize.family_from_document(doc, where=args.input)
-        checks = verify_equivariant(family, jobs=args.jobs)
-    elif isinstance(doc, dict) and "space" in doc:
-        P = serialize.projector_set_from_document(doc, where=args.input)
-        checks = verify_ck(P, jobs=args.jobs)
-    else:
-        raise InvalidSpec(
-            f"{args.input}: not a projector document (expected a 'space' or 'model' field)"
-        )
+    P = _load_set(args.input)
+    lifted = isinstance(P, EquivariantProjectorFamily)
+    checks = verify_equivariant(P) if lifted else verify_ck(P)
     _print_checks(checks)
     _write_out(args, _report_wrapper(checks))
     return 0 if all(e["pass"] for e in checks) else 1
@@ -304,7 +310,7 @@ def _cmd_lift(args):
         f"lifted {len(family.indices())} projectors into the bound-{model.N} model"
     )
     if args.verify:
-        return _finish_verified(args, doc, verify_equivariant(family, jobs=args.jobs))
+        return _finish_verified(args, doc, verify_equivariant(family))
     _write_out(args, doc)
     return 0
 
@@ -331,23 +337,17 @@ def _cmd_stabilize(args):
 
 
 def _cmd_restrict(args):
-    doc = serialize.read_document(args.input)
-    if isinstance(doc, dict) and "model" in doc:
-        family = serialize.family_from_document(doc, where=args.input)
-        restricted = bottom_weight_restriction(family.model, family)
+    P = _load_set(args.input)
+    if isinstance(P, EquivariantProjectorFamily):
+        restricted = bottom_weight_restriction(P.model, P)
         print("restricted the family along parameters -> 0")
-    elif isinstance(doc, dict) and "space" in doc:
-        P = serialize.projector_set_from_document(doc, where=args.input)
+    else:
         _, q = kill_primitive_middle(P.ring)
         restricted = bottom_weight_restriction(q, P)
         print("transported the set along the primitive-middle-killing surjection")
-    else:
-        raise InvalidSpec(
-            f"{args.input}: not a projector document (expected a 'space' or 'model' field)"
-        )
     out_doc = serialize.projector_set_document(restricted)
     if args.verify:
-        return _finish_verified(args, out_doc, verify_ck(restricted, jobs=args.jobs))
+        return _finish_verified(args, out_doc, verify_ck(restricted))
     _write_out(args, out_doc)
     return 0
 
@@ -393,12 +393,8 @@ def _add_out(p):
     p.add_argument("--out", help="write the machine-readable JSON document here")
 
 
-def _add_verify_flags(p):
+def _add_verify_flag(p):
     p.add_argument("--verify", action="store_true", help="run the exact checks")
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="evaluate independent checks on this many threads (same output)",
-    )
 
 
 def _add_group_flags(p):
@@ -431,16 +427,12 @@ def build_parser():
 
     p = sub.add_parser("projectors", help="construct the full projector set")
     p.add_argument("--space", required=True, help="space description (inline JSON or path)")
-    _add_verify_flags(p)
+    _add_verify_flag(p)
     _add_out(p)
     p.set_defaults(func=_cmd_projectors)
 
     p = sub.add_parser("verify", help="verify a projector file (ordinary or lifted)")
     p.add_argument("input", help="projector set or family document")
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="evaluate independent checks on this many threads (same output)",
-    )
     _add_out(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -465,7 +457,7 @@ def build_parser():
     _add_group_flags(p)
     p.add_argument("--bound", type=int, required=True, help="even truncation bound N")
     p.add_argument("--weights", help="comma-separated torus weights (weighted model)")
-    _add_verify_flags(p)
+    _add_verify_flag(p)
     _add_out(p)
     p.set_defaults(func=_cmd_lift)
 
@@ -486,7 +478,7 @@ def build_parser():
         ),
     )
     p.add_argument("input", help="projector set or family document")
-    _add_verify_flags(p)
+    _add_verify_flag(p)
     _add_out(p)
     p.set_defaults(func=_cmd_restrict)
 

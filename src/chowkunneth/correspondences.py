@@ -14,7 +14,13 @@ from .graded_ring import ClassVector
 
 
 class CorrespondenceClass:
-    """Sparse homogeneous class on X x Y with explicit degree shift."""
+    """Sparse homogeneous class on X x Y with explicit degree shift.
+
+    Sums, multiples and equality combine terms by key only, so a
+    subclass with other term keys (the lifted correspondences of
+    `equivariant`) shares them and supplies its own validation,
+    composition and labels.
+    """
 
     __slots__ = ("source", "target", "shift", "terms")
 
@@ -64,12 +70,21 @@ class CorrespondenceClass:
                 f"degree shifts differ: {self.shift} vs {other.shift}"
             )
 
+    def _with_terms(self, terms):
+        """Same type, rings and shift with other terms. Sums and
+        multiples of valid terms stay valid, so only zero coefficients
+        are dropped."""
+        out = object.__new__(type(self))
+        out.source, out.target, out.shift = self.source, self.target, self.shift
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
+
     def __add__(self, other):
         self._compat(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, Fraction(0)) + c
-        return CorrespondenceClass(self.source, self.target, self.shift, out)
+        return self._with_terms(out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -79,10 +94,7 @@ class CorrespondenceClass:
 
     def scale(self, r):
         r = Fraction(r)
-        return CorrespondenceClass(
-            self.source, self.target, self.shift,
-            {k: r * c for k, c in self.terms.items()},
-        )
+        return self._with_terms({k: r * c for k, c in self.terms.items()})
 
     def label_terms(self):
         """Terms as (source label, target label, coefficient), in stable
@@ -97,9 +109,10 @@ class CorrespondenceClass:
         if not self.terms:
             return f"<0 corr shift {self.shift}>"
         parts = []
-        for lx, ly, c in self.label_terms():
+        for lx, ly, *rest, c in self.label_terms():
             head = "" if c == 1 else ("-" if c == -1 else f"({c})*")
-            parts.append(f"{head}{lx} x {ly}")
+            tail = "".join(f" {label}" for label in rest if label != "1")
+            parts.append(f"{head}{lx} x {ly}{tail}")
         return " + ".join(parts).replace("+ -", "- ")
 
 

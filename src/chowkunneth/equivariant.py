@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .correspondences import CorrespondenceClass, diagonal
 from .errors import RingMismatch, UnsupportedAction
-from .kunneth import ProjectorSet, report_passes
+from .kunneth import ProjectorSet, _report, report_passes
 
 
 # -- groups and parameter rings ---------------------------------------------
@@ -177,20 +177,11 @@ class EquivariantModel:
         self._integrals = None
         self._duals = None
 
-    # -- parameter bookkeeping ------------------------------------------
-
     @property
-    def unit_mono(self):
-        return self.bg.unit_mono
-
-    def mono_degree(self, exps):
-        return self.bg.mono_degree(exps)
-
-    def mono_label(self, exps):
-        return self.bg.mono_label(exps)
-
-    def multiply_mono(self, a, b):
-        return self.bg.multiply_mono(a, b)
+    def dim(self):
+        """The base's dimension: lifted members have the degrees of
+        base correspondences, and indices range over [0, 2 dim]."""
+        return self.base.dim
 
     # -- the weighted hyperplane relation --------------------------------
 
@@ -266,7 +257,7 @@ class EquivariantModel:
         truncated at the bound."""
         if self.kind == "trivial":
             v = self.base.pair_basis(j, k)
-            return {self.unit_mono: v} if v != 0 else {}
+            return {self.bg.unit_mono: v} if v != 0 else {}
         q = self.base.basis[j][1] // 2 + self.base.basis[k][1] // 2
         table = self._integral_table()
         if q >= len(table):
@@ -281,7 +272,7 @@ class EquivariantModel:
         """Rank of the model in a total degree (base plus parameters)."""
         total = 0
         for mono in self.bg.monomials():
-            rest = degree - self.mono_degree(mono)
+            rest = degree - self.bg.mono_degree(mono)
             if rest >= 0:
                 total += self.base.rank(rest)
         return total
@@ -289,14 +280,13 @@ class EquivariantModel:
     def basis_in_degree(self, degree):
         """Labels of the model basis in a total degree, parameter-free
         classes first."""
+        bg = self.bg
         out = []
-        for mono in sorted(
-            self.bg.monomials(), key=lambda m: (self.mono_degree(m), m)
-        ):
-            rest = degree - self.mono_degree(mono)
+        for mono in sorted(bg.monomials(), key=lambda m: (bg.mono_degree(m), m)):
+            rest = degree - bg.mono_degree(mono)
             if rest < 0:
                 continue
-            mlab = self.mono_label(mono)
+            mlab = bg.mono_label(mono)
             for i in self.base.degree_indices(rest):
                 blab = self.base.basis[i][0]
                 if mlab == "1":
@@ -314,7 +304,7 @@ class EquivariantModel:
         if self.kind == "trivial":
             terms = {}
             for (i, j), c in diagonal(self.base).terms.items():
-                terms[(i, j, self.unit_mono)] = c
+                terms[(i, j, self.bg.unit_mono)] = c
             return EquivariantCorrespondence(self, 0, terms)
         duals = self._dual_table()
         terms = {}
@@ -370,105 +360,61 @@ def equivariant_projective_torus(weights, N):
 # -- parameter-valued correspondences ----------------------------------------
 
 
-class EquivariantCorrespondence:
+class EquivariantCorrespondence(CorrespondenceClass):
     """Sparse self-correspondence of the model's base with parameter
     monomial coefficients: terms (i, j, monomial) -> coefficient,
-    homogeneous of total degree 2*(dim + shift). Terms whose monomial
-    overflows the bound are dropped on construction (truncation)."""
+    homogeneous of total degree 2*(dim + shift). Source and target are
+    the model; sums, multiples and equality are those of ordinary
+    correspondences. Terms whose monomial overflows the bound are
+    dropped on construction (truncation)."""
 
-    __slots__ = ("model", "shift", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, model, shift, coeffs):
-        self.model = model
+    def __init__(self, model, shift, terms):
+        self.source = self.target = model
         self.shift = int(shift)
-        base = model.base
+        base, bg = model.base, model.bg
         degree = 2 * (base.dim + self.shift)
         clean = {}
-        for (i, j, mono), c in coeffs.items():
+        for (i, j, mono), c in terms.items():
             c = Fraction(c)
             if c == 0:
                 continue
             mono = tuple(mono)
-            mdeg = model.mono_degree(mono)
+            mdeg = bg.mono_degree(mono)
             if mdeg > model.N:
                 continue
             if base.basis[i][1] + base.basis[j][1] + mdeg != degree:
                 raise ValueError(
                     f"term ({base.basis[i][0]}, {base.basis[j][0]}, "
-                    f"{model.mono_label(mono)}) has degree "
+                    f"{bg.mono_label(mono)}) has degree "
                     f"{base.basis[i][1] + base.basis[j][1] + mdeg}, expected {degree}"
                 )
             clean[(i, j, mono)] = c
-        self.coeffs = clean
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, EquivariantCorrespondence):
-            return NotImplemented
-        return (
-            self.model == other.model
-            and self.shift == other.shift
-            and self.coeffs == other.coeffs
-        )
-
-    def _compat(self, other):
-        if self.model != other.model:
-            raise RingMismatch("correspondences live over different models")
-        if self.shift != other.shift:
-            raise RingMismatch("degree shifts differ")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return EquivariantCorrespondence(self.model, self.shift, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, r):
-        r = Fraction(r)
-        return EquivariantCorrespondence(
-            self.model, self.shift, {k: r * c for k, c in self.coeffs.items()}
-        )
+        self.terms = clean
 
     def label_terms(self):
-        base = self.model.base
-        out = []
-        for (i, j, mono), c in sorted(self.coeffs.items()):
-            out.append(
-                (base.basis[i][0], base.basis[j][0], self.model.mono_label(mono), c)
-            )
-        return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<0 equivariant corr>"
-        parts = []
-        for lx, ly, lm, c in self.label_terms():
-            head = "" if c == 1 else f"({c})*"
-            mono = "" if lm == "1" else f" {lm}"
-            parts.append(f"{head}{lx} x {ly}{mono}")
-        return " + ".join(parts)
+        """Terms as (source label, target label, monomial label,
+        coefficient), in stable (index, index, monomial) order."""
+        basis, label = self.source.base.basis, self.source.bg.mono_label
+        return [
+            (basis[i][0], basis[j][0], label(mono), c)
+            for (i, j, mono), c in sorted(self.terms.items())
+        ]
 
     def compose(self, other):
         """Composition with self applied first; the middle factor is
         contracted with the parameter-valued pairing and monomials
         overflowing the bound are dropped."""
         self._compat(other)
-        model = self.model
+        model = self.source
+        multiply = model.bg.multiply_mono
         g_by_k = {}
-        for (k, l, m2), cg in other.coeffs.items():
+        for (k, l, m2), cg in other.terms.items():
             g_by_k.setdefault(k, []).append((l, m2, cg))
         out = {}
         pair_cache = {}
-        for (i, j, m1), cf in self.coeffs.items():
+        for (i, j, m1), cf in self.terms.items():
             for k in range(len(model.base.basis)):
                 if (j, k) not in pair_cache:
                     pair_cache[(j, k)] = model.pair_poly(j, k)
@@ -479,11 +425,11 @@ class EquivariantCorrespondence:
                 if not rows:
                     continue
                 for mp, vp in poly.items():
-                    m1p = model.multiply_mono(m1, mp)
+                    m1p = multiply(m1, mp)
                     if m1p is None:
                         continue
                     for l, m2, cg in rows:
-                        mono = model.multiply_mono(m1p, m2)
+                        mono = multiply(m1p, m2)
                         if mono is None:
                             continue
                         key = (i, l, mono)
@@ -493,15 +439,16 @@ class EquivariantCorrespondence:
     def act(self, alpha):
         """Action on a base class with scalar coefficients; the result
         has parameter-valued coefficients {(index, monomial): coeff}."""
-        model = self.model
+        model = self.source
         if alpha.ring != model.base:
             raise RingMismatch("class does not live over the model's base")
+        multiply = model.bg.multiply_mono
         out = {}
-        for (i, j, mono), c in self.coeffs.items():
+        for (i, j, mono), c in self.terms.items():
             for a, ca in alpha.coeffs.items():
                 poly = model.pair_poly(a, i)
                 for mp, vp in poly.items():
-                    m = model.multiply_mono(mono, mp)
+                    m = multiply(mono, mp)
                     if m is None:
                         continue
                     key = (j, m)
@@ -515,49 +462,20 @@ class EquivariantCorrespondence:
     def restrict(self):
         """Ordinary correspondence on the base: every parameter
         generator goes to zero, keeping only unit-monomial terms."""
-        unit = self.model.unit_mono
-        terms = {}
-        for (i, j, mono), c in self.coeffs.items():
-            if mono == unit:
-                terms[(i, j)] = c
-        return CorrespondenceClass(
-            self.model.base, self.model.base, self.shift, terms
-        )
+        base, unit = self.source.base, self.source.bg.unit_mono
+        terms = {(i, j): c for (i, j, mono), c in self.terms.items() if mono == unit}
+        return CorrespondenceClass(base, base, self.shift, terms)
 
 
-class EquivariantProjectorFamily:
-    """Lifted projectors: a map index -> parameter-valued
-    self-correspondence over one model."""
+class EquivariantProjectorFamily(ProjectorSet):
+    """Lifted projectors: a projector set whose ring is a truncated
+    model and whose members are parameter-valued correspondences."""
 
-    __slots__ = ("model", "projectors", "complete", "remainder_indices", "report")
+    __slots__ = ()
 
-    def __init__(self, model, projectors, complete=False,
-                 remainder_indices=(), report=None):
-        self.model = model
-        projs = {}
-        for i in sorted(projectors):
-            p = projectors[i]
-            if p.model != model:
-                raise RingMismatch("family members must live over the family's model")
-            if p.shift != 0:
-                raise ValueError("family members must have degree shift 0")
-            projs[int(i)] = p
-        self.projectors = projs
-        self.complete = bool(complete)
-        self.remainder_indices = frozenset(int(i) for i in remainder_indices)
-        self.report = report
-
-    def indices(self):
-        return tuple(sorted(self.projectors))
-
-    def member(self, i):
-        return self.projectors[i]
-
-    def total(self):
-        out = EquivariantCorrespondence(self.model, 0, {})
-        for i in self.indices():
-            out = out + self.projectors[i]
-        return out
+    @property
+    def model(self):
+        return self.ring
 
     def restrict(self):
         """Ordinary projector set on the base (parameters to zero)."""
@@ -566,12 +484,6 @@ class EquivariantProjectorFamily:
             {i: p.restrict() for i, p in self.projectors.items()},
             complete=self.complete,
             remainder_indices=self.remainder_indices,
-        )
-
-    def __repr__(self):
-        return (
-            f"<EquivariantProjectorFamily indices={list(self.indices())} "
-            f"N={self.model.N}>"
         )
 
 
@@ -616,7 +528,7 @@ def lift_projectors(P, G, N, model=None):
         projs = {}
         for i, p in P.projectors.items():
             terms = {
-                (a, b, model.unit_mono): c for (a, b), c in p.terms.items()
+                (a, b, model.bg.unit_mono): c for (a, b), c in p.terms.items()
             }
             projs[i] = EquivariantCorrespondence(model, 0, terms)
         return EquivariantProjectorFamily(
@@ -647,76 +559,31 @@ def lift_projectors(P, G, N, model=None):
     raise UnsupportedAction(f"unsupported model kind {model.kind!r}")
 
 
-def _eq_corr_residual(c):
-    return [[lx, ly, lm, str(v)] for lx, ly, lm, v in c.label_terms()]
-
-
-def _eq_entry(check, indices, residual):
-    entry = {"check": check, "indices": list(indices), "pass": residual.is_zero()}
-    if not entry["pass"]:
-        entry["residual_class"] = _eq_corr_residual(residual)
-    return entry
-
-
-def verify_equivariant(F, jobs=None):
+def verify_equivariant(F):
     """Exact verification of a lifted family inside its truncation:
-    idempotence, orthogonality, completeness against the model's
-    diagonal (when claimed), and graded action on base basis classes
-    indexed by base degree. Same report schema as the ordinary
-    verification."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    the report of `verify_ck`, with composition and the diagonal taken
+    in the model. Graded action is checked on base basis classes
+    indexed by base degree, and its residual rows carry the parameter
+    monomial, listed by (basis index, monomial)."""
     model = F.model
-    base = model.base
-    idx = F.indices()
-    entries = []
-    for i in idx:
-        p = F.projectors[i]
-        entries.append(_eq_entry("idempotence", (i,), p.compose(p) - p))
-    pairs = [(i, j) for i in idx for j in idx if i != j]
+    base, bg = model.base, model.bg
 
-    def orthogonality(pair):
-        i, j = pair
-        return _eq_entry(
-            "orthogonality", pair, F.projectors[i].compose(F.projectors[j])
-        )
+    def action_rows(i, p):
+        for k, (label, degree) in enumerate(base.basis):
+            residual = p.act(base.basis_vector(k))
+            if degree == i:
+                key = (k, bg.unit_mono)
+                value = residual.get(key, Fraction(0)) - 1
+                if value:
+                    residual[key] = value
+                else:
+                    del residual[key]
+            yield label, [
+                [base.basis[j][0], bg.mono_label(m), str(c)]
+                for (j, m), c in sorted(residual.items())
+            ]
 
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries.extend(pool.map(orthogonality, pairs))
-    else:
-        entries.extend(orthogonality(pair) for pair in pairs)
-    if F.complete:
-        entries.append(_eq_entry("completeness", idx, F.total() - model.diagonal()))
-    unit = model.unit_mono
-    for i in idx:
-        p = F.projectors[i]
-        for k in range(len(base.basis)):
-            e = base.basis_vector(k)
-            got = p.act(e)
-            want = {(k, unit): Fraction(1)} if base.basis[k][1] == i else {}
-            ok = got == want
-            entry = {
-                "check": "graded_action",
-                "indices": [i],
-                "basis_class": base.basis[k][0],
-                "pass": ok,
-            }
-            if not ok:
-                residual = dict(got)
-                for key, c in want.items():
-                    v = residual.get(key, Fraction(0)) - c
-                    if v == 0:
-                        residual.pop(key, None)
-                    else:
-                        residual[key] = v
-                entry["residual_class"] = [
-                    [base.basis[j][0], model.mono_label(m), str(c)]
-                    for (j, m), c in sorted(residual.items())
-                ]
-            entries.append(entry)
-    F.report = entries
-    return entries
+    return _report(F, EquivariantCorrespondence.compose, model.diagonal, action_rows)
 
 
 def compare_lifted_coefficients(F1, F2, D):
@@ -729,8 +596,8 @@ def compare_lifted_coefficients(F1, F2, D):
     def filtered(F, p):
         return {
             (i, j, mono): c
-            for (i, j, mono), c in F.projectors[p].coeffs.items()
-            if F.model.mono_degree(mono) <= D
+            for (i, j, mono), c in F.projectors[p].terms.items()
+            if F.model.bg.mono_degree(mono) <= D
         }
 
     return all(filtered(F1, p) == filtered(F2, p) for p in F1.indices())

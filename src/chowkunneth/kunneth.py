@@ -9,7 +9,6 @@ products of existing sets; `verify_ck` re-checks every defining
 identity in exact arithmetic.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .correspondences import (
@@ -34,7 +33,9 @@ from .graded_ring import tensor_ring
 
 class ProjectorSet:
     """A family of degree-shift-0 self-correspondences indexed by
-    cohomological degree.
+    cohomological degree, over a ring or (for lifted families) a
+    truncated model; only the ring's `dim` and the members' `source`,
+    `target` and `shift` are read here.
 
     `complete` is a claim (sum equals the diagonal) recorded by the
     constructor, not inferred; `remainder_indices` marks the indices
@@ -74,12 +75,6 @@ class ProjectorSet:
     def member(self, i):
         return self.projectors[i]
 
-    def total(self):
-        out = zero_correspondence(self.ring, self.ring, 0)
-        for i in self.indices():
-            out = out + self.projectors[i]
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, ProjectorSet):
             return NotImplemented
@@ -97,7 +92,7 @@ class ProjectorSet:
         if self.remainder_indices:
             flags.append(f"remainder={sorted(self.remainder_indices)}")
         tail = " " + " ".join(flags) if flags else ""
-        return f"<ProjectorSet indices={list(self.indices())}{tail}>"
+        return f"<{type(self).__name__} indices={list(self.indices())}{tail}>"
 
 
 def coevaluation_projector(X, p):
@@ -290,68 +285,65 @@ def gram_schmidt_orthogonalize(projectors):
 # -- verification -----------------------------------------------------------
 
 
-def _corr_residual(c):
-    return [[lx, ly, str(v)] for lx, ly, v in c.label_terms()]
-
-
-def _class_residual(v):
-    return [[label, str(c)] for label, c in sorted(v.label_dict().items())]
-
-
-def _corr_entry(check, indices, residual):
+def _entry(check, indices, residual):
     entry = {"check": check, "indices": list(indices), "pass": residual.is_zero()}
     if not entry["pass"]:
-        entry["residual_class"] = _corr_residual(residual)
+        entry["residual_class"] = [
+            [*labels, str(c)] for *labels, c in residual.label_terms()
+        ]
     return entry
 
 
-def verify_ck(P, jobs=None):
+def _report(P, compose_pair, delta, action_rows):
+    """The report loop shared by `verify_ck` and `verify_equivariant`,
+    which supply the composition of two members (`compose_pair(f, g)`
+    applies f first), the diagonal (`delta()`, called only when the set
+    claims completeness) and `action_rows(i, p)`: (basis label,
+    residual rows) per basis class, with no rows where member p at
+    index i acts correctly."""
+    members = P.projectors
+    idx = P.indices()
+    entries = [
+        _entry("idempotence", (i,), compose_pair(members[i], members[i]) - members[i])
+        for i in idx
+    ]
+    entries.extend(
+        _entry("orthogonality", (i, j), compose_pair(members[i], members[j]))
+        for i in idx for j in idx if i != j
+    )
+    if P.complete:
+        residual = -delta()
+        for i in idx:
+            residual = residual + members[i]
+        entries.append(_entry("completeness", idx, residual))
+    for i in idx:
+        for label, rows in action_rows(i, members[i]):
+            entry = {"check": "graded_action", "indices": [i],
+                     "basis_class": label, "pass": not rows}
+            if rows:
+                entry["residual_class"] = rows
+            entries.append(entry)
+    P.report = entries
+    return entries
+
+
+def verify_ck(P):
     """Exact verification of a projector set. Checks, in order:
     idempotence of each member, orthogonality of every ordered pair,
     completeness (only when the set claims it), and the graded action
     of each member on every basis class. Returns the report (a list of
     entries {check, indices, pass, residual_class?}) and stores it on
-    the set. `jobs` > 1 evaluates the orthogonality grid concurrently
-    with identical output."""
+    the set. Graded-action residuals are classes, listed by label."""
     X = P.ring
-    idx = P.indices()
-    entries = []
-    for i in idx:
-        p = P.projectors[i]
-        entries.append(_corr_entry("idempotence", (i,), compose(p, p) - p))
-    pairs = [(i, j) for i in idx for j in idx if i != j]
 
-    def orthogonality(pair):
-        i, j = pair
-        return _corr_entry(
-            "orthogonality", pair, compose(P.projectors[i], P.projectors[j])
-        )
-
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries.extend(pool.map(orthogonality, pairs))
-    else:
-        entries.extend(orthogonality(pair) for pair in pairs)
-    if P.complete:
-        entries.append(_corr_entry("completeness", idx, P.total() - diagonal(X)))
-    for i in idx:
-        p = P.projectors[i]
-        for k in range(len(X.basis)):
+    def action_rows(i, p):
+        for k, (label, degree) in enumerate(X.basis):
             e = X.basis_vector(k)
-            got = act(p, e)
-            want = e if X.basis[k][1] == i else X.zero(e.degree)
-            residual = got - want
-            entry = {
-                "check": "graded_action",
-                "indices": [i],
-                "basis_class": X.basis[k][0],
-                "pass": residual.is_zero(),
-            }
-            if not entry["pass"]:
-                entry["residual_class"] = _class_residual(residual)
-            entries.append(entry)
-    P.report = entries
-    return entries
+            residual = act(p, e) - e if degree == i else act(p, e)
+            rows = sorted(residual.label_dict().items())
+            yield label, [[lab, str(c)] for lab, c in rows]
+
+    return _report(P, compose, lambda: diagonal(X), action_rows)
 
 
 def report_passes(report):

@@ -9,10 +9,12 @@ written, so identical inputs always produce byte-identical files.
 
 Rings serialize as the space description they were built from;
 correspondences as (source, target, degree_shift) plus a list of
-(label, label, coefficient) term triples; projector sets as the space
-plus one indexed member per projector; equivariant models as
-{base, group, N, weights?}; equivariant families as the model plus
-indexed members whose terms carry a parameter-monomial label.
+(label, label, coefficient) term triples; equivariant models as
+{base, group, N, weights?}. Projector sets and lifted families share
+one layout, written and read by one members codec: the space (for a
+set) or the model (for a family), the completeness claim, the
+remainder indices and one indexed member per projector. A family's
+member terms carry a parameter-monomial label before the coefficient.
 """
 
 import json
@@ -120,32 +122,43 @@ def load_space(doc):
 # -- correspondences -----------------------------------------------------------
 
 
-def _label_index(ring):
-    return {label: i for i, (label, _) in enumerate(ring.basis)}
-
-
-def _terms_to_correspondence(source, target, shift, raw_terms, where):
+def _read_terms(raw_terms, where, columns, make):
+    """A correspondence from [label, ..., coeff] rows. `columns` gives,
+    per label position, its name in the row shape, what it names (for
+    errors) and its {label: key} lookup; repeated keys are summed and
+    `make` builds the result from {key tuple: coefficient}."""
+    shape = "[" + ", ".join(name for name, _, _ in columns) + ", coeff]"
     if not isinstance(raw_terms, list):
-        raise InvalidSpec(f"{where}: 'terms' must be a list of [label, label, coeff]")
-    by_label_src = _label_index(source)
-    by_label_tgt = _label_index(target)
+        raise InvalidSpec(f"{where}: 'terms' must be a list of {shape}")
+    width = len(columns) + 1
     terms = {}
     for k, item in enumerate(raw_terms):
-        if not isinstance(item, list) or len(item) != 3:
-            raise InvalidSpec(f"{where}: term {k} must be [label, label, coeff]")
-        lx, ly, c = item
-        if lx not in by_label_src:
-            raise InvalidSpec(f"{where}: term {k}: unknown source class {lx!r}")
-        if ly not in by_label_tgt:
-            raise InvalidSpec(f"{where}: term {k}: unknown target class {ly!r}")
-        key = (by_label_src[lx], by_label_tgt[ly])
+        if not isinstance(item, list) or len(item) != width:
+            raise InvalidSpec(f"{where}: term {k} must be {shape}")
+        key = []
+        for label, (_, what, lookup) in zip(item, columns):
+            if not isinstance(label, str) or label not in lookup:
+                raise InvalidSpec(f"{where}: term {k}: unknown {what} {label!r}")
+            key.append(lookup[label])
+        key = tuple(key)
         terms[key] = terms.get(key, Fraction(0)) + parse_fraction(
-            c, f"{where}: term {k}"
+            item[-1], f"{where}: term {k}"
         )
     try:
-        return CorrespondenceClass(source, target, shift, terms)
+        return make(terms)
     except ValueError as exc:
         raise InvalidSpec(f"{where}: {exc}") from exc
+
+
+def _columns(source, target):
+    return (
+        ("label", "source class", source.label_index),
+        ("label", "target class", target.label_index),
+    )
+
+
+def _label_rows(f):
+    return [[*labels, str(c)] for *labels, c in f.label_terms()]
 
 
 def correspondence_document(f):
@@ -153,7 +166,7 @@ def correspondence_document(f):
         "source": space_document(f.source),
         "target": space_document(f.target),
         "degree_shift": f.shift,
-        "terms": [[lx, ly, fraction_str(c)] for lx, ly, c in f.label_terms()],
+        "terms": _label_rows(f),
     }
 
 
@@ -161,34 +174,27 @@ def correspondence_from_document(doc, where="correspondence"):
     source = load_space(_require(doc, "source", where))
     target = load_space(_require(doc, "target", where))
     shift = _require_index(_require(doc, "degree_shift", where), where)
-    return _terms_to_correspondence(
-        source, target, shift, _require(doc, "terms", where), where
+    return _read_terms(
+        _require(doc, "terms", where), where, _columns(source, target),
+        lambda terms: CorrespondenceClass(source, target, shift, terms),
     )
 
 
-# -- projector sets ------------------------------------------------------------
+# -- projector sets and lifted families ----------------------------------------
 
 
-def projector_set_document(P):
+def _set_document(head, head_doc, P):
     return {
-        "space": space_document(P.ring),
+        head: head_doc,
         "complete": bool(P.complete),
         "remainder_indices": sorted(P.remainder_indices),
         "projectors": [
-            {
-                "index": i,
-                "terms": [
-                    [lx, ly, fraction_str(c)]
-                    for lx, ly, c in P.projectors[i].label_terms()
-                ],
-            }
-            for i in P.indices()
+            {"index": i, "terms": _label_rows(P.projectors[i])} for i in P.indices()
         ],
     }
 
 
-def projector_set_from_document(doc, where="projector set"):
-    ring = load_space(_require(doc, "space", where))
+def _set_from_document(doc, where, make_set, ring, columns, make_member):
     raw = _require(doc, "projectors", where)
     if not isinstance(raw, list):
         raise InvalidSpec(f"{where}: 'projectors' must be a list")
@@ -197,10 +203,9 @@ def projector_set_from_document(doc, where="projector set"):
         i = _require_index(_require(entry, "index", where), f"{where}: 'index'")
         if i in members:
             raise InvalidSpec(f"{where}: duplicate projector index {i}")
-        members[i] = _terms_to_correspondence(
-            ring, ring, 0,
-            _require(entry, "terms", where),
-            f"{where}: projector {i}",
+        members[i] = _read_terms(
+            _require(entry, "terms", where), f"{where}: projector {i}",
+            columns, make_member,
         )
     remainder = doc.get("remainder_indices", [])
     if not isinstance(remainder, list) or not all(
@@ -208,7 +213,7 @@ def projector_set_from_document(doc, where="projector set"):
     ):
         raise InvalidSpec(f"{where}: 'remainder_indices' must be a list of integers")
     try:
-        return ProjectorSet(
+        return make_set(
             ring,
             members,
             complete=bool(doc.get("complete", False)),
@@ -216,6 +221,18 @@ def projector_set_from_document(doc, where="projector set"):
         )
     except ValueError as exc:
         raise InvalidSpec(f"{where}: {exc}") from exc
+
+
+def projector_set_document(P):
+    return _set_document("space", space_document(P.ring), P)
+
+
+def projector_set_from_document(doc, where="projector set"):
+    ring = load_space(_require(doc, "space", where))
+    return _set_from_document(
+        doc, where, ProjectorSet, ring, _columns(ring, ring),
+        lambda terms: CorrespondenceClass(ring, ring, 0, terms),
+    )
 
 
 # -- groups and equivariant models ---------------------------------------------
@@ -272,87 +289,18 @@ def model_from_document(doc, where="equivariant model"):
     return model
 
 
-# -- equivariant projector families --------------------------------------------
-
-
-def _mono_index(model):
-    return {model.mono_label(m): m for m in model.bg.monomials()}
-
-
-def _terms_to_equivariant(model, raw_terms, where):
-    if not isinstance(raw_terms, list):
-        raise InvalidSpec(
-            f"{where}: 'terms' must be a list of [label, label, monomial, coeff]"
-        )
-    by_label = _label_index(model.base)
-    by_mono = _mono_index(model)
-    coeffs = {}
-    for k, item in enumerate(raw_terms):
-        if not isinstance(item, list) or len(item) != 4:
-            raise InvalidSpec(
-                f"{where}: term {k} must be [label, label, monomial, coeff]"
-            )
-        lx, ly, mono, c = item
-        if lx not in by_label:
-            raise InvalidSpec(f"{where}: term {k}: unknown source class {lx!r}")
-        if ly not in by_label:
-            raise InvalidSpec(f"{where}: term {k}: unknown target class {ly!r}")
-        if mono not in by_mono:
-            raise InvalidSpec(
-                f"{where}: term {k}: unknown parameter monomial {mono!r}"
-            )
-        key = (by_label[lx], by_label[ly], by_mono[mono])
-        coeffs[key] = coeffs.get(key, Fraction(0)) + parse_fraction(
-            c, f"{where}: term {k}"
-        )
-    try:
-        return EquivariantCorrespondence(model, 0, coeffs)
-    except ValueError as exc:
-        raise InvalidSpec(f"{where}: {exc}") from exc
-
-
 def family_document(F):
-    return {
-        "model": model_document(F.model),
-        "complete": bool(F.complete),
-        "remainder_indices": sorted(F.remainder_indices),
-        "projectors": [
-            {
-                "index": i,
-                "terms": [
-                    [lx, ly, mono, fraction_str(c)]
-                    for lx, ly, mono, c in F.projectors[i].label_terms()
-                ],
-            }
-            for i in F.indices()
-        ],
-    }
+    return _set_document("model", model_document(F.model), F)
 
 
 def family_from_document(doc, where="equivariant projector family"):
     model = model_from_document(_require(doc, "model", where), f"{where}: model")
-    raw = _require(doc, "projectors", where)
-    if not isinstance(raw, list):
-        raise InvalidSpec(f"{where}: 'projectors' must be a list")
-    members = {}
-    for entry in raw:
-        i = _require_index(_require(entry, "index", where), f"{where}: 'index'")
-        if i in members:
-            raise InvalidSpec(f"{where}: duplicate projector index {i}")
-        members[i] = _terms_to_equivariant(
-            model, _require(entry, "terms", where), f"{where}: projector {i}"
-        )
-    remainder = doc.get("remainder_indices", [])
-    if not isinstance(remainder, list) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in remainder
-    ):
-        raise InvalidSpec(f"{where}: 'remainder_indices' must be a list of integers")
-    try:
-        return EquivariantProjectorFamily(
-            model,
-            members,
-            complete=bool(doc.get("complete", False)),
-            remainder_indices=remainder,
-        )
-    except ValueError as exc:
-        raise InvalidSpec(f"{where}: {exc}") from exc
+    bg = model.bg
+    monomials = {bg.mono_label(m): m for m in bg.monomials()}
+    columns = _columns(model.base, model.base) + (
+        ("monomial", "parameter monomial", monomials),
+    )
+    return _set_from_document(
+        doc, where, EquivariantProjectorFamily, model, columns,
+        lambda terms: EquivariantCorrespondence(model, 0, terms),
+    )

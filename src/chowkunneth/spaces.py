@@ -66,15 +66,21 @@ def _require_int(spec, field, minimum=None):
 
 
 def parse_fraction(value, where="coefficient"):
-    """An exact rational from a document: an integer or a rational
-    string such as "7/3". Floats and booleans are rejected, so no
-    document coefficient ever passes through binary floating point."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
+    """An exact rational from a document or a helper argument: an
+    integer, a Fraction or a rational string such as "7/3". Floats and
+    booleans are rejected, so no coefficient ever passes through binary
+    floating point."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise InvalidSpec(f"{where}: expected an exact rational string, got {value!r}")
     try:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(f"{where}: bad rational {value!r}") from exc
+
+
+def _exact_strings(raw, where):
+    """A helper's {label: coefficient} with canonical rational strings."""
+    return {str(l): str(parse_fraction(v, f"{where}[{l!r}]")) for l, v in raw.items()}
 
 
 def _label_class(ring, raw, where, degree=None, allow_empty=False):
@@ -180,7 +186,7 @@ def ci_model(ambient, xi, middle_rank, middle_pairing=None):
     if hasattr(xi, "coeffs"):
         xi_raw = {xi.ring.basis[i][0]: str(c) for i, c in sorted(xi.coeffs.items())}
     else:
-        xi_raw = {str(l): str(Fraction(str(v))) for l, v in xi.items()}
+        xi_raw = _exact_strings(xi, "xi")
     spec = {
         "kind": "ci_model",
         "ambient": amb_spec,
@@ -188,7 +194,9 @@ def ci_model(ambient, xi, middle_rank, middle_pairing=None):
         "middle_rank": int(middle_rank),
     }
     if middle_pairing is not None:
-        spec["middle_pairing"] = [[str(Fraction(str(v))) for v in row] for row in middle_pairing]
+        spec["middle_pairing"] = [
+            [str(parse_fraction(v, "middle_pairing")) for v in row] for row in middle_pairing
+        ]
     return build_space(spec)
 
 
@@ -398,11 +406,11 @@ def blowup(base, center, codim, pushforward, normal_chern=None):
         "center": spec_of(center),
         "codim": int(codim),
         "center_pushforward_expr": {
-            str(z): {str(l): str(Fraction(str(v))) for l, v in img.items()}
+            str(z): _exact_strings(img, f"pushforward[{z!r}]")
             for z, img in pushforward.items()
         },
         "normal_chern": {
-            str(j): {str(l): str(Fraction(str(v))) for l, v in cls.items()}
+            str(j): _exact_strings(cls, f"normal_chern[{j!r}]")
             for j, cls in (normal_chern or {}).items()
         },
     }

@@ -213,15 +213,20 @@ def test_verify_missing_file_exits_2(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
-def test_parallel_verification_is_byte_identical(capsys, tmp_path):
-    out = tmp_path / "set.json"
-    run(capsys, "projectors", "--space", P3, "--out", str(out))
-    r1, r4 = tmp_path / "r1.json", tmp_path / "r4.json"
-    code1, text1, _ = run(capsys, "verify", str(out), "--out", str(r1))
-    code4, text4, _ = run(capsys, "verify", str(out), "--jobs", "4", "--out", str(r4))
-    assert code1 == code4 == 0
-    assert text1 == text4
-    assert r1.read_bytes() == r4.read_bytes()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["projectors", "--space", P1],
+        ["verify", "set.json"],
+        ["lift", "--space", P1, "--bound", "4"],
+        ["restrict", "set.json"],
+    ],
+)
+def test_there_is_no_jobs_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--jobs", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 # -- compose / act ---------------------------------------------------------------------
@@ -444,6 +449,21 @@ def test_restrict_without_primitives_is_identity(capsys, tmp_path):
     assert code == 0
     back = serialize.projector_set_from_document(read(out))
     assert back == full_projectors(spaces.projective_space(3))
+
+
+@pytest.mark.parametrize("command", ["verify", "restrict"])
+def test_member_index_out_of_range_exits_2(capsys, tmp_path, command):
+    family = tmp_path / "family.json"
+    run(capsys, "lift", "--space", P2, "--weights", "0,1,3", "--bound", "8",
+        "--out", str(family))
+    doc = read(family)
+    doc["projectors"].append({"index": 99, "terms": []})
+    family.write_text(json.dumps(doc), encoding="utf-8")
+    code, text, err = run(capsys, command, str(family))
+    assert code == 2
+    assert text == ""
+    assert err.startswith("error: ") and "index 99 outside [0, 4]" in err
+    assert "Traceback" not in err
 
 
 # -- formulas ----------------------------------------------------------------------------------

@@ -1,0 +1,187 @@
+"""Byte-identity of command output against recorded digests.
+
+Each case runs the command line in-process and hashes its exit code,
+its standard output and every document it writes with --out. The
+digests were recorded from the code before ordinary projector sets and
+lifted families were folded onto one set type, one report loop and one
+document codec; any change to a report, a document or an exit code
+shows up here as a changed digest.
+
+To re-record after an intended change of output, run this file as a
+script: it prints the digest table.
+"""
+
+import hashlib
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from chowkunneth import cli
+
+P2 = {"kind": "projective_space", "n": 2}
+P3 = {"kind": "projective_space", "n": 3}
+G24 = {"kind": "grassmannian", "k": 2, "n": 4}
+P1xP2 = {"kind": "product", "factors": [{"kind": "projective_space", "n": 1}, P2]}
+CUBIC_SURFACE = {
+    "kind": "ci_model",
+    "ambient": P3,
+    "fundamental_class_expr": {"h": "3"},
+    "middle_rank": 7,
+}
+CUBIC_THREEFOLD = {
+    "kind": "ci_model",
+    "ambient": {"kind": "projective_space", "n": 4},
+    "fundamental_class_expr": {"h": "3"},
+    "middle_rank": 10,
+}
+PLANE_CUBICS = {"kind": "plane_curve_family", "d": 3}
+
+SPACES = {
+    "P2": P2,
+    "P3": P3,
+    "G24": G24,
+    "P1xP2": P1xP2,
+    "cubic_surface": CUBIC_SURFACE,
+    "cubic_threefold": CUBIC_THREEFOLD,
+    "plane_cubics": PLANE_CUBICS,
+}
+
+
+def _scaled(doc, index, factor):
+    """A copy of a set or family document with one member scaled."""
+    doc = json.loads(json.dumps(doc))
+    doc.pop("report", None)
+    for entry in doc["projectors"]:
+        if entry["index"] == index:
+            for term in entry["terms"]:
+                term[-1] = str(Fraction(term[-1]) * factor)
+    return doc
+
+
+def corpus(workdir):
+    """(name, argv, out path or None) in run order; later cases read
+    documents written by earlier ones. A callable in place of argv
+    writes the tampered inputs and is not itself a case."""
+    d = Path(workdir)
+    cases = []
+
+    def add(name, *argv, out=True):
+        path = d / f"{name}.json" if out else None
+        cases.append((name, list(argv) + (["--out", str(path)] if out else []), path))
+        return path
+
+    sets = {}
+    for name, spec in SPACES.items():
+        sets[name] = add(f"projectors-{name}", "projectors", "--space",
+                         json.dumps(spec), "--verify")
+    for name in ("P2", "P1xP2", "plane_cubics"):
+        add(f"verify-{name}", "verify", str(sets[name]))
+    add("lift-torus-P2", "lift", "--space", json.dumps(P2), "--bound", "8", "--verify")
+    add("lift-gl2-P2", "lift", str(sets["P2"]), "--group", "general_linear",
+        "--rank", "2", "--bound", "6", "--verify")
+    add("lift-torus2-G24", "lift", str(sets["G24"]), "--rank", "2",
+        "--bound", "4", "--verify")
+    wP2 = add("lift-weighted-P2", "lift", "--space", json.dumps(P2),
+              "--weights", "0,1,3", "--bound", "8", "--verify")
+    wP3 = add("lift-weighted-P3", "lift", "--space", json.dumps(P3),
+              "--weights", "1,2,-1,4", "--bound", "10", "--verify")
+    add("verify-weighted-P3", "verify", str(wP3))
+    add("restrict-weighted-P2", "restrict", str(wP2), "--verify")
+    add("restrict-weighted-P3", "restrict", str(wP3), "--verify")
+    for name in ("cubic_surface", "cubic_threefold", "P3"):
+        add(f"restrict-{name}", "restrict", str(sets[name]), "--verify")
+    add("stabilize-P2", "stabilize", "--space", json.dumps(P2), "--degrees", "4",
+        "--n1", "6", "--n2", "10")
+    add("stabilize-gl2-P1xP2", "stabilize", "--space", json.dumps(P1xP2),
+        "--group", "general_linear", "--rank", "2", "--degrees", "2",
+        "--n1", "4", "--n2", "6")
+
+    tampered_set = d / "tampered-set.json"
+    tampered_family = d / "tampered-family.json"
+
+    def tamper():
+        doc = json.loads(sets["P2"].read_text(encoding="utf-8"))
+        tampered_set.write_text(json.dumps(_scaled(doc, 2, 3)), encoding="utf-8")
+        doc = json.loads(wP2.read_text(encoding="utf-8"))
+        tampered_family.write_text(json.dumps(_scaled(doc, 2, 9)), encoding="utf-8")
+
+    cases.append(("tamper", tamper, None))
+    add("verify-tampered-set", "verify", str(tampered_set))
+    add("verify-tampered-family", "verify", str(tampered_family))
+    add("restrict-tampered-family", "restrict", str(tampered_family), "--verify")
+    return cases
+
+
+def run_corpus(workdir, capture):
+    """{case name: sha256 of exit code, stdout and --out bytes}."""
+    digests = {}
+    for name, argv, out in corpus(workdir):
+        if callable(argv):
+            argv()
+            continue
+        code = cli.main(argv)
+        stdout = capture()
+        h = hashlib.sha256()
+        h.update(f"exit {code}\n".encode())
+        h.update(stdout.encode())
+        if out is not None and out.exists():
+            h.update(b"\0--out\0" + out.read_bytes())
+        digests[name] = h.hexdigest()
+    return digests
+
+
+GOLDEN = {
+    'projectors-P2': '4723fb136112a3c108c66ef5b71f67c7fa3bc9401349a5222d9ec171caf291c9',
+    'projectors-P3': 'e9da38274b33c7d590723a64dd6716f11d9bbe276876fcfb83352057c3856d5c',
+    'projectors-G24': '20e8943f610fc3117758838b96caf6835a46688b7d0d9b3cfc853ee1d32811ee',
+    'projectors-P1xP2': 'c20382eddd3185674b2d03842d4ab2ad1e570080eed014e641148eb401a56b98',
+    'projectors-cubic_surface': '254a604a7bf84fb0160d2525dca264cfc18e3fbc8c8d30793f2a4f2cbe275752',
+    'projectors-cubic_threefold': '7b1dfbedfa6df8f4665aaff5ccb8c79723c2b12b70c52474f77ea2ce3a14822e',
+    'projectors-plane_cubics': 'd06a23491d1e2ded683b60b67b1ef773f8464be608fdeaa170cc13966f4111c6',
+    'verify-P2': 'acbfe283bf98a6f38a78719c95f1c8e67fd267033eeda2f2a1bec765e9e6f6c4',
+    'verify-P1xP2': '6b3e37a4710a0fb19de97d7b921b87735a763d345d88ec12b9fe9e438baffbf4',
+    'verify-plane_cubics': '8eabc3e4b90cc4f091a989f32aed0e868099b660b4066bb031ab74b6a0851770',
+    'lift-torus-P2': '173fac1ba90a2ad22ee4c099edb951a15fcc679379907b2a913f02effda7ade5',
+    'lift-gl2-P2': '5855fc81e57cf1700561b133e5783d313bae2672fcb82eef91f2700a8a61988f',
+    'lift-torus2-G24': '8e86f3b2767c660cc5e4400c032e091e801c00875a1ee17a8ba87afe317938bc',
+    'lift-weighted-P2': '875bd664eefb95b97801634e2675f283cdfa0245e2edc8235f1de9e02819870c',
+    'lift-weighted-P3': '84a02bc93cf5b67235ec4716fe39a28dbb43c3471913792155d718c9973ed601',
+    'verify-weighted-P3': '5fae7648978883219c57bc8f181d172754b80f5ff68395b084b49ab4e9d44b71',
+    'restrict-weighted-P2': 'd3433cda2b6be0c31fc55514eb58a05bf791021a34eb62657b6009d2f467afdd',
+    'restrict-weighted-P3': '058bd190d83590b4af2d3876eefb7022ceec5756bcf14d602c8a1f4c40cdaab9',
+    'restrict-cubic_surface': '0e5527b6adc0ebbe02cebeacdd52a7926572bb732b6db4cb50ecfe22b9713240',
+    'restrict-cubic_threefold': '5a83abaf237c798307717d4b2463fec5151cf05d06dc49f1d245730fa73abed2',
+    'restrict-P3': '2ce98f3b86e2dceb42453596c9ab93e7847eed77c99ec07a3846b39031a18e19',
+    'stabilize-P2': '1f1643609abc6c8272573da37a03ebb994bc3dcf2e503080037dde9f5a7ec302',
+    'stabilize-gl2-P1xP2': 'a3a06eaf0c2436250b703bdb13963bde07f5aec3eae06c177c548386db2eb348',
+    'verify-tampered-set': '3fb89bf1f24d2c5576d016f76f64cb290760604b1537a168f231c8850426f36c',
+    'verify-tampered-family': '26720a6998520b1ceeb36f21fa3fcf92b258fb9aac2a2272611bcf98acb414cf',
+    'restrict-tampered-family': '0553556f486b1d8cece9354f418b552aff43a4914a27d64ea18cd8744c5a6f97',
+}
+
+
+def test_outputs_are_byte_identical_to_the_recorded_ones(tmp_path, capsys):
+    got = run_corpus(tmp_path, lambda: capsys.readouterr().out)
+    assert sorted(got) == sorted(GOLDEN)
+    changed = [name for name in GOLDEN if got[name] != GOLDEN[name]]
+    assert not changed, f"output changed for {changed}"
+
+
+if __name__ == "__main__":
+    import io
+    import tempfile
+    from contextlib import redirect_stdout
+
+    buffer = io.StringIO()
+
+    def capture():
+        text = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return text
+
+    with tempfile.TemporaryDirectory() as workdir, redirect_stdout(buffer):
+        digests = run_corpus(workdir, capture)
+    for name, digest in digests.items():
+        print(f"    {name!r}: {digest!r},", file=sys.stderr)

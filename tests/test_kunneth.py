@@ -447,9 +447,33 @@ def test_orthogonality_failure_lists_ordered_pair():
     assert [e["indices"] for e in failing] == [[0, 2], [2, 0]]
 
 
-def test_parallel_verification_is_identical():
-    P = full_projectors(spaces.grassmannian(2, 4))
-    assert verify_ck(P) == verify_ck(P, jobs=4)
+def test_orthogonality_failure_residual_rows():
+    # Two copies of the degree-0 projector: each composes to itself, so
+    # both ordered pairs fail with that member as residual.
+    P2 = spaces.projective_space(2)
+    pi0 = coevaluation_projector(P2, 0)
+    report = verify_ck(ProjectorSet(P2, {0: pi0, 2: pi0}))
+    assert failing_checks(report) == ["orthogonality", "graded_action"]
+    failing = [e for e in report if e["check"] == "orthogonality"]
+    assert [e["residual_class"] for e in failing] == [[["h^2", "1", "1"]]] * 2
+
+
+def test_graded_action_failure_rows_sorted_by_label():
+    # Member 4 doubled and sending s[2] also to s[1,1]: on s[2] the
+    # residual has two rows, sorted by label (s[1,1] first) although
+    # s[2] comes first in the basis.
+    G = spaces.grassmannian(2, 4)
+    assert [label for label, _ in G.basis][2:4] == ["s[2]", "s[1,1]"]
+    P = full_projectors(G)
+    projs = dict(P.projectors)
+    projs[4] = projs[4].scale(2) + CorrespondenceClass(G, G, 0, {(2, 3): 1})
+    report = verify_ck(ProjectorSet(G, projs, complete=True))
+    assert failing_checks(report) == ["idempotence", "completeness", "graded_action"]
+    failing = [e for e in report if e["check"] == "graded_action" and not e["pass"]]
+    assert [(e["indices"], e["basis_class"], e["residual_class"]) for e in failing] == [
+        ([4], "s[2]", [["s[1,1]", "1"], ["s[2]", "1"]]),
+        ([4], "s[1,1]", [["s[1,1]", "1"]]),
+    ]
 
 
 # -- motives ------------------------------------------------------------------------------

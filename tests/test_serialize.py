@@ -317,3 +317,25 @@ def test_family_document_errors():
     doc["projectors"][0]["terms"][0][2] = "t^9"  # unknown monomial label
     with pytest.raises(InvalidSpec):
         family_from_document(doc)
+
+
+def test_member_rows_are_checked_alike_in_sets_and_families():
+    # One members codec reads both layouts: an index outside [0, 2 dim]
+    # and a label that is not a string (here a list, which cannot even
+    # be looked up) are errors in either.
+    M = equivariant_projective_torus((0, 1), 8)
+    F = lift_projectors(full_projectors(M.base), torus_group(1), 8, model=M)
+    docs = (
+        (projector_set_from_document, projector_set_document(full_projectors(M.base))),
+        (family_from_document, family_document(F)),
+    )
+    for read, doc in docs:
+        for position in range(len(doc["projectors"][0]["terms"][0]) - 1):
+            bad = json.loads(dumps(doc))
+            bad["projectors"][0]["terms"][0][position] = ["1"]
+            with pytest.raises(InvalidSpec, match="unknown"):
+                read(bad)
+        bad = json.loads(dumps(doc))
+        bad["projectors"].append({"index": 99, "terms": []})
+        with pytest.raises(InvalidSpec, match=r"index 99 outside \[0, 2\]"):
+            read(bad)

@@ -292,6 +292,27 @@ def test_blowup_malformed_pushforward_rejected():
         )
 
 
+def test_helper_coefficients_are_exact():
+    # Ints, Fractions and rational strings give one description; floats
+    # are refused, as they are in a JSON description.
+    P3 = spaces.projective_space(3)
+    for h in (2, Fraction(4, 2), "2", "4/2"):
+        X = spaces.ci_model(P3, {"h": h}, 1, middle_pairing=[[Fraction(1, 2)]])
+        assert X.space["fundamental_class_expr"] == {"h": "2"}
+        assert X.space["middle_pairing"] == [["1/2"]]
+    with pytest.raises(InvalidSpec):
+        spaces.ci_model(P3, {"h": 0.5}, 0)
+    with pytest.raises(InvalidSpec):
+        spaces.ci_model(P3, {"h": 2}, 1, middle_pairing=[[1.0]])
+    assert blowup_line_in_space().space["normal_chern"] == {"1": {"h": "2"}}
+    with pytest.raises(InvalidSpec):
+        spaces.blowup(P3, spaces.projective_space(1), 2,
+                      {"1": {"h^2": 1.0}, "h": {"h^3": 1}}, normal_chern={1: {"h": 2}})
+    with pytest.raises(InvalidSpec):
+        spaces.blowup(P3, spaces.projective_space(1), 2,
+                      {"1": {"h^2": 1}, "h": {"h^3": 1}}, normal_chern={1: {"h": 2.0}})
+
+
 # -- the universal family ------------------------------------------------------------
 
 
