@@ -155,23 +155,16 @@ def act(gamma, alpha):
     X, Y = gamma.source, gamma.target
     if alpha.ring != X:
         raise RingMismatch("class does not live over the correspondence's source")
+    paired = {}  # i -> integral of alpha * e_i, from the ring's pairing table
+    for m, ca in alpha.coeffs.items():
+        for i, val in X.pairing_partners(m):
+            paired[i] = paired.get(i, Fraction(0)) + ca * val
     out = {}
-    out_degree = alpha.degree + 2 * gamma.shift
     for (i, j), c in gamma.terms.items():
-        if X.basis[i][1] + alpha.degree != X.top_degree:
-            continue
-        total = Fraction(0)
-        for m, ca in alpha.coeffs.items():
-            prod = X.structure.get((m, i))
-            if not prod:
-                continue
-            for k, s in prod.items():
-                v = X.integration.get(k)
-                if v is not None:
-                    total += ca * s * v
-        if total != 0:
+        total = paired.get(i)
+        if total:
             out[j] = out.get(j, Fraction(0)) + total * c
-    return ClassVector(Y, out_degree, out)
+    return ClassVector(Y, alpha.degree + 2 * gamma.shift, out)
 
 
 def compose(f, g):
@@ -212,18 +205,20 @@ def exterior_product(f, g, product_source, product_target):
     middle tensor factors."""
     fs, ft = f.source, f.target
     gs, gt = g.source, g.target
-    if product_source.tensor_factors != (fs, gs):
+    if product_source.parts.get("factors") != (fs, gs):
         raise RingMismatch("product source does not match the factors")
-    if product_target.tensor_factors != (ft, gt):
+    if product_target.parts.get("factors") != (ft, gt):
         raise RingMismatch("product target does not match the factors")
+    source_index = product_source.parts["index"]
+    target_index = product_target.parts["index"]
     terms = {}
     for (a, b), cf in f.terms.items():
         db = ft.basis[b][1]
         for (c, dd), cg in g.terms.items():
             dc = gs.basis[c][1]
             sign = -1 if (db % 2 and dc % 2) else 1
-            i = product_source.tensor_index[(a, c)]
-            j = product_target.tensor_index[(b, dd)]
+            i = source_index[(a, c)]
+            j = target_index[(b, dd)]
             terms[(i, j)] = terms.get((i, j), Fraction(0)) + sign * cf * cg
     return CorrespondenceClass(
         product_source, product_target, f.shift + g.shift, terms

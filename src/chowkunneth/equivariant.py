@@ -160,7 +160,7 @@ class EquivariantModel:
     """
 
     __slots__ = ("base", "group", "N", "kind", "weights", "bg",
-                 "_integrals", "_duals")
+                 "_integrals", "_duals", "_partners")
 
     def __init__(self, base, group, N, kind="trivial", weights=None):
         N = int(N)
@@ -176,6 +176,7 @@ class EquivariantModel:
         self.bg = bg_ring(group, N)
         self._integrals = None
         self._duals = None
+        self._partners = None
 
     @property
     def dim(self):
@@ -265,6 +266,15 @@ class EquivariantModel:
         return {
             (t,): c for t, c in table[q].items() if 2 * t <= self.N
         }
+
+    def pairing_partners(self, j):
+        """All (k, polynomial) with nonzero `pair_poly(j, k)`, from a
+        table built once per model."""
+        if self._partners is None:
+            n = len(self.base.basis)
+            rows = (((k, self.pair_poly(a, k)) for k in range(n)) for a in range(n))
+            self._partners = [tuple((k, poly) for k, poly in row if poly) for row in rows]
+        return self._partners[j]
 
     # -- structural data ---------------------------------------------------
 
@@ -413,14 +423,8 @@ class EquivariantCorrespondence(CorrespondenceClass):
         for (k, l, m2), cg in other.terms.items():
             g_by_k.setdefault(k, []).append((l, m2, cg))
         out = {}
-        pair_cache = {}
         for (i, j, m1), cf in self.terms.items():
-            for k in range(len(model.base.basis)):
-                if (j, k) not in pair_cache:
-                    pair_cache[(j, k)] = model.pair_poly(j, k)
-                poly = pair_cache[(j, k)]
-                if not poly:
-                    continue
+            for k, poly in model.pairing_partners(j):
                 rows = g_by_k.get(k)
                 if not rows:
                     continue

@@ -352,9 +352,16 @@ class GradedBasisRing:
         basis indices (missing pairs multiply to zero).
     integration : {i: Fraction} functional on the top-degree basis.
     space : optional serializable description of how the ring was built.
+    parts : the rings and maps the ring was built from, by name: a
+        tensor product's `factors` and `index` (tuple of factor indices
+        -> global index), a blow-up's `base` and `center`, a ci_model's
+        `primitive_indices` and `restrict_map` from its ambient ring.
     """
 
-    def __init__(self, dim, basis, structure, integration, space=None):
+    __slots__ = ("dim", "basis", "structure", "integration", "space", "parts",
+                 "label_index", "_by_degree", "parity", "_blocks", "_pairings")
+
+    def __init__(self, dim, basis, structure, integration, space=None, parts=None):
         self.dim = int(dim)
         self.basis = tuple((str(l), int(d)) for l, d in basis)
         self.structure = {
@@ -366,6 +373,7 @@ class GradedBasisRing:
             i: Fraction(c) for i, c in integration.items() if Fraction(c) != 0
         }
         self.space = space
+        self.parts = dict(parts or {})
 
         for name, ok, detail in run_ring_checks(
             self.dim, self.basis, self.structure, self.integration
@@ -381,9 +389,8 @@ class GradedBasisRing:
             self._by_degree.setdefault(d, []).append(i)
         self._by_degree = {d: tuple(v) for d, v in self._by_degree.items()}
         self.parity = any(d % 2 for _, d in self.basis)
-        self._pairing_cache = {}
-        self._dual_cache = {}
-        self._pair_values = None
+        self._blocks = {}
+        self._pairings = None
 
     # -- identity ---------------------------------------------------------
 
@@ -488,10 +495,11 @@ class GradedBasisRing:
             Fraction(0),
         )
 
-    def pair_basis(self, i, j):
-        """Integral of e_i * e_j (cached across all complementary pairs)."""
-        if self._pair_values is None:
-            table = {}
+    def _pairing(self):
+        """The nonzero integrals of e_a * e_b, computed once per ring:
+        keyed (a, b), and as partner lists keyed a."""
+        if self._pairings is None:
+            values, partners = {}, {}
             top = self.top_degree
             for (a, b), prod in self.structure.items():
                 if self.basis[a][1] + self.basis[b][1] != top:
@@ -501,67 +509,58 @@ class GradedBasisRing:
                     Fraction(0),
                 )
                 if val != 0:
-                    table[(a, b)] = val
-            self._pair_values = table
-        return self._pair_values.get((i, j), Fraction(0))
+                    values[(a, b)] = val
+                    partners.setdefault(a, []).append((b, val))
+            self._pairings = (values, {a: tuple(v) for a, v in partners.items()})
+        return self._pairings
+
+    def pair_basis(self, i, j):
+        """Integral of e_i * e_j."""
+        return self._pairing()[0].get((i, j), Fraction(0))
 
     def pairing_partners(self, j):
         """All (k, value) with nonzero integral of e_j * e_k."""
-        if not hasattr(self, "_partners"):
-            self.pair_basis(0, 0)
-            partners = {}
-            for (a, b), val in self._pair_values.items():
-                partners.setdefault(a, []).append((b, val))
-            self._partners = {a: tuple(v) for a, v in partners.items()}
-        return self._partners.get(j, ())
+        return self._pairing()[1].get(j, ())
+
+    def _block(self, p):
+        """The pairing block of degree p and its dual basis, from one
+        inverse of the block."""
+        if p not in self._blocks:
+            q = self.top_degree - p
+            rows = self.degree_indices(p)
+            cols = self.degree_indices(q)
+            if len(rows) != len(cols):
+                raise DegeneratePairing(
+                    f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
+                )
+            pm = PairingMatrix(
+                p,
+                q,
+                [self.basis[i][0] for i in rows],
+                [self.basis[j][0] for j in cols],
+                [[self.pair_basis(i, j) for j in cols] for i in rows],
+            )
+            inv = linalg.inverse(pm.entries)
+            if inv is None:
+                raise DegeneratePairing(f"pairing block between degrees {p} and {q} is singular")
+            duals = tuple(
+                ClassVector(self, q, {cols[k]: inv[k][j] for k in range(len(cols))})
+                for j in range(len(rows))
+            )
+            self._blocks[p] = (pm, duals)
+        return self._blocks[p]
 
     def pairing_matrix(self, p):
         """Pairing block between degree p and degree 2*dim - p.
 
         Raises DegeneratePairing if the block is singular (it cannot be,
         for a ring that passed construction, unless p has no basis)."""
-        if p in self._pairing_cache:
-            return self._pairing_cache[p]
-        q = self.top_degree - p
-        rows = self.degree_indices(p)
-        cols = self.degree_indices(q)
-        if len(rows) != len(cols):
-            raise DegeneratePairing(
-                f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
-            )
-        entries = [[self.pair_basis(i, j) for j in cols] for i in rows]
-        pm = PairingMatrix(
-            p,
-            q,
-            [self.basis[i][0] for i in rows],
-            [self.basis[j][0] for j in cols],
-            entries,
-        )
-        if rows and linalg.inverse(pm.entries) is None:
-            raise DegeneratePairing(f"pairing block between degrees {p} and {q} is singular")
-        self._pairing_cache[p] = pm
-        return pm
+        return self._block(p)[0]
 
     def dual_basis(self, p):
         """Classes (ê_j) in degree 2*dim - p with ∫ e_i · ê_j = δ_ij,
         indexed like the degree-p basis."""
-        if p in self._dual_cache:
-            return self._dual_cache[p]
-        pm = self.pairing_matrix(p)
-        cols = self.degree_indices(self.top_degree - p)
-        inv = linalg.inverse(pm.entries)
-        if inv is None:
-            raise DegeneratePairing(f"pairing block in degree {p} is singular")
-        duals = tuple(
-            ClassVector(
-                self,
-                self.top_degree - p,
-                {cols[k]: inv[k][j] for k in range(len(cols))},
-            )
-            for j in range(len(pm.row_labels))
-        )
-        self._dual_cache[p] = duals
-        return duals
+        return self._block(p)[1]
 
     def point(self):
         """The degree-2*dim class integrating to 1."""
@@ -646,9 +645,10 @@ def tensor_ring(factors, space=None):
 
     Basis classes are all tuples of factor basis classes, labelled by
     joining the factor labels with " # ", ordered by total degree and
-    then by the factor index tuple. The returned ring carries
-    `tensor_factors` and `tensor_index` (tuple of factor indices ->
-    global index) for callers that need to address pure tensors.
+    then by the factor index tuple. The returned ring records its
+    `factors` and `index` in `parts`, for callers that address pure
+    tensors. Without a `space`, a product of described factors is
+    described as the product of their descriptions.
     """
     factors = tuple(factors)
     if not factors:
@@ -708,15 +708,15 @@ def tensor_ring(factors, space=None):
         if val != 0:
             integration[index[t]] = val
 
-    ring = GradedBasisRing(dim, basis, structure, integration, space=space)
-    ring.tensor_factors = factors
-    ring.tensor_index = index
-    return ring
+    if space is None and all(isinstance(f.space, dict) for f in factors):
+        space = {"kind": "product", "factors": [f.space for f in factors]}
+    return GradedBasisRing(dim, basis, structure, integration, space=space,
+                           parts={"factors": factors, "index": index})
 
 
 def tensor_class(ring, parts):
     """Pure tensor of one class per factor, as a class of a tensor ring."""
-    factors = ring.tensor_factors
+    factors, index = ring.parts["factors"], ring.parts["index"]
     if len(parts) != len(factors):
         raise ValueError("one class per tensor factor is required")
     for v, f in zip(parts, factors):
@@ -727,5 +727,5 @@ def tensor_class(ring, parts):
         terms = [(t + (i,), c0 * c) for t, c0 in terms for i, c in v.coeffs.items()]
     degree = sum(v.degree for v in parts)
     return ClassVector(
-        ring, degree, {ring.tensor_index[t]: c for t, c in terms}
+        ring, degree, {index[t]: c for t, c in terms}
     )

@@ -38,9 +38,9 @@ class ProjectorSet:
     `target` and `shift` are read here.
 
     `complete` is a claim (sum equals the diagonal) recorded by the
-    constructor, not inferred; `remainder_indices` marks the indices
-    whose members were produced by subtracting the rest from the
-    diagonal; `report` holds the latest verification result.
+    constructor, not inferred; `remainder_indices` marks the members
+    that were produced by subtracting the rest from the diagonal, and
+    must name members; `report` holds the latest verification result.
     """
 
     __slots__ = ("ring", "projectors", "complete", "remainder_indices", "report")
@@ -67,6 +67,9 @@ class ProjectorSet:
         self.projectors = projs
         self.complete = bool(complete)
         self.remainder_indices = frozenset(int(i) for i in remainder_indices)
+        stray = sorted(self.remainder_indices - set(projs))
+        if stray:
+            raise ValueError(f"remainder index {stray[0]} is not a member index")
         self.report = report
 
     def indices(self):
@@ -210,8 +213,8 @@ def hypersurface_projectors(n, d, middle_rank):
 
     X = hypersurface_model(n, d, middle_rank)
     dim = n - 1
-    amb = X.ci_ambient
-    H = X.restrict_map.apply(amb.basis_class("h" if n >= 1 else "1"))
+    q = X.parts["restrict_map"]
+    H = q.apply(q.source.basis_class("h" if n >= 1 else "1"))
     powers = [X.unit()]
     for _ in range(dim):
         powers.append(X.multiply(powers[-1], H))
@@ -235,7 +238,7 @@ def product_projectors(PX, PY, product_ring=None):
     if not PY.complete:
         raise IncompleteInput("right factor set does not claim completeness")
     XY = product_ring if product_ring is not None else tensor_ring((PX.ring, PY.ring))
-    if getattr(XY, "tensor_factors", None) != (PX.ring, PY.ring):
+    if XY.parts.get("factors") != (PX.ring, PY.ring):
         raise RingMismatch("product ring does not have the two input rings as factors")
     sums = {}
     for p, fp in PX.projectors.items():

@@ -104,15 +104,10 @@ def _require_index(value, where):
 
 
 def space_document(ring):
-    """The build description of a ring. Product rings assembled
-    directly from factor rings recover a product description from the
-    factors."""
-    if isinstance(ring.space, dict):
-        return json.loads(json.dumps(ring.space))
-    factors = getattr(ring, "tensor_factors", None)
-    if factors:
-        return {"kind": "product", "factors": [space_document(f) for f in factors]}
-    raise InvalidSpec("this ring carries no serializable build description")
+    """The build description of a ring."""
+    if not isinstance(ring.space, dict):
+        raise InvalidSpec("this ring carries no serializable build description")
+    return json.loads(json.dumps(ring.space))
 
 
 def load_space(doc):
@@ -212,13 +207,11 @@ def _set_from_document(doc, where, make_set, ring, columns, make_member):
         isinstance(r, int) and not isinstance(r, bool) for r in remainder
     ):
         raise InvalidSpec(f"{where}: 'remainder_indices' must be a list of integers")
+    complete = doc.get("complete", False)
+    if not isinstance(complete, bool):
+        raise InvalidSpec(f"{where}: 'complete' must be true or false")
     try:
-        return make_set(
-            ring,
-            members,
-            complete=bool(doc.get("complete", False)),
-            remainder_indices=remainder,
-        )
+        return make_set(ring, members, complete=complete, remainder_indices=remainder)
     except ValueError as exc:
         raise InvalidSpec(f"{where}: {exc}") from exc
 

@@ -183,7 +183,7 @@ def ci_model(ambient, xi, middle_rank, middle_pairing=None):
         amb_spec = ambient.space
     else:
         amb_spec = ambient
-    if hasattr(xi, "coeffs"):
+    if isinstance(xi, ClassVector):
         xi_raw = {xi.ring.basis[i][0]: str(c) for i, c in sorted(xi.coeffs.items())}
     else:
         xi_raw = _exact_strings(xi, "xi")
@@ -359,7 +359,8 @@ def _build_ci_model(spec, space=None):
                 structure[(a, b)] = out
 
     ring = GradedBasisRing(
-        d, basis, structure, {point_index: Fraction(1)}, space=spec if space is None else space
+        d, basis, structure, {point_index: Fraction(1)}, space=spec if space is None else space,
+        parts={"primitive_indices": tuple(prim_to_x[p] for p in range(k_prim))},
     )
 
     images = []
@@ -374,9 +375,8 @@ def _build_ci_model(spec, space=None):
                 if c != 0:
                     coeffs[dual_to_x[jx]] = c
             images.append(ClassVector(ring, t, coeffs))
-    ring.restrict_map = RingMap(amb, ring, images)
-    ring.ci_ambient = amb
-    ring.ci_primitive_indices = tuple(prim_to_x[p] for p in range(k_prim))
+    # The one part recorded after construction: the map's target is the ring.
+    ring.parts["restrict_map"] = RingMap(amb, ring, images)
     return ring
 
 
@@ -585,10 +585,8 @@ def _build_blowup(spec):
     integration = {}
     for bi, cc in base.integration.items():
         integration[base_to_bl[bi]] = cc
-    ring = GradedBasisRing(d, basis, structure, integration, space=spec)
-    ring.blowup_base = base
-    ring.blowup_center = center
-    return ring
+    return GradedBasisRing(d, basis, structure, integration, space=spec,
+                           parts={"base": base, "center": center})
 
 
 # -- universal plane curve ----------------------------------------------------
@@ -634,7 +632,7 @@ def kill_primitive_middle(ring):
     which survives); projector transport along it is re-verified by the
     caller, which is the operative correctness check.
     """
-    prim = getattr(ring, "ci_primitive_indices", ())
+    prim = ring.parts.get("primitive_indices", ())
     if not prim:
         images = [ring.basis_class(l) for l, _ in ring.basis]
         return ring, RingMap(ring, ring, images)

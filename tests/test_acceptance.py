@@ -95,7 +95,7 @@ def test_criterion_2_closed_form_hypersurface_projectors():
             P = hypersurface_projectors(n, d, r)
             X = P.ring
             dim = n - 1
-            H = X.restrict_map.apply(X.ci_ambient.basis_class("h"))
+            H = X.parts["restrict_map"].apply(X.parts["restrict_map"].source.basis_class("h"))
             powers = [X.unit()]
             for _ in range(dim):
                 powers.append(powers[-1] * H)

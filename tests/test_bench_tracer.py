@@ -26,7 +26,9 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 SPANS = (
     "kunneth.verify_ck",
     "correspondences.compose",
+    "correspondences.act",
     "equivariant.compose",
+    "equivariant.act",
     "equivariant.pair_poly",
     "equivariant.lift_projectors",
     "equivariant.verify_equivariant",

@@ -466,6 +466,42 @@ def test_member_index_out_of_range_exits_2(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+def drop_member_4(doc):
+    doc["projectors"] = [m for m in doc["projectors"] if m["index"] != 4]
+
+
+MALFORMED_SETS = {
+    "complete as a string": (
+        lambda doc: (drop_member_4(doc), doc.update(complete="false")),
+        "'complete' must be true or false",
+    ),
+    "complete as an integer": (
+        lambda doc: doc.update(complete=1), "'complete' must be true or false"
+    ),
+    "remainder index not a member": (
+        lambda doc: doc.update(remainder_indices=[99]),
+        "remainder index 99 is not a member index",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "restrict"])
+@pytest.mark.parametrize("case", MALFORMED_SETS.values(), ids=MALFORMED_SETS.keys())
+def test_malformed_set_claims_exit_2(capsys, tmp_path, command, case):
+    tamper, message = case
+    path = tmp_path / "set.json"
+    run(capsys, "projectors", "--space", P2, "--out", str(path))
+    doc = read(path)
+    tamper(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out.json"
+    code, text, err = run(capsys, command, str(path), "--out", str(out))
+    assert code == 2
+    assert text == "" and not out.exists()
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # -- formulas ----------------------------------------------------------------------------------
 
 

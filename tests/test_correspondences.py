@@ -18,6 +18,7 @@ from chowkunneth.correspondences import (
     zero_correspondence,
 )
 from chowkunneth.errors import RingMismatch
+from chowkunneth.graded_ring import ClassVector
 
 
 def cubic_curve():
@@ -142,6 +143,31 @@ def test_action_requires_source_ring():
     P1, P2 = spaces.projective_space(1), spaces.projective_space(2)
     with pytest.raises(RingMismatch):
         act(diagonal(P1), P2.unit())
+
+
+def act_by_integration(gamma, alpha):
+    """The action integrated out term by term from the structure
+    constants: the oracle for `act`, which reads the pairing table."""
+    X = gamma.source
+    out = {}
+    for (i, j), c in gamma.terms.items():
+        e_i = X.basis_vector(i)
+        out[j] = out.get(j, Fraction(0)) + c * X.integrate(X.multiply(alpha, e_i))
+    return ClassVector(gamma.target, alpha.degree + 2 * gamma.shift, out)
+
+
+def test_action_agrees_with_integrating_structure_constants():
+    rng = random.Random(17)
+    P1, P2, E = spaces.projective_space(1), spaces.projective_space(2), cubic_curve()
+    EP1 = spaces.product_space(E, P1)
+    for X, Y in ((P2, E), (E, P2), (E, E), (EP1, EP1), (EP1, E)):
+        for shift in range(-X.dim, Y.dim + 1):
+            f = random_corr(rng, X, Y, shift)
+            for p in X.degrees():
+                alpha = ClassVector(
+                    X, p, {i: rng.randrange(-3, 4) for i in X.degree_indices(p)}
+                )
+                assert act(f, alpha) == act_by_integration(f, alpha), (X, shift, p)
 
 
 # -- composition laws ----------------------------------------------------------------

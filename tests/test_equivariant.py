@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chowkunneth import spaces
+from chowkunneth.correspondences import act
 from chowkunneth.equivariant import (
     EquivariantCorrespondence,
     EquivariantModel,
@@ -253,6 +254,39 @@ def test_trivial_lift_verifies_for_torus_and_general_linear():
         assert F.indices() == P.indices()
         assert report_passes(verify_equivariant(F)), G
         assert F.restrict() == P
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2),
+    lambda: spaces.hypersurface_model(4, 3, 10),
+], ids=["plane cubic", "cubic threefold"])
+def test_trivial_lift_over_odd_cohomology(make):
+    # Odd middle classes make the pairing antisymmetric, so a lifted
+    # action that read the pairing with its factors swapped would flip
+    # the middle member's sign.
+    X = make()
+    P = full_projectors(X)
+    F = lift_projectors(P, torus_group(1), 4)
+    assert report_passes(verify_equivariant(F))
+    unit = F.model.bg.unit_mono
+    for k in range(len(X.basis)):
+        e = X.basis_vector(k)
+        want = {(j, unit): c for j, c in act(P.projectors[X.dim], e).coeffs.items()}
+        assert F.projectors[X.dim].act(e) == want, X.basis[k][0]
+
+
+def test_model_pairing_partners_are_the_nonzero_pairings():
+    models = (
+        equivariant_trivial_action(spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2),
+                                   general_linear_group(2), 4),
+        equivariant_projective_torus((0, 1, 3), 8),
+        weighted_line(),
+    )
+    for M in models:
+        n = len(M.base.basis)
+        for j in range(n):
+            want = [(k, M.pair_poly(j, k)) for k in range(n) if M.pair_poly(j, k)]
+            assert list(M.pairing_partners(j)) == want, (M, j)
 
 
 def test_lift_model_consistency_checks():

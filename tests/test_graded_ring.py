@@ -381,3 +381,34 @@ def test_tensor_ring_pairing_nondegenerate():
     assert all(ok for _, ok, _ in T.check_report())
     for p in T.degrees():
         T.dual_basis(p)  # raises if any block were singular
+
+
+def test_rings_declare_their_attributes():
+    ring = plane_ring()
+    assert ring.parts == {}
+    with pytest.raises(AttributeError):
+        ring.tensor_factors = (ring, ring)
+    T = tensor_ring((ring, ring))
+    assert T.parts["factors"] == (ring, ring)
+    assert T.parts["index"][(1, 2)] == T.label_index["h # h^2"]
+    assert T.space is None  # the factors carry no description
+
+
+def test_one_inverse_per_pairing_block(monkeypatch):
+    from chowkunneth import linalg
+
+    calls = []
+    inverse = linalg.inverse
+
+    def counting_inverse(a):
+        calls.append(a)
+        return inverse(a)
+
+    monkeypatch.setattr(linalg, "inverse", counting_inverse)
+    for ring in (plane_ring(), curve_ring()):
+        del calls[:]
+        for p in ring.degrees():
+            assert ring.pairing_matrix(p).row_degree == p
+            ring.dual_basis(p)
+            ring.pairing_matrix(p)
+        assert len(calls) == len(ring.degrees())

@@ -499,7 +499,7 @@ def test_tensor_motives_adds_twists():
     N = motive_of_space(spaces.projective_space(2), twist=-1)
     MN = tensor_motives(M, N)
     assert MN.twist == 1
-    assert MN.ring.tensor_factors == (M.ring, N.ring)
+    assert MN.ring.parts["factors"] == (M.ring, N.ring)
     assert MN.projector == diagonal(MN.ring)
 
 

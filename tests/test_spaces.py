@@ -129,6 +129,18 @@ def test_product_accepts_descriptions_and_rings():
     assert T1 is T2
 
 
+def test_product_of_a_directly_built_tensor_ring():
+    from chowkunneth.graded_ring import tensor_ring
+
+    P1 = spaces.projective_space(1)
+    T = tensor_ring((P1, P1))
+    assert T.space == {"kind": "product", "factors": [P1.space, P1.space]}
+    assert T.parts["factors"] == (P1, P1)
+    TT = spaces.product_space(T, P1)
+    assert TT.betti() == {0: 1, 2: 3, 4: 3, 6: 1}
+    assert TT.parts["factors"][0] == T
+
+
 # -- complete-intersection models ---------------------------------------------------
 
 
@@ -154,7 +166,7 @@ def test_quadric_surface_model():
 def test_cubic_surface_model_middle_rank():
     X = spaces.hypersurface_model(3, 3, 7)
     assert X.betti() == {0: 1, 2: 8, 4: 1}
-    assert len(X.ci_primitive_indices) == 7
+    assert len(X.parts["primitive_indices"]) == 7
     assert X.integrate(X.basis_class("h") * X.basis_class("h")) == 3
 
 
@@ -195,8 +207,8 @@ def test_supplied_middle_pairing_symmetry_enforced():
 
 def test_restriction_map_images():
     X = spaces.hypersurface_model(3, 2, 1)
-    amb = X.ci_ambient
-    q = X.restrict_map
+    amb = X.parts["restrict_map"].source
+    q = X.parts["restrict_map"]
     assert q.apply(amb.basis_class("h")) == X.basis_class("h")
     # restricting a line of the ambient space to the quadric gives a
     # degree-2 point class
@@ -256,7 +268,7 @@ def test_blowup_of_line_in_space():
 
 def test_blowup_rank_formula():
     for X in (blowup_point_in_plane(), blowup_line_in_space()):
-        base, center = X.blowup_base, X.blowup_center
+        base, center = X.parts["base"], X.parts["center"]
         c = base.dim - center.dim
         for t in range(0, 2 * X.dim + 1):
             want = base.rank(t) + sum(
@@ -341,14 +353,14 @@ def test_plane_curve_family_validates_each_ring_once(monkeypatch):
     ]
     assert [r.dim for r in built] == [2, 9, 11, 10]
     assert built[-1] is X
-    assert X.restrict_map.target is X
-    assert X.restrict_map.source is built[2]
-    assert X.ci_ambient is built[2]
+    assert X.parts["restrict_map"].target is X
+    assert X.parts["restrict_map"].source is built[2]
+    assert X.parts["restrict_map"].source is built[2]
 
 
 def test_plane_curve_family_middle_rank_parameter():
     X = spaces.plane_curve_family(1, middle_rank=2)
-    assert len(X.ci_primitive_indices) == 2
+    assert len(X.parts["primitive_indices"]) == 2
     base = spaces.plane_curve_family(1)
     assert X.rank(X.dim) == base.rank(base.dim) + 2
 
