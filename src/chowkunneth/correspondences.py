@@ -155,15 +155,17 @@ def act(gamma, alpha):
     X, Y = gamma.source, gamma.target
     if alpha.ring != X:
         raise RingMismatch("class does not live over the correspondence's source")
-    paired = {}  # i -> integral of alpha * e_i, from the ring's pairing table
+    # i -> (coefficient of e_m, integral of e_m * e_i) rows from the ring's
+    # pairing table, multiplied out only where a term has source index i
+    paired = {}
     for m, ca in alpha.coeffs.items():
         for i, val in X.pairing_partners(m):
-            paired[i] = paired.get(i, Fraction(0)) + ca * val
+            paired.setdefault(i, []).append((ca, val))
     out = {}
     for (i, j), c in gamma.terms.items():
-        total = paired.get(i)
-        if total:
-            out[j] = out.get(j, Fraction(0)) + total * c
+        rows = paired.get(i)
+        if rows:
+            out[j] = out.get(j, 0) + sum(ca * val for ca, val in rows) * c
     return ClassVector(Y, alpha.degree + 2 * gamma.shift, out)
 
 

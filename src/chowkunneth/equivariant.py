@@ -447,21 +447,20 @@ class EquivariantCorrespondence(CorrespondenceClass):
         if alpha.ring != model.base:
             raise RingMismatch("class does not live over the model's base")
         multiply = model.bg.multiply_mono
+        # i -> (coefficient of e_a, pushforward of e_a * e_i) rows from the
+        # model's partner table, multiplied out only where a term needs them
+        paired = {}
+        for a, ca in alpha.coeffs.items():
+            for i, poly in model.pairing_partners(a):
+                paired.setdefault(i, []).append((ca, poly))
         out = {}
         for (i, j, mono), c in self.terms.items():
-            for a, ca in alpha.coeffs.items():
-                poly = model.pair_poly(a, i)
+            for ca, poly in paired.get(i, ()):
                 for mp, vp in poly.items():
                     m = multiply(mono, mp)
-                    if m is None:
-                        continue
-                    key = (j, m)
-                    val = out.get(key, Fraction(0)) + c * ca * vp
-                    if val == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-        return out
+                    if m is not None:
+                        out[(j, m)] = out.get((j, m), 0) + c * ca * vp
+        return {key: v for key, v in out.items() if v}
 
     def restrict(self):
         """Ordinary correspondence on the base: every parameter

@@ -11,6 +11,7 @@ float.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import DegeneratePairing, RingAxiomError, RingMismatch
@@ -29,10 +30,35 @@ CHECK_NAMES = (
 def _coerce_coeffs(coeffs):
     out = {}
     for k, v in coeffs.items():
-        f = Fraction(v)
-        if f != 0:
+        f = v if type(v) is Fraction else Fraction(v)
+        if f:
             out[k] = f
     return out
+
+
+def _product(structure, a, b):
+    """The product of coefficient dicts a and b under a structure table,
+    without zero entries."""
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            prod = structure.get((i, j))
+            if not prod:
+                continue
+            c = ca * cb
+            for k, s in prod.items():
+                out[k] = out.get(k, 0) + c * s
+    return {k: c for k, c in out.items() if c}
+
+
+def _combine(coeffs, rows):
+    """The combination sum of c * rows[i] over coeffs {i: c}, without
+    zero entries."""
+    out = {}
+    for i, c in coeffs.items():
+        for k, s in rows[i].items():
+            out[k] = out.get(k, 0) + c * s
+    return {k: v for k, v in out.items() if v}
 
 
 class ClassVector:
@@ -258,19 +284,12 @@ def run_ring_checks(dim, basis, structure, integration):
     if not ok:
         return
 
-    def mul_vec(vec, k):
-        out = {}
-        for m, c in vec.items():
-            for t, s in prod(m, k).items():
-                out[t] = out.get(t, Fraction(0)) + c * s
-        return {t: c for t, c in out.items() if c != 0}
-
-    def mul_vec_left(k, vec):
-        out = {}
-        for m, c in vec.items():
-            for t, s in prod(k, m).items():
-                out[t] = out.get(t, Fraction(0)) + c * s
-        return {t: c for t, c in out.items() if c != 0}
+    # Scaled by the lcm L of its denominators the table is integral, and
+    # L^2 (x*s)*y = L^2 x*(s*y) is the same identity, so the test below
+    # runs on ints.
+    scale = lcm(*{c.denominator for p in structure.values() for c in p.values()})
+    table = {ij: {k: c.numerator * (scale // c.denominator) for k, c in p.items()}
+             for ij, p in structure.items()}
 
     # Light's associativity test (Clifford & Preston, The Algebraic Theory
     # of Semigroups I, 1961): the classes s with (x*s)*y = x*(s*y) for all
@@ -278,15 +297,15 @@ def run_ring_checks(dim, basis, structure, integration):
     # so checking s over a generating set proves associativity.
     ok, detail = True, ""
     for s in _generators(deg, prod):
-        right = [prod(s, k) for k in range(n)]
+        right = [table.get((s, k), {}) for k in range(n)]
         for i in range(n):
             if deg[i] + deg[s] > top:
                 continue
-            left = prod(i, s)
+            left = table.get((i, s), {})
             for k in range(n):
                 if deg[i] + deg[s] + deg[k] > top:
                     continue
-                if mul_vec(left, k) != mul_vec_left(i, right[k]):
+                if _product(table, left, {k: 1}) != _product(table, {i: 1}, right[k]):
                     ok = False
                     detail = f"associativity fails on ({labels[i]}, {labels[s]}, {labels[k]})"
                     break
@@ -364,14 +383,9 @@ class GradedBasisRing:
     def __init__(self, dim, basis, structure, integration, space=None, parts=None):
         self.dim = int(dim)
         self.basis = tuple((str(l), int(d)) for l, d in basis)
-        self.structure = {
-            (i, j): {k: Fraction(c) for k, c in prod.items() if Fraction(c) != 0}
-            for (i, j), prod in structure.items()
-        }
-        self.structure = {ij: p for ij, p in self.structure.items() if p}
-        self.integration = {
-            i: Fraction(c) for i, c in integration.items() if Fraction(c) != 0
-        }
+        self.structure = {ij: p for ij, p in (
+            (ij, _coerce_coeffs(prod)) for ij, prod in structure.items()) if p}
+        self.integration = _coerce_coeffs(integration)
         self.space = space
         self.parts = dict(parts or {})
 
@@ -473,17 +487,8 @@ class GradedBasisRing:
             raise RingMismatch("left factor lives over a different ring")
         if b.ring is not self and b.ring != self:
             raise RingMismatch("right factor lives over a different ring")
-        degree = a.degree + b.degree
-        out = {}
-        for i, ca in a.coeffs.items():
-            for j, cb in b.coeffs.items():
-                prod = self.structure.get((i, j))
-                if not prod:
-                    continue
-                c = ca * cb
-                for k, s in prod.items():
-                    out[k] = out.get(k, Fraction(0)) + c * s
-        return ClassVector(self, degree, out)
+        return ClassVector(self, a.degree + b.degree,
+                           _product(self.structure, a.coeffs, b.coeffs))
 
     def integrate(self, a):
         if a.ring is not self and a.ring != self:
@@ -578,13 +583,17 @@ class RingMap:
 
     `images` maps each source basis index to a ClassVector over the
     target. Construction checks unitality, degree preservation and
-    multiplicativity on every basis pair; surjectivity is checked when
-    `require_surjective` is set (bottom-weight restrictions need it,
-    ambient restriction maps do not). With `strict=False`,
-    multiplicativity is not enforced on pairs whose factors BOTH map to
-    zero — the contract of quotient maps that collapse a middle block
-    whose internal products land in surviving degrees; callers of such
-    maps re-verify the transported structures directly.
+    f(x*s) = f(x)*f(s) for every basis class x and every s in the
+    source's generating set (`_generators`). That proves
+    multiplicativity: the s that satisfy it form a subspace that holds
+    the unit and, both rings being associative, is closed under
+    products. Surjectivity is checked when `require_surjective` is set
+    (bottom-weight restrictions need it, ambient restriction maps do
+    not). With `strict=False`, every basis pair is checked except pairs
+    whose factors BOTH map to zero — the contract of quotient maps that
+    collapse a middle block whose internal products land in surviving
+    degrees; the exemption does not compose, and callers of such maps
+    re-verify the transported structures directly.
     """
 
     def __init__(self, source, target, images, require_surjective=False, strict=True):
@@ -606,15 +615,19 @@ class RingMap:
         unit_i = source.degree_indices(0)[0]
         if self.images[unit_i] != target.unit():
             raise NotRingMap("unit must map to unit")
-        for i in range(len(source.basis)):
-            ei = source.basis_class(source.basis[i][0])
-            for j in range(len(source.basis)):
-                if not strict and self.images[i].is_zero() and self.images[j].is_zero():
+        n = len(source.basis)
+        coeffs = [v.coeffs for v in self.images]
+        if strict:
+            middles = _generators([d for _, d in source.basis],
+                                  lambda i, j: source.structure.get((i, j), {}))
+        else:
+            middles = range(n)
+        for i in range(n):
+            for j in middles:
+                if not strict and not coeffs[i] and not coeffs[j]:
                     continue
-                ej = source.basis_class(source.basis[j][0])
-                lhs = self.apply(source.multiply(ei, ej))
-                rhs = target.multiply(self.images[i], self.images[j])
-                if lhs != rhs:
+                lhs = _combine(source.structure.get((i, j), {}), coeffs)
+                if lhs != _product(target.structure, coeffs[i], coeffs[j]):
                     raise NotRingMap(
                         f"not multiplicative on "
                         f"({source.basis[i][0]}, {source.basis[j][0]})"
@@ -622,22 +635,16 @@ class RingMap:
         if require_surjective:
             for d in target.degrees():
                 cols = target.degree_indices(d)
-                rows = []
-                for i in range(len(source.basis)):
-                    if source.basis[i][1] == d:
-                        v = self.images[i]
-                        rows.append([v.coeffs.get(c, Fraction(0)) for c in cols])
+                rows = [[coeffs[i].get(c, Fraction(0)) for c in cols]
+                        for i in source.degree_indices(d)]
                 if linalg.rank(linalg.mat(rows) if rows else ()) != len(cols):
                     raise NotRingMap(f"not surjective in degree {d}")
 
     def apply(self, v):
         if v.ring != self.source:
             raise RingMismatch("class does not live over the map's source")
-        out = {}
-        for i, c in v.coeffs.items():
-            for k, s in self.images[i].coeffs.items():
-                out[k] = out.get(k, Fraction(0)) + c * s
-        return ClassVector(self.target, v.degree, out)
+        return ClassVector(self.target, v.degree,
+                           _combine(v.coeffs, [w.coeffs for w in self.images]))
 
 
 def tensor_ring(factors, space=None):
@@ -662,10 +669,11 @@ def tensor_ring(factors, space=None):
         return sum(f.basis[i][1] for f, i in zip(factors, t))
 
     tuples.sort(key=lambda t: (tup_degree(t), t))
+    degs = [tup_degree(t) for t in tuples]
     index = {t: g for g, t in enumerate(tuples)}
     basis = [
-        (" # ".join(f.basis[i][0] for f, i in zip(factors, t)), tup_degree(t))
-        for t in tuples
+        (" # ".join(f.basis[i][0] for f, i in zip(factors, t)), d)
+        for t, d in zip(tuples, degs)
     ]
 
     def koszul(left, right):
@@ -680,13 +688,11 @@ def tensor_ring(factors, space=None):
 
     dim = sum(f.dim for f in factors)
     structure = {}
-    for ta in tuples:
-        da = tup_degree(ta)
-        for tb in tuples:
-            if da + tup_degree(tb) > 2 * dim:
-                continue
-            sign = koszul(ta, tb)
-            terms = [((), Fraction(sign))]
+    for a, ta in enumerate(tuples):
+        for b, tb in enumerate(tuples):
+            if degs[a] + degs[b] > 2 * dim:
+                break  # tuples are sorted by degree
+            terms = [((), koszul(ta, tb))]
             for f, i, j in zip(factors, ta, tb):
                 prod = f.structure.get((i, j))
                 if not prod:
@@ -694,9 +700,7 @@ def tensor_ring(factors, space=None):
                     break
                 terms = [(t + (k,), c * s) for t, c in terms for k, s in prod.items()]
             if terms:
-                structure[(index[ta], index[tb])] = {
-                    index[t]: c for t, c in terms
-                }
+                structure[(a, b)] = {index[t]: c for t, c in terms}
 
     integration = {}
     for t in tuples:

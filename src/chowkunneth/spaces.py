@@ -16,7 +16,7 @@ from math import comb
 
 from . import linalg, schubert
 from .errors import InvalidSpec, NonLefschetzRange, DegeneratePairing
-from .graded_ring import ClassVector, GradedBasisRing, RingMap, tensor_ring
+from .graded_ring import ClassVector, GradedBasisRing, RingMap, _combine, tensor_ring
 
 _CACHE = {}
 
@@ -241,11 +241,17 @@ def _build_ci_model(spec, space=None):
     top = 2 * d
     k_prim = _require_int(spec, "middle_rank", minimum=0)
 
-    def amb_class(i):
-        return amb.basis_class(amb.basis[i][0])
-
-    def pair_xi(i, j):
-        return amb.integrate(amb.multiply(amb.multiply(amb_class(i), amb_class(j)), xi))
+    # The xi-twisted pairing: twisted[(i, j)] = integral of e_i * e_j * xi
+    # over the ambient, for every pair of complementary degree in X.
+    amb_deg = [t for _, t in amb.basis]
+    xi_value = {k: sum(c * amb.pair_basis(k, x) for x, c in xi.coeffs.items())
+                for k in amb.degree_indices(top)}
+    twisted = {}
+    for (i, j), prod in amb.structure.items():
+        if amb_deg[i] + amb_deg[j] == top:
+            val = sum(c * xi_value[k] for k, c in prod.items())
+            if val:
+                twisted[(i, j)] = val
 
     # Lefschetz-range check: restriction must stay injective at and below
     # the middle, i.e. the xi-twisted ambient pairing has full row rank.
@@ -254,7 +260,7 @@ def _build_ci_model(spec, space=None):
         if not rows:
             continue
         cols = amb.degree_indices(top - t)
-        m = linalg.mat([[pair_xi(i, j) for j in cols] for i in rows])
+        m = linalg.mat([[twisted.get((i, j), Fraction(0)) for j in cols] for i in rows])
         if linalg.rank(m) != len(rows):
             raise NonLefschetzRange(
                 f"xi-twisted ambient pairing drops rank in degree {t}"
@@ -284,33 +290,25 @@ def _build_ci_model(spec, space=None):
     # Basis layout: ambient classes survive through degree d (labels kept),
     # primitives sit in the middle, degrees above d are duals of the
     # complementary ambient classes (label = ambient label + "*").
-    basis = []
-    amb_to_x = {}
-    dual_to_x = {}
-    prim_to_x = {}
+    basis, kind_of = [], []  # kind_of[x] = (kind, ambient or primitive index)
     for t in range(0, top + 1):
         if t <= d:
             for i in amb.degree_indices(t):
-                amb_to_x[i] = len(basis)
+                kind_of.append(("amb", i))
                 basis.append((amb.basis[i][0], t))
         if t == d:
             for p in range(k_prim):
-                prim_to_x[p] = len(basis)
+                kind_of.append(("prim", p))
                 basis.append((f"m{p + 1}", d))
         if t > d:
             for i in amb.degree_indices(top - t):
-                dual_to_x[i] = len(basis)
+                kind_of.append(("dual", i))
                 basis.append((amb.basis[i][0] + "*", t))
+    amb_to_x = {i: x for x, (kind, i) in enumerate(kind_of) if kind == "amb"}
+    dual_to_x = {i: x for x, (kind, i) in enumerate(kind_of) if kind == "dual"}
 
     nx = len(basis)
     point_index = dual_to_x[amb.degree_indices(0)[0]]
-    kind_of = {}
-    for i, x in amb_to_x.items():
-        kind_of[x] = ("amb", i)
-    for i, x in dual_to_x.items():
-        kind_of[x] = ("dual", i)
-    for p, x in prim_to_x.items():
-        kind_of[x] = ("prim", p)
 
     structure = {}
     for a in range(nx):
@@ -324,25 +322,23 @@ def _build_ci_model(spec, space=None):
                 continue
             out = {}
             if ka == "amb" and kb == "amb":
-                prod = amb.multiply(amb_class(pa), amb_class(pb))
+                prod = amb.structure.get((pa, pb), {})
                 if total <= d:
-                    out = {amb_to_x[i]: c for i, c in prod.coeffs.items()}
+                    out = {amb_to_x[i]: c for i, c in prod.items()}
                 else:
                     for i in amb.degree_indices(top - total):
-                        c = amb.integrate(amb.multiply(amb.multiply(amb_class(i), prod), xi))
-                        if c != 0:
+                        c = sum(s * twisted.get((i, k), 0) for k, s in prod.items())
+                        if c:
                             out[dual_to_x[i]] = c
             elif ka == "amb" and kb == "dual":
                 for i in amb.degree_indices(top - total):
-                    prod = amb.multiply(amb_class(i), amb_class(pa))
-                    c = prod.coeffs.get(pb, Fraction(0))
-                    if c != 0:
+                    c = amb.structure.get((i, pa), {}).get(pb)
+                    if c:
                         out[dual_to_x[i]] = c
             elif ka == "dual" and kb == "amb":
                 for i in amb.degree_indices(top - total):
-                    prod = amb.multiply(amb_class(i), amb_class(pb))
-                    c = prod.coeffs.get(pa, Fraction(0))
-                    if c != 0:
+                    c = amb.structure.get((i, pb), {}).get(pa)
+                    if c:
                         out[dual_to_x[i]] = c
             elif ka == "prim" and kb == "prim":
                 c = prim_pairing[pa][pb]
@@ -360,7 +356,8 @@ def _build_ci_model(spec, space=None):
 
     ring = GradedBasisRing(
         d, basis, structure, {point_index: Fraction(1)}, space=spec if space is None else space,
-        parts={"primitive_indices": tuple(prim_to_x[p] for p in range(k_prim))},
+        parts={"primitive_indices": tuple(x for x, (kind, _) in enumerate(kind_of)
+                                          if kind == "prim")},
     )
 
     images = []
@@ -369,12 +366,9 @@ def _build_ci_model(spec, space=None):
         if t <= d:
             images.append(ring.basis_class(ring.basis[amb_to_x[i]][0]))
         else:
-            coeffs = {}
-            for jx in amb.degree_indices(top - t):
-                c = pair_xi(jx, i)
-                if c != 0:
-                    coeffs[dual_to_x[jx]] = c
-            images.append(ClassVector(ring, t, coeffs))
+            images.append(ClassVector(ring, t, {
+                dual_to_x[jx]: twisted.get((jx, i), 0) for jx in amb.degree_indices(top - t)
+            }))
     # The one part recorded after construction: the map's target is the ring.
     ring.parts["restrict_map"] = RingMap(amb, ring, images)
     return ring
@@ -462,11 +456,7 @@ def _build_blowup(spec):
         chern[j] = _label_class(center, rawj, f"normal_chern c_{j}", 2 * j, allow_empty=True)
 
     def push_linear(v):
-        out = {}
-        for zi, coeff in v.coeffs.items():
-            for bi, cb in push[zi].coeffs.items():
-                out[bi] = out.get(bi, Fraction(0)) + coeff * cb
-        return out  # base-index dict
+        return _combine(v.coeffs, {zi: w.coeffs for zi, w in push.items()})  # base indices
 
     # i^* by pairing adjunction against the center's own duality.
     def i_upper_star(x):

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from chowkunneth import spaces
-from chowkunneth.graded_ring import _generators, run_ring_checks
+from chowkunneth.graded_ring import GradedBasisRing, _generators, run_ring_checks
 from test_acceptance import corpus_rings
 
 
@@ -163,3 +163,30 @@ def test_same_verdict_on_perturbed_tables():
             required += 1
             assert rejected, f"no perturbation of {name} was rejected"
     assert required == 12
+
+
+def rescaled(ring, seed):
+    """The ring in the basis l_i e_i for seeded rationals l_i (1 on the
+    unit): its constants l_i l_j / l_k c_ijk carry mixed denominators,
+    which the integer form of Light's test must clear exactly."""
+    rng = random.Random(seed)
+    lam = [Fraction(1) if d == 0 else Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 7]))
+           for _, d in ring.basis]
+    structure = {
+        (i, j): {k: lam[i] * lam[j] / lam[k] * c for k, c in prod.items()}
+        for (i, j), prod in ring.structure.items()
+    }
+    integration = {k: lam[k] * c for k, c in ring.integration.items()}
+    return GradedBasisRing(ring.dim, ring.basis, structure, integration)
+
+
+def test_same_verdict_on_rescaled_tables():
+    mixed = 0
+    for seed, (name, ring) in enumerate(sorted(oracle_rings().items())):
+        X = rescaled(ring, seed)
+        mixed += len({c.denominator for p in X.structure.values() for c in p.values()}) > 2
+        assert light_verdict(X, X.structure), name
+        for structure in perturbations(X, 8, seed):
+            light = light_verdict(X, structure)
+            assert light == (full_associativity(X.dim, X.basis, structure) is None), name
+    assert mixed >= 12

@@ -108,7 +108,7 @@ def test_space_document_from_derived_product():
     from chowkunneth.graded_ring import tensor_ring
 
     P1 = spaces.projective_space(1)
-    T = tensor_ring((P1, P1))  # built directly, no stored description
+    T = tensor_ring((P1, P1))  # built directly, described by its factors
     doc = space_document(T)
     assert doc["kind"] == "product"
     rebuilt = load_space(doc)

@@ -1,0 +1,243 @@
+"""Table-speed ring assembly and ring-map checks against the slow paths
+they replaced, and the universal plane curve against the projective
+bundle formula.
+
+`RingMap` checks multiplicativity with a middle factor from a
+generating set; the loop over every basis pair is kept here as its
+oracle. `_build_ci_model` reads the ambient structure table and one
+xi-twisted pairing table; the assembly through `amb.multiply` on basis
+classes is kept here as its oracle.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from chowkunneth import spaces
+from chowkunneth.errors import NotRingMap
+from chowkunneth.graded_ring import ClassVector, RingMap, _generators
+from test_acceptance import corpus_rings
+
+LADDER_HYPERSURFACES = [(3, 3, 6), (3, 4, 21), (4, 3, 10), (5, 3, 22)]
+
+
+def all_pairs_verdict(source, target, images):
+    """First basis pair (i, j) with f(e_i*e_j) != f(e_i)*f(e_j), or None."""
+
+    def apply(v):
+        out = target.zero(v.degree)
+        for i, c in v.coeffs.items():
+            out = out + images[i].scale(c)
+        return out
+
+    n = len(source.basis)
+    for i in range(n):
+        for j in range(n):
+            lhs = apply(source.multiply(source.basis_vector(i), source.basis_vector(j)))
+            if lhs != target.multiply(images[i], images[j]):
+                return (i, j)
+    return None
+
+
+def generator_verdict(source, target, images):
+    try:
+        RingMap(source, target, images)
+    except NotRingMap as exc:
+        assert "not multiplicative" in str(exc)
+        return False
+    return True
+
+
+def corpus_maps():
+    """Identity maps of the corpus rings, and the restriction maps of
+    every ci_model among them, the curve families d = 4 and 5 and the
+    ladder hypersurfaces."""
+    rings = corpus_rings() + [spaces.plane_curve_family(d) for d in (4, 5)]
+    rings += [spaces.hypersurface_model(*args) for args in LADDER_HYPERSURFACES]
+    maps = []
+    for ring in rings:
+        maps.append((ring, ring, [ring.basis_vector(i) for i in range(len(ring.basis))]))
+        if "restrict_map" in ring.parts:
+            q = ring.parts["restrict_map"]
+            maps.append((q.source, q.target, list(q.images)))
+    return maps
+
+
+def test_ring_map_same_verdict_on_corpus_maps():
+    maps = corpus_maps()
+    assert len(maps) == 36
+    for source, target, images in maps:
+        assert generator_verdict(source, target, images)
+        assert all_pairs_verdict(source, target, images) is None
+
+
+def test_ring_map_both_reject_perturbed_images():
+    """A class in a degree without generators is a combination of
+    products of lower-degree classes, so moving its image alone breaks
+    multiplicativity: both checks must reject every such perturbation."""
+    rng = random.Random(6)
+    perturbed = 0
+    for source, target, images in corpus_maps():
+        deg = [d for _, d in source.basis]
+        gen_degrees = {deg[g] for g in _generators(
+            deg, lambda i, j: source.structure.get((i, j), {}))}
+        movable = [i for i, d in enumerate(deg)
+                   if d and d not in gen_degrees and target.degree_indices(d)]
+        for i in rng.sample(movable, min(2, len(movable))):
+            k = rng.choice(target.degree_indices(deg[i]))
+            shift = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2, 5]))
+            bad = list(images)
+            bad[i] = images[i] + ClassVector(target, deg[i], {k: shift})
+            assert not generator_verdict(source, target, bad)
+            assert all_pairs_verdict(source, target, bad) is not None
+            perturbed += 1
+    assert perturbed >= 30
+
+
+def test_ring_map_checks_every_generator():
+    """On P1 x P1 with a = h # 1 and b = 1 # h, generated by b and then
+    a, the map fixing b and sending a to a + b respects every product
+    with b, but not a * a = 0, whose image would be 2 a*b."""
+    P1 = spaces.projective_space(1)
+    Q = spaces.product_space(P1, P1)
+    a, b = Q.label_index["h # 1"], Q.label_index["1 # h"]
+    assert _generators([d for _, d in Q.basis], lambda i, j: Q.structure.get((i, j), {})) == [b, a]
+    images = [Q.basis_vector(i) for i in range(4)]
+    images[a] = images[a] + images[b]
+    assert not generator_verdict(Q, Q, images)
+    assert all_pairs_verdict(Q, Q, images) == (a, a)
+
+
+# -- the ci_model assembly through classes -----------------------------------------
+
+
+def class_ci_tables(amb, xi, k_prim):
+    """Basis, structure, integration and restriction images of the
+    ci_model with the default middle pairing, each structure constant
+    computed by multiplying basis classes of the ambient ring."""
+    s = xi.degree // 2
+    d = amb.dim - s
+    top = 2 * d
+    prim_pairing = spaces._default_middle_pairing(k_prim, bool(d % 2))
+
+    def amb_class(i):
+        return amb.basis_vector(i)
+
+    def pair_xi(i, j):
+        return amb.integrate(amb.multiply(amb.multiply(amb_class(i), amb_class(j)), xi))
+
+    basis, amb_to_x, dual_to_x, prim_to_x = [], {}, {}, {}
+    for t in range(0, top + 1):
+        if t <= d:
+            for i in amb.degree_indices(t):
+                amb_to_x[i] = len(basis)
+                basis.append((amb.basis[i][0], t))
+        if t == d:
+            for p in range(k_prim):
+                prim_to_x[p] = len(basis)
+                basis.append((f"m{p + 1}", d))
+        if t > d:
+            for i in amb.degree_indices(top - t):
+                dual_to_x[i] = len(basis)
+                basis.append((amb.basis[i][0] + "*", t))
+    point_index = dual_to_x[amb.degree_indices(0)[0]]
+    kind_of = {x: ("amb", i) for i, x in amb_to_x.items()}
+    kind_of.update({x: ("dual", i) for i, x in dual_to_x.items()})
+    kind_of.update({x: ("prim", p) for p, x in prim_to_x.items()})
+
+    structure = {}
+    for a in range(len(basis)):
+        ka, pa = kind_of[a]
+        for b in range(len(basis)):
+            kb, pb = kind_of[b]
+            da, db = basis[a][1], basis[b][1]
+            total = da + db
+            if total > top:
+                continue
+            out = {}
+            if ka == "amb" and kb == "amb":
+                prod = amb.multiply(amb_class(pa), amb_class(pb))
+                if total <= d:
+                    out = {amb_to_x[i]: c for i, c in prod.coeffs.items()}
+                else:
+                    for i in amb.degree_indices(top - total):
+                        c = amb.integrate(amb.multiply(amb.multiply(amb_class(i), prod), xi))
+                        if c != 0:
+                            out[dual_to_x[i]] = c
+            elif ka == "amb" and kb == "dual":
+                for i in amb.degree_indices(top - total):
+                    c = amb.multiply(amb_class(i), amb_class(pa)).coeffs.get(pb, 0)
+                    if c != 0:
+                        out[dual_to_x[i]] = c
+            elif ka == "dual" and kb == "amb":
+                for i in amb.degree_indices(top - total):
+                    c = amb.multiply(amb_class(i), amb_class(pb)).coeffs.get(pa, 0)
+                    if c != 0:
+                        out[dual_to_x[i]] = c
+            elif ka == "prim" and kb == "prim":
+                if prim_pairing[pa][pb] != 0:
+                    out[point_index] = prim_pairing[pa][pb]
+            elif ka == "prim" and kb == "amb" and db == 0:
+                out = {a: Fraction(1)}
+            elif kb == "prim" and ka == "amb" and da == 0:
+                out = {b: Fraction(1)}
+            if out:
+                structure[(a, b)] = out
+
+    images = []
+    for i, (_, t) in enumerate(amb.basis):
+        if t <= d:
+            images.append({amb_to_x[i]: Fraction(1)})
+        else:
+            coeffs = {dual_to_x[j]: pair_xi(j, i) for j in amb.degree_indices(top - t)}
+            images.append({x: c for x, c in coeffs.items() if c != 0})
+    return basis, structure, {point_index: Fraction(1)}, images
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda d=d: spaces.plane_curve_family(d) for d in range(1, 6)]
+    + [lambda a=a: spaces.hypersurface_model(*a) for a in LADDER_HYPERSURFACES],
+    ids=[f"curves(d={d})" for d in range(1, 6)]
+    + [f"X{e}(P{n})" for n, e, _ in LADDER_HYPERSURFACES],
+)
+def test_ci_assembly_matches_class_assembly(make):
+    X = make()
+    q = X.parts["restrict_map"]
+    amb = q.source
+    spec = X.space if X.space["kind"] == "ci_model" else None
+    xi = (amb.from_label_dict(spec["fundamental_class_expr"]) if spec else
+          amb.from_label_dict({"h # 1": X.space["d"], "1 # h": 1}))
+    basis, structure, integration, images = class_ci_tables(
+        amb, xi, len(X.parts["primitive_indices"]))
+    assert X.basis == tuple(basis)
+    assert X.structure == structure
+    assert X.integration == integration
+    assert [v.coeffs for v in q.images] == images
+
+
+# -- the projective bundle formula -----------------------------------------------
+
+
+def power(x, e):
+    out = x.ring.unit()
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_plane_curve_family_is_a_projective_bundle(d):
+    """The universal plane curve of degree d is P(K) over P^2, with K the
+    rank-N kernel of evaluation, N = d(d+3)/2, so c(K) = (1 + d h)^-1
+    (Fulton, Intersection Theory, 3.2)."""
+    X = spaces.plane_curve_family(d)
+    N = d * (d + 3) // 2
+    h, H = X.basis_class("h # 1"), X.basis_class("1 # h")
+    assert X.dim == N + 1
+    assert power(h, 3).is_zero()
+    relation = (power(H, N) - h * power(H, N - 1) * d
+                + power(h, 2) * power(H, N - 2) * (d * d))
+    assert relation.is_zero()
+    assert [(power(h, a) * power(H, N + 1 - a)).integrate() for a in range(3)] == [0, d, 1]
