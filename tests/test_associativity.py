@@ -4,7 +4,9 @@ The construction check verifies associativity only with a middle factor
 from a generating set found degree by degree. The O(n^3) loop over every
 basis triple, which the check used before, is kept here as the oracle:
 both must give the same verdict on every ring of the acceptance corpus,
-on G(4,8), and on seeded perturbations of their structure constants.
+on G(4,8), on seeded perturbations of their structure constants, and on
+rescaled copies whose constants have mixed denominators (the check runs
+on the table scaled to integers).
 """
 
 import random
