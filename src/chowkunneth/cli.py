@@ -29,7 +29,6 @@ from .equivariant import (
     EquivariantProjectorFamily,
     GroupSpec,
     bottom_weight_restriction,
-    equivariant_projective_torus,
     equivariant_trivial_action,
     lift_projectors,
     stabilization_check,
@@ -284,15 +283,7 @@ def _make_model(args, base):
     _even_bound(args.bound, "--bound")
     if args.weights is not None:
         weights = _int_csv(args.weights, "--weights")
-        if group != GroupSpec("multiplicative_torus", 1):
-            raise InvalidSpec("--weights requires a rank-1 multiplicative torus")
-        model = equivariant_projective_torus(weights, args.bound)
-        if model.base != base:
-            raise InvalidSpec(
-                f"{len(weights)} weights act on a projective space of dimension "
-                f"{len(weights) - 1}; the projector set lives elsewhere"
-            )
-        return model
+        return serialize.weighted_model(base, group, weights, args.bound, "--weights")
     return equivariant_trivial_action(base, group, args.bound)
 
 

@@ -69,7 +69,7 @@ class TruncatedPolyRing:
     degree above the bound discarded. Monomials are exponent tuples;
     the basis is ordered by degree, then by exponents largest-first."""
 
-    __slots__ = ("gens", "bound", "basis", "label_index", "_monos")
+    __slots__ = ("gens", "bound", "basis", "_monos")
 
     def __init__(self, gens, bound):
         bound = int(bound)
@@ -90,7 +90,6 @@ class TruncatedPolyRing:
         monos.sort(key=lambda m: (self.mono_degree(m), tuple(-e for e in m)))
         self._monos = tuple(monos)
         self.basis = tuple((self.mono_label(m), self.mono_degree(m)) for m in monos)
-        self.label_index = {lab: i for i, (lab, _) in enumerate(self.basis)}
 
     @property
     def unit_mono(self):
@@ -118,18 +117,6 @@ class TruncatedPolyRing:
             return None
         return out
 
-    def degrees(self):
-        return tuple(sorted({d for _, d in self.basis}))
-
-    def rank(self, degree):
-        return sum(1 for _, d in self.basis if d == degree)
-
-    def betti(self):
-        out = {}
-        for _, d in self.basis:
-            out[d] = out.get(d, 0) + 1
-        return dict(sorted(out.items()))
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedPolyRing):
             return NotImplemented
@@ -151,32 +138,40 @@ def bg_ring(G, N):
 class EquivariantModel:
     """The base ring with parameter-ring coefficients, truncated.
 
-    Two kinds are supported: `trivial`, where the parameters never mix
-    with the base (the pairing of base classes is scalar), and
-    `projective_torus`, where a rank-one torus acts on a projective
-    space through integer weights and the hyperplane class satisfies
-    the product relation over (h + weight * t), making the pairing of
-    base classes genuinely polynomial in t.
+    Without `weights` the group acts trivially: parameters never mix
+    with the base, and base classes pair through the base pairing at
+    the unit monomial. With integer `weights` w_1..w_m, a rank-one
+    torus acts on the projective space of dimension m - 1 and the
+    hyperplane class satisfies product(h + w_i t) = 0, so base classes
+    pair polynomially in t. Both weighted tables are closed forms in
+    the weights' elementary symmetric functions e_c (Fulton,
+    Intersection Theory, 3.2): the pushforward of h^(m-1+s) is s_s t^s,
+    with s_0, s_1, ... the coefficients of 1 / product(1 + w_i x), and
+    the diagonal is the divided difference of product(h + w_i t).
     """
 
-    __slots__ = ("base", "group", "N", "kind", "weights", "bg",
-                 "_integrals", "_duals", "_partners")
+    __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_partners")
 
-    def __init__(self, base, group, N, kind="trivial", weights=None):
+    def __init__(self, base, group, N, weights=None):
         N = int(N)
         if N < 0 or N % 2:
             raise ValueError("the truncation bound must be an even integer >= 0")
-        if kind not in ("trivial", "projective_torus"):
-            raise ValueError(f"unknown model kind {kind!r}")
         self.base = base
         self.group = group
         self.N = N
-        self.kind = kind
         self.weights = None if weights is None else tuple(int(w) for w in weights)
         self.bg = bg_ring(group, N)
-        self._integrals = None
-        self._duals = None
-        self._partners = None
+        self._chern = self._segre = self._partners = None
+        if self.weights is not None:
+            e = [1]
+            for w in self.weights:
+                e = [a + w * b for a, b in zip(e + [0], [0] + e)]
+            # e[c] is the c-th elementary symmetric function of the
+            # weights; s[r] = -sum e[i] s[r - i] inverts their series
+            s = [Fraction(1)]
+            for r in range(1, len(self.weights)):
+                s.append(-sum(e[i] * s[r - i] for i in range(1, r + 1)))
+            self._chern, self._segre = tuple(e), tuple(s)
 
     @property
     def dim(self):
@@ -184,96 +179,38 @@ class EquivariantModel:
         base correspondences, and indices range over [0, 2 dim]."""
         return self.base.dim
 
-    # -- the weighted hyperplane relation --------------------------------
-
-    def _integral_table(self):
-        """For the weighted model: the pushforward of h^q to the
-        parameter ring, as {t-exponent: coefficient}, for q up to
-        2(m-1). Computed by reducing h^q with the defining relation and
-        reading off the h^(m-1) coefficient."""
-        if self._integrals is None:
-            m = len(self.weights)
-            e = [Fraction(1)]
-            for w in self.weights:
-                e = [a + Fraction(w) * b for a, b in
-                     zip(e + [Fraction(0)], [Fraction(0)] + e)]
-            # e[i] = elementary symmetric polynomial of the weights
-            # relation: h^m = -(e1 t h^(m-1) + e2 t^2 h^(m-2) + ... + em t^m)
-            # state: coefficients of h^q as {(t_exp, h_exp): coeff}
-            state = {(0, 0): Fraction(1)}
-            table = []
-            for q in range(0, 2 * m - 1):
-                table.append({
-                    t: c for (t, hdeg), c in state.items() if hdeg == m - 1 and c != 0
-                })
-                nxt = {}
-                for (t, hdeg), c in state.items():
-                    if hdeg + 1 < m:
-                        key = (t, hdeg + 1)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c
-                    else:
-                        for i in range(1, m + 1):
-                            key = (t + i, m - i)
-                            nxt[key] = nxt.get(key, Fraction(0)) - c * e[i]
-                state = {k: v for k, v in nxt.items() if v != 0}
-            self._integrals = table
-        return self._integrals
-
-    def _dual_table(self):
-        """For the weighted model: the parameter-valued dual classes.
-        Row k is the class dual to h^k, as {(t_exp, h_exp): coeff}, so
-        that the pushforward of h^a times row k is exactly delta(a, k).
-        Solved by back-substitution on the anti-triangular pushforward
-        matrix, ascending in a."""
-        if self._duals is None:
-            m = len(self.weights)
-            table = self._integral_table()
-            duals = []
-            for k in range(m):
-                p = {}
-                for a in range(m):
-                    b = m - 1 - a
-                    acc = Fraction(1) if a == k else Fraction(0)
-                    known = {}
-                    for b2 in range(b + 1, m):
-                        for t2, c2 in p.get(b2, {}).items():
-                            for t1, c1 in table[a + b2].items():
-                                known[t1 + t2] = known.get(t1 + t2, Fraction(0)) + c1 * c2
-                    # table[a+b] has leading entry {0: 1} since a+b = m-1
-                    res = {0: acc}
-                    for t, c in known.items():
-                        res[t] = res.get(t, Fraction(0)) - c
-                    row = {t: c for t, c in res.items() if c != 0}
-                    if row:
-                        p[b] = row
-                duals.append(p)
-            self._duals = duals
-        return self._duals
-
     # -- the degreewise pairing ------------------------------------------
 
     def pair_poly(self, j, k):
         """Parameter-valued pairing of base basis classes j and k: the
         equivariant pushforward of their product, as {monomial: coeff},
         truncated at the bound."""
-        if self.kind == "trivial":
+        if self.weights is None:
             v = self.base.pair_basis(j, k)
             return {self.bg.unit_mono: v} if v != 0 else {}
-        q = self.base.basis[j][1] // 2 + self.base.basis[k][1] // 2
-        table = self._integral_table()
-        if q >= len(table):
+        s = (self.base.basis[j][1] + self.base.basis[k][1]) // 2 - self.dim
+        if s < 0 or 2 * s > self.N or not self._segre[s]:
             return {}
-        return {
-            (t,): c for t, c in table[q].items() if 2 * t <= self.N
-        }
+        return {(s,): self._segre[s]}
 
     def pairing_partners(self, j):
         """All (k, polynomial) with nonzero `pair_poly(j, k)`, from a
-        table built once per model."""
+        table built once per model. A pair can only be nonzero when its
+        parameter degree deg e_a + deg e_k - 2 dim lies in [0, N], so
+        no other pair is computed."""
         if self._partners is None:
-            n = len(self.base.basis)
-            rows = (((k, self.pair_poly(a, k)) for k in range(n)) for a in range(n))
-            self._partners = [tuple((k, poly) for k, poly in row if poly) for row in rows]
+            degree = [d for _, d in self.base.basis]
+            low, high = 2 * self.dim, 2 * self.dim + self.N
+            table = []
+            for a, da in enumerate(degree):
+                row = []
+                for k, dk in enumerate(degree):
+                    if low <= da + dk <= high:
+                        poly = self.pair_poly(a, k)
+                        if poly:
+                            row.append((k, poly))
+                table.append(tuple(row))
+            self._partners = table
         return self._partners[j]
 
     # -- structural data ---------------------------------------------------
@@ -308,22 +245,16 @@ class EquivariantModel:
         return out
 
     def diagonal(self):
-        """The model's diagonal: for the trivial kind the base diagonal
-        with unit parameter; for the weighted kind the sum over k of
-        (dual row k) x h^k."""
-        if self.kind == "trivial":
-            terms = {}
-            for (i, j), c in diagonal(self.base).terms.items():
-                terms[(i, j, self.bg.unit_mono)] = c
-            return EquivariantCorrespondence(self, 0, terms)
-        duals = self._dual_table()
-        terms = {}
-        for k in range(len(self.weights)):
-            for b, poly in duals[k].items():
-                for t, c in poly.items():
-                    key = (b, k, (t,))
-                    terms[key] = terms.get(key, Fraction(0)) + c
-        return EquivariantCorrespondence(self, 0, terms)
+        """The model's diagonal: the base diagonal at the unit monomial
+        or, with weights, the divided difference of product(h + w_i t),
+        the sum over a + b + c = m - 1 of e_c t^c (h^a x h^b)."""
+        if self.weights is None:
+            return unit_lift(self, diagonal(self.base))
+        m = len(self.weights)
+        return EquivariantCorrespondence(self, 0, {
+            (a, b, (m - 1 - a - b,)): self._chern[m - 1 - a - b]
+            for a in range(m) for b in range(m - a)
+        })
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantModel):
@@ -332,14 +263,14 @@ class EquivariantModel:
             self.base == other.base
             and self.group == other.group
             and self.N == other.N
-            and self.kind == other.kind
             and self.weights == other.weights
         )
 
     def __repr__(self):
+        kind = "trivial" if self.weights is None else "projective_torus"
         tail = f" weights={list(self.weights)}" if self.weights else ""
         return (
-            f"<EquivariantModel {self.kind} dim={self.base.dim} "
+            f"<EquivariantModel {kind} dim={self.base.dim} "
             f"N={self.N}{tail}>"
         )
 
@@ -347,7 +278,7 @@ class EquivariantModel:
 def equivariant_trivial_action(X, G, N):
     """The model of an action whose basis classes are all invariant:
     base classes and parameters never mix."""
-    return EquivariantModel(X, G, N, kind="trivial")
+    return EquivariantModel(X, G, N)
 
 
 def equivariant_projective_torus(weights, N):
@@ -362,9 +293,7 @@ def equivariant_projective_torus(weights, N):
     if not weights:
         raise ValueError("at least one weight is required")
     base = projective_space(len(weights) - 1)
-    return EquivariantModel(
-        base, torus_group(1), N, kind="projective_torus", weights=weights
-    )
+    return EquivariantModel(base, torus_group(1), N, weights=weights)
 
 
 # -- parameter-valued correspondences ----------------------------------------
@@ -493,31 +422,23 @@ class EquivariantProjectorFamily(ProjectorSet):
 # -- lifting, verification, stabilization ------------------------------------
 
 
-def _standard_weighted_family(model):
-    """The lifted family for a weighted projective model: index 2k maps
-    to (dual row k) x h^k."""
-    m = len(model.weights)
-    duals = model._dual_table()
-    projs = {}
-    for k in range(m):
-        terms = {}
-        for b, poly in duals[k].items():
-            for t, c in poly.items():
-                terms[(b, k, (t,))] = c
-        projs[2 * k] = EquivariantCorrespondence(model, 0, terms)
-    return projs
+def unit_lift(model, p):
+    """An ordinary self-correspondence of the model's base, lifted with
+    unit parameter coefficient."""
+    unit = model.bg.unit_mono
+    terms = {(i, j, unit): c for (i, j), c in p.terms.items()}
+    return EquivariantCorrespondence(model, p.shift, terms)
 
 
 def lift_projectors(P, G, N, model=None):
     """Lift a projector set into a truncated model.
 
-    With no model (or a trivial-action model), every member lifts with
-    unit parameter coefficient. A projective-torus model is accepted
-    only when the set being lifted is the standard decomposition of the
-    model's base projective space; the lift then replaces each member
-    by the parameter-corrected dual row, which stays exactly idempotent
-    and orthogonal in the truncation. Anything else raises
-    UnsupportedAction.
+    Every member lifts with unit parameter coefficient. A weighted
+    model accepts only the standard decomposition of its base
+    projective space, and replaces member 2k by the terms of the
+    model's diagonal with target h^k: these stay exactly idempotent,
+    orthogonal and complete in the truncation. Any other set raises
+    UnsupportedAction. With no model, the trivial-action model is used.
     """
     if model is None:
         model = equivariant_trivial_action(P.ring, G, N)
@@ -527,39 +448,22 @@ def lift_projectors(P, G, N, model=None):
         raise RingMismatch("model was built for a different truncation bound")
     if P.ring != model.base:
         raise RingMismatch("projector set does not live over the model's base")
-    if model.kind == "trivial":
-        projs = {}
-        for i, p in P.projectors.items():
-            terms = {
-                (a, b, model.bg.unit_mono): c for (a, b), c in p.terms.items()
-            }
-            projs[i] = EquivariantCorrespondence(model, 0, terms)
-        return EquivariantProjectorFamily(
-            model, projs, complete=P.complete,
-            remainder_indices=P.remainder_indices,
-        )
-    if model.kind == "projective_torus":
-        standard = _standard_weighted_family(model)
-        expected = {
-            i: c for i, c in
-            ((i, c.restrict()) for i, c in standard.items())
-            if not c.is_zero()
-        }
+    projs = {i: unit_lift(model, p) for i, p in P.projectors.items()}
+    if model.weights is not None:
+        rows = {}
+        for (a, k, mono), c in model.diagonal().terms.items():
+            rows.setdefault(2 * k, {})[(a, k, mono)] = c
+        standard = {i: EquivariantCorrespondence(model, 0, t) for i, t in rows.items()}
         actual = {i: p for i, p in P.projectors.items() if not p.is_zero()}
-        if actual != expected:
+        if actual != {i: p.restrict() for i, p in standard.items()}:
             raise UnsupportedAction(
                 "a projective-torus model only lifts the standard projector "
                 "set of its base projective space"
             )
-        projs = dict(standard)
-        for i, p in P.projectors.items():
-            if i not in projs and p.is_zero():
-                projs[i] = EquivariantCorrespondence(model, 0, {})
-        return EquivariantProjectorFamily(
-            model, projs, complete=P.complete,
-            remainder_indices=P.remainder_indices,
-        )
-    raise UnsupportedAction(f"unsupported model kind {model.kind!r}")
+        projs.update(standard)
+    return EquivariantProjectorFamily(
+        model, projs, complete=P.complete, remainder_indices=P.remainder_indices,
+    )
 
 
 def verify_equivariant(F):

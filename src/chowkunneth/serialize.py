@@ -46,6 +46,7 @@ __all__ = [
     "group_from_document",
     "model_document",
     "model_from_document",
+    "weighted_model",
     "family_document",
     "family_from_document",
     "dumps",
@@ -251,9 +252,23 @@ def model_document(model):
         "group": group_document(model.group),
         "N": model.N,
     }
-    if model.kind == "projective_torus":
+    if model.weights is not None:
         doc["weights"] = list(model.weights)
     return doc
+
+
+def weighted_model(base, group, weights, N, where):
+    """The weighted model of the given weights at bound N, checked to
+    act through a rank-1 multiplicative torus on the given base."""
+    if group != GroupSpec("multiplicative_torus", 1):
+        raise InvalidSpec(f"{where}: weighted models require a rank-1 multiplicative torus")
+    model = equivariant_projective_torus(weights, N)
+    if model.base != base:
+        raise InvalidSpec(
+            f"{where}: {len(weights)} weights act on a projective space of "
+            f"dimension {len(weights) - 1}, not on the given base"
+        )
+    return model
 
 
 def model_from_document(doc, where="equivariant model"):
@@ -269,17 +284,7 @@ def model_from_document(doc, where="equivariant model"):
         isinstance(w, int) and not isinstance(w, bool) for w in weights
     ):
         raise InvalidSpec(f"{where}: 'weights' must be a nonempty list of integers")
-    if group != GroupSpec("multiplicative_torus", 1):
-        raise InvalidSpec(
-            f"{where}: weighted models require a rank-1 multiplicative torus"
-        )
-    model = equivariant_projective_torus(weights, N)
-    if model.base != base:
-        raise InvalidSpec(
-            f"{where}: {len(weights)} weights act on a projective space of "
-            f"dimension {len(weights) - 1}; the 'base' field disagrees"
-        )
-    return model
+    return weighted_model(base, group, weights, N, where)
 
 
 def family_document(F):

@@ -10,6 +10,7 @@ import pytest
 import chowkunneth
 from chowkunneth import cli, serialize, spaces
 from chowkunneth.correspondences import diagonal
+from chowkunneth.errors import InvalidSpec
 from chowkunneth.kunneth import ProjectorSet, full_projectors
 
 P1 = '{"kind": "projective_space", "n": 1}'
@@ -350,6 +351,22 @@ def test_lift_argument_validation(capsys, tmp_path):
         capsys, "lift", "--space", P2, "--weights", "0,1", "--bound", "4"
     )
     assert code == 2
+
+
+def test_weighted_model_checks_match_the_document_reader(capsys):
+    # --weights and a model document go through the same two checks
+    torus = {"kind": "multiplicative_torus", "rank": 1}
+    cases = (
+        (P1, "general_linear", {"kind": "general_linear", "rank": 1}),
+        (P2, "multiplicative_torus", torus),
+    )
+    for space, group_flag, group in cases:
+        code, _, err = run(capsys, "lift", "--space", space, "--weights", "0,1",
+                           "--group", group_flag, "--bound", "4")
+        doc = {"base": json.loads(space), "group": group, "N": 4, "weights": [0, 1]}
+        with pytest.raises(InvalidSpec) as exc:
+            serialize.model_from_document(doc, where="--weights")
+        assert code == 2 and err == f"error: {exc.value}\n"
 
 
 def test_stabilize_pass(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Truncated parameter models, lifted projectors, stabilization."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -130,8 +131,6 @@ def test_model_bound_validation():
     X = spaces.projective_space(1)
     with pytest.raises(ValueError):
         EquivariantModel(X, torus_group(1), 3)
-    with pytest.raises(ValueError):
-        EquivariantModel(X, torus_group(1), 4, kind="mystery")
 
 
 def test_trivial_model_diagonal_has_unit_parameters():
@@ -243,6 +242,96 @@ def test_weighted_model_with_higher_weights():
     assert F.restrict() == full_projectors(M.base)
 
 
+# -- the weighted closed forms against the solvers they replaced ---------------------------
+#
+# The model reads its pushforwards from a Segre list and its diagonal
+# from a divided difference. The relation-reduction and back-substitution
+# solvers that computed them before are kept here as oracles.
+
+
+def elementary(weights):
+    e = [Fraction(1)]
+    for w in weights:
+        e = [a + w * b for a, b in zip(e + [Fraction(0)], [Fraction(0)] + e)]
+    return e
+
+
+def reduced_pushforwards(weights):
+    """Row q is the pushforward of h^q, as {t-exponent: coefficient},
+    for q up to 2(m-1): h^q is reduced with the relation
+    h^m = -(e1 t h^(m-1) + ... + em t^m) and its h^(m-1) coefficient read."""
+    m, e = len(weights), elementary(weights)
+    state = {(0, 0): Fraction(1)}  # {(t exponent, h exponent): coefficient}
+    table = []
+    for _ in range(2 * m - 1):
+        table.append({t: c for (t, hdeg), c in state.items() if hdeg == m - 1 and c})
+        nxt = {}
+        for (t, hdeg), c in state.items():
+            if hdeg + 1 < m:
+                nxt[(t, hdeg + 1)] = nxt.get((t, hdeg + 1), 0) + c
+            else:
+                for i in range(1, m + 1):
+                    nxt[(t + i, m - i)] = nxt.get((t + i, m - i), 0) - c * e[i]
+        state = {key: v for key, v in nxt.items() if v}
+    return table
+
+
+def back_substituted_duals(weights):
+    """Row k is the class dual to h^k, as {h-exponent: {t-exponent:
+    coefficient}}: the pushforward of h^a times row k is delta(a, k).
+    Solved ascending in a on the anti-triangular pushforward matrix,
+    whose anti-diagonal entries are 1."""
+    m, table = len(weights), reduced_pushforwards(weights)
+    duals = []
+    for k in range(m):
+        row = {}
+        for a in range(m):
+            res = {0: Fraction(int(a == k))}
+            for b2 in range(m - a, m):
+                for t2, c2 in row.get(b2, {}).items():
+                    for t1, c1 in table[a + b2].items():
+                        res[t1 + t2] = res.get(t1 + t2, 0) - c1 * c2
+            res = {t: c for t, c in res.items() if c}
+            if res:
+                row[m - 1 - a] = res
+        duals.append(row)
+    return duals
+
+
+def oracle_weight_cases():
+    """Seeded weight vectors with zero, repeated and negative weights,
+    each with bounds below, at and above 2(m-1)."""
+    rng = random.Random(7)
+    vectors = [(0,), (5,), (0, 0), (3, 3), (0, 0, 0), (2, 2, -2), (-1, -4, 0, 5)]
+    vectors += [tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 7))) for _ in range(12)]
+    for w in vectors:
+        top = 2 * (len(w) - 1)
+        for N in sorted({0, max(top - 2, 0), top, top + 2, 6 * len(w)}):
+            yield w, N
+
+
+def test_weighted_pushforwards_match_relation_reduction():
+    for weights, N in oracle_weight_cases():
+        M = equivariant_projective_torus(weights, N)
+        table = reduced_pushforwards(weights)
+        for j, (_, dj) in enumerate(M.base.basis):
+            for k, (_, dk) in enumerate(M.base.basis):
+                want = {(t,): c for t, c in table[(dj + dk) // 2].items() if 2 * t <= N}
+                assert M.pair_poly(j, k) == want, (weights, N, j, k)
+
+
+def test_weighted_diagonal_matches_back_substituted_duals():
+    for weights, N in oracle_weight_cases():
+        M = equivariant_projective_torus(weights, N)
+        terms = {
+            (b, k, (t,)): c
+            for k, row in enumerate(back_substituted_duals(weights))
+            for b, poly in row.items()
+            for t, c in poly.items()
+        }
+        assert M.diagonal() == EquivariantCorrespondence(M, 0, terms), (weights, N)
+
+
 # -- trivial lifts ----------------------------------------------------------------------
 
 
@@ -287,6 +376,31 @@ def test_model_pairing_partners_are_the_nonzero_pairings():
         for j in range(n):
             want = [(k, M.pair_poly(j, k)) for k in range(n) if M.pair_poly(j, k)]
             assert list(M.pairing_partners(j)) == want, (M, j)
+
+
+def test_partner_table_skips_pairs_outside_the_parameter_range(monkeypatch):
+    # The pairing of e_a and e_k has parameter degree
+    # deg e_a + deg e_k - 2 dim; outside [0, N] it is zero or truncated,
+    # so the table must not call pair_poly there.
+    calls = []
+    inner = EquivariantModel.pair_poly
+
+    def counted(self, j, k):
+        calls.append((j, k))
+        return inner(self, j, k)
+
+    monkeypatch.setattr(EquivariantModel, "pair_poly", counted)
+    X = spaces.product_space(spaces.grassmannian(3, 6), spaces.projective_space(1))
+    cases = (
+        (equivariant_trivial_action(X, torus_group(2), 4), 522),  # of 40^2 pairs
+        (equivariant_projective_torus((0, 1, 3, -2), 4), 9),  # of 4^2 pairs
+    )
+    for M, expected in cases:
+        calls.clear()
+        M.pairing_partners(0)
+        degree = [d for _, d in M.base.basis]
+        assert len(calls) == expected, M
+        assert all(0 <= degree[j] + degree[k] - 2 * M.dim <= M.N for j, k in calls), M
 
 
 def test_lift_model_consistency_checks():
