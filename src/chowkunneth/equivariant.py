@@ -213,37 +213,6 @@ class EquivariantModel:
             self._partners = table
         return self._partners[j]
 
-    # -- structural data ---------------------------------------------------
-
-    def rank(self, degree):
-        """Rank of the model in a total degree (base plus parameters)."""
-        total = 0
-        for mono in self.bg.monomials():
-            rest = degree - self.bg.mono_degree(mono)
-            if rest >= 0:
-                total += self.base.rank(rest)
-        return total
-
-    def basis_in_degree(self, degree):
-        """Labels of the model basis in a total degree, parameter-free
-        classes first."""
-        bg = self.bg
-        out = []
-        for mono in sorted(bg.monomials(), key=lambda m: (bg.mono_degree(m), m)):
-            rest = degree - bg.mono_degree(mono)
-            if rest < 0:
-                continue
-            mlab = bg.mono_label(mono)
-            for i in self.base.degree_indices(rest):
-                blab = self.base.basis[i][0]
-                if mlab == "1":
-                    out.append(blab)
-                elif blab == "1":
-                    out.append(mlab)
-                else:
-                    out.append(f"{blab} {mlab}")
-        return out
-
     def diagonal(self):
         """The model's diagonal: the base diagonal at the unit monomial
         or, with weights, the divided difference of product(h + w_i t),

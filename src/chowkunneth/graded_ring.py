@@ -378,7 +378,7 @@ class GradedBasisRing:
     """
 
     __slots__ = ("dim", "basis", "structure", "integration", "space", "parts",
-                 "label_index", "_by_degree", "parity", "_blocks", "_pairings")
+                 "label_index", "_by_degree", "_blocks", "_pairings")
 
     def __init__(self, dim, basis, structure, integration, space=None, parts=None):
         self.dim = int(dim)
@@ -402,7 +402,6 @@ class GradedBasisRing:
         for i, (_, d) in enumerate(self.basis):
             self._by_degree.setdefault(d, []).append(i)
         self._by_degree = {d: tuple(v) for d, v in self._by_degree.items()}
-        self.parity = any(d % 2 for _, d in self.basis)
         self._blocks = {}
         self._pairings = None
 

@@ -16,7 +16,7 @@ from math import comb
 
 from . import linalg, schubert
 from .errors import InvalidSpec, NonLefschetzRange, DegeneratePairing
-from .graded_ring import ClassVector, GradedBasisRing, RingMap, _combine, tensor_ring
+from .graded_ring import ClassVector, GradedBasisRing, RingMap, _combine, _product, tensor_ring
 
 _CACHE = {}
 
@@ -83,6 +83,16 @@ def _exact_strings(raw, where):
     return {str(l): str(parse_fraction(v, f"{where}[{l!r}]")) for l, v in raw.items()}
 
 
+def _space_of(value, what):
+    """The description of a ring argument, or the argument itself when
+    it is already a description."""
+    if isinstance(value, GradedBasisRing):
+        if not isinstance(value.space, dict):
+            raise InvalidSpec(f"{what} must carry a space description")
+        return value.space
+    return value
+
+
 def _label_class(ring, raw, where, degree=None, allow_empty=False):
     """The class of `ring` given by a {label: coefficient} object."""
     if not isinstance(raw, dict) or (not raw and not allow_empty):
@@ -114,7 +124,7 @@ def _build_projective(spec):
     for i in range(n + 1):
         for j in range(n + 1 - i):
             structure[(i, j)] = {i + j: one}
-    return GradedBasisRing(n, basis, structure, {n: one} if n >= 0 else {}, space=spec)
+    return GradedBasisRing(n, basis, structure, {n: one}, space=spec)
 
 
 # -- grassmannian -------------------------------------------------------------
@@ -151,15 +161,8 @@ def _build_grassmannian(spec):
 
 
 def product_space(*factors):
-    specs = []
-    for f in factors:
-        if isinstance(f, GradedBasisRing):
-            if not isinstance(f.space, dict):
-                raise InvalidSpec("product factors must carry a space description")
-            specs.append(f.space)
-        else:
-            specs.append(f)
-    return build_space({"kind": "product", "factors": specs})
+    return build_space({"kind": "product",
+                        "factors": [_space_of(f, "product factors") for f in factors]})
 
 
 def _build_product(spec):
@@ -177,19 +180,13 @@ def ci_model(ambient, xi, middle_rank, middle_pairing=None):
     """Ring of a complete intersection cut out of `ambient` by a class
     with fundamental class `xi`, with `middle_rank` abstract primitive
     middle classes (see the builder for the full contract)."""
-    if isinstance(ambient, GradedBasisRing):
-        if not isinstance(ambient.space, dict):
-            raise InvalidSpec("ci_model ambient must carry a space description")
-        amb_spec = ambient.space
-    else:
-        amb_spec = ambient
     if isinstance(xi, ClassVector):
         xi_raw = {xi.ring.basis[i][0]: str(c) for i, c in sorted(xi.coeffs.items())}
     else:
         xi_raw = _exact_strings(xi, "xi")
     spec = {
         "kind": "ci_model",
-        "ambient": amb_spec,
+        "ambient": _space_of(ambient, "ci_model ambient"),
         "fundamental_class_expr": xi_raw,
         "middle_rank": int(middle_rank),
     }
@@ -364,7 +361,7 @@ def _build_ci_model(spec, space=None):
     for i in range(len(amb.basis)):
         t = amb.basis[i][1]
         if t <= d:
-            images.append(ring.basis_class(ring.basis[amb_to_x[i]][0]))
+            images.append(ring.basis_vector(amb_to_x[i]))
         else:
             images.append(ClassVector(ring, t, {
                 dual_to_x[jx]: twisted.get((jx, i), 0) for jx in amb.degree_indices(top - t)
@@ -383,21 +380,15 @@ def blowup(base, center, codim, pushforward, normal_chern=None):
     `pushforward` maps every center basis label to the label-coefficient
     dict of its image class in the base (degree shifted up by 2*codim).
     `normal_chern` maps j (as int or str) to the label-coefficient dict
-    of the j-th Chern class of the center's normal bundle; classes
-    c_1..c_{codim-1} are required, plus c_codim when codim >= 3.
+    of the j-th Chern class of the center's normal bundle, a center
+    class of degree 2*j. Its keys must lie in 1..codim; c_1..c_{codim-1}
+    are required, plus c_codim when codim >= 3, and every entry given is
+    checked, whether or not the formula reads it.
     """
-
-    def spec_of(r):
-        if isinstance(r, GradedBasisRing):
-            if not isinstance(r.space, dict):
-                raise InvalidSpec("blowup inputs must carry space descriptions")
-            return r.space
-        return r
-
     spec = {
         "kind": "blowup",
-        "base": spec_of(base),
-        "center": spec_of(center),
+        "base": _space_of(base, "blowup base"),
+        "center": _space_of(center, "blowup center"),
         "codim": int(codim),
         "center_pushforward_expr": {
             str(z): _exact_strings(img, f"pushforward[{z!r}]")
@@ -412,6 +403,9 @@ def blowup(base, center, codim, pushforward, normal_chern=None):
 
 
 def _build_blowup(spec):
+    """The blow-up ring h(X) + h(Z)(-1) + ... + h(Z)(-(c-1)) (Manin,
+    1968), with Keel's products (Fulton, Intersection Theory, 6.7), read
+    off the base and center structure tables."""
     base = build_space(_require_field(spec, "base"))
     center = build_space(_require_field(spec, "center"))
     c = _require_int(spec, "codim", minimum=1)
@@ -430,8 +424,8 @@ def _build_blowup(spec):
         raise InvalidSpec(
             "blowup: 'center_pushforward_expr' must map center labels to base classes"
         )
-    push = {}
-    for zi, (zl, zdeg) in enumerate(center.basis):
+    push = []  # push[z] = i_* e_z over base indices
+    for zl, zdeg in center.basis:
         if zl not in raw_push:
             raise InvalidSpec(f"blowup: pushforward missing center class {zl!r}")
         img = _label_class(base, raw_push[zl], f"pushforward of {zl!r}")
@@ -439,142 +433,83 @@ def _build_blowup(spec):
             raise InvalidSpec(
                 f"blowup: pushforward of {zl!r} must have degree {zdeg + 2 * c}"
             )
-        push[zi] = img
+        push.append(img.coeffs)
     extra = set(raw_push) - {l for l, _ in center.basis}
     if extra:
         raise InvalidSpec(f"blowup: pushforward names unknown center classes {sorted(extra)}")
 
-    need = list(range(1, c)) + ([c] if c >= 3 else [])
     raw_chern = spec.get("normal_chern") or {}
     if not isinstance(raw_chern, dict):
         raise InvalidSpec("blowup: 'normal_chern' must map j to center classes")
-    chern = {0: center.unit()}
-    for j in need:
+    keys = [str(j) for j in range(1, c + 1)]
+    stray = sorted(str(j) for j in raw_chern if str(j) not in keys)
+    if stray:
+        raise InvalidSpec(f"blowup: normal_chern keys {stray} are not among 1..{c}")
+    chern = {}  # chern[j] = c_j(N) over center indices
+    for j in range(1, c + 1):
         rawj = raw_chern.get(str(j), raw_chern.get(j))
-        if rawj is None:
+        if rawj is not None:
+            chern[j] = _label_class(center, rawj, f"normal_chern c_{j}", 2 * j,
+                                    allow_empty=True).coeffs
+        elif j < c or c >= 3:
             raise InvalidSpec(f"blowup: normal_chern missing c_{j}")
-        chern[j] = _label_class(center, rawj, f"normal_chern c_{j}", 2 * j, allow_empty=True)
 
-    def push_linear(v):
-        return _combine(v.coeffs, {zi: w.coeffs for zi, w in push.items()})  # base indices
+    # i^* by pairing adjunction against the center's own duality: the
+    # coefficient of the dual of e_z in i^* e_b is the integral of e_b * i_* e_z.
+    pulled = []
+    for b, (_, t) in enumerate(base.basis):
+        rows = center.degree_indices(2 * center.dim - t)
+        duals = [v.coeffs for v in center.dual_basis(2 * center.dim - t)] if rows else []
+        paired = {r: sum(s * base.pair_basis(b, k) for k, s in push[z].items())
+                  for r, z in enumerate(rows)}
+        pulled.append(_combine(paired, duals))
 
-    # i^* by pairing adjunction against the center's own duality.
-    def i_upper_star(x):
-        t = x.degree
-        td = 2 * center.dim - t
-        rows = center.degree_indices(td)
-        if t > 2 * center.dim or not rows:
-            return center.zero(max(t, 0))
-        duals = center.dual_basis(td)
-        out = center.zero(t)
-        for pos, zi in enumerate(rows):
-            val = base.integrate(base.multiply(x, push[zi]))
-            if val != 0:
-                out = out + duals[pos].scale(val)
-        return out
-
-    # Basis: per degree, base classes then exceptional classes (z, j).
-    entries = []
-    for bi, (bl, bdeg) in enumerate(base.basis):
-        entries.append((bdeg, 0, bi, ("base", bi)))
-    for j in range(1, c):
-        for zi, (zl, zdeg) in enumerate(center.basis):
-            entries.append((zdeg + 2 * j, j, zi, ("exc", zi, j)))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    basis = []
-    base_to_bl = {}
-    exc_to_bl = {}
-    for deg, _, _, tag in entries:
-        if tag[0] == "base":
-            base_to_bl[tag[1]] = len(basis)
-            basis.append((base.basis[tag[1]][0], deg))
-        else:
-            _, zi, j = tag
-            zl = center.basis[zi][0]
-            basis.append((f"{zl} E" if j == 1 else f"{zl} E^{j}", deg))
-            exc_to_bl[(zi, j)] = len(basis) - 1
-
-    def embed_base(v):
-        return {base_to_bl[i]: cc for i, cc in v.coeffs.items()}
+    # Basis: per degree, base classes (power 0), then the exceptional
+    # classes e_z E^j by power j; pos[(j, i)] is the blow-up index.
+    tags = sorted([(t, 0, b) for b, (_, t) in enumerate(base.basis)]
+                  + [(t + 2 * j, j, z) for j in range(1, c)
+                     for z, (_, t) in enumerate(center.basis)])
+    pos = {(j, i): x for x, (_, j, i) in enumerate(tags)}
+    basis = [(base.basis[i][0], t) if j == 0 else
+             (center.basis[i][0] + (" E" if j == 1 else f" E^{j}"), t) for t, j, i in tags]
 
     def push_fn(v, p):
-        """j_*(g^* v · zeta^p) expanded over the blow-up basis."""
-        out = {}
-        if v.is_zero():
-            return out
+        """j_*(g^* v * zeta^p) over the blow-up basis, for a center class
+        v: e_z E^(p+1) up to sign below the codimension, and otherwise
+        reduced by i_* and the relation sum c_i(N) zeta^(c-i) = 0."""
+        if not v:
+            return {}
         if p <= c - 2:
-            sign = Fraction(-1) ** p
-            for zi, coeff in v.coeffs.items():
-                idx = exc_to_bl[(zi, p + 1)]
-                out[idx] = out.get(idx, Fraction(0)) + sign * coeff
-            return out
-        if p == c - 1:
-            out = {}
-            for bi, cb in push_linear(v).items():
-                out[base_to_bl[bi]] = out.get(base_to_bl[bi], Fraction(0)) + cb
-            for i in range(1, c):
-                sub = push_fn(center.multiply(v, chern[i]), c - 1 - i)
-                for idx, cc in sub.items():
-                    out[idx] = out.get(idx, Fraction(0)) - cc
-            return out
+            return {pos[(p + 1, z)]: (-1) ** p * s for z, s in v.items()}
         out = {}
-        for i in range(1, c + 1):
-            if i not in chern:
-                raise InvalidSpec(f"blowup: normal_chern missing c_{i}")
-            sub = push_fn(center.multiply(v, chern[i]), p - i)
-            for idx, cc in sub.items():
-                out[idx] = out.get(idx, Fraction(0)) - cc
-        return out
-
-    nb = len(basis)
-    tags = [None] * nb
-    for bi, x in base_to_bl.items():
-        tags[x] = ("base", bi)
-    for (zi, j), x in exc_to_bl.items():
-        tags[x] = ("exc", zi, j)
+        if p == c - 1:
+            out = {pos[(0, k)]: s for k, s in _combine(v, push).items()}
+        for i in range(1, min(c, p) + 1):
+            for x, s in push_fn(_product(center.structure, v, chern[i]), p - i).items():
+                out[x] = out.get(x, 0) - s
+        return {x: s for x, s in out.items() if s}
 
     structure = {}
-    for a in range(nb):
-        for b in range(nb):
-            da, db = basis[a][1], basis[b][1]
-            if da + db > 2 * d:
-                continue
-            out = {}
-            a_tag = tags[a]
-            b_tag = tags[b]
-            if a_tag[0] == "base" and b_tag[0] == "base":
-                prod = base.multiply(
-                    base.basis_class(base.basis[a_tag[1]][0]),
-                    base.basis_class(base.basis[b_tag[1]][0]),
-                )
-                out = embed_base(prod)
-            elif a_tag[0] == "base" or b_tag[0] == "base":
-                if a_tag[0] == "base":
-                    bi, (zi, j) = a_tag[1], (b_tag[1], b_tag[2])
-                else:
-                    bi, (zi, j) = b_tag[1], (a_tag[1], a_tag[2])
-                pulled = i_upper_star(base.basis_class(base.basis[bi][0]))
-                w = center.multiply(pulled, center.basis_class(center.basis[zi][0]))
-                for zk, cc in w.coeffs.items():
-                    idx = exc_to_bl[(zk, j)]
-                    out[idx] = out.get(idx, Fraction(0)) + cc
+    for a, (ta, ja, ia) in enumerate(tags):
+        for b, (tb, jb, ib) in enumerate(tags):
+            if ta + tb > 2 * d:
+                break  # tags are sorted by degree
+            if not ja and not jb:
+                out = {pos[(0, k)]: s for k, s in base.structure.get((ia, ib), {}).items()}
+            elif not ja or not jb:
+                # e_b * e_z E^j = (i^* e_b * e_z) E^j
+                i, (j, z) = (ia, (jb, ib)) if not ja else (ib, (ja, ia))
+                out = {pos[(j, k)]: s
+                       for k, s in _product(center.structure, pulled[i], {z: 1}).items()}
             else:
-                zi, j = a_tag[1], a_tag[2]
-                wi, k = b_tag[1], b_tag[2]
-                prod = center.multiply(
-                    center.basis_class(center.basis[zi][0]),
-                    center.basis_class(center.basis[wi][0]),
-                )
-                sign = Fraction(-1) ** (j + k - 1)
-                for idx, cc in push_fn(prod, j + k - 1).items():
-                    out[idx] = out.get(idx, Fraction(0)) + sign * cc
-            out = {idx: cc for idx, cc in out.items() if cc != 0}
+                # e_z E^j * e_w E^k = (-1)^(j+k-1) j_*(g^*(e_z e_w) zeta^(j+k-1))
+                sign = (-1) ** (ja + jb - 1)
+                out = {x: sign * s for x, s in
+                       push_fn(center.structure.get((ia, ib), {}), ja + jb - 1).items()}
             if out:
                 structure[(a, b)] = out
 
-    integration = {}
-    for bi, cc in base.integration.items():
-        integration[base_to_bl[bi]] = cc
+    integration = {pos[(0, b)]: s for b, s in base.integration.items()}
     return GradedBasisRing(d, basis, structure, integration, space=spec,
                            parts={"base": base, "center": center})
 
@@ -624,21 +559,17 @@ def kill_primitive_middle(ring):
     """
     prim = ring.parts.get("primitive_indices", ())
     if not prim:
-        images = [ring.basis_class(l) for l, _ in ring.basis]
-        return ring, RingMap(ring, ring, images)
+        return ring, RingMap(ring, ring, [ring.basis_vector(i) for i in range(len(ring.basis))])
     spec = dict(ring.space)
     if spec.get("kind") not in ("ci_model", "plane_curve_family"):
         raise InvalidSpec("kill_primitive_middle needs a ci_model-backed ring")
     spec["middle_rank"] = 0
     spec.pop("middle_pairing", None)
     target = build_space(spec)
-    prim_set = set(prim)
-    images = []
-    for i, (label, deg) in enumerate(ring.basis):
-        if i in prim_set:
-            images.append(target.zero(deg))
-        else:
-            images.append(target.basis_class(label))
+    # The target's basis is the ring's without the primitives, in order.
+    kept = iter(range(len(target.basis)))
+    images = [target.zero(deg) if i in prim else target.basis_vector(next(kept))
+              for i, (_, deg) in enumerate(ring.basis)]
     q = RingMap(ring, target, images, require_surjective=True, strict=False)
     return target, q
 

@@ -83,6 +83,11 @@ MALFORMED_SPACES = {
     "chern unknown label": _with(BL_LINE, normal_chern={"1": {"zz": "2"}}),
     "chern wrong degree": _with(BL_LINE, normal_chern={"1": {"1": "2"}}),
     "chern not an object": _with(BL_LINE, normal_chern=["h"]),
+    "chern unread unknown label": _with(BL_LINE, normal_chern={"1": {"h": "2"}, "2": {"zz": "1"}}),
+    "chern key not an index": _with(BL_LINE, normal_chern={"1": {"h": "2"}, "x": 5}),
+    "chern key zero": _with(BL_LINE, normal_chern={"1": {"h": "2"}, "0": {"1": "1"}}),
+    "chern key above codim": _with(BL_LINE, normal_chern={"1": {"h": "2"}, "3": {}}),
+    "chern unread wrong degree": _with(BL_LINE, normal_chern={"1": {"h": "2"}, "2": {"h": "1"}}),
     "pushforward unknown label": _with(
         BL_LINE, center_pushforward_expr={"1": {"zz": "1"}, "h": {"h^3": "1"}}
     ),

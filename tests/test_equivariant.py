@@ -112,19 +112,13 @@ def test_monomial_arithmetic():
 # -- trivial-action models ---------------------------------------------------------
 
 
-def test_trivial_model_rank_counts():
-    M = equivariant_trivial_action(spaces.projective_space(1), torus_group(1), 4)
-    assert M.rank(0) == 1
-    assert M.rank(2) == 2  # h and t
-    assert M.rank(4) == 2  # h t and t^2
-    assert M.basis_in_degree(2) == ["h", "t"]
-
-
 def test_trivial_model_zero_bound_is_the_base():
     X = spaces.projective_space(2)
     M = equivariant_trivial_action(X, torus_group(1), 0)
-    for t in range(0, 2 * X.dim + 1):
-        assert M.rank(t) == X.rank(t)
+    one = M.bg.unit_mono
+    assert M.bg.monomials() == (one,)
+    for j in range(len(X.basis)):
+        assert M.pairing_partners(j) == tuple((k, {one: v}) for k, v in X.pairing_partners(j))
 
 
 def test_model_bound_validation():

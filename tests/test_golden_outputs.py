@@ -4,8 +4,9 @@ Each case runs the command line in-process and hashes its exit code,
 its standard output and every document it writes with --out. The
 digests were recorded from the code before ordinary projector sets and
 lifted families were folded onto one set type, one report loop and one
-document codec; any change to a report, a document or an exit code
-shows up here as a changed digest.
+document codec, and the blow-up cases before the blow-up ring was
+assembled from structure tables; any change to a report, a document or
+an exit code shows up here as a changed digest.
 
 To re-record after an intended change of output, run this file as a
 script: it prints the digest table.
@@ -36,6 +37,14 @@ CUBIC_THREEFOLD = {
     "middle_rank": 10,
 }
 PLANE_CUBICS = {"kind": "plane_curve_family", "d": 3}
+BL_LINE = {
+    "kind": "blowup",
+    "base": P3,
+    "center": {"kind": "projective_space", "n": 1},
+    "codim": 2,
+    "center_pushforward_expr": {"1": {"h^2": "1"}, "h": {"h^3": "1"}},
+    "normal_chern": {"1": {"h": "2"}},
+}
 
 SPACES = {
     "P2": P2,
@@ -45,6 +54,7 @@ SPACES = {
     "cubic_surface": CUBIC_SURFACE,
     "cubic_threefold": CUBIC_THREEFOLD,
     "plane_cubics": PLANE_CUBICS,
+    "blowup_line": BL_LINE,
 }
 
 
@@ -75,7 +85,7 @@ def corpus(workdir):
     for name, spec in SPACES.items():
         sets[name] = add(f"projectors-{name}", "projectors", "--space",
                          json.dumps(spec), "--verify")
-    for name in ("P2", "P1xP2", "plane_cubics"):
+    for name in ("P2", "P1xP2", "plane_cubics", "blowup_line"):
         add(f"verify-{name}", "verify", str(sets[name]))
     add("lift-torus-P2", "lift", "--space", json.dumps(P2), "--bound", "8", "--verify")
     add("lift-gl2-P2", "lift", str(sets["P2"]), "--group", "general_linear",
@@ -139,9 +149,11 @@ GOLDEN = {
     'projectors-cubic_surface': '254a604a7bf84fb0160d2525dca264cfc18e3fbc8c8d30793f2a4f2cbe275752',
     'projectors-cubic_threefold': '7b1dfbedfa6df8f4665aaff5ccb8c79723c2b12b70c52474f77ea2ce3a14822e',
     'projectors-plane_cubics': 'd06a23491d1e2ded683b60b67b1ef773f8464be608fdeaa170cc13966f4111c6',
+    'projectors-blowup_line': 'd4308f1a3c3bd78bba442d713854ca10da6b1ea8a2eccbaf571d443e78c448d4',
     'verify-P2': 'acbfe283bf98a6f38a78719c95f1c8e67fd267033eeda2f2a1bec765e9e6f6c4',
     'verify-P1xP2': '6b3e37a4710a0fb19de97d7b921b87735a763d345d88ec12b9fe9e438baffbf4',
     'verify-plane_cubics': '8eabc3e4b90cc4f091a989f32aed0e868099b660b4066bb031ab74b6a0851770',
+    'verify-blowup_line': 'ff76a7de6d8f76cc345ea8e3e130d9060b97269c7567d59c8a1fef55fb363773',
     'lift-torus-P2': '173fac1ba90a2ad22ee4c099edb951a15fcc679379907b2a913f02effda7ade5',
     'lift-gl2-P2': '5855fc81e57cf1700561b133e5783d313bae2672fcb82eef91f2700a8a61988f',
     'lift-torus2-G24': '8e86f3b2767c660cc5e4400c032e091e801c00875a1ee17a8ba87afe317938bc',

@@ -293,6 +293,28 @@ def test_blowup_missing_chern_class_rejected():
         )
 
 
+def test_blowup_accepts_an_unread_top_chern_class():
+    # A codimension-2 blow-up never reads c_2, but may state it; it is
+    # parsed as a degree-4 center class (malformed ones: test_cli.py).
+    X = spaces.blowup(spaces.projective_space(3), spaces.projective_space(1), 2,
+                      {"1": {"h^2": 1}, "h": {"h^3": 1}}, normal_chern={1: {"h": 2}, 2: {}})
+    assert X.structure == blowup_line_in_space().structure
+
+
+def test_helpers_take_rings_only_with_descriptions():
+    point = GradedBasisRing(0, [("1", 0)], {(0, 0): {0: 1}}, {0: 1})
+    P2 = spaces.projective_space(2)
+    calls = {
+        "product factors": lambda: spaces.product_space(P2, point),
+        "ci_model ambient": lambda: spaces.ci_model(point, {"1": 1}, 0),
+        "blowup base": lambda: spaces.blowup(point, P2, 2, {}),
+        "blowup center": lambda: spaces.blowup(P2, point, 2, {"1": {"h^2": 1}}),
+    }
+    for what, call in calls.items():
+        with pytest.raises(InvalidSpec, match=f"^{what} must carry a space description$"):
+            call()
+
+
 def test_blowup_malformed_pushforward_rejected():
     with pytest.raises(InvalidSpec):
         spaces.blowup(

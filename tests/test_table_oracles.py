@@ -5,8 +5,9 @@ bundle formula.
 `RingMap` checks multiplicativity with a middle factor from a
 generating set; the loop over every basis pair is kept here as its
 oracle. `_build_ci_model` reads the ambient structure table and one
-xi-twisted pairing table; the assembly through `amb.multiply` on basis
-classes is kept here as its oracle.
+xi-twisted pairing table, and `_build_blowup` reads the base and center
+tables; the assemblies through `multiply` and `integrate` on basis
+classes are kept here as their oracles.
 """
 
 import random
@@ -241,3 +242,139 @@ def test_plane_curve_family_is_a_projective_bundle(d):
                 + power(h, 2) * power(H, N - 2) * (d * d))
     assert relation.is_zero()
     assert [(power(h, a) * power(H, N + 1 - a)).integrate() for a in range(3)] == [0, d, 1]
+
+
+# -- the blow-up assembly through classes ------------------------------------------
+
+
+def _power_label(a):
+    return "1" if a == 0 else "h" if a == 1 else f"h^{a}"
+
+
+def seven_blowups():
+    """Blow-ups with centers of codimension 2, 3, 4 and 6, trivial and
+    nontrivial normal bundles, and a center that is not a point or a
+    linear space: the diagonal of P^3 x P^3, whose normal bundle is
+    the tangent bundle, c = (1 + h)^4."""
+    P = spaces.projective_space
+    P3xP3 = spaces.product_space(P(3), P(3))
+    diagonal_push = {_power_label(k): {f"{_power_label(a)} # {_power_label(3 + k - a)}": 1
+                                       for a in range(k, 4)} for k in range(4)}
+    return {
+        "P2 at a point": lambda: spaces.blowup(
+            P(2), P(0), 2, {"1": {"h^2": 1}}, normal_chern={1: {}}),
+        "P3 along a line": lambda: spaces.blowup(
+            P(3), P(1), 2, {"1": {"h^2": 1}, "h": {"h^3": 1}}, normal_chern={1: {"h": 2}}),
+        "P3 at a point": lambda: spaces.blowup(
+            P(3), P(0), 3, {"1": {"h^3": 1}}, normal_chern={1: {}, 2: {}, 3: {}}),
+        "G(2,5) at a point": lambda: spaces.blowup(
+            spaces.grassmannian(2, 5), P(0), 6, {"1": {"s[3,3]": 1}},
+            normal_chern={j: {} for j in range(1, 7)}),
+        "P5 along a plane": lambda: spaces.blowup(
+            P(5), P(2), 3, {"1": {"h^3": 1}, "h": {"h^4": 1}, "h^2": {"h^5": 1}},
+            normal_chern={1: {"h": 3}, 2: {"h^2": 3}, 3: {}}),
+        "P5 along a line": lambda: spaces.blowup(
+            P(5), P(1), 4, {"1": {"h^4": 1}, "h": {"h^5": 1}},
+            normal_chern={1: {"h": 4}, 2: {}, 3: {}, 4: {}}),
+        "diagonal of P3xP3": lambda: spaces.blowup(
+            P3xP3, P(3), 3, diagonal_push,
+            normal_chern={1: {"h": 4}, 2: {"h^2": 6}, 3: {"h^3": 4}}),
+    }
+
+
+def class_blowup_tables(base, center, c, push, chern):
+    """Basis, structure and integration of the blow-up, each product
+    computed by multiplying, integrating and pulling back basis classes;
+    `push` and `chern` map center indices and j to classes."""
+    d = base.dim
+
+    def i_upper_star(x):
+        t = x.degree
+        td = 2 * center.dim - t
+        rows = center.degree_indices(td)
+        if t > 2 * center.dim or not rows:
+            return center.zero(max(t, 0))
+        duals = center.dual_basis(td)
+        out = center.zero(t)
+        for pos, zi in enumerate(rows):
+            val = base.integrate(base.multiply(x, push[zi]))
+            if val != 0:
+                out = out + duals[pos].scale(val)
+        return out
+
+    entries = [(bdeg, 0, bi) for bi, (_, bdeg) in enumerate(base.basis)]
+    entries += [(zdeg + 2 * j, j, zi) for j in range(1, c)
+                for zi, (_, zdeg) in enumerate(center.basis)]
+    entries.sort()
+    basis, base_to_bl, exc_to_bl = [], {}, {}
+    for deg, j, i in entries:
+        if j == 0:
+            base_to_bl[i] = len(basis)
+            basis.append((base.basis[i][0], deg))
+        else:
+            exc_to_bl[(i, j)] = len(basis)
+            zl = center.basis[i][0]
+            basis.append((f"{zl} E" if j == 1 else f"{zl} E^{j}", deg))
+
+    def add(out, terms, sign=1):
+        for idx, cc in terms.items():
+            out[idx] = out.get(idx, Fraction(0)) + sign * cc
+
+    def push_fn(v, p):
+        """j_*(g^* v * zeta^p) over the blow-up basis."""
+        out = {}
+        if v.is_zero():
+            return out
+        if p <= c - 2:
+            add(out, {exc_to_bl[(zi, p + 1)]: cc for zi, cc in v.coeffs.items()}, (-1) ** p)
+            return out
+        if p == c - 1:
+            for zi, cc in v.coeffs.items():
+                add(out, {base_to_bl[bi]: s for bi, s in push[zi].coeffs.items()}, cc)
+            for i in range(1, c):
+                add(out, push_fn(center.multiply(v, chern[i]), c - 1 - i), -1)
+            return out
+        for i in range(1, c + 1):
+            add(out, push_fn(center.multiply(v, chern[i]), p - i), -1)
+        return out
+
+    structure = {}
+    for a, (da, ja, ia) in enumerate(entries):
+        for b, (db, jb, ib) in enumerate(entries):
+            if da + db > 2 * d:
+                continue
+            out = {}
+            if ja == 0 and jb == 0:
+                prod = base.multiply(base.basis_class(base.basis[ia][0]),
+                                     base.basis_class(base.basis[ib][0]))
+                add(out, {base_to_bl[i]: cc for i, cc in prod.coeffs.items()})
+            elif ja == 0 or jb == 0:
+                bi, zi, j = (ia, ib, jb) if ja == 0 else (ib, ia, ja)
+                pulled = i_upper_star(base.basis_class(base.basis[bi][0]))
+                w = center.multiply(pulled, center.basis_class(center.basis[zi][0]))
+                add(out, {exc_to_bl[(zk, j)]: cc for zk, cc in w.coeffs.items()})
+            else:
+                prod = center.multiply(center.basis_class(center.basis[ia][0]),
+                                       center.basis_class(center.basis[ib][0]))
+                add(out, push_fn(prod, ja + jb - 1), (-1) ** (ja + jb - 1))
+            out = {idx: cc for idx, cc in out.items() if cc != 0}
+            if out:
+                structure[(a, b)] = out
+
+    integration = {base_to_bl[bi]: cc for bi, cc in base.integration.items()}
+    return basis, structure, integration
+
+
+@pytest.mark.parametrize("make", seven_blowups().values(), ids=seven_blowups().keys())
+def test_blowup_assembly_matches_class_assembly(make):
+    X = make()
+    base, center = X.parts["base"], X.parts["center"]
+    c = X.space["codim"]
+    push = [base.from_label_dict(X.space["center_pushforward_expr"][label])
+            for label, _ in center.basis]
+    chern = {int(j): center.from_label_dict(raw, degree=2 * int(j))
+             for j, raw in X.space["normal_chern"].items()}
+    basis, structure, integration = class_blowup_tables(base, center, c, push, chern)
+    assert X.basis == tuple(basis)
+    assert X.structure == structure
+    assert X.integration == integration
