@@ -10,7 +10,7 @@ identity laws exact theorems of the implementation.
 from fractions import Fraction
 
 from .errors import RingMismatch
-from .graded_ring import ClassVector
+from .graded_ring import ClassVector, _pure_tensor
 
 
 class CorrespondenceClass:
@@ -128,11 +128,7 @@ def from_pair(a, b, shift=None):
         if twice % 2:
             raise ValueError("pair degrees do not give an integer degree shift")
         shift = twice // 2
-    terms = {}
-    for i, ca in a.coeffs.items():
-        for j, cb in b.coeffs.items():
-            terms[(i, j)] = ca * cb
-    return CorrespondenceClass(source, target, shift, terms)
+    return CorrespondenceClass(source, target, shift, _pure_tensor((a.coeffs, b.coeffs)))
 
 
 def diagonal(X):

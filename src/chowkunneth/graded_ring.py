@@ -646,13 +646,26 @@ class RingMap:
                            _combine(v.coeffs, [w.coeffs for w in self.images]))
 
 
+def _pure_tensor(coeff_dicts):
+    """The pure tensor of coefficient dicts over basis indices:
+    {index tuple: product of coefficients}."""
+    out = {(): Fraction(1)}
+    for coeffs in coeff_dicts:
+        out = {t + (i,): c * ci for t, c in out.items() for i, ci in coeffs.items()}
+    return out
+
+
 def tensor_ring(factors, space=None):
     """Graded tensor product of basis rings, with Koszul signs.
 
-    Basis classes are all tuples of factor basis classes, labelled by
-    joining the factor labels with " # ", ordered by total degree and
-    then by the factor index tuple. The returned ring records its
-    `factors` and `index` in `parts`, for callers that address pure
+    The product table is folded from the nonzero entries of the factor
+    tables, one factor at a time: a prefix pair (x, y) with product xy
+    and a factor pair (a, b) with product ab give
+    (x # a)*(y # b) = (-1)^(|a| |y|) xy # ab, |y| the right prefix's
+    degree. Basis classes are all tuples of factor basis classes,
+    labelled by joining the factor labels with " # ", ordered by total
+    degree and then by the factor index tuple. The returned ring records
+    its `factors` and `index` in `parts`, for callers that address pure
     tensors. Without a `space`, a product of described factors is
     described as the product of their descriptions.
     """
@@ -660,61 +673,33 @@ def tensor_ring(factors, space=None):
     if not factors:
         raise ValueError("tensor product needs at least one factor")
 
-    tuples = [()]
+    degree = {(): 0}
+    table = {((), ()): {(): Fraction(1)}}
     for f in factors:
-        tuples = [t + (i,) for t in tuples for i in range(len(f.basis))]
+        fdeg = [d for _, d in f.basis]
+        table = {
+            (x + (a,), y + (b,)): {
+                k + (l,): -c * s if fdeg[a] % 2 and degree[y] % 2 else c * s
+                for k, c in xy.items() for l, s in ab.items()
+            }
+            for (x, y), xy in table.items()
+            for (a, b), ab in f.structure.items()
+        }
+        degree = {t + (i,): d + fdeg[i] for t, d in degree.items() for i in range(len(fdeg))}
 
-    def tup_degree(t):
-        return sum(f.basis[i][1] for f, i in zip(factors, t))
-
-    tuples.sort(key=lambda t: (tup_degree(t), t))
-    degs = [tup_degree(t) for t in tuples]
+    tuples = sorted(degree, key=lambda t: (degree[t], t))
     index = {t: g for g, t in enumerate(tuples)}
-    basis = [
-        (" # ".join(f.basis[i][0] for f, i in zip(factors, t)), d)
-        for t, d in zip(tuples, degs)
-    ]
-
-    def koszul(left, right):
-        exp = 0
-        for i in range(len(factors)):
-            di = factors[i].basis[right[i]][1]
-            if di % 2 == 0:
-                continue
-            for j in range(i + 1, len(factors)):
-                exp += factors[j].basis[left[j]][1]
-        return -1 if exp % 2 else 1
-
-    dim = sum(f.dim for f in factors)
-    structure = {}
-    for a, ta in enumerate(tuples):
-        for b, tb in enumerate(tuples):
-            if degs[a] + degs[b] > 2 * dim:
-                break  # tuples are sorted by degree
-            terms = [((), koszul(ta, tb))]
-            for f, i, j in zip(factors, ta, tb):
-                prod = f.structure.get((i, j))
-                if not prod:
-                    terms = []
-                    break
-                terms = [(t + (k,), c * s) for t, c in terms for k, s in prod.items()]
-            if terms:
-                structure[(a, b)] = {index[t]: c for t, c in terms}
-
-    integration = {}
-    for t in tuples:
-        if tup_degree(t) != 2 * dim:
-            continue
-        val = Fraction(1)
-        for f, i in zip(factors, t):
-            val *= f.integration.get(i, Fraction(0))
-        if val != 0:
-            integration[index[t]] = val
+    basis = [(" # ".join(f.basis[i][0] for f, i in zip(factors, t)), degree[t])
+             for t in tuples]
+    structure = {(index[x], index[y]): {index[k]: c for k, c in xy.items()}
+                 for (x, y), xy in table.items()}
+    integration = {index[t]: c for t, c in
+                   _pure_tensor(f.integration for f in factors).items()}
 
     if space is None and all(isinstance(f.space, dict) for f in factors):
         space = {"kind": "product", "factors": [f.space for f in factors]}
-    return GradedBasisRing(dim, basis, structure, integration, space=space,
-                           parts={"factors": factors, "index": index})
+    return GradedBasisRing(sum(f.dim for f in factors), basis, structure, integration,
+                           space=space, parts={"factors": factors, "index": index})
 
 
 def tensor_class(ring, parts):
@@ -725,10 +710,5 @@ def tensor_class(ring, parts):
     for v, f in zip(parts, factors):
         if v.ring != f:
             raise RingMismatch("tensor part lives over the wrong factor")
-    terms = [((), Fraction(1))]
-    for v in parts:
-        terms = [(t + (i,), c0 * c) for t, c0 in terms for i, c in v.coeffs.items()]
-    degree = sum(v.degree for v in parts)
-    return ClassVector(
-        ring, degree, {index[t]: c for t, c in terms}
-    )
+    return ClassVector(ring, sum(v.degree for v in parts),
+                       {index[t]: c for t, c in _pure_tensor(v.coeffs for v in parts).items()})

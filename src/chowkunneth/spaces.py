@@ -383,7 +383,8 @@ def blowup(base, center, codim, pushforward, normal_chern=None):
     of the j-th Chern class of the center's normal bundle, a center
     class of degree 2*j. Its keys must lie in 1..codim; c_1..c_{codim-1}
     are required, plus c_codim when codim >= 3, and every entry given is
-    checked, whether or not the formula reads it.
+    checked, whether or not the formula reads it. A codimension-1
+    blow-up is its base, once the description passes the same checks.
     """
     spec = {
         "kind": "blowup",
@@ -409,8 +410,6 @@ def _build_blowup(spec):
     base = build_space(_require_field(spec, "base"))
     center = build_space(_require_field(spec, "center"))
     c = _require_int(spec, "codim", minimum=1)
-    if c == 1:
-        return base
     if any(deg % 2 for _, deg in base.basis) or any(deg % 2 for _, deg in center.basis):
         raise InvalidSpec("blowup requires base and center with even cohomology only")
     d = base.dim
@@ -453,6 +452,8 @@ def _build_blowup(spec):
                                     allow_empty=True).coeffs
         elif j < c or c >= 3:
             raise InvalidSpec(f"blowup: normal_chern missing c_{j}")
+    if c == 1:
+        return base
 
     # i^* by pairing adjunction against the center's own duality: the
     # coefficient of the dual of e_z in i^* e_b is the integral of e_b * i_* e_z.

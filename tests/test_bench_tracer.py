@@ -2,12 +2,14 @@
 
 `perfbench/tracer.py` wraps module functions by name and a few methods
 on their classes, and `perfbench/run.py --trace 1` fails a run whose
-expected spans stay at zero. This test runs the same wrappers over one
-ordinary and one lifted verification, so a refactor that moves a traced
-function or method shows up here instead of only in a traced benchmark
-run.
+expected spans stay at zero. These tests run the same wrappers over one
+ordinary and one lifted verification, and over the curve ladder's
+commands, so a refactor that moves a traced function or method shows up
+here instead of only in a traced benchmark run.
 """
 
+import importlib
+import json
 import os
 import sys
 
@@ -35,15 +37,19 @@ SPANS = (
 )
 
 
-def test_tracer_reaches_the_verification_spans():
+def _perfbench(name):
+    """Import a module of perfbench/ without writing bytecode there."""
     sys.path.insert(0, PERFBENCH)
     keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        import tracer
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
         sys.dont_write_bytecode = keep
-    t = tracer.Tracer().install()
+
+
+def test_tracer_reaches_the_verification_spans():
+    t = _perfbench("tracer").Tracer().install()
     try:
         # Through the module attributes, which the tracer replaced.
         from chowkunneth import equivariant, kunneth
@@ -64,3 +70,27 @@ def test_tracer_reaches_the_verification_spans():
     assert kunneth.verify_ck is verify_ck
     assert equivariant.lift_projectors is lift_projectors
     assert equivariant.verify_equivariant is verify_equivariant
+
+
+def test_tracer_reaches_the_curve_ladder_spans(tmp_path, monkeypatch, capsys):
+    """The ladder's commands on a curve family and a hypersurface, from an
+    empty ring cache: products, ci_models, documents and restriction."""
+    expected = _perfbench("run").EXPECTED_SPANS["curve_family_ladder"]
+    monkeypatch.setattr(spaces, "_CACHE", {})
+    curves = json.dumps({"kind": "plane_curve_family", "d": 3})
+    cubic = json.dumps({"kind": "ci_model", "ambient": {"kind": "projective_space", "n": 3},
+                        "fundamental_class_expr": {"h": "3"}, "middle_rank": 6})
+    t = _perfbench("tracer").Tracer().install()
+    try:
+        from chowkunneth import cli
+
+        for name, spec in (("curves", curves), ("cubic", cubic)):
+            path = str(tmp_path / f"{name}.json")
+            assert cli.main(["projectors", "--space", spec, "--verify", "--out", path]) == 0
+        assert cli.main(["restrict", path, "--verify"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    missing = [span for span in expected if not t.calls[span]]
+    assert not missing, f"spans never reached: {missing}"
+    assert t.coverage_errors == []

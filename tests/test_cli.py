@@ -66,6 +66,15 @@ BL_LINE = {
     "normal_chern": {"1": {"h": "2"}},
 }
 
+BL_LINE_IN_PLANE = {
+    "kind": "blowup",
+    "base": {"kind": "projective_space", "n": 2},
+    "center": {"kind": "projective_space", "n": 1},
+    "codim": 1,
+    "center_pushforward_expr": {"1": {"h": "1"}, "h": {"h^2": "1"}},
+    "normal_chern": {"1": {"h": "1"}},
+}
+
 
 def _with(base, **fields):
     return json.dumps(dict(base, **fields))
@@ -97,6 +106,11 @@ MALFORMED_SPACES = {
     "pushforward float": _with(
         BL_LINE, center_pushforward_expr={"1": {"h^2": 2.5}, "h": {"h^3": "1"}}
     ),
+    "codim 1 center dimension": _with(
+        BL_LINE_IN_PLANE, center={"kind": "projective_space", "n": 5}
+    ),
+    "codim 1 pushforward": _with(BL_LINE_IN_PLANE, center_pushforward_expr="junk"),
+    "codim 1 chern key": _with(BL_LINE_IN_PLANE, normal_chern={"x": 1}),
 }
 
 

@@ -4,9 +4,11 @@ Each case runs the command line in-process and hashes its exit code,
 its standard output and every document it writes with --out. The
 digests were recorded from the code before ordinary projector sets and
 lifted families were folded onto one set type, one report loop and one
-document codec, and the blow-up cases before the blow-up ring was
-assembled from structure tables; any change to a report, a document or
-an exit code shows up here as a changed digest.
+document codec, the blow-up cases before the blow-up ring was
+assembled from structure tables, and the three-factor product and the
+E x E diagonal before product rings were folded from the factors'
+tables; any change to a report, a document or an exit code shows up
+here as a changed digest.
 
 To re-record after an intended change of output, run this file as a
 script: it prints the digest table.
@@ -23,7 +25,9 @@ from chowkunneth import cli
 P2 = {"kind": "projective_space", "n": 2}
 P3 = {"kind": "projective_space", "n": 3}
 G24 = {"kind": "grassmannian", "k": 2, "n": 4}
-P1xP2 = {"kind": "product", "factors": [{"kind": "projective_space", "n": 1}, P2]}
+P1 = {"kind": "projective_space", "n": 1}
+P1xP2 = {"kind": "product", "factors": [P1, P2]}
+P1xP1xP2 = {"kind": "product", "factors": [P1, P1, P2]}
 CUBIC_SURFACE = {
     "kind": "ci_model",
     "ambient": P3,
@@ -37,6 +41,16 @@ CUBIC_THREEFOLD = {
     "middle_rank": 10,
 }
 PLANE_CUBICS = {"kind": "plane_curve_family", "d": 3}
+# E x E, E a plane cubic curve: odd x odd classes carry Koszul signs.
+# Its odd part has odd rank, so `projectors` exits 2 on it; only its
+# diagonal is in the corpus.
+PLANE_CUBIC = {
+    "kind": "ci_model",
+    "ambient": P2,
+    "fundamental_class_expr": {"h": "3"},
+    "middle_rank": 2,
+}
+ExE = {"kind": "product", "factors": [PLANE_CUBIC, PLANE_CUBIC]}
 BL_LINE = {
     "kind": "blowup",
     "base": P3,
@@ -51,6 +65,7 @@ SPACES = {
     "P3": P3,
     "G24": G24,
     "P1xP2": P1xP2,
+    "P1xP1xP2": P1xP1xP2,
     "cubic_surface": CUBIC_SURFACE,
     "cubic_threefold": CUBIC_THREEFOLD,
     "plane_cubics": PLANE_CUBICS,
@@ -87,6 +102,7 @@ def corpus(workdir):
                          json.dumps(spec), "--verify")
     for name in ("P2", "P1xP2", "plane_cubics", "blowup_line"):
         add(f"verify-{name}", "verify", str(sets[name]))
+    add("diagonal-ExE", "diagonal", "--space", json.dumps(ExE))
     add("lift-torus-P2", "lift", "--space", json.dumps(P2), "--bound", "8", "--verify")
     add("lift-gl2-P2", "lift", str(sets["P2"]), "--group", "general_linear",
         "--rank", "2", "--bound", "6", "--verify")
@@ -146,6 +162,7 @@ GOLDEN = {
     'projectors-P3': 'e9da38274b33c7d590723a64dd6716f11d9bbe276876fcfb83352057c3856d5c',
     'projectors-G24': '20e8943f610fc3117758838b96caf6835a46688b7d0d9b3cfc853ee1d32811ee',
     'projectors-P1xP2': 'c20382eddd3185674b2d03842d4ab2ad1e570080eed014e641148eb401a56b98',
+    'projectors-P1xP1xP2': '8300b1ab6aedc3997d0b41058c3b12520f239b1964657494a6a5ad4382f75f30',
     'projectors-cubic_surface': '254a604a7bf84fb0160d2525dca264cfc18e3fbc8c8d30793f2a4f2cbe275752',
     'projectors-cubic_threefold': '7b1dfbedfa6df8f4665aaff5ccb8c79723c2b12b70c52474f77ea2ce3a14822e',
     'projectors-plane_cubics': 'd06a23491d1e2ded683b60b67b1ef773f8464be608fdeaa170cc13966f4111c6',
@@ -154,6 +171,7 @@ GOLDEN = {
     'verify-P1xP2': '6b3e37a4710a0fb19de97d7b921b87735a763d345d88ec12b9fe9e438baffbf4',
     'verify-plane_cubics': '8eabc3e4b90cc4f091a989f32aed0e868099b660b4066bb031ab74b6a0851770',
     'verify-blowup_line': 'ff76a7de6d8f76cc345ea8e3e130d9060b97269c7567d59c8a1fef55fb363773',
+    'diagonal-ExE': 'c08d60cba831d1de268a80b27bc6f84842119e66bd02053aa505d44d5d10d272',
     'lift-torus-P2': '173fac1ba90a2ad22ee4c099edb951a15fcc679379907b2a913f02effda7ade5',
     'lift-gl2-P2': '5855fc81e57cf1700561b133e5783d313bae2672fcb82eef91f2700a8a61988f',
     'lift-torus2-G24': '8e86f3b2767c660cc5e4400c032e091e801c00875a1ee17a8ba87afe317938bc',

@@ -278,9 +278,14 @@ def test_blowup_rank_formula():
 
 
 def test_codimension_one_blowup_is_the_base():
+    # P^2 along a line: the description passes every check a higher
+    # codimension does, then the base comes back unchanged.
     base = spaces.projective_space(2)
-    X = spaces.blowup(base, spaces.projective_space(1), 1, {})
+    X = spaces.blowup(base, spaces.projective_space(1), 1,
+                      {"1": {"h": 1}, "h": {"h^2": 1}}, normal_chern={1: {"h": 1}})
     assert X is base
+    with pytest.raises(InvalidSpec, match="pushforward missing"):
+        spaces.blowup(base, spaces.projective_space(1), 1, {})
 
 
 def test_blowup_missing_chern_class_rejected():

@@ -7,7 +7,10 @@ generating set; the loop over every basis pair is kept here as its
 oracle. `_build_ci_model` reads the ambient structure table and one
 xi-twisted pairing table, and `_build_blowup` reads the base and center
 tables; the assemblies through `multiply` and `integrate` on basis
-classes are kept here as their oracles.
+classes are kept here as their oracles. `tensor_ring` folds the
+factor tables one factor at a time; the assembly over every pair of
+product classes, with tuple terms and the Koszul sign of the whole
+tuples, is kept here as its oracle.
 """
 
 import random
@@ -17,7 +20,7 @@ import pytest
 
 from chowkunneth import spaces
 from chowkunneth.errors import NotRingMap
-from chowkunneth.graded_ring import ClassVector, RingMap, _generators
+from chowkunneth.graded_ring import ClassVector, RingMap, _generators, tensor_ring
 from test_acceptance import corpus_rings
 
 LADDER_HYPERSURFACES = [(3, 3, 6), (3, 4, 21), (4, 3, 10), (5, 3, 22)]
@@ -228,7 +231,7 @@ def power(x, e):
     return out
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_plane_curve_family_is_a_projective_bundle(d):
     """The universal plane curve of degree d is P(K) over P^2, with K the
     rank-N kernel of evaluation, N = d(d+3)/2, so c(K) = (1 + d h)^-1
@@ -378,3 +381,99 @@ def test_blowup_assembly_matches_class_assembly(make):
     assert X.basis == tuple(basis)
     assert X.structure == structure
     assert X.integration == integration
+
+
+# -- the tensor product over all pairs of product classes --------------------------
+
+
+def tuple_tensor_tables(factors):
+    """Basis, structure, integration and index of the tensor product,
+    each product of two product classes built from tuple terms, with
+    the Koszul sign (-1)^(sum over i < j of |b_i| |a_j|) of the whole
+    tuples a and b."""
+    tuples = [()]
+    for f in factors:
+        tuples = [t + (i,) for t in tuples for i in range(len(f.basis))]
+
+    def tup_degree(t):
+        return sum(f.basis[i][1] for f, i in zip(factors, t))
+
+    tuples.sort(key=lambda t: (tup_degree(t), t))
+    degs = [tup_degree(t) for t in tuples]
+    index = {t: g for g, t in enumerate(tuples)}
+    basis = [(" # ".join(f.basis[i][0] for f, i in zip(factors, t)), d)
+             for t, d in zip(tuples, degs)]
+
+    def koszul(left, right):
+        exp = 0
+        for i in range(len(factors)):
+            if factors[i].basis[right[i]][1] % 2:
+                exp += sum(factors[j].basis[left[j]][1] for j in range(i + 1, len(factors)))
+        return -1 if exp % 2 else 1
+
+    top = 2 * sum(f.dim for f in factors)
+    structure = {}
+    for a, ta in enumerate(tuples):
+        for b, tb in enumerate(tuples):
+            if degs[a] + degs[b] > top:
+                break  # tuples are sorted by degree
+            terms = [((), koszul(ta, tb))]
+            for f, i, j in zip(factors, ta, tb):
+                prod = f.structure.get((i, j))
+                if not prod:
+                    terms = []
+                    break
+                terms = [(t + (k,), c * s) for t, c in terms for k, s in prod.items()]
+            if terms:
+                structure[(a, b)] = {index[t]: c for t, c in terms}
+
+    integration = {}
+    for t in tuples:
+        if tup_degree(t) != top:
+            continue
+        val = Fraction(1)
+        for f, i in zip(factors, t):
+            val *= f.integration.get(i, Fraction(0))
+        if val != 0:
+            integration[index[t]] = val
+    return basis, structure, integration, index
+
+
+def thirteen_products():
+    """Products of projective spaces and Grassmannians (even classes
+    only), and products with the plane cubic E and the cubic threefold
+    Y, whose odd classes meet in every pattern of the Koszul sign."""
+    P, G = spaces.projective_space, spaces.grassmannian
+
+    def E():
+        return spaces.ci_model(P(2), {"h": 3}, 2)
+
+    def Y():
+        return spaces.hypersurface_model(4, 3, 10)
+
+    return {
+        "P2xP9": lambda: (P(2), P(9)),
+        "P2xP14": lambda: (P(2), P(14)),
+        "P2xP44": lambda: (P(2), P(44)),
+        "P1xG(2,4)": lambda: (P(1), G(2, 4)),
+        "G(2,5)xP2": lambda: (G(2, 5), P(2)),
+        "G(2,4)xG(2,4)": lambda: (G(2, 4), G(2, 4)),
+        "G(3,6)xP1": lambda: (G(3, 6), P(1)),
+        "P2xP2": lambda: (P(2), P(2)),
+        "P2xP2xP2": lambda: (P(2), P(2), P(2)),
+        "ExE": lambda: (E(), E()),
+        "ExP1xE": lambda: (E(), P(1), E()),
+        "YxE": lambda: (Y(), E()),
+        "ExY": lambda: (E(), Y()),
+    }
+
+
+@pytest.mark.parametrize("make", thirteen_products().values(), ids=thirteen_products().keys())
+def test_tensor_fold_matches_tuple_assembly(make):
+    factors = make()
+    X = tensor_ring(factors)
+    basis, structure, integration, index = tuple_tensor_tables(factors)
+    assert X.basis == tuple(basis)
+    assert X.structure == structure
+    assert X.integration == integration
+    assert X.parts["index"] == index
