@@ -2,17 +2,20 @@
 
 A group contributes a graded polynomial parameter ring (one generator
 per character or Chern class); the model of an action is the base ring
-with coefficients in the parameter ring, truncated so that parameter
-monomials above a chosen even bound N are discarded. Projector families
-lift into such models, compose with overflow dropped, and restrict back
-to the base by sending every parameter generator to zero. All verified
-identities are exact degreewise up to the bound.
+with coefficients in the parameter ring, with monomials above a chosen
+even bound N discarded. Projector families lift into such models,
+compose with overflow dropped, and restrict back to the base by sending
+every parameter generator to zero. Lifted composition and action
+accumulate integer numerators over one common denominator per operand:
+results are exact and identical. All verified identities are exact
+degreewise up to the bound.
 """
 
 from fractions import Fraction
 
 from .correspondences import CorrespondenceClass, diagonal
 from .errors import RingMismatch, UnsupportedAction
+from .graded_ring import _integer_scaled
 from .kunneth import ProjectorSet, _report, report_passes
 
 
@@ -69,7 +72,7 @@ class TruncatedPolyRing:
     degree above the bound discarded. Monomials are exponent tuples;
     the basis is ordered by degree, then by exponents largest-first."""
 
-    __slots__ = ("gens", "bound", "basis", "_monos")
+    __slots__ = ("gens", "bound", "basis", "_monos", "_products")
 
     def __init__(self, gens, bound):
         bound = int(bound)
@@ -90,6 +93,7 @@ class TruncatedPolyRing:
         monos.sort(key=lambda m: (self.mono_degree(m), tuple(-e for e in m)))
         self._monos = tuple(monos)
         self.basis = tuple((self.mono_label(m), self.mono_degree(m)) for m in monos)
+        self._products = {}
 
     @property
     def unit_mono(self):
@@ -111,11 +115,11 @@ class TruncatedPolyRing:
         return " ".join(parts) if parts else "1"
 
     def multiply_mono(self, a, b):
-        """Product monomial, or None when it overflows the bound."""
-        out = tuple(x + y for x, y in zip(a, b))
-        if self.mono_degree(out) > self.bound:
-            return None
-        return out
+        """Product monomial, or None when it overflows the bound; memoized."""
+        if (a, b) not in self._products:
+            out = tuple(x + y for x, y in zip(a, b))
+            self._products[a, b] = None if self.mono_degree(out) > self.bound else out
+        return self._products[a, b]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedPolyRing):
@@ -150,7 +154,7 @@ class EquivariantModel:
     the diagonal is the divided difference of product(h + w_i t).
     """
 
-    __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_partners")
+    __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_partners", "_scaled")
 
     def __init__(self, base, group, N, weights=None):
         N = int(N)
@@ -161,7 +165,7 @@ class EquivariantModel:
         self.N = N
         self.weights = None if weights is None else tuple(int(w) for w in weights)
         self.bg = bg_ring(group, N)
-        self._chern = self._segre = self._partners = None
+        self._chern = self._segre = self._partners = self._scaled = None
         if self.weights is not None:
             e = [1]
             for w in self.weights:
@@ -212,6 +216,14 @@ class EquivariantModel:
                 table.append(tuple(row))
             self._partners = table
         return self._partners[j]
+
+    def _integer_partners(self):
+        """(L, rows): `pairing_partners(j)` per j, each value v as the int L * v."""
+        if self._scaled is None:
+            rows = [self.pairing_partners(j) for j in range(len(self.base.basis))]
+            scale, nums = _integer_scaled(v for r in rows for _, p in r for v in p.values())
+            self._scaled = scale, [[(k, [(m, next(nums)) for m in p]) for k, p in r] for r in rows]
+        return self._scaled
 
     def diagonal(self):
         """The model's diagonal: the base diagonal at the unit monomial
@@ -317,25 +329,30 @@ class EquivariantCorrespondence(CorrespondenceClass):
         self._compat(other)
         model = self.source
         multiply = model.bg.multiply_mono
+        scale_f, nums_f = _integer_scaled(self.terms.values())
+        scale_g, nums_g = _integer_scaled(other.terms.values())
+        scale_p, partners = model._integer_partners()
         g_by_k = {}
-        for (k, l, m2), cg in other.terms.items():
+        for (k, l, m2), cg in zip(other.terms, nums_g):
             g_by_k.setdefault(k, []).append((l, m2, cg))
         out = {}
-        for (i, j, m1), cf in self.terms.items():
-            for k, poly in model.pairing_partners(j):
+        for (i, j, m1), cf in zip(self.terms, nums_f):
+            for k, poly in partners[j]:
                 rows = g_by_k.get(k)
                 if not rows:
                     continue
-                for mp, vp in poly.items():
+                for mp, vp in poly:
                     m1p = multiply(m1, mp)
                     if m1p is None:
                         continue
+                    cfp = cf * vp
                     for l, m2, cg in rows:
                         mono = multiply(m1p, m2)
                         if mono is None:
                             continue
                         key = (i, l, mono)
-                        out[key] = out.get(key, Fraction(0)) + cf * vp * cg
+                        out[key] = out.get(key, 0) + cfp * cg
+        out = {key: Fraction(v, scale_f * scale_p * scale_g) for key, v in out.items() if v}
         return EquivariantCorrespondence(model, self.shift + other.shift, out)
 
     def act(self, alpha):
@@ -345,20 +362,27 @@ class EquivariantCorrespondence(CorrespondenceClass):
         if alpha.ring != model.base:
             raise RingMismatch("class does not live over the model's base")
         multiply = model.bg.multiply_mono
-        # i -> (coefficient of e_a, pushforward of e_a * e_i) rows from the
-        # model's partner table, multiplied out only where a term needs them
+        scale_p, partners = model._integer_partners()
+        # i -> (a, pushforward of e_a * e_i) rows from the model's partner
+        # table, multiplied out only where a term needs them
         paired = {}
-        for a, ca in alpha.coeffs.items():
-            for i, poly in model.pairing_partners(a):
-                paired.setdefault(i, []).append((ca, poly))
+        for a in alpha.coeffs:
+            for i, poly in partners[a]:
+                paired.setdefault(i, []).append((a, poly))
+        hit = [(key, c) for key, c in self.terms.items() if key[0] in paired]
+        if not hit:
+            return {}
+        scale_a, nums_a = _integer_scaled(alpha.coeffs.values())
+        scale_c, nums_c = _integer_scaled(c for _, c in hit)
+        nums_a = dict(zip(alpha.coeffs, nums_a))
         out = {}
-        for (i, j, mono), c in self.terms.items():
-            for ca, poly in paired.get(i, ()):
-                for mp, vp in poly.items():
+        for ((i, j, mono), _), c in zip(hit, nums_c):
+            for a, poly in paired[i]:
+                for mp, vp in poly:
                     m = multiply(mono, mp)
                     if m is not None:
-                        out[(j, m)] = out.get((j, m), 0) + c * ca * vp
-        return {key: v for key, v in out.items() if v}
+                        out[(j, m)] = out.get((j, m), 0) + c * nums_a[a] * vp
+        return {key: Fraction(v, scale_a * scale_c * scale_p) for key, v in out.items() if v}
 
     def restrict(self):
         """Ordinary correspondence on the base: every parameter

@@ -36,6 +36,13 @@ def _coerce_coeffs(coeffs):
     return out
 
 
+def _integer_scaled(values):
+    """(L, an iterator over the ints L * v for v in values), L the lcm of their denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*{d for _, d in ratios})
+    return scale, iter([n * (scale // d) for n, d in ratios])
+
+
 def _product(structure, a, b):
     """The product of coefficient dicts a and b under a structure table,
     without zero entries."""
@@ -287,9 +294,8 @@ def run_ring_checks(dim, basis, structure, integration):
     # Scaled by the lcm L of its denominators the table is integral, and
     # L^2 (x*s)*y = L^2 x*(s*y) is the same identity, so the test below
     # runs on ints.
-    scale = lcm(*{c.denominator for p in structure.values() for c in p.values()})
-    table = {ij: {k: c.numerator * (scale // c.denominator) for k, c in p.items()}
-             for ij, p in structure.items()}
+    nums = _integer_scaled(c for p in structure.values() for c in p.values())[1]
+    table = {ij: {k: next(nums) for k in p} for ij, p in structure.items()}
 
     # Light's associativity test (Clifford & Preston, The Algebraic Theory
     # of Semigroups I, 1961): the classes s with (x*s)*y = x*(s*y) for all

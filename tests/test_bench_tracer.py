@@ -3,14 +3,16 @@
 `perfbench/tracer.py` wraps module functions by name and a few methods
 on their classes, and `perfbench/run.py --trace 1` fails a run whose
 expected spans stay at zero. These tests run the same wrappers over one
-ordinary and one lifted verification, and over the curve ladder's
-commands, so a refactor that moves a traced function or method shows up
-here instead of only in a traced benchmark run.
+ordinary and one lifted verification, over the curve ladder's commands
+and over the library session's set-up and operations, so a refactor
+that moves a traced function or method shows up here instead of only in
+a traced benchmark run.
 """
 
 import importlib
 import json
 import os
+import random
 import sys
 
 from chowkunneth import spaces
@@ -91,6 +93,28 @@ def test_tracer_reaches_the_curve_ladder_spans(tmp_path, monkeypatch, capsys):
     finally:
         t.uninstall()
     capsys.readouterr()
+    missing = [span for span in expected if not t.calls[span]]
+    assert not missing, f"spans never reached: {missing}"
+    assert t.coverage_errors == []
+
+
+def test_tracer_reaches_the_session_spans(tmp_path, monkeypatch):
+    """The session's set-up and one pass of its operations, from an empty
+    ring cache: Schubert tables, ring checks, projectors, weighted and
+    trivial lifts with their verification, documents and restriction."""
+    # The lifted kernels' spans among them: compose, act and pair_poly.
+    expected = (*_perfbench("run").EXPECTED_SPANS["equivariant_session"], "equivariant.act")
+    monkeypatch.setattr(spaces, "_CACHE", {})
+    session = _perfbench("session")
+    t = _perfbench("tracer").Tracer().install()
+    try:
+        workload = session.SessionWorkload(str(tmp_path), random.Random(1), t)
+        for _, step in workload.setup_steps(True):
+            step()
+        for _, run_op, check in workload.operations(True):
+            check(run_op())
+    finally:
+        t.uninstall()
     missing = [span for span in expected if not t.calls[span]]
     assert not missing, f"spans never reached: {missing}"
     assert t.coverage_errors == []

@@ -109,6 +109,21 @@ def test_monomial_arithmetic():
     assert R.multiply_mono((2, 1), (1, 1)) is None  # degree 10 overflows
 
 
+def test_memoized_monomial_products_match_the_definition():
+    for R in (bg_ring(torus_group(2), 6), bg_ring(general_linear_group(3), 8)):
+        weights = [d for _, d in R.gens]
+        for a in R.monomials():
+            for b in R.monomials():
+                out = tuple(x + y for x, y in zip(a, b))
+                want = out if sum(e * w for e, w in zip(out, weights)) <= R.bound else None
+                assert R.multiply_mono(a, b) == want, (a, b)
+                assert R.multiply_mono(a, b) == want, (a, b)  # from the memo
+    # The memo keeps the pairs asked for, never a full table.
+    R = bg_ring(general_linear_group(3), 60)
+    assert R.multiply_mono((1, 0, 0), (0, 1, 0)) == (1, 1, 0)
+    assert R._products == {((1, 0, 0), (0, 1, 0)): (1, 1, 0)}
+
+
 # -- trivial-action models ---------------------------------------------------------
 
 

@@ -10,7 +10,9 @@ tables; the assemblies through `multiply` and `integrate` on basis
 classes are kept here as their oracles. `tensor_ring` folds the
 factor tables one factor at a time; the assembly over every pair of
 product classes, with tuple terms and the Koszul sign of the whole
-tuples, is kept here as its oracle.
+tuples, is kept here as its oracle. Lifted `compose` and `act`
+accumulate integer numerators over one common denominator per operand;
+their loops on `Fraction`s are kept here as their oracles.
 """
 
 import random
@@ -19,8 +21,19 @@ from fractions import Fraction
 import pytest
 
 from chowkunneth import spaces
+from chowkunneth.equivariant import (
+    EquivariantCorrespondence,
+    EquivariantProjectorFamily,
+    equivariant_projective_torus,
+    equivariant_trivial_action,
+    general_linear_group,
+    lift_projectors,
+    torus_group,
+    verify_equivariant,
+)
 from chowkunneth.errors import NotRingMap
 from chowkunneth.graded_ring import ClassVector, RingMap, _generators, tensor_ring
+from chowkunneth.kunneth import full_projectors, report_passes
 from test_acceptance import corpus_rings
 
 LADDER_HYPERSURFACES = [(3, 3, 6), (3, 4, 21), (4, 3, 10), (5, 3, 22)]
@@ -477,3 +490,186 @@ def test_tensor_fold_matches_tuple_assembly(make):
     assert X.structure == structure
     assert X.integration == integration
     assert X.parts["index"] == index
+
+
+# -- lifted composition and action on Fractions --------------------------------------
+
+
+def mono_product(bg, a, b):
+    """Product monomial by its definition, or None past the bound."""
+    out = tuple(x + y for x, y in zip(a, b))
+    return None if bg.mono_degree(out) > bg.bound else out
+
+
+def fraction_compose(f, g):
+    """Lifted composition with f applied first, accumulated in Fractions:
+    the middle factor is contracted with the parameter-valued pairing and
+    monomials overflowing the bound are dropped."""
+    f._compat(g)
+    model = f.source
+    g_by_k = {}
+    for (k, l, m2), cg in g.terms.items():
+        g_by_k.setdefault(k, []).append((l, m2, cg))
+    out = {}
+    for (i, j, m1), cf in f.terms.items():
+        for k, poly in model.pairing_partners(j):
+            rows = g_by_k.get(k)
+            if not rows:
+                continue
+            for mp, vp in poly.items():
+                m1p = mono_product(model.bg, m1, mp)
+                if m1p is None:
+                    continue
+                for l, m2, cg in rows:
+                    mono = mono_product(model.bg, m1p, m2)
+                    if mono is None:
+                        continue
+                    key = (i, l, mono)
+                    out[key] = out.get(key, Fraction(0)) + cf * vp * cg
+    return EquivariantCorrespondence(model, f.shift + g.shift, out)
+
+
+def fraction_act(p, alpha):
+    """Lifted action on a base class, accumulated in Fractions, as
+    {(index, monomial): coefficient}."""
+    model = p.source
+    paired = {}
+    for a, ca in alpha.coeffs.items():
+        for i, poly in model.pairing_partners(a):
+            paired.setdefault(i, []).append((ca, poly))
+    out = {}
+    for (i, j, mono), c in p.terms.items():
+        for ca, poly in paired.get(i, ()):
+            for mp, vp in poly.items():
+                m = mono_product(model.bg, mono, mp)
+                if m is not None:
+                    out[(j, m)] = out.get((j, m), 0) + c * ca * vp
+    return {key: v for key, v in out.items() if v}
+
+
+def lifted_models():
+    """name -> (make(N), n) for a model over an n-dimensional base:
+    weighted projective spaces with repeated, zero and negative weights,
+    and trivial actions on Grassmannian products, on spaces with odd
+    classes and on a plane cubic whose middle pairing has denominators."""
+    P, G = spaces.projective_space, spaces.grassmannian
+
+    def weighted(weights):
+        return lambda N: equivariant_projective_torus(weights, N)
+
+    def trivial(make_space, group):
+        return lambda N: equivariant_trivial_action(make_space(), group, N)
+
+    third = Fraction(1, 3)
+    return {
+        "P2 (1,1,2)": (weighted((1, 1, 2)), 2),
+        "P3 (0,0,3,-1)": (weighted((0, 0, 3, -1)), 3),
+        "P5 (2,-1,-1,0,3,5)": (weighted((2, -1, -1, 0, 3, 5)), 5),
+        "P10 (-5..5)": (weighted(range(-5, 6)), 10),
+        "G(3,6)xP1 T2": (trivial(lambda: spaces.product_space(G(3, 6), P(1)),
+                                 torus_group(2)), 10),
+        "G(2,4)xG(2,4) GL2": (trivial(lambda: spaces.product_space(G(2, 4), G(2, 4)),
+                                      general_linear_group(2)), 8),
+        "plane cubic T1": (trivial(lambda: spaces.ci_model(P(2), {"h": 3}, 2),
+                                   torus_group(1)), 1),
+        "plane cubic, pairing 1/3, GL2": (trivial(
+            lambda: spaces.ci_model(P(2), {"h": 3}, 2, [[0, third], [-third, 0]]),
+            general_linear_group(2)), 1),
+        "cubic threefold T3": (trivial(lambda: spaces.hypersurface_model(4, 3, 10),
+                                       torus_group(3)), 3),
+    }
+
+
+def lifted_cases():
+    """(name, N) at N = 0, at N = 2, where products of monomials overflow,
+    and at N = 4n."""
+    return [(name, N) for name, (_, n) in lifted_models().items() for N in (0, 2, 4 * n)]
+
+
+def mixed_coefficient(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+
+def random_lifted(M, rng, count, shift):
+    """A lifted correspondence with `count` seeded terms (i, j, monomial)
+    of the right degree, with coefficients +-k/1..6."""
+    base, bg = M.base, M.bg
+    by_degree = {}
+    for m in bg.monomials():
+        by_degree.setdefault(bg.mono_degree(m), []).append(m)
+    want = 2 * (M.dim + shift)
+    slots = [(i, j, m) for i, (_, di) in enumerate(base.basis)
+             for j, (_, dj) in enumerate(base.basis) for m in by_degree.get(want - di - dj, ())]
+    picked = rng.sample(slots, min(count, len(slots)))
+    return EquivariantCorrespondence(M, shift, {key: mixed_coefficient(rng) for key in picked})
+
+
+def random_classes(X, rng, count):
+    """Homogeneous classes in seeded degrees with coefficients +-k/1..6."""
+    degrees = sorted({d for _, d in X.basis})
+    out = []
+    for _ in range(count):
+        d = rng.choice(degrees)
+        out.append(ClassVector(X, d, {k: mixed_coefficient(rng)
+                                      for k, (_, dk) in enumerate(X.basis) if dk == d}))
+    return out
+
+
+def test_integer_partner_view_is_the_partner_table_scaled():
+    for name, (make, n) in lifted_models().items():
+        M = make(4 * n)
+        scale, rows = M._integer_partners()
+        for j, row in enumerate(rows):
+            scaled = [(k, {m: Fraction(v, scale) for m, v in poly}) for k, poly in row]
+            assert scaled == list(M.pairing_partners(j)), (name, j)
+        assert all(type(v) is int for row in rows for _, poly in row for _, v in poly)
+        assert scale == (3 if "1/3" in name else 1), name
+
+
+LIFTED_CASES = lifted_cases()
+LIFTED_IDS = [f"{name} N={N}" for name, N in LIFTED_CASES]
+
+
+@pytest.mark.parametrize("name, N", LIFTED_CASES, ids=LIFTED_IDS)
+def test_lifted_kernels_match_fraction_loops(name, N):
+    make, _ = lifted_models()[name]
+    M = make(N)
+    rng = random.Random(f"{name} {N}")
+    members = [random_lifted(M, rng, 30, shift) for shift in (-1, -1, 0, 0, 1, 1)]
+    nonzero = 0
+    for f in members:
+        for g in members:
+            if f.shift == g.shift:
+                got = f.compose(g).terms
+                assert got == fraction_compose(f, g).terms
+                nonzero += bool(got)
+    base = M.base
+    classes = [base.basis_vector(k) for k in range(len(base.basis))]
+    classes += random_classes(base, rng, 6)
+    for f in members:
+        for alpha in classes:
+            got = f.act(alpha)
+            assert got == fraction_act(f, alpha)
+            assert all(type(v) is Fraction for v in got.values())
+            nonzero += bool(got)
+    assert nonzero
+    if N == 2:
+        # truncation dropped a product on this bound
+        assert None in M.bg._products.values()
+
+
+@pytest.mark.parametrize("name, N", LIFTED_CASES, ids=LIFTED_IDS)
+def test_lifted_reports_match_fraction_loops(name, N, monkeypatch):
+    make, _ = lifted_models()[name]
+    M = make(N)
+    rng = random.Random(f"report {name} {N}")
+    F = lift_projectors(full_projectors(M.base), M.group, N, model=M)
+    projs = dict(F.projectors)
+    i = rng.choice(F.indices())
+    projs[i] = projs[i] + random_lifted(M, rng, 12, 0)
+    families = [F, EquivariantProjectorFamily(M, projs, complete=True)]
+    reports = [verify_equivariant(X) for X in families]
+    assert report_passes(reports[0]) and not report_passes(reports[1])
+    monkeypatch.setattr(EquivariantCorrespondence, "compose", fraction_compose)
+    monkeypatch.setattr(EquivariantCorrespondence, "act", fraction_act)
+    assert [verify_equivariant(X) for X in families] == reports
