@@ -279,9 +279,10 @@ def run_ring_checks(dim, basis, structure, integration):
     ok, detail = True, ""
     for i in range(n):
         for j in range(i, n):
-            sign = -1 if (deg[i] % 2 and deg[j] % 2) else 1
             a, b = prod(i, j), prod(j, i)
-            if {k: sign * c for k, c in b.items()} != a:
+            if deg[i] % 2 and deg[j] % 2:
+                b = {k: -c for k, c in b.items()}
+            if a != b:
                 ok = False
                 detail = f"graded commutativity fails on {labels[i]}, {labels[j]}"
                 break
@@ -300,7 +301,10 @@ def run_ring_checks(dim, basis, structure, integration):
     # Light's associativity test (Clifford & Preston, The Algebraic Theory
     # of Semigroups I, 1961): the classes s with (x*s)*y = x*(s*y) for all
     # basis x, y form a subspace closed under products that holds the unit,
-    # so checking s over a generating set proves associativity.
+    # so checking s over a generating set proves associativity. Graded
+    # commutativity turns (e_k*s)*e_i = e_k*(s*e_i) into (e_i*s)*e_k =
+    # e_i*(s*e_k) times one Koszul sign on both sides, so k >= i suffices,
+    # and the first failing triple is the one a loop over all k finds.
     ok, detail = True, ""
     for s in _generators(deg, prod):
         right = [table.get((s, k), {}) for k in range(n)]
@@ -308,7 +312,7 @@ def run_ring_checks(dim, basis, structure, integration):
             if deg[i] + deg[s] > top:
                 continue
             left = table.get((i, s), {})
-            for k in range(n):
+            for k in range(i, n):
                 if deg[i] + deg[s] + deg[k] > top:
                     continue
                 if _product(table, left, {k: 1}) != _product(table, {i: 1}, right[k]):
@@ -343,26 +347,36 @@ def run_ring_checks(dim, basis, structure, integration):
         return total
 
     ok, detail = True, ""
-    seen = set()
+    inverses = {}
     for p, rows in sorted(by_degree.items()):
         q = top - p
-        if p in seen or q in seen:
-            continue
-        seen.add(p)
+        if q < p and q in by_degree:
+            continue  # the block of degrees (q, p) was checked
         cols = by_degree.get(q, [])
         if len(rows) != len(cols):
             ok = False
             detail = f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
             break
-        m = [[integral(i, j) for j in cols] for i in rows]
-        if linalg.inverse(linalg.mat(m)) is None:
+        inverses[p] = linalg.inverse(linalg.mat([[integral(i, j) for j in cols] for i in rows]))
+        if inverses[p] is None:
             ok, detail = False, f"pairing block between degrees {p} and {q} is singular"
             break
     missing = [q for q in by_degree if top - q not in by_degree]
     if ok and missing:
         ok = False
         detail = f"degree {missing[0]} has no complementary degree {top - missing[0]}"
-    yield ("pairing_nondegeneracy", ok, detail)
+    yield _PairingVerdict(ok, detail, inverses)
+
+
+class _PairingVerdict(tuple):
+    """The pairing check's ("pairing_nondegeneracy", ok, detail), which
+    also hands its block inverses to the ring under construction:
+    `inverses[p]` inverts the block of degrees p <= 2*dim - p."""
+
+    def __new__(cls, ok, detail, inverses):
+        verdict = super().__new__(cls, ("pairing_nondegeneracy", ok, detail))
+        verdict.inverses = inverses
+        return verdict
 
 
 class GradedBasisRing:
@@ -384,7 +398,7 @@ class GradedBasisRing:
     """
 
     __slots__ = ("dim", "basis", "structure", "integration", "space", "parts",
-                 "label_index", "_by_degree", "_blocks", "_pairings")
+                 "label_index", "_by_degree", "_inverses", "_blocks", "_pairings")
 
     def __init__(self, dim, basis, structure, integration, space=None, parts=None):
         self.dim = int(dim)
@@ -395,13 +409,15 @@ class GradedBasisRing:
         self.space = space
         self.parts = dict(parts or {})
 
-        for name, ok, detail in run_ring_checks(
+        for verdict in run_ring_checks(
             self.dim, self.basis, self.structure, self.integration
         ):
+            name, ok, detail = verdict
             if not ok:
                 if name == "pairing_nondegeneracy":
                     raise DegeneratePairing(detail)
                 raise RingAxiomError(name, detail)
+        self._inverses = verdict.inverses
 
         self.label_index = {l: i for i, (l, _) in enumerate(self.basis)}
         self._by_degree = {}
@@ -533,16 +549,15 @@ class GradedBasisRing:
         return self._pairing()[1].get(j, ())
 
     def _block(self, p):
-        """The pairing block of degree p and its dual basis, from one
-        inverse of the block."""
+        """The pairing block of degree p and its dual basis, from the
+        inverse that construction made of the block of degrees (p, q),
+        q = 2*dim - p, or for p > q of the block of (q, p): that block
+        is this one transposed and times (-1)^(p*q), and so is its
+        inverse."""
         if p not in self._blocks:
             q = self.top_degree - p
             rows = self.degree_indices(p)
             cols = self.degree_indices(q)
-            if len(rows) != len(cols):
-                raise DegeneratePairing(
-                    f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
-                )
             pm = PairingMatrix(
                 p,
                 q,
@@ -550,9 +565,11 @@ class GradedBasisRing:
                 [self.basis[j][0] for j in cols],
                 [[self.pair_basis(i, j) for j in cols] for i in rows],
             )
-            inv = linalg.inverse(pm.entries)
-            if inv is None:
-                raise DegeneratePairing(f"pairing block between degrees {p} and {q} is singular")
+            if p <= q:
+                inv = self._inverses.get(p, ())
+            else:
+                sign = -1 if p % 2 else 1
+                inv = [[sign * c for c in col] for col in zip(*self._inverses.get(q, ()))]
             duals = tuple(
                 ClassVector(self, q, {cols[k]: inv[k][j] for k in range(len(cols))})
                 for j in range(len(rows))
@@ -561,10 +578,7 @@ class GradedBasisRing:
         return self._blocks[p]
 
     def pairing_matrix(self, p):
-        """Pairing block between degree p and degree 2*dim - p.
-
-        Raises DegeneratePairing if the block is singular (it cannot be,
-        for a ring that passed construction, unless p has no basis)."""
+        """Pairing block between degree p and degree 2*dim - p."""
         return self._block(p)[0]
 
     def dual_basis(self, p):

@@ -1,18 +1,21 @@
 """Exact Schubert calculus in the cohomology of a Grassmannian.
 
 Partitions live inside a `max_rows x max_cols` box (for the space of
-`k`-planes in an `n`-space: `k` rows, `n - k` columns). Products are
-computed by expanding one factor through the determinantal identity in
-special classes and applying the row-adding rule repeatedly; partitions
-whose first part overflows the box are discarded as soon as they
-appear, which is exact because the overflow can never shrink again.
+`k`-planes in an `n`-space: `k` rows, `n - k` columns). The product
+table of a box is filled by Pieri recursion (Pieri's rule as in Fulton,
+*Young Tableaux*, 1997). Write lam = (l, rest) with l its first part:
+the rule gives s[l] * s[rest] = s[lam] + the sum of s[nu] over the other
+partitions nu obtained from rest by adding a horizontal strip of l boxes,
+and each such nu has the weight of lam and a first part larger than l.
+So, with partitions taken in the order of `partitions_in_box` (by
+weight, then by decreasing first part),
 
-An independent cross-check, `lr_multiply`, counts lattice skew
-semistandard tableaux directly and is deliberately kept free of the
-production code path.
+    s[lam] * s[mu] = Pieri_l(s[rest] * s[mu]) - sum over nu of s[nu] * s[mu]
+
+reads only products already in the table. Partitions that leave the box
+are dropped as soon as they appear, which is exact because the quotient
+map onto the classes of the box is a ring homomorphism.
 """
-
-from itertools import permutations
 
 
 def validate_partition(lam):
@@ -90,121 +93,48 @@ def pieri(lam, m, max_rows, max_cols):
     return results
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def multiply_partitions(lam, mu, max_rows, max_cols, table, strips):
+    """The product s[lam] * s[mu] in the box, as {partition: coefficient},
+    by one Pieri step.
 
-
-def multiply_partitions(lam, mu, max_rows, max_cols):
-    """Product of two Schubert classes as {partition: coefficient}.
-
-    Expands the first factor as a determinant in special classes (rows
-    of lam), drops special classes outside [0, max_cols], and applies
-    the horizontal-strip rule once per special factor.
+    `table` holds s[kappa] * s[mu], keyed (kappa, mu), for every kappa
+    before lam in the order of `partitions_in_box`; `strips` memoises
+    `pieri`, keyed (partition, strip size). Both belong to one
+    `product_table` call.
     """
-    lam = validate_partition(lam)
-    mu = validate_partition(mu)
-    if len(lam) > max_rows or (lam and lam[0] > max_cols):
-        return {}
-    if len(mu) > max_rows or (mu and mu[0] > max_cols):
-        return {}
     if not lam:
         return {mu: 1}
-    r = len(lam)
+    first, rest = lam[0], lam[1:]
+
+    def strip(rho):
+        out = strips.get((rho, first))
+        if out is None:
+            out = strips[(rho, first)] = pieri(rho, first, max_rows, max_cols)
+        return out
+
     acc = {}
-    for perm in permutations(range(r)):
-        ms = [lam[i] - (i + 1) + (perm[i] + 1) for i in range(r)]
-        if any(m < 0 or m > max_cols for m in ms):
-            continue
-        cur = {mu: _perm_sign(perm)}
-        for m in ms:
-            if m == 0:
-                continue
-            nxt = {}
-            for nu, c in cur.items():
-                for rho in pieri(nu, m, max_rows, max_cols):
-                    nxt[rho] = nxt.get(rho, 0) + c
-            cur = nxt
-        for nu, c in cur.items():
+    for rho, c in table[(rest, mu)].items():
+        for nu in strip(rho):
             acc[nu] = acc.get(nu, 0) + c
-    return {nu: c for nu, c in acc.items() if c != 0}
+    for kappa in strip(rest):
+        if kappa != lam:
+            for nu, c in table[(kappa, mu)].items():
+                acc[nu] = acc.get(nu, 0) - c
+    return {nu: c for nu, c in acc.items() if c}
 
 
-def lr_coefficient(lam, mu, nu):
-    """Littlewood-Richardson coefficient by direct tableau count:
-    lattice skew semistandard fillings of nu/lam with content mu."""
-    lam, mu, nu = validate_partition(lam), validate_partition(mu), validate_partition(nu)
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    if len(lam) > len(nu):
-        return 0
-    lam_p = list(lam) + [0] * (len(nu) - len(lam))
-    if any(lam_p[i] > nu[i] for i in range(len(nu))):
-        return 0
-    nvals = len(mu)
-    if nvals == 0:
-        return 1 if sum(nu) == sum(lam) else 0
-
-    # Cells in reverse reading order: row by row, right to left, so every
-    # constraint (row weak increase, column strictness, lattice word,
-    # content) refers only to cells already placed.
-    cells = []
-    for r in range(len(nu)):
-        for c in range(nu[r] - 1, lam_p[r] - 1, -1):
-            cells.append((r, c))
-
-    grid = {}
-    counts = [0] * (nvals + 1)
-    total = 0
-
-    def rec(pos):
-        nonlocal total
-        if pos == len(cells):
-            total += 1
-            return
-        r, c = cells[pos]
-        hi = nvals
-        right = grid.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)
-        lo = 1
-        above = grid.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)
-        for v in range(lo, hi + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 1] + 1 > counts[v - 2]:
-                continue
-            counts[v - 1] += 1
-            grid[(r, c)] = v
-            rec(pos + 1)
-            del grid[(r, c)]
-            counts[v - 1] -= 1
-
-    rec(0)
-    return total
-
-
-def lr_multiply(lam, mu, max_rows, max_cols):
-    """Independent product oracle: {nu in box: lr_coefficient}."""
-    out = {}
-    for nu in partitions_in_box(max_rows, max_cols):
-        if sum(nu) != sum(lam) + sum(mu):
-            continue
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
+def product_table(max_rows, max_cols):
+    """{(lam, mu): s[lam] * s[mu]} over the pairs of partitions in the
+    box whose weights add up to at most its area, row-major in the order
+    of `partitions_in_box`, with int coefficients. The table and its
+    `pieri` memo are built afresh on every call."""
+    parts = partitions_in_box(max_rows, max_cols)
+    area = max_rows * max_cols
+    table, strips = {}, {}
+    for lam in parts:
+        room = area - sum(lam)
+        for mu in parts:
+            if sum(mu) > room:
+                break  # parts are ordered by weight
+            table[(lam, mu)] = multiply_partitions(lam, mu, max_rows, max_cols, table, strips)
+    return table

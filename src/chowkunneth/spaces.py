@@ -143,18 +143,10 @@ def _build_grassmannian(spec):
     parts = schubert.partitions_in_box(k, cols)
     index = {lam: i for i, lam in enumerate(parts)}
     basis = [(schubert.partition_label(lam), 2 * sum(lam)) for lam in parts]
-    dim = k * cols
-    one = Fraction(1)
-    structure = {}
-    for a, lam in enumerate(parts):
-        for b, mu in enumerate(parts):
-            if sum(lam) + sum(mu) > dim:
-                continue
-            prod = schubert.multiply_partitions(lam, mu, k, cols)
-            if prod:
-                structure[(a, b)] = {index[nu]: Fraction(c) for nu, c in prod.items()}
+    structure = {(index[lam], index[mu]): {index[nu]: Fraction(c) for nu, c in prod.items()}
+                 for (lam, mu), prod in schubert.product_table(k, cols).items() if prod}
     box = tuple([cols] * k)
-    return GradedBasisRing(dim, basis, structure, {index[box]: one}, space=spec)
+    return GradedBasisRing(k * cols, basis, structure, {index[box]: Fraction(1)}, space=spec)
 
 
 # -- products -----------------------------------------------------------------

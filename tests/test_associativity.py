@@ -6,14 +6,18 @@ basis triple, which the check used before, is kept here as the oracle:
 both must give the same verdict on every ring of the acceptance corpus,
 on G(4,8), on seeded perturbations of their structure constants, and on
 rescaled copies whose constants have mixed denominators (the check runs
-on the table scaled to integers).
+on the table scaled to integers). The check also takes the last factor
+of a triple only from the first factor's index on, which graded
+commutativity makes enough; on every one of those tables it must give
+the (ok, detail) of Light's test with the last factor over every basis
+class, so it names the same failing triple.
 """
 
 import random
 from fractions import Fraction
 
 from chowkunneth import spaces
-from chowkunneth.graded_ring import GradedBasisRing, _generators, run_ring_checks
+from chowkunneth.graded_ring import GradedBasisRing, _generators, _product, run_ring_checks
 from test_acceptance import corpus_rings
 
 
@@ -49,14 +53,41 @@ def full_associativity(dim, basis, structure):
     return None
 
 
+def light_full_loop(dim, basis, structure):
+    """(ok, detail) of Light's test with the last factor running over
+    every basis class, where the construction check takes only the
+    classes from the first factor's index on."""
+    n = len(basis)
+    top = 2 * dim
+    deg = [d for _, d in basis]
+    labels = [label for label, _ in basis]
+
+    def prod(i, j):
+        return structure.get((i, j), {})
+
+    for s in _generators(deg, prod):
+        for i in range(n):
+            if deg[i] + deg[s] > top:
+                continue
+            for k in range(n):
+                if deg[i] + deg[s] + deg[k] > top:
+                    continue
+                if _product(structure, prod(i, s), {k: 1}) != _product(
+                        structure, {i: 1}, prod(s, k)):
+                    return False, f"associativity fails on ({labels[i]}, {labels[s]}, {labels[k]})"
+    return True, ""
+
+
 def light_verdict(ring, structure):
-    """The associativity verdict of the construction checks; every
-    check before it must pass, so that it is reached."""
+    """The associativity verdict of the construction checks, which must
+    equal the full loop's verdict and name the same triple; every check
+    before it must pass, so that it is reached."""
     for name, ok, detail in run_ring_checks(
         ring.dim, ring.basis, structure, ring.integration
     ):
         if name == "associativity":
             assert ok == (detail == "")
+            assert (ok, detail) == light_full_loop(ring.dim, ring.basis, structure)
             return ok
         assert ok, f"{name} failed before associativity: {detail}"
     raise AssertionError("associativity check not reached")
@@ -192,3 +223,20 @@ def test_same_verdict_on_rescaled_tables():
             light = light_verdict(X, structure)
             assert light == (full_associativity(X.dim, X.basis, structure) is None), name
     assert mixed >= 12
+
+
+def test_odd_class_times_its_own_product_is_rejected():
+    """For an odd class x the triple (x, s, x) asks x*(x*s) = 0. On the
+    plane cubic times P^1, a table with m1*(m1*h) equal to the point
+    class, mirrored with the graded sign so the checks before
+    associativity still pass, is rejected, naming the full loop's
+    triple."""
+    ring = extra_rings()["plane cubic, 2 primitives"]
+    X = spaces.product_space(ring, spaces.projective_space(1))
+    x, h, xh, point = (X.label_index[label]
+                       for label in ("m1 # 1", "1 # h", "m1 # h", "1* # h"))
+    assert X.structure[(x, h)] == {xh: 1}
+    structure = {key: dict(prod) for key, prod in X.structure.items()}
+    structure[(x, xh)] = {point: Fraction(1)}
+    structure[(xh, x)] = {point: Fraction(-1)}
+    assert not light_verdict(X, structure)

@@ -7,8 +7,9 @@ lifted families were folded onto one set type, one report loop and one
 document codec, the blow-up cases before the blow-up ring was
 assembled from structure tables, and the three-factor product and the
 E x E diagonal before product rings were folded from the factors'
-tables; any change to a report, a document or an exit code shows up
-here as a changed digest.
+tables, and the G(3,6) and G(2,5) x P^2 cases before Schubert tables
+were filled by Pieri recursion; any change to a report, a document or
+an exit code shows up here as a changed digest.
 
 To re-record after an intended change of output, run this file as a
 script: it prints the digest table.
@@ -25,9 +26,11 @@ from chowkunneth import cli
 P2 = {"kind": "projective_space", "n": 2}
 P3 = {"kind": "projective_space", "n": 3}
 G24 = {"kind": "grassmannian", "k": 2, "n": 4}
+G36 = {"kind": "grassmannian", "k": 3, "n": 6}
 P1 = {"kind": "projective_space", "n": 1}
 P1xP2 = {"kind": "product", "factors": [P1, P2]}
 P1xP1xP2 = {"kind": "product", "factors": [P1, P1, P2]}
+G25xP2 = {"kind": "product", "factors": [{"kind": "grassmannian", "k": 2, "n": 5}, P2]}
 CUBIC_SURFACE = {
     "kind": "ci_model",
     "ambient": P3,
@@ -64,8 +67,10 @@ SPACES = {
     "P2": P2,
     "P3": P3,
     "G24": G24,
+    "G36": G36,
     "P1xP2": P1xP2,
     "P1xP1xP2": P1xP1xP2,
+    "G25xP2": G25xP2,
     "cubic_surface": CUBIC_SURFACE,
     "cubic_threefold": CUBIC_THREEFOLD,
     "plane_cubics": PLANE_CUBICS,
@@ -102,7 +107,8 @@ def corpus(workdir):
                          json.dumps(spec), "--verify")
     for name in ("P2", "P1xP2", "plane_cubics", "blowup_line"):
         add(f"verify-{name}", "verify", str(sets[name]))
-    add("diagonal-ExE", "diagonal", "--space", json.dumps(ExE))
+    for name, spec in (("ExE", ExE), ("G36", G36), ("G25xP2", G25xP2)):
+        add(f"diagonal-{name}", "diagonal", "--space", json.dumps(spec))
     add("lift-torus-P2", "lift", "--space", json.dumps(P2), "--bound", "8", "--verify")
     add("lift-gl2-P2", "lift", str(sets["P2"]), "--group", "general_linear",
         "--rank", "2", "--bound", "6", "--verify")
@@ -161,8 +167,10 @@ GOLDEN = {
     'projectors-P2': '4723fb136112a3c108c66ef5b71f67c7fa3bc9401349a5222d9ec171caf291c9',
     'projectors-P3': 'e9da38274b33c7d590723a64dd6716f11d9bbe276876fcfb83352057c3856d5c',
     'projectors-G24': '20e8943f610fc3117758838b96caf6835a46688b7d0d9b3cfc853ee1d32811ee',
+    'projectors-G36': '4b325807ed548553c24d45467b6ebbef4e9fd278ca0978849c16699cc5b02bdb',
     'projectors-P1xP2': 'c20382eddd3185674b2d03842d4ab2ad1e570080eed014e641148eb401a56b98',
     'projectors-P1xP1xP2': '8300b1ab6aedc3997d0b41058c3b12520f239b1964657494a6a5ad4382f75f30',
+    'projectors-G25xP2': 'e71e98dd5d342b894ed3606276a004f63b4159a691fd8cb97d36669799035be3',
     'projectors-cubic_surface': '254a604a7bf84fb0160d2525dca264cfc18e3fbc8c8d30793f2a4f2cbe275752',
     'projectors-cubic_threefold': '7b1dfbedfa6df8f4665aaff5ccb8c79723c2b12b70c52474f77ea2ce3a14822e',
     'projectors-plane_cubics': 'd06a23491d1e2ded683b60b67b1ef773f8464be608fdeaa170cc13966f4111c6',
@@ -172,6 +180,8 @@ GOLDEN = {
     'verify-plane_cubics': '8eabc3e4b90cc4f091a989f32aed0e868099b660b4066bb031ab74b6a0851770',
     'verify-blowup_line': 'ff76a7de6d8f76cc345ea8e3e130d9060b97269c7567d59c8a1fef55fb363773',
     'diagonal-ExE': 'c08d60cba831d1de268a80b27bc6f84842119e66bd02053aa505d44d5d10d272',
+    'diagonal-G36': '57523a8165c14bc14e2c0bae96344e5b0a59ccdf17e87d05befc35505a960c05',
+    'diagonal-G25xP2': 'a6a1d468dc89c731ef86714a835dd86e652e44f07e6bdcf295f5d4d90775ad95',
     'lift-torus-P2': '173fac1ba90a2ad22ee4c099edb951a15fcc679379907b2a913f02effda7ade5',
     'lift-gl2-P2': '5855fc81e57cf1700561b133e5783d313bae2672fcb82eef91f2700a8a61988f',
     'lift-torus2-G24': '8e86f3b2767c660cc5e4400c032e091e801c00875a1ee17a8ba87afe317938bc',

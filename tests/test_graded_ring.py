@@ -43,6 +43,18 @@ def curve_ring():
     return GradedBasisRing(1, basis, structure, {3: 1})
 
 
+def line_ring():
+    """Rank-2 ring 1, h of P^1."""
+    return GradedBasisRing(1, [("1", 0), ("h", 2)],
+                           {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {1: 1})
+
+
+def curve_times_line():
+    """The curve ring times P^1: odd classes in degrees 1 and 3, whose
+    pairing block is the degree-1 block transposed and negated."""
+    return tensor_ring([curve_ring(), line_ring()])
+
+
 # -- construction axioms --------------------------------------------------------
 
 
@@ -240,7 +252,7 @@ def test_pairing_matrix_shape_and_entries():
 
 
 def test_dual_basis_is_dual():
-    for ring in (plane_ring(), curve_ring()):
+    for ring in (plane_ring(), curve_ring(), curve_times_line()):
         for p in ring.degrees():
             idx = ring.degree_indices(p)
             duals = ring.dual_basis(p)
@@ -395,6 +407,10 @@ def test_rings_declare_their_attributes():
 
 
 def test_one_inverse_per_pairing_block(monkeypatch):
+    """Construction inverts the pairing block of each pair of degrees
+    p <= 2*dim - p once; dual bases and pairing matrices of both degrees
+    reuse that inverse. Over a ring's whole life that is one inverse per
+    complementary pair of degrees."""
     from chowkunneth import linalg
 
     calls = []
@@ -405,10 +421,13 @@ def test_one_inverse_per_pairing_block(monkeypatch):
         return inverse(a)
 
     monkeypatch.setattr(linalg, "inverse", counting_inverse)
-    for ring in (plane_ring(), curve_ring()):
+    factors = [curve_ring(), line_ring()]
+    for make in (plane_ring, curve_ring, lambda: tensor_ring(factors)):
         del calls[:]
+        ring = make()
         for p in ring.degrees():
             assert ring.pairing_matrix(p).row_degree == p
             ring.dual_basis(p)
             ring.pairing_matrix(p)
-        assert len(calls) == len(ring.degrees())
+        pairs = {min(p, ring.top_degree - p) for p in ring.degrees()}
+        assert len(calls) == len(pairs), ring
