@@ -71,8 +71,8 @@ class CorrespondenceClass:
             )
 
     def _with_terms(self, terms):
-        """Same type, rings and shift with other terms. Sums and
-        multiples of valid terms stay valid, so only zero coefficients
+        """Same type, rings and shift with other terms. Sums, multiples
+        and subsets of valid terms stay valid, so only zero coefficients
         are dropped."""
         out = object.__new__(type(self))
         out.source, out.target, out.shift = self.source, self.target, self.shift

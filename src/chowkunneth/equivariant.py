@@ -16,7 +16,7 @@ from fractions import Fraction
 from .correspondences import CorrespondenceClass, diagonal
 from .errors import RingMismatch, UnsupportedAction
 from .graded_ring import _integer_scaled
-from .kunneth import ProjectorSet, _report, report_passes
+from .kunneth import ProjectorSet, _components, _report, report_passes
 
 
 # -- groups and parameter rings ---------------------------------------------
@@ -443,10 +443,10 @@ def lift_projectors(P, G, N, model=None):
         raise RingMismatch("projector set does not live over the model's base")
     projs = {i: unit_lift(model, p) for i, p in P.projectors.items()}
     if model.weights is not None:
-        rows = {}
-        for (a, k, mono), c in model.diagonal().terms.items():
-            rows.setdefault(2 * k, {})[(a, k, mono)] = c
-        standard = {i: EquivariantCorrespondence(model, 0, t) for i, t in rows.items()}
+        delta = model.diagonal()
+        standard = {
+            i: delta._with_terms(t) for i, t in _components(delta, model.base.basis).items()
+        }
         actual = {i: p for i, p in P.projectors.items() if not p.is_zero()}
         if actual != {i: p.restrict() for i, p in standard.items()}:
             raise UnsupportedAction(
@@ -467,10 +467,11 @@ def verify_equivariant(F):
     monomial, listed by (basis index, monomial)."""
     model = F.model
     base, bg = model.base, model.bg
+    vectors = [base.basis_vector(k) for k in range(len(base.basis))]
 
     def action_rows(i, p):
         for k, (label, degree) in enumerate(base.basis):
-            residual = p.act(base.basis_vector(k))
+            residual = p.act(vectors[k])
             if degree == i:
                 key = (k, bg.unit_mono)
                 value = residual.get(key, Fraction(0)) - 1

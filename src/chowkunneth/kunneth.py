@@ -2,23 +2,22 @@
 
 A projector set splits the diagonal of a space into orthogonal
 idempotent self-correspondences, one per cohomological degree, each
-acting as the identity on its own degree and as zero elsewhere. The
-constructors here build such sets from nondegenerate pairing blocks,
-from closed-form hyperplane powers on hypersurface models, and from
-products of existing sets; `verify_ck` re-checks every defining
-identity in exact arithmetic.
+acting as the identity on its own degree and as zero elsewhere. On a
+ring whose pairing is nondegenerate these are the components of the
+diagonal, grouped by the degree of their target class; the
+constructors here take them from there, from closed-form hyperplane
+powers on hypersurface models, and from products of existing sets;
+`verify_ck` re-checks every defining identity in exact arithmetic.
 """
 
 from fractions import Fraction
 
 from .correspondences import (
-    CorrespondenceClass,
     act,
     compose,
     diagonal,
     exterior_product,
     from_pair,
-    transpose,
     zero_correspondence,
 )
 from .errors import (
@@ -39,8 +38,8 @@ class ProjectorSet:
 
     `complete` is a claim (sum equals the diagonal) recorded by the
     constructor, not inferred; `remainder_indices` marks the members
-    that were produced by subtracting the rest from the diagonal, and
-    must name members; `report` holds the latest verification result.
+    that complete the others to the diagonal, and must name members;
+    `report` holds the latest verification result.
     """
 
     __slots__ = ("ring", "projectors", "complete", "remainder_indices", "report")
@@ -98,41 +97,47 @@ class ProjectorSet:
         return f"<{type(self).__name__} indices={list(self.indices())}{tail}>"
 
 
-def coevaluation_projector(X, p):
-    """The projector onto degree p: sum over the degree-p basis of
-    (dual class) x (basis class). Basis-independent; acts as the
-    identity on degree p and as zero elsewhere."""
-    terms = {}
-    idx = X.degree_indices(p)
-    duals = X.dual_basis(p)
-    for pos, i in enumerate(idx):
-        for j, c in duals[pos].coeffs.items():
-            key = (j, i)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return CorrespondenceClass(X, X, 0, terms)
+def _components(delta, basis):
+    """A diagonal's terms grouped by the degree of their target class
+    (the second index of a term key), {degree: terms}. By the dual-basis
+    identity these are orthogonal idempotents summing to the diagonal."""
+    groups = {}
+    for key, c in delta.terms.items():
+        groups.setdefault(basis[key[1]][1], {})[key] = c
+    return groups
 
 
-def algebraic_projectors(X, m=None, algebraic_degrees=None):
-    """Projectors for every even degree up to the cutoff `m` (default:
-    the dimension), mirrored to the complementary range by transpose.
-
-    Each requested degree must carry a nondegenerate pairing block
-    (guaranteed for validly constructed rings); odd degrees up to the
-    cutoff must have rank zero, else OddRankObstruction. The optional
-    `algebraic_degrees` restricts which even degrees are split off,
-    producing a partial (incomplete) set. The result is passed through
-    `gram_schmidt_orthogonalize` and marked complete exactly when the
-    members sum to the diagonal.
-    """
-    d = X.dim
-    top = 2 * d
-    if m is None:
-        m = d
+def _require_even_ranks(X, m):
     for t in X.degrees():
         if t % 2 and t <= m and X.rank(t) > 0:
             raise OddRankObstruction(
                 f"degree {t} has rank {X.rank(t)} but lies below the cutoff {m}"
             )
+
+
+def coevaluation_projector(X, p):
+    """The projector onto degree p: the component of the diagonal whose
+    target class has degree p, i.e. the sum over the degree-p basis of
+    (dual class) x (basis class). Basis-independent; acts as the
+    identity on degree p and as zero elsewhere."""
+    delta = diagonal(X)
+    return delta._with_terms(_components(delta, X.basis).get(p, {}))
+
+
+def algebraic_projectors(X, m=None, algebraic_degrees=None):
+    """The diagonal's components for every even degree up to the cutoff
+    `m` (default: the dimension) and for the complementary degrees.
+
+    Odd degrees up to the cutoff must have rank zero, else
+    OddRankObstruction. The optional `algebraic_degrees` restricts which
+    even degrees are split off, producing a partial (incomplete) set.
+    The set is marked complete exactly when it holds every component of
+    the diagonal, i.e. when its members sum to the diagonal.
+    """
+    top = 2 * X.dim
+    if m is None:
+        m = X.dim
+    _require_even_ranks(X, m)
     if algebraic_degrees is None:
         wanted = [t for t in X.degrees() if t % 2 == 0 and t <= m]
     else:
@@ -145,22 +150,13 @@ def algebraic_projectors(X, m=None, algebraic_degrees=None):
                 raise ValueError(f"requested degree {t} outside [0, {top}]")
             if t <= m:
                 wanted.append(t)
-    projs = {}
-    for t in sorted(wanted):
-        if t in projs or X.rank(t) == 0:
-            continue
-        lower = min(t, top - t)
-        pi = coevaluation_projector(X, lower)
-        projs[lower] = pi
-        if top - lower != lower:
-            projs[top - lower] = transpose(pi)
-    order = sorted(projs)
-    ortho = gram_schmidt_orthogonalize([projs[i] for i in order])
-    projs = dict(zip(order, ortho))
-    total = zero_correspondence(X, X, 0)
-    for p in projs.values():
-        total = total + p
-    return ProjectorSet(X, projs, complete=(total == diagonal(X)))
+    delta = diagonal(X)
+    groups = _components(delta, X.basis)
+    projs = {
+        p: delta._with_terms(groups[p])
+        for t in wanted for p in (t, top - t) if p in groups
+    }
+    return ProjectorSet(X, projs, complete=len(projs) == len(groups))
 
 
 def remainder_projector(X, partial):
@@ -190,17 +186,17 @@ def remainder_projector(X, partial):
 
 
 def full_projectors(X):
-    """The complete decomposition: algebraic projectors for all degrees
-    strictly below the middle (and their mirrors), with the middle
-    produced as the remainder. The middle index is always present, even
-    when its projector is zero."""
+    """The complete decomposition: one member per component of the
+    diagonal. Odd degrees strictly below the middle must have rank zero
+    (OddRankObstruction otherwise); the middle member, whatever its
+    parity, is always present, even when zero, and is the set's
+    remainder index."""
     d = X.dim
-    partial = (
-        algebraic_projectors(X, m=d - 1) if d > 0 else ProjectorSet(X, {})
-    )
-    rem = remainder_projector(X, partial)
-    projs = dict(partial.projectors)
-    projs[d] = rem
+    _require_even_ranks(X, d - 1)
+    delta = diagonal(X)
+    groups = _components(delta, X.basis)
+    groups.setdefault(d, {})
+    projs = {p: delta._with_terms(terms) for p, terms in groups.items()}
     return ProjectorSet(X, projs, complete=True, remainder_indices={d})
 
 
@@ -338,10 +334,10 @@ def verify_ck(P):
     entries {check, indices, pass, residual_class?}) and stores it on
     the set. Graded-action residuals are classes, listed by label."""
     X = P.ring
+    vectors = [X.basis_vector(k) for k in range(len(X.basis))]
 
     def action_rows(i, p):
-        for k, (label, degree) in enumerate(X.basis):
-            e = X.basis_vector(k)
+        for (label, degree), e in zip(X.basis, vectors):
             residual = act(p, e) - e if degree == i else act(p, e)
             rows = sorted(residual.label_dict().items())
             yield label, [[lab, str(c)] for lab, c in rows]

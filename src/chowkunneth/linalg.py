@@ -34,50 +34,17 @@ def transpose(a):
     return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
-def solve(a, rhs_cols):
-    """Solve a @ X = B for square a; B given as a matrix of columns stacked
-    row-wise (same row count as a). Returns X, or None if a is singular."""
-    n = len(a)
-    if n == 0:
-        return ()
-    width = len(rhs_cols[0])
-    aug = [list(a[i]) + list(rhs_cols[i]) for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        row += 1
-    return tuple(tuple(aug[i][n : n + width]) for i in range(n))
-
-
-def inverse(a):
-    return solve(a, identity(len(a)))
-
-
-def rank(a):
-    if not a or not a[0]:
-        return 0
-    rows = [list(r) for r in a]
-    n, m = len(rows), len(rows[0])
+def _eliminate(rows, ncols):
+    """Gauss-Jordan elimination in place on the first `ncols` columns of
+    the row lists `rows`: each pivot is the first nonzero entry at or
+    below the current row, scaled to 1 and cleared from every other
+    row. Returns the number of pivots (the rank of those columns)."""
+    n = len(rows)
     rk = 0
-    for col in range(m):
-        piv = None
-        for r in range(rk, n):
-            if rows[r][col] != 0:
-                piv = r
-                break
+    for col in range(ncols):
+        if rk == n:
+            break
+        piv = next((r for r in range(rk, n) if rows[r][col] != 0), None)
         if piv is None:
             continue
         rows[rk], rows[piv] = rows[piv], rows[rk]
@@ -88,6 +55,26 @@ def rank(a):
                 f = rows[r][col]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rk])]
         rk += 1
-        if rk == n:
-            break
     return rk
+
+
+def solve(a, rhs_cols):
+    """Solve a @ X = B for square a; B given as a matrix of columns stacked
+    row-wise (same row count as a). Returns X, or None if a is singular."""
+    n = len(a)
+    if n == 0:
+        return ()
+    aug = [list(a[i]) + list(rhs_cols[i]) for i in range(n)]
+    if _eliminate(aug, n) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def inverse(a):
+    return solve(a, identity(len(a)))
+
+
+def rank(a):
+    if not a or not a[0]:
+        return 0
+    return _eliminate([list(r) for r in a], len(a[0]))

@@ -7,9 +7,11 @@ lifted families were folded onto one set type, one report loop and one
 document codec, the blow-up cases before the blow-up ring was
 assembled from structure tables, and the three-factor product and the
 E x E diagonal before product rings were folded from the factors'
-tables, and the G(3,6) and G(2,5) x P^2 cases before Schubert tables
-were filled by Pieri recursion; any change to a report, a document or
-an exit code shows up here as a changed digest.
+tables, the G(3,6) and G(2,5) x P^2 cases before Schubert tables
+were filled by Pieri recursion, and the plane cubic E (odd middle) and
+P^0 cases before projector sets were built by grouping the diagonal;
+any change to a report, a document or an exit code shows up here as a
+changed digest.
 
 To re-record after an intended change of output, run this file as a
 script: it prints the digest table.
@@ -28,6 +30,7 @@ P3 = {"kind": "projective_space", "n": 3}
 G24 = {"kind": "grassmannian", "k": 2, "n": 4}
 G36 = {"kind": "grassmannian", "k": 3, "n": 6}
 P1 = {"kind": "projective_space", "n": 1}
+P0 = {"kind": "projective_space", "n": 0}
 P1xP2 = {"kind": "product", "factors": [P1, P2]}
 P1xP1xP2 = {"kind": "product", "factors": [P1, P1, P2]}
 G25xP2 = {"kind": "product", "factors": [{"kind": "grassmannian", "k": 2, "n": 5}, P2]}
@@ -75,6 +78,8 @@ SPACES = {
     "cubic_threefold": CUBIC_THREEFOLD,
     "plane_cubics": PLANE_CUBICS,
     "blowup_line": BL_LINE,
+    "E": PLANE_CUBIC,
+    "P0": P0,
 }
 
 
@@ -175,6 +180,8 @@ GOLDEN = {
     'projectors-cubic_threefold': '7b1dfbedfa6df8f4665aaff5ccb8c79723c2b12b70c52474f77ea2ce3a14822e',
     'projectors-plane_cubics': 'd06a23491d1e2ded683b60b67b1ef773f8464be608fdeaa170cc13966f4111c6',
     'projectors-blowup_line': 'd4308f1a3c3bd78bba442d713854ca10da6b1ea8a2eccbaf571d443e78c448d4',
+    'projectors-E': '62fd592c6e14b580447ae4351333cce56db664520e6dc1208e820ba729cb981b',
+    'projectors-P0': 'dc4424aab94599bb65d9f9fc440b6678de5cc93c9cb73ef857d2891e233e34ff',
     'verify-P2': 'acbfe283bf98a6f38a78719c95f1c8e67fd267033eeda2f2a1bec765e9e6f6c4',
     'verify-P1xP2': '6b3e37a4710a0fb19de97d7b921b87735a763d345d88ec12b9fe9e438baffbf4',
     'verify-plane_cubics': '8eabc3e4b90cc4f091a989f32aed0e868099b660b4066bb031ab74b6a0851770',

@@ -388,6 +388,137 @@ def test_orthogonalization_preserves_graded_image_rank():
         assert any(not v.is_zero() for v in images)
 
 
+# -- construction oracle ------------------------------------------------------------------
+#
+# The projector sets used to be built in stages: a dual-basis loop per
+# degree, transposes for the upper degrees, a Gram-Schmidt pass and the
+# middle as the remainder of the diagonal. That construction is kept
+# here as the oracle for the grouping of the diagonal that replaced it.
+
+
+def oracle_coevaluation(X, p):
+    terms = {}
+    duals = X.dual_basis(p)
+    for pos, i in enumerate(X.degree_indices(p)):
+        for j, c in duals[pos].coeffs.items():
+            terms[(j, i)] = terms.get((j, i), Fraction(0)) + c
+    return CorrespondenceClass(X, X, 0, terms)
+
+
+def oracle_algebraic(X, m=None, algebraic_degrees=None):
+    top = 2 * X.dim
+    m = X.dim if m is None else m
+    for t in X.degrees():
+        if t % 2 and t <= m and X.rank(t) > 0:
+            raise OddRankObstruction(
+                f"degree {t} has rank {X.rank(t)} but lies below the cutoff {m}"
+            )
+    if algebraic_degrees is None:
+        wanted = [t for t in X.degrees() if t % 2 == 0 and t <= m]
+    else:
+        wanted = [t for t in algebraic_degrees if t <= m]
+    projs = {}
+    for t in sorted(wanted):
+        if t in projs or X.rank(t) == 0:
+            continue
+        lower = min(t, top - t)
+        pi = oracle_coevaluation(X, lower)
+        projs[lower] = pi
+        if top - lower != lower:
+            projs[top - lower] = transpose(pi)
+    order = sorted(projs)
+    projs = dict(zip(order, gram_schmidt_orthogonalize([projs[i] for i in order])))
+    total = zero_correspondence(X, X, 0)
+    for p in projs.values():
+        total = total + p
+    return ProjectorSet(X, projs, complete=(total == diagonal(X)))
+
+
+def oracle_full(X):
+    d = X.dim
+    partial = oracle_algebraic(X, m=d - 1) if d > 0 else ProjectorSet(X, {})
+    projs = dict(partial.projectors)
+    projs[d] = remainder_projector(X, partial)
+    return ProjectorSet(X, projs, complete=True, remainder_indices={d})
+
+
+def outcome(build, *args, **kwargs):
+    """The built set, or the type and message of the error raised."""
+    try:
+        return build(*args, **kwargs)
+    except OddRankObstruction as exc:
+        return OddRankObstruction, str(exc)
+
+
+def assert_construction_matches_oracle(name, X):
+    for p in range(2 * X.dim + 1):
+        assert coevaluation_projector(X, p) == oracle_coevaluation(X, p), (name, p)
+    assert outcome(full_projectors, X) == outcome(oracle_full, X), name
+    for kwargs in ({}, {"m": X.dim - 1}, {"algebraic_degrees": [0]}):
+        got = outcome(algebraic_projectors, X, **kwargs)
+        assert got == outcome(oracle_algebraic, X, **kwargs), (name, kwargs)
+
+
+def oracle_rings():
+    from test_golden_outputs import SPACES
+
+    # an antisymmetric middle pairing other than the default one
+    pairing = [[0] * 10 for _ in range(10)]
+    for k in range(5):
+        pairing[2 * k][2 * k + 1], pairing[2 * k + 1][2 * k] = k + 1, -(k + 1)
+    pairing[0][2], pairing[2][0] = 1, -1
+    rings = {name: spaces.build_space(spec) for name, spec in SPACES.items()}
+    rings.update({
+        "G(4,8)": spaces.grassmannian(4, 8),
+        "curves(8)": spaces.plane_curve_family(8),
+        "G(3,6)xP1": spaces.product_space(
+            spaces.grassmannian(3, 6), spaces.projective_space(1)
+        ),
+        "P20": spaces.projective_space(20),
+        "cubic threefold, supplied pairing": spaces.ci_model(
+            spaces.projective_space(4), {"h": 3}, 10, middle_pairing=pairing
+        ),
+    })
+    return rings
+
+
+def test_construction_matches_the_staged_oracle():
+    rings = oracle_rings()
+    assert {"E", "P0"} <= set(rings)
+    for name, X in rings.items():
+        assert_construction_matches_oracle(name, X)
+
+
+def test_odd_rank_obstruction_message_unchanged():
+    E = cubic_curve()
+    for X, rank in ((spaces.product_space(E, spaces.projective_space(1)), 2),
+                    (spaces.product_space(E, E), 4)):
+        want = (OddRankObstruction, f"degree 1 has rank {rank} but lies below the cutoff 1")
+        assert outcome(full_projectors, X) == outcome(oracle_full, X) == want
+
+
+def test_full_projectors_group_one_diagonal_without_composing(monkeypatch):
+    from chowkunneth import kunneth
+
+    X = spaces.product_space(spaces.grassmannian(3, 6), spaces.projective_space(1))
+    calls = {"compose": 0, "diagonal": 0}
+
+    def counted(name):
+        inner = getattr(kunneth, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kunneth, name, counted(name))
+    P = full_projectors(X)
+    assert calls == {"compose": 0, "diagonal": 1}
+    assert P == oracle_full(X)
+
+
 # -- verification reports --------------------------------------------------------------
 
 
