@@ -57,14 +57,20 @@ __all__ = ["main"]
 # -- shared plumbing -----------------------------------------------------------
 
 
+def _inline_json(text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"{what} is not well-formed JSON: {exc}")
+    except RecursionError:
+        raise InvalidSpec(f"{what} is nested too deeply to read")
+
+
 def _spec_arg(text):
     """A space description: inline JSON object or a file path."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        try:
-            return json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"inline description is not well-formed JSON: {exc}")
+        return _inline_json(stripped, "inline description")
     return serialize.read_document(text)
 
 
@@ -83,21 +89,16 @@ def _int_csv(text, flag):
     return out
 
 
-def _report_wrapper(checks):
-    return {"pass": all(e["pass"] for e in checks), "checks": checks}
-
-
-def _residual_text(residual):
+def _residual_text(entry):
+    """An entry's residual rows as text: `(c) label[ monomial]` for the
+    class rows of a graded-action entry (it names its `basis_class`),
+    `(c) a x b[ monomial]` for correspondence rows; a unit monomial is
+    not printed."""
+    width = 1 if "basis_class" in entry else 2
     parts = []
-    for item in residual:
-        labels, c = item[:-1], item[-1]
-        if len(labels) == 1:
-            parts.append(f"({c}) {labels[0]}")
-        elif len(labels) == 2:
-            parts.append(f"({c}) {labels[0]} x {labels[1]}")
-        else:
-            mono = "" if labels[2] == "1" else f" {labels[2]}"
-            parts.append(f"({c}) {labels[0]} x {labels[1]}{mono}")
+    for *labels, c in entry["residual_class"]:
+        mono = "".join(f" {m}" for m in labels[width:] if m != "1")
+        parts.append(f"({c}) {' x '.join(labels[:width])}{mono}")
     return " + ".join(parts)
 
 
@@ -113,7 +114,7 @@ def _print_checks(checks):
         print(line)
         if not e["pass"]:
             if "residual_class" in e:
-                print("  residual: " + _residual_text(e["residual_class"]))
+                print("  residual: " + _residual_text(e))
             if "detail" in e:
                 print("  " + e["detail"])
     passed = sum(1 for e in checks if e["pass"])
@@ -126,11 +127,16 @@ def _write_out(args, doc):
         serialize.write_document(out, doc)
 
 
-def _finish_verified(args, doc, checks):
-    doc["report"] = _report_wrapper(checks)
+def _finish(args, checks, doc=None):
+    """Print the checks, write the report {pass, checks} to --out, under
+    `doc`'s "report" field when a document is given, and return the exit
+    code: 0 when every check passed, else 1."""
+    report = {"pass": all(e["pass"] for e in checks), "checks": checks}
+    if doc is not None:
+        doc["report"] = report
     _print_checks(checks)
-    _write_out(args, doc)
-    return 0 if doc["report"]["pass"] else 1
+    _write_out(args, report if doc is None else doc)
+    return 0 if report["pass"] else 1
 
 
 def _group_from_flags(args):
@@ -207,7 +213,7 @@ def _cmd_projectors(args):
         + (f"; remainder at {sorted(P.remainder_indices)}" if P.remainder_indices else "")
     )
     if args.verify:
-        return _finish_verified(args, doc, verify_ck(P))
+        return _finish(args, verify_ck(P), doc)
     _write_out(args, doc)
     return 0
 
@@ -215,10 +221,7 @@ def _cmd_projectors(args):
 def _cmd_verify(args):
     P = _load_set(args.input)
     lifted = isinstance(P, EquivariantProjectorFamily)
-    checks = verify_equivariant(P) if lifted else verify_ck(P)
-    _print_checks(checks)
-    _write_out(args, _report_wrapper(checks))
-    return 0 if all(e["pass"] for e in checks) else 1
+    return _finish(args, verify_equivariant(P) if lifted else verify_ck(P))
 
 
 def _cmd_compose(args):
@@ -246,10 +249,7 @@ def _cmd_act(args):
     raw = args.argument.strip()
     try:
         if raw.startswith("{"):
-            try:
-                coeffs = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpec(f"--argument is not well-formed JSON: {exc}")
+            coeffs = _inline_json(raw, "--argument")
             if not isinstance(coeffs, dict) or not coeffs:
                 raise InvalidSpec("--argument must be a nonempty label -> coefficient object")
             vec = None
@@ -301,7 +301,7 @@ def _cmd_lift(args):
         f"lifted {len(family.indices())} projectors into the bound-{model.N} model"
     )
     if args.verify:
-        return _finish_verified(args, doc, verify_equivariant(family))
+        return _finish(args, verify_equivariant(family), doc)
     _write_out(args, doc)
     return 0
 
@@ -315,16 +315,9 @@ def _cmd_stabilize(args):
     if not 0 <= args.degrees <= args.n1 <= args.n2:
         raise InvalidSpec("bounds must satisfy 0 <= degrees <= n1 <= n2")
     ok = stabilization_check(ring, group, P, args.degrees, args.n1, args.n2)
-    checks = [
-        {
-            "check": "stabilization",
-            "indices": [args.degrees, args.n1, args.n2],
-            "pass": ok,
-        }
-    ]
-    _print_checks(checks)
-    _write_out(args, _report_wrapper(checks))
-    return 0 if ok else 1
+    return _finish(args, [
+        {"check": "stabilization", "indices": [args.degrees, args.n1, args.n2], "pass": ok}
+    ])
 
 
 def _cmd_restrict(args):
@@ -338,7 +331,7 @@ def _cmd_restrict(args):
         print("transported the set along the primitive-middle-killing surjection")
     out_doc = serialize.projector_set_document(restricted)
     if args.verify:
-        return _finish_verified(args, out_doc, verify_ck(restricted))
+        return _finish(args, verify_ck(restricted), out_doc)
     _write_out(args, out_doc)
     return 0
 
@@ -498,13 +491,6 @@ def build_parser():
     return parser
 
 
-def _math_failure(args, name, exc):
-    checks = [{"check": name, "indices": [], "pass": False, "detail": str(exc)}]
-    _print_checks(checks)
-    _write_out(args, _report_wrapper(checks))
-    return 1
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -513,14 +499,16 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegeneratePairing as exc:
-        return _math_failure(args, "pairing_nondegeneracy", exc)
+        failed = "pairing_nondegeneracy", str(exc)
     except RingAxiomError as exc:
-        return _math_failure(args, exc.check, exc)
+        failed = exc.check, str(exc)
     except NonLefschetzRange as exc:
-        return _math_failure(args, "lefschetz_range", exc)
+        failed = "lefschetz_range", str(exc)
     except ChowKunnethError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    name, detail = failed
+    return _finish(args, [{"check": name, "indices": [], "pass": False, "detail": detail}])
 
 
 if __name__ == "__main__":

@@ -154,7 +154,7 @@ class EquivariantModel:
     the diagonal is the divided difference of product(h + w_i t).
     """
 
-    __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_partners", "_scaled")
+    __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_scaled")
 
     def __init__(self, base, group, N, weights=None):
         N = int(N)
@@ -165,7 +165,7 @@ class EquivariantModel:
         self.N = N
         self.weights = None if weights is None else tuple(int(w) for w in weights)
         self.bg = bg_ring(group, N)
-        self._chern = self._segre = self._partners = self._scaled = None
+        self._chern = self._segre = self._scaled = None
         if self.weights is not None:
             e = [1]
             for w in self.weights:
@@ -198,29 +198,30 @@ class EquivariantModel:
         return {(s,): self._segre[s]}
 
     def pairing_partners(self, j):
-        """All (k, polynomial) with nonzero `pair_poly(j, k)`, from a
-        table built once per model. A pair can only be nonzero when its
-        parameter degree deg e_a + deg e_k - 2 dim lies in [0, N], so
-        no other pair is computed."""
-        if self._partners is None:
-            degree = [d for _, d in self.base.basis]
-            low, high = 2 * self.dim, 2 * self.dim + self.N
-            table = []
-            for a, da in enumerate(degree):
-                row = []
-                for k, dk in enumerate(degree):
-                    if low <= da + dk <= high:
-                        poly = self.pair_poly(a, k)
-                        if poly:
-                            row.append((k, poly))
-                table.append(tuple(row))
-            self._partners = table
-        return self._partners[j]
+        """All (k, polynomial) with nonzero `pair_poly(j, k)`, in basis
+        order of k: the `Fraction` view of the model's one partner
+        table (`_integer_partners`)."""
+        scale, rows = self._integer_partners()
+        return tuple((k, {m: Fraction(v, scale) for m, v in poly}) for k, poly in rows[j])
 
     def _integer_partners(self):
-        """(L, rows): `pairing_partners(j)` per j, each value v as the int L * v."""
+        """(L, rows): the model's partner table, built once. Row j lists
+        (k, [(monomial, L * value)]) for every nonzero `pair_poly(j, k)`,
+        L the lcm of the values' denominators. A trivial model reads the
+        base ring's partners at the unit monomial. A weighted pair can
+        only be nonzero when its parameter degree deg e_j + deg e_k -
+        2 dim lies in [0, N], so no other pair is computed."""
         if self._scaled is None:
-            rows = [self.pairing_partners(j) for j in range(len(self.base.basis))]
+            if self.weights is None:
+                unit = self.bg.unit_mono
+                rows = [[(k, {unit: v}) for k, v in self.base.pairing_partners(j)]
+                        for j in range(len(self.base.basis))]
+            else:
+                degree = [d for _, d in self.base.basis]
+                low, high = 2 * self.dim, 2 * self.dim + self.N
+                rows = [[(k, poly) for k, dk in enumerate(degree)
+                         if low <= dj + dk <= high and (poly := self.pair_poly(j, k))]
+                        for j, dj in enumerate(degree)]
             scale, nums = _integer_scaled(v for r in rows for _, p in r for v in p.values())
             self._scaled = scale, [[(k, [(m, next(nums)) for m in p]) for k, p in r] for r in rows]
         return self._scaled

@@ -340,14 +340,12 @@ def run_ring_checks(dim, basis, structure, integration):
     for i, d in enumerate(deg):
         by_degree.setdefault(d, []).append(i)
 
-    def integral(i, j):
-        total = Fraction(0)
-        for k, c in prod(i, j).items():
-            total += c * integration.get(k, Fraction(0))
-        return total
-
+    # Each block of degrees p <= q = 2*dim - p is integrated once. Its
+    # nonzero entries fill the pairing table in both orientations: by
+    # graded commutativity the block of (q, p) is its transpose times
+    # (-1)^(p*q), and p, q have the same parity.
     ok, detail = True, ""
-    inverses = {}
+    pairing, inverses = {}, {}
     for p, rows in sorted(by_degree.items()):
         q = top - p
         if q < p and q in by_degree:
@@ -357,7 +355,16 @@ def run_ring_checks(dim, basis, structure, integration):
             ok = False
             detail = f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
             break
-        inverses[p] = linalg.inverse(linalg.mat([[integral(i, j) for j in cols] for i in rows]))
+        block = [[sum((c * integration.get(k, 0) for k, c in prod(i, j).items()), Fraction(0))
+                  for j in cols] for i in rows]
+        sign = -1 if p % 2 else 1
+        for i, values in zip(rows, block):
+            for j, v in zip(cols, values):
+                if v:
+                    pairing[i, j] = v
+                    if p < q:
+                        pairing[j, i] = sign * v
+        inverses[p] = linalg.inverse(linalg.mat(block))
         if inverses[p] is None:
             ok, detail = False, f"pairing block between degrees {p} and {q} is singular"
             break
@@ -365,22 +372,31 @@ def run_ring_checks(dim, basis, structure, integration):
     if ok and missing:
         ok = False
         detail = f"degree {missing[0]} has no complementary degree {top - missing[0]}"
-    yield _PairingVerdict(ok, detail, inverses)
+    yield _PairingVerdict(ok, detail, pairing, inverses)
 
 
 class _PairingVerdict(tuple):
     """The pairing check's ("pairing_nondegeneracy", ok, detail), which
-    also hands its block inverses to the ring under construction:
-    `inverses[p]` inverts the block of degrees p <= 2*dim - p."""
+    also hands the ring under construction what the check computed: the
+    table `pairing` {(i, j): integral of e_i * e_j} of every nonzero
+    integral, in both orientations, and the block inverses, `inverses[p]`
+    inverting the block of degrees p <= 2*dim - p."""
 
-    def __new__(cls, ok, detail, inverses):
+    def __new__(cls, ok, detail, pairing, inverses):
         verdict = super().__new__(cls, ("pairing_nondegeneracy", ok, detail))
+        verdict.pairing = pairing
         verdict.inverses = inverses
         return verdict
 
 
 class GradedBasisRing:
     """Immutable graded ring with basis, products, integration, pairing.
+
+    The pairing is the one table of nonzero integrals of e_i * e_j that
+    the `pairing_nondegeneracy` check fills while proving it
+    nondegenerate; `pair_basis` and `pairing_partners` read that table,
+    `dual_basis` reads the inverses of its blocks that the check made,
+    and `pairing_matrix` builds a block from the table on demand.
 
     Parameters
     ----------
@@ -398,7 +414,7 @@ class GradedBasisRing:
     """
 
     __slots__ = ("dim", "basis", "structure", "integration", "space", "parts",
-                 "label_index", "_by_degree", "_inverses", "_blocks", "_pairings")
+                 "label_index", "_by_degree", "_integrals", "_partners", "_inverses")
 
     def __init__(self, dim, basis, structure, integration, space=None, parts=None):
         self.dim = int(dim)
@@ -417,15 +433,17 @@ class GradedBasisRing:
                 if name == "pairing_nondegeneracy":
                     raise DegeneratePairing(detail)
                 raise RingAxiomError(name, detail)
-        self._inverses = verdict.inverses
+        self._integrals, self._inverses = verdict.pairing, verdict.inverses
+        partners = [[] for _ in self.basis]
+        for (i, j), v in sorted(self._integrals.items()):
+            partners[i].append((j, v))
+        self._partners = tuple(map(tuple, partners))
 
         self.label_index = {l: i for i, (l, _) in enumerate(self.basis)}
         self._by_degree = {}
         for i, (_, d) in enumerate(self.basis):
             self._by_degree.setdefault(d, []).append(i)
         self._by_degree = {d: tuple(v) for d, v in self._by_degree.items()}
-        self._blocks = {}
-        self._pairings = None
 
     # -- identity ---------------------------------------------------------
 
@@ -521,70 +539,44 @@ class GradedBasisRing:
             Fraction(0),
         )
 
-    def _pairing(self):
-        """The nonzero integrals of e_a * e_b, computed once per ring:
-        keyed (a, b), and as partner lists keyed a."""
-        if self._pairings is None:
-            values, partners = {}, {}
-            top = self.top_degree
-            for (a, b), prod in self.structure.items():
-                if self.basis[a][1] + self.basis[b][1] != top:
-                    continue
-                val = sum(
-                    (c * self.integration.get(k, Fraction(0)) for k, c in prod.items()),
-                    Fraction(0),
-                )
-                if val != 0:
-                    values[(a, b)] = val
-                    partners.setdefault(a, []).append((b, val))
-            self._pairings = (values, {a: tuple(v) for a, v in partners.items()})
-        return self._pairings
-
     def pair_basis(self, i, j):
         """Integral of e_i * e_j."""
-        return self._pairing()[0].get((i, j), Fraction(0))
+        return self._integrals.get((i, j), Fraction(0))
 
     def pairing_partners(self, j):
-        """All (k, value) with nonzero integral of e_j * e_k."""
-        return self._pairing()[1].get(j, ())
-
-    def _block(self, p):
-        """The pairing block of degree p and its dual basis, from the
-        inverse that construction made of the block of degrees (p, q),
-        q = 2*dim - p, or for p > q of the block of (q, p): that block
-        is this one transposed and times (-1)^(p*q), and so is its
-        inverse."""
-        if p not in self._blocks:
-            q = self.top_degree - p
-            rows = self.degree_indices(p)
-            cols = self.degree_indices(q)
-            pm = PairingMatrix(
-                p,
-                q,
-                [self.basis[i][0] for i in rows],
-                [self.basis[j][0] for j in cols],
-                [[self.pair_basis(i, j) for j in cols] for i in rows],
-            )
-            if p <= q:
-                inv = self._inverses.get(p, ())
-            else:
-                sign = -1 if p % 2 else 1
-                inv = [[sign * c for c in col] for col in zip(*self._inverses.get(q, ()))]
-            duals = tuple(
-                ClassVector(self, q, {cols[k]: inv[k][j] for k in range(len(cols))})
-                for j in range(len(rows))
-            )
-            self._blocks[p] = (pm, duals)
-        return self._blocks[p]
+        """All (k, value) with nonzero integral of e_j * e_k, in basis
+        order of k."""
+        return self._partners[j]
 
     def pairing_matrix(self, p):
         """Pairing block between degree p and degree 2*dim - p."""
-        return self._block(p)[0]
+        q = self.top_degree - p
+        rows, cols = self.degree_indices(p), self.degree_indices(q)
+        return PairingMatrix(
+            p,
+            q,
+            [self.basis[i][0] for i in rows],
+            [self.basis[j][0] for j in cols],
+            [[self.pair_basis(i, j) for j in cols] for i in rows],
+        )
 
     def dual_basis(self, p):
         """Classes (ê_j) in degree 2*dim - p with ∫ e_i · ê_j = δ_ij,
-        indexed like the degree-p basis."""
-        return self._block(p)[1]
+        indexed like the degree-p basis: from the inverse that
+        construction made of the block of degrees (p, q), q = 2*dim - p,
+        or for p > q of the block of (q, p), which is this one
+        transposed and times (-1)^(p*q), and so is its inverse."""
+        q = self.top_degree - p
+        rows, cols = self.degree_indices(p), self.degree_indices(q)
+        if p <= q:
+            inv = self._inverses.get(p, ())
+        else:
+            sign = -1 if p % 2 else 1
+            inv = [[sign * c for c in col] for col in zip(*self._inverses.get(q, ()))]
+        return tuple(
+            ClassVector(self, q, {cols[k]: inv[k][j] for k in range(len(cols))})
+            for j in range(len(rows))
+        )
 
     def point(self):
         """The degree-2*dim class integrating to 1."""

@@ -39,13 +39,13 @@ class ProjectorSet:
     `complete` is a claim (sum equals the diagonal) recorded by the
     constructor, not inferred; `remainder_indices` marks the members
     that complete the others to the diagonal, and must name members;
-    `report` holds the latest verification result.
+    `report` holds the latest verification result, None until the set
+    is verified.
     """
 
     __slots__ = ("ring", "projectors", "complete", "remainder_indices", "report")
 
-    def __init__(self, ring, projectors, complete=False,
-                 remainder_indices=(), report=None):
+    def __init__(self, ring, projectors, complete=False, remainder_indices=()):
         self.ring = ring
         top = 2 * ring.dim
         projs = {}
@@ -69,7 +69,7 @@ class ProjectorSet:
         stray = sorted(self.remainder_indices - set(projs))
         if stray:
             raise ValueError(f"remainder index {stray[0]} is not a member index")
-        self.report = report
+        self.report = None
 
     def indices(self):
         return tuple(sorted(self.projectors))
@@ -204,7 +204,8 @@ def hypersurface_projectors(n, d, middle_rank):
     """Closed-form decomposition for a degree-d hypersurface model in
     P^n: away from the middle, the projector in degree 2r is
     (1/d) * H^(n-1-r) x H^r for the restricted hyperplane class H; the
-    middle is the remainder."""
+    middle is the diagonal's component in the middle degree, which
+    completes the others to the diagonal (the set's remainder index)."""
     from .spaces import hypersurface_model
 
     X = hypersurface_model(n, d, middle_rank)
@@ -219,8 +220,7 @@ def hypersurface_projectors(n, d, middle_rank):
         if 2 * r == dim:
             continue
         projs[2 * r] = from_pair(powers[dim - r], powers[r]).scale(Fraction(1, d))
-    partial = ProjectorSet(X, projs)
-    projs[dim] = remainder_projector(X, partial)
+    projs[dim] = coevaluation_projector(X, dim)
     return ProjectorSet(X, projs, complete=True, remainder_indices={dim})
 
 

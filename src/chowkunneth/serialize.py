@@ -83,8 +83,12 @@ def read_document(path):
             return json.load(handle)
     except OSError as exc:
         raise InvalidSpec(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidSpec(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{path} is not well-formed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidSpec(f"{path} is nested too deeply to read") from exc
 
 
 def _require(doc, field, where):

@@ -233,6 +233,55 @@ def test_verify_missing_file_exits_2(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_verify_lifted_family_prints_class_residuals(capsys, tmp_path):
+    family = tmp_path / "family.json"
+    run(capsys, "lift", "--space", P2, "--weights", "0,1,3", "--bound", "8",
+        "--out", str(family))
+    doc = read(family)
+    for entry in doc["projectors"]:
+        if entry["index"] == 2:
+            for term in entry["terms"]:
+                term[-1] = str(9 * int(term[-1]))
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc), encoding="utf-8")
+    code, text, _ = run(capsys, "verify", str(broken))
+    assert code == 1
+    # graded-action rows are classes, idempotence rows correspondences
+    assert "FAIL graded_action [2] on h\n  residual: (8) h\n" in text
+    assert "  residual: (288) 1 x h t + (72) h x h\n" in text
+
+
+NON_UTF8 = b"\xff\xfe{}"
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
+
+
+@pytest.mark.parametrize("content", [NON_UTF8, DEEP_LIST.encode(), DEEP_OBJECT.encode()],
+                         ids=["non-UTF-8", "list nested 100000 deep", "object nested 100000 deep"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "DOC"],
+    ["build", "--space", "DOC"],
+    ["compose", "DOC", "DOC"],
+], ids=["verify", "build", "compose"])
+def test_unreadable_document_exits_2(capsys, tmp_path, argv, content):
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(content)
+    code, text, err = run(capsys, *[str(doc) if a == "DOC" else a for a in argv])
+    assert code == 2 and text == ""
+    assert err.startswith(f"error: {doc} is ")
+
+
+def test_deeply_nested_inline_json_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "build", "--space", DEEP_OBJECT)
+    assert code == 2
+    assert err == "error: inline description is nested too deeply to read\n"
+    delta = tmp_path / "delta.json"
+    run(capsys, "diagonal", "--space", P1, "--out", str(delta))
+    code, _, err = run(capsys, "act", str(delta), "--argument", DEEP_OBJECT)
+    assert code == 2
+    assert err == "error: --argument is nested too deeply to read\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Graded basis rings: axioms, pairing, duals, maps, tensor products."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,73 @@ def test_pair_basis_and_partners():
     assert ring.pair_basis(0, 1) == 0
     assert ring.pairing_partners(1) == ((1, Fraction(1)),)
     assert ring.pairing_partners(0) == ((2, Fraction(1)),)
+
+
+def oracle_pairing(ring):
+    """The nonzero integrals of e_a * e_b by a scan of the whole
+    structure table, as rings computed them before the pairing check
+    filled their table: the oracle for `pair_basis` and
+    `pairing_partners`."""
+    values = {}
+    for (a, b), prod in ring.structure.items():
+        if ring.basis[a][1] + ring.basis[b][1] != ring.top_degree:
+            continue
+        val = sum((c * ring.integration.get(k, Fraction(0)) for k, c in prod.items()),
+                  Fraction(0))
+        if val != 0:
+            values[(a, b)] = val
+    return values
+
+
+def pairing_oracle_rings():
+    from test_golden_outputs import SPACES
+
+    from chowkunneth import spaces
+
+    E = spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2)
+    rings = {name: spaces.build_space(spec) for name, spec in SPACES.items()}
+    rings.update({
+        "G(4,8)": spaces.grassmannian(4, 8),
+        "E": E,
+        "E x P1": spaces.product_space(E, spaces.projective_space(1)),
+        "E x E": spaces.product_space(E, E),
+        "curve x line": curve_times_line(),
+    })
+    return rings
+
+
+def test_pairing_table_matches_the_structure_scan():
+    for name, ring in pairing_oracle_rings().items():
+        want = oracle_pairing(ring)
+        n = len(ring.basis)
+        for j in range(n):
+            row = sorted((k, v) for (a, k), v in want.items() if a == j)
+            assert list(ring.pairing_partners(j)) == row, (name, j)
+        assert ring._integrals == want, name
+        for a, b in itertools.product(range(n), repeat=2):
+            assert ring.pair_basis(a, b) == want.get((a, b), 0), (name, a, b)
+
+
+def test_dual_bases_build_no_pairing_matrix(monkeypatch):
+    from chowkunneth import graded_ring
+    from chowkunneth.correspondences import diagonal
+
+    built = []
+    inner = graded_ring.PairingMatrix
+
+    def counted(*args):
+        built.append(args[:2])
+        return inner(*args)
+
+    monkeypatch.setattr(graded_ring, "PairingMatrix", counted)
+    for ring in (plane_ring(), curve_ring(), curve_times_line()):
+        for p in ring.degrees():
+            ring.dual_basis(p)
+        diagonal(ring)
+        ring.point()
+    assert built == []
+    assert curve_ring().pairing_matrix(1).row_labels == ("a", "b")
+    assert built == [(1, 1)]  # built on demand, through the patched name
 
 
 def test_pairing_matrix_shape_and_entries():

@@ -249,6 +249,22 @@ def test_hypersurface_remainder_orthogonal_and_idempotent():
                 assert compose(P.member(i), rem).is_zero()
 
 
+def test_hypersurface_projectors_make_no_composition(monkeypatch):
+    from chowkunneth import kunneth
+
+    calls = []
+    inner = kunneth.compose
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(kunneth, "compose", counted)
+    for n, d, r in [(3, 3, 7), (4, 3, 10), (4, 2, 0), (5, 2, 1)]:
+        hypersurface_projectors(n, d, r)
+    assert calls == []
+
+
 def test_quadric_threefold_middle_is_zero_but_stored():
     P = hypersurface_projectors(4, 2, 0)
     assert 3 in P.projectors and P.member(3).is_zero()
