@@ -20,9 +20,16 @@ class CorrespondenceClass:
     subclass with other term keys (the lifted correspondences of
     `equivariant`) shares them and supplies its own validation,
     composition and labels.
+
+    `terms` is never changed once built (the hash reads it); every sum,
+    multiple or subset is a new class. So two views of the terms are
+    built on first use and kept: the rows by source class
+    (`_by_source`) and the target factor contracted with the pairing
+    (`_contraction`), which `compose` and `act` join. A new class,
+    however made, starts with neither.
     """
 
-    __slots__ = ("source", "target", "shift", "terms")
+    __slots__ = ("source", "target", "shift", "terms", "_rows", "_contracted")
 
     def __init__(self, source, target, shift, terms):
         self.source = source
@@ -41,6 +48,7 @@ class CorrespondenceClass:
                 )
             clean[(i, j)] = c
         self.terms = clean
+        self._rows = self._contracted = None
 
     @property
     def degree(self):
@@ -77,7 +85,30 @@ class CorrespondenceClass:
         out = object.__new__(type(self))
         out.source, out.target, out.shift = self.source, self.target, self.shift
         out.terms = {k: c for k, c in terms.items() if c}
+        out._rows = out._contracted = None
         return out
+
+    def _by_source(self):
+        """{i: [(j, c)]}, the terms (i, j) -> c as rows by source class."""
+        if self._rows is None:
+            rows = {}
+            for (i, j), c in self.terms.items():
+                rows.setdefault(i, []).append((j, c))
+            self._rows = rows
+        return self._rows
+
+    def _contraction(self):
+        """{k: {i: a}} with a the sum over terms (i, j) -> c of c times
+        the integral of e_j * e_k: the target factor paired with e_k."""
+        if self._contracted is None:
+            partners = self.target.pairing_partners
+            out = {}
+            for (i, j), c in self.terms.items():
+                for k, val in partners(j):
+                    row = out.setdefault(k, {})
+                    row[i] = row.get(i, 0) + c * val
+            self._contracted = out
+        return self._contracted
 
     def __add__(self, other):
         self._compat(other)
@@ -147,42 +178,35 @@ def diagonal(X):
 
 def act(gamma, alpha):
     """Action of a correspondence on a class: alpha on the source is
-    carried to the target, raising degree by twice the shift."""
-    X, Y = gamma.source, gamma.target
+    carried to the target, raising degree by twice the shift. Joins the
+    pairing partners of alpha's classes with gamma's rows by source."""
+    X = gamma.source
     if alpha.ring != X:
         raise RingMismatch("class does not live over the correspondence's source")
-    # i -> (coefficient of e_m, integral of e_m * e_i) rows from the ring's
-    # pairing table, multiplied out only where a term has source index i
-    paired = {}
+    rows = gamma._by_source()
+    out = {}
     for m, ca in alpha.coeffs.items():
         for i, val in X.pairing_partners(m):
-            paired.setdefault(i, []).append((ca, val))
-    out = {}
-    for (i, j), c in gamma.terms.items():
-        rows = paired.get(i)
-        if rows:
-            out[j] = out.get(j, 0) + sum(ca * val for ca, val in rows) * c
-    return ClassVector(Y, alpha.degree + 2 * gamma.shift, out)
+            for j, c in rows.get(i, ()):
+                out[j] = out.get(j, 0) + ca * val * c
+    return ClassVector(gamma.target, alpha.degree + 2 * gamma.shift, out)
 
 
 def compose(f, g):
     """Composition with f applied first: act(compose(f, g), a) equals
-    act(g, act(f, a)). Contracts the middle factor with its pairing."""
+    act(g, act(f, a)). Joins f's target factor, contracted with the
+    middle ring's pairing, with g's rows by source."""
     if f.target != g.source:
         raise RingMismatch("inner rings do not match for composition")
-    Y = f.target
-    g_by_k = {}
-    for (k, l), cg in g.terms.items():
-        g_by_k.setdefault(k, []).append((l, cg))
+    rows = g._by_source()
     out = {}
-    for (i, j), cf in f.terms.items():
-        for k, val in Y.pairing_partners(j):
-            rows = g_by_k.get(k)
-            if not rows:
-                continue
-            for l, cg in rows:
-                key = (i, l)
-                out[key] = out.get(key, Fraction(0)) + cf * val * cg
+    for k, left in f._contraction().items():
+        right = rows.get(k)
+        if not right:
+            continue
+        for i, a in left.items():
+            for l, cg in right:
+                out[(i, l)] = out.get((i, l), 0) + a * cg
     return CorrespondenceClass(f.source, g.target, f.shift + g.shift, out)
 
 

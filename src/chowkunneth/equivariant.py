@@ -241,7 +241,7 @@ class EquivariantModel:
     def __eq__(self, other):
         if not isinstance(other, EquivariantModel):
             return NotImplemented
-        return (
+        return self is other or (
             self.base == other.base
             and self.group == other.group
             and self.N == other.N
@@ -313,6 +313,7 @@ class EquivariantCorrespondence(CorrespondenceClass):
                 )
             clean[(i, j, mono)] = c
         self.terms = clean
+        self._rows = self._contracted = None
 
     def label_terms(self):
         """Terms as (source label, target label, monomial label,
@@ -323,67 +324,78 @@ class EquivariantCorrespondence(CorrespondenceClass):
             for (i, j, mono), c in sorted(self.terms.items())
         ]
 
+    def _by_source(self):
+        """(L, {i: [(j, monomial, L * c)]}): the terms as rows by source
+        class, over L the lcm of the coefficients' denominators."""
+        if self._rows is None:
+            scale, nums = _integer_scaled(self.terms.values())
+            rows = {}
+            for (i, j, mono), c in zip(self.terms, nums):
+                rows.setdefault(i, []).append((j, mono, c))
+            self._rows = scale, rows
+        return self._rows
+
+    def _contraction(self):
+        """(L, {k: {(i, monomial): L * a}}): the target factor contracted
+        with the model's pairing, a summed over terms (i, j, m) -> c and
+        partner monomials m' of pair_poly(j, k) with m m' in the bound."""
+        if self._contracted is None:
+            multiply = self.source.bg.multiply_mono
+            scale_p, partners = self.source._integer_partners()
+            scale, rows = self._by_source()
+            out = {}
+            for i, row in rows.items():
+                for j, m1, c in row:
+                    for k, poly in partners[j]:
+                        left = out.setdefault(k, {})
+                        for mp, vp in poly:
+                            m = multiply(m1, mp)
+                            if m is not None:
+                                left[i, m] = left.get((i, m), 0) + c * vp
+            self._contracted = scale * scale_p, out
+        return self._contracted
+
     def compose(self, other):
-        """Composition with self applied first; the middle factor is
-        contracted with the parameter-valued pairing and monomials
-        overflowing the bound are dropped."""
+        """Composition with self applied first: self's contraction joined
+        with other's rows by source, monomials overflowing the bound
+        dropped."""
         self._compat(other)
-        model = self.source
-        multiply = model.bg.multiply_mono
-        scale_f, nums_f = _integer_scaled(self.terms.values())
-        scale_g, nums_g = _integer_scaled(other.terms.values())
-        scale_p, partners = model._integer_partners()
-        g_by_k = {}
-        for (k, l, m2), cg in zip(other.terms, nums_g):
-            g_by_k.setdefault(k, []).append((l, m2, cg))
+        multiply = self.source.bg.multiply_mono
+        scale_f, contracted = self._contraction()
+        scale_g, rows = other._by_source()
         out = {}
-        for (i, j, m1), cf in zip(self.terms, nums_f):
-            for k, poly in partners[j]:
-                rows = g_by_k.get(k)
-                if not rows:
-                    continue
-                for mp, vp in poly:
-                    m1p = multiply(m1, mp)
-                    if m1p is None:
-                        continue
-                    cfp = cf * vp
-                    for l, m2, cg in rows:
-                        mono = multiply(m1p, m2)
-                        if mono is None:
-                            continue
-                        key = (i, l, mono)
-                        out[key] = out.get(key, 0) + cfp * cg
-        out = {key: Fraction(v, scale_f * scale_p * scale_g) for key, v in out.items() if v}
-        return EquivariantCorrespondence(model, self.shift + other.shift, out)
+        for k, left in contracted.items():
+            right = rows.get(k)
+            if not right:
+                continue
+            for (i, m1), a in left.items():
+                for l, m2, cg in right:
+                    mono = multiply(m1, m2)
+                    if mono is not None:
+                        out[i, l, mono] = out.get((i, l, mono), 0) + a * cg
+        out = {key: Fraction(v, scale_f * scale_g) for key, v in out.items() if v}
+        return EquivariantCorrespondence(self.source, self.shift + other.shift, out)
 
     def act(self, alpha):
-        """Action on a base class with scalar coefficients; the result
-        has parameter-valued coefficients {(index, monomial): coeff}."""
+        """Action on a base class with scalar coefficients, as
+        {(index, monomial): coeff}: the model's pairing partners of
+        alpha's classes joined with the rows by source."""
         model = self.source
         if alpha.ring != model.base:
             raise RingMismatch("class does not live over the model's base")
         multiply = model.bg.multiply_mono
         scale_p, partners = model._integer_partners()
-        # i -> (a, pushforward of e_a * e_i) rows from the model's partner
-        # table, multiplied out only where a term needs them
-        paired = {}
-        for a in alpha.coeffs:
-            for i, poly in partners[a]:
-                paired.setdefault(i, []).append((a, poly))
-        hit = [(key, c) for key, c in self.terms.items() if key[0] in paired]
-        if not hit:
-            return {}
+        scale_g, rows = self._by_source()
         scale_a, nums_a = _integer_scaled(alpha.coeffs.values())
-        scale_c, nums_c = _integer_scaled(c for _, c in hit)
-        nums_a = dict(zip(alpha.coeffs, nums_a))
         out = {}
-        for ((i, j, mono), _), c in zip(hit, nums_c):
-            for a, poly in paired[i]:
-                for mp, vp in poly:
-                    m = multiply(mono, mp)
-                    if m is not None:
-                        out[(j, m)] = out.get((j, m), 0) + c * nums_a[a] * vp
-        return {key: Fraction(v, scale_a * scale_c * scale_p) for key, v in out.items() if v}
+        for a, ca in zip(alpha.coeffs, nums_a):
+            for i, poly in partners[a]:
+                for j, mono, c in rows.get(i, ()):
+                    for mp, vp in poly:
+                        m = multiply(mono, mp)
+                        if m is not None:
+                            out[j, m] = out.get((j, m), 0) + ca * c * vp
+        return {key: Fraction(v, scale_a * scale_g * scale_p) for key, v in out.items() if v}
 
     def restrict(self):
         """Ordinary correspondence on the base: every parameter
@@ -465,13 +477,20 @@ def verify_equivariant(F):
     the report of `verify_ck`, with composition and the diagonal taken
     in the model. Graded action is checked on base basis classes
     indexed by base degree, and its residual rows carry the parameter
-    monomial, listed by (basis index, monomial)."""
+    monomial, listed by (basis index, monomial). As in `verify_ck`, a
+    class off the member's degree that pairs with none of its sources
+    has no rows, and is not acted on."""
     model = F.model
     base, bg = model.base, model.bg
+    partners = model._integer_partners()[1]
     vectors = [base.basis_vector(k) for k in range(len(base.basis))]
 
     def action_rows(i, p):
+        rows = p._by_source()[1]
         for k, (label, degree) in enumerate(base.basis):
+            if degree != i and not any(s in rows for s, _ in partners[k]):
+                yield label, []
+                continue
             residual = p.act(vectors[k])
             if degree == i:
                 key = (k, bg.unit_mono)

@@ -328,16 +328,23 @@ def _report(P, compose_pair, delta, action_rows):
 
 def verify_ck(P):
     """Exact verification of a projector set. Checks, in order:
-    idempotence of each member, orthogonality of every ordered pair,
-    completeness (only when the set claims it), and the graded action
-    of each member on every basis class. Returns the report (a list of
-    entries {check, indices, pass, residual_class?}) and stores it on
-    the set. Graded-action residuals are classes, listed by label."""
+    idempotence of each member, orthogonality of every ordered pair
+    (one `compose` each), completeness (only when the set claims it),
+    and the graded action of each member on every basis class. Returns
+    the report (a list of entries {check, indices, pass,
+    residual_class?}) and stores it on the set. Graded-action residuals
+    are classes, listed by label; a class off the member's degree that
+    pairs with none of the member's sources is carried to zero, so it
+    has no rows and `act` is not called on it."""
     X = P.ring
     vectors = [X.basis_vector(k) for k in range(len(X.basis))]
 
     def action_rows(i, p):
-        for (label, degree), e in zip(X.basis, vectors):
+        sources = p._by_source()
+        for k, ((label, degree), e) in enumerate(zip(X.basis, vectors)):
+            if degree != i and not any(s in sources for s, _ in X.pairing_partners(k)):
+                yield label, []
+                continue
             residual = act(p, e) - e if degree == i else act(p, e)
             rows = sorted(residual.label_dict().items())
             yield label, [[lab, str(c)] for lab, c in rows]

@@ -19,6 +19,7 @@ member terms carry a parameter-monomial label before the coefficient.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .correspondences import CorrespondenceClass
 from .equivariant import (
@@ -67,9 +68,46 @@ def fraction_str(value):
 
 
 def dumps(doc):
-    """Deterministic text form of a document (sorted keys, trailing
-    newline)."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Deterministic text form of a document with string keys: the text
+    of json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) and
+    a trailing newline. json.dumps takes its pure-Python path whenever
+    it indents, so the layout is written here and json encodes only the
+    scalars."""
+    if not (doc and isinstance(doc, (dict, list, tuple))):
+        return json.dumps(doc, ensure_ascii=False) + "\n"
+    parts = []
+    _write(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+# JSON text of the scalars documents hold; json.dumps encodes the rest.
+_SCALARS = {str: encode_basestring, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _write(value, newline, parts):
+    """Append the text of a nonempty list or object; `newline` is the
+    line break and indentation of the lines holding its brackets."""
+    inner = newline + "  "
+    is_dict = isinstance(value, dict)
+    head = "{" if is_dict else "["
+    for item in sorted(value) if is_dict else value:
+        if is_dict:
+            head = f"{head}{inner}{encode_basestring(item)}: "
+            item = value[item]
+        else:
+            head += inner
+        encode = _SCALARS.get(type(item))
+        if encode is not None:
+            parts.append(head + encode(item))
+        elif item and isinstance(item, (dict, list, tuple)):
+            parts.append(head)
+            _write(item, inner, parts)
+        else:
+            parts.append(head + json.dumps(item, ensure_ascii=False))
+        head = ","
+    parts.append(newline + ("}" if is_dict else "]"))
 
 
 def write_document(path, doc):

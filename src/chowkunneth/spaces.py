@@ -41,7 +41,7 @@ def build_space(spec):
         "blowup": _build_blowup,
         "plane_curve_family": _build_plane_curve_family,
     }
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise InvalidSpec(f"unknown space kind {kind!r}")
     ring = builders[kind](spec)
     _CACHE[key] = ring

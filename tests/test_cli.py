@@ -56,6 +56,28 @@ def test_build_malformed_space_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind", [[], {}, {"n": 1}, ["projective_space"]],
+                         ids=["empty list", "empty object", "object", "list"])
+@pytest.mark.parametrize("path", ["build", "lift", "verify set", "verify family"])
+def test_space_kind_that_is_not_a_string_exits_2(capsys, tmp_path, path, kind):
+    bad = {"kind": kind, "n": 1}
+    if path in ("build", "lift"):
+        argv = [path, "--space", json.dumps(bad)] + (["--bound", "4"] if path == "lift" else [])
+    else:
+        doc = tmp_path / "doc.json"
+        if path == "verify set":
+            run(capsys, "projectors", "--space", P1, "--out", str(doc))
+        else:
+            run(capsys, "lift", "--space", P1, "--bound", "4", "--out", str(doc))
+        content = read(doc)
+        (content["space"] if path == "verify set" else content["model"]["base"])["kind"] = kind
+        doc.write_text(json.dumps(content), encoding="utf-8")
+        argv = ["verify", str(doc)]
+    code, text, err = run(capsys, *argv)
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and f"unknown space kind {kind!r}" in err
+
+
 P3_CI = {"kind": "ci_model", "ambient": {"kind": "projective_space", "n": 3}}
 BL_LINE = {
     "kind": "blowup",

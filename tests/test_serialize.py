@@ -1,5 +1,6 @@
 """Exact JSON round trips for every document shape."""
 
+import collections
 import json
 from fractions import Fraction
 
@@ -63,6 +64,48 @@ def test_dumps_is_deterministic():
     assert text == dumps(json.loads(text))
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+class Label(str):
+    pass
+
+
+class Index(int):
+    pass
+
+
+def json_indent(doc):
+    """The text `dumps` must produce: json's own indented encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+SYNTHETIC = [
+    {"floats": [1.5, -0.0, 1e300, 2.5e-8, float("nan"), float("inf"), -float("inf")]},
+    {"ℙ²": "h × 1", "é": ["ü", "\u2028", "\x00\t\n\"\\"], "": "empty key"},
+    {"empty": [[], {}, "", 0, [[]], [{}], {"a": []}, {"b": {}}]},
+    {"flags": [True, False, None, 0, 1, -7, 10**30], "pass": True, "x": None},
+    ([1, ("a", (2.0, False))], {"t": ()}),
+    [[[[[[[[[[{"deep": [[[[["end"]]]]]}]]]]]]]]]],
+    {"z": 1, "a": 2, "M": 3, "10": 4, "9": 5},
+    {"subclasses": [Label("ℙ¹"), Index(3), collections.OrderedDict(b=1, a=[Label("é")])]},
+    "scalar", 3, 2.5, True, None, [], {}, (),
+]
+
+
+@pytest.mark.parametrize("doc", SYNTHETIC, ids=range(len(SYNTHETIC)))
+def test_dumps_matches_json_on_synthetic_values(doc):
+    assert dumps(doc) == json_indent(doc)
+
+
+def test_dumps_matches_json_on_the_golden_corpus(tmp_path, capsys):
+    from test_golden_outputs import run_corpus
+
+    run_corpus(tmp_path, lambda: capsys.readouterr().out)
+    paths = sorted(tmp_path.glob("*.json"))
+    assert len(paths) > 30
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert dumps(doc) == json_indent(doc), path.name
 
 
 def test_file_round_trip(tmp_path):

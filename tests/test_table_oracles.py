@@ -12,7 +12,11 @@ factor tables one factor at a time; the assembly over every pair of
 product classes, with tuple terms and the Koszul sign of the whole
 tuples, is kept here as its oracle. Lifted `compose` and `act`
 accumulate integer numerators over one common denominator per operand;
-their loops on `Fraction`s are kept here as their oracles.
+their loops on `Fraction`s are kept here as their oracles. Ordinary
+`compose` and `act` join two views each correspondence keeps of its
+terms, and both reports skip the classes a member cannot reach; the
+loops over every term, and the reports that act on every class, are
+kept here as their oracles.
 """
 
 import random
@@ -20,7 +24,8 @@ from fractions import Fraction
 
 import pytest
 
-from chowkunneth import spaces
+from chowkunneth import kunneth, spaces
+from chowkunneth.correspondences import CorrespondenceClass, act, compose, diagonal
 from chowkunneth.equivariant import (
     EquivariantCorrespondence,
     EquivariantProjectorFamily,
@@ -31,9 +36,16 @@ from chowkunneth.equivariant import (
     torus_group,
     verify_equivariant,
 )
-from chowkunneth.errors import NotRingMap
+from chowkunneth.errors import NotRingMap, RingMismatch
 from chowkunneth.graded_ring import ClassVector, RingMap, _generators, tensor_ring
-from chowkunneth.kunneth import full_projectors, report_passes
+from chowkunneth.kunneth import (
+    ProjectorSet,
+    _components,
+    _report,
+    full_projectors,
+    report_passes,
+    verify_ck,
+)
 from test_acceptance import corpus_rings
 
 LADDER_HYPERSURFACES = [(3, 3, 6), (3, 4, 21), (4, 3, 10), (5, 3, 22)]
@@ -673,3 +685,234 @@ def test_lifted_reports_match_fraction_loops(name, N, monkeypatch):
     monkeypatch.setattr(EquivariantCorrespondence, "compose", fraction_compose)
     monkeypatch.setattr(EquivariantCorrespondence, "act", fraction_act)
     assert [verify_equivariant(X) for X in families] == reports
+
+
+def fraction_verify_equivariant(F):
+    """`verify_equivariant` on the `Fraction` loops, acting on every
+    basis class."""
+    base, bg = F.model.base, F.model.bg
+
+    def action_rows(i, p):
+        for k, (label, degree) in enumerate(base.basis):
+            residual = fraction_act(p, base.basis_vector(k))
+            if degree == i:
+                residual[k, bg.unit_mono] = residual.get((k, bg.unit_mono), 0) - 1
+            yield label, [[base.basis[j][0], bg.mono_label(m), str(c)]
+                          for (j, m), c in sorted(residual.items()) if c]
+
+    return _report(F, fraction_compose, F.model.diagonal, action_rows)
+
+
+# -- ordinary composition and action, term by term ----------------------------------
+
+
+def oracle_compose(f, g):
+    """Composition with f applied first, term by term: each term of f
+    meets every term of g through the pairing of the middle factor."""
+    if f.target != g.source:
+        raise RingMismatch("inner rings do not match for composition")
+    Y = f.target
+    g_by_k = {}
+    for (k, l), cg in g.terms.items():
+        g_by_k.setdefault(k, []).append((l, cg))
+    out = {}
+    for (i, j), cf in f.terms.items():
+        for k, val in Y.pairing_partners(j):
+            for l, cg in g_by_k.get(k, ()):
+                out[(i, l)] = out.get((i, l), Fraction(0)) + cf * val * cg
+    return CorrespondenceClass(f.source, g.target, f.shift + g.shift, out)
+
+
+def oracle_act(gamma, alpha):
+    """Action on a class, term by term: the integral of alpha times the
+    source class of each term, times its target class."""
+    X = gamma.source
+    if alpha.ring != X:
+        raise RingMismatch("class does not live over the correspondence's source")
+    paired = {}
+    for m, ca in alpha.coeffs.items():
+        for i, val in X.pairing_partners(m):
+            paired[i] = paired.get(i, 0) + ca * val
+    out = {}
+    for (i, j), c in gamma.terms.items():
+        if i in paired:
+            out[j] = out.get(j, 0) + paired[i] * c
+    return ClassVector(gamma.target, alpha.degree + 2 * gamma.shift, out)
+
+
+def oracle_verify_ck(P):
+    """`verify_ck` on the term loops, acting on every basis class."""
+    X = P.ring
+
+    def action_rows(i, p):
+        for k, (label, degree) in enumerate(X.basis):
+            e = X.basis_vector(k)
+            residual = oracle_act(p, e) - e if degree == i else oracle_act(p, e)
+            yield label, [[lab, str(c)] for lab, c in sorted(residual.label_dict().items())]
+
+    return _report(P, oracle_compose, lambda: diagonal(X), action_rows)
+
+
+def random_ordinary(X, Y, rng, count, shift):
+    """A correspondence from X to Y with `count` seeded terms of the
+    right degree, with coefficients +-k/1..6."""
+    want = 2 * (X.dim + shift)
+    slots = [(i, j) for i, (_, di) in enumerate(X.basis)
+             for j, (_, dj) in enumerate(Y.basis) if di + dj == want]
+    picked = rng.sample(slots, min(count, len(slots)))
+    return CorrespondenceClass(X, Y, shift, {key: mixed_coefficient(rng) for key in picked})
+
+
+def shifts_between(X, Y):
+    """Every degree shift with a term from X to Y."""
+    twice = {dx + dy for _, dx in X.basis for _, dy in Y.basis}
+    return sorted(t // 2 - X.dim for t in twice if t % 2 == 0)
+
+
+def plane_cubic_times_line():
+    return spaces.product_space(spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2),
+                                spaces.projective_space(1))
+
+
+def ordinary_chains():
+    """name -> (X, Y, Z): self-correspondences of every golden-corpus
+    ring and of E x P1 (E a plane cubic, with odd classes), and a chain
+    through three different rings."""
+    chains = {repr(X): (X, X, X) for X in corpus_rings()}
+    chains["E x P1"] = (plane_cubic_times_line(),) * 3
+    chains["P1 -> E x P1 -> G(2,4)"] = (spaces.projective_space(1), plane_cubic_times_line(),
+                                        spaces.grassmannian(2, 4))
+    return chains
+
+
+ORDINARY_CHAINS = ordinary_chains()
+
+
+@pytest.mark.parametrize("name", list(ORDINARY_CHAINS))
+def test_ordinary_kernels_match_term_loops(name):
+    """Term-for-term equal compositions X -> Y -> Z at every pair of
+    shifts, and actions on every basis class and on random classes."""
+    X, Y, Z = ORDINARY_CHAINS[name]
+    rng = random.Random(name)
+    fs = [random_ordinary(X, Y, rng, 12, r) for r in shifts_between(X, Y)]
+    gs = [random_ordinary(Y, Z, rng, 12, r) for r in shifts_between(Y, Z)]
+    nonzero = 0
+    for f in fs:
+        for g in gs:
+            got = compose(f, g)
+            want = oracle_compose(f, g)
+            assert got.shift == want.shift and got.terms == want.terms
+            assert all(type(c) is Fraction for c in got.terms.values())
+            nonzero += bool(got.terms)
+    classes = [X.basis_vector(k) for k in range(len(X.basis))] + random_classes(X, rng, 6)
+    for f in fs:
+        for alpha in classes:
+            got = act(f, alpha)
+            assert got == oracle_act(f, alpha)
+            nonzero += bool(got.coeffs)
+    assert nonzero
+    # the kept views answer again, and sums start with their own
+    f = fs[0] + fs[0]
+    assert compose(fs[0], gs[0]).scale(2) == compose(f, gs[0]) == oracle_compose(f, gs[0])
+
+
+@pytest.mark.parametrize("name", [repr(X) for X in corpus_rings()])
+def test_ordinary_reports_match_term_loops(name, monkeypatch):
+    (X,) = [X for X in corpus_rings() if repr(X) == name]
+    rng = random.Random(f"report {name}")
+    P = full_projectors(X)
+    projs = dict(P.projectors)
+    i = rng.choice(P.indices())
+    projs[i] = projs[i] + random_ordinary(X, X, rng, 12, 0)
+    sets = [P, ProjectorSet(X, projs, complete=True)]
+    reports = [verify_ck(S) for S in sets]
+    assert report_passes(reports[0]) and not report_passes(reports[1])
+    assert [oracle_verify_ck(S) for S in sets] == reports
+    monkeypatch.setattr(kunneth, "compose", oracle_compose)
+    monkeypatch.setattr(kunneth, "act", oracle_act)
+    assert [verify_ck(S) for S in sets] == reports
+
+
+# -- the classes a report skips -----------------------------------------------------
+
+
+def graded_action_failures(report):
+    return [(e["indices"], e["basis_class"], e["residual_class"])
+            for e in report if e["check"] == "graded_action" and not e["pass"]]
+
+
+def test_off_degree_term_fails_graded_action_at_its_class():
+    """Member 0 of P3 gains h x h^2. Its source h pairs with h^2, which
+    is off the member's degree and pairs with none of its targets 1 and
+    h^2: a report that took the reachable classes from the targets would
+    skip h^2 and pass."""
+    X = spaces.projective_space(3)
+    P = full_projectors(X)
+    h, h2 = X.label_index["h"], X.label_index["h^2"]
+    projs = dict(P.projectors)
+    projs[0] = projs[0] + CorrespondenceClass(X, X, 0, {(h, h2): Fraction(5, 2)})
+    tampered = ProjectorSet(X, projs, complete=True)
+    e = X.basis_vector(h2)
+    rows = sorted(oracle_act(projs[0], e).label_dict().items())
+    want = [[[0], "h^2", [[lab, str(c)] for lab, c in rows]]]
+    assert [list(f) for f in graded_action_failures(verify_ck(tampered))] == want
+    assert verify_ck(tampered) == oracle_verify_ck(tampered)
+    # the same member lifted into a trivial model
+    F = lift_projectors(tampered, torus_group(1), 4)
+    report = verify_equivariant(F)
+    rows = fraction_act(F.projectors[0], e)
+    want = [[[0], "h^2", [[X.basis[j][0], F.model.bg.mono_label(m), str(c)]
+                          for (j, m), c in sorted(rows.items())]]]
+    assert [list(f) for f in graded_action_failures(report)] == want
+    assert report == fraction_verify_equivariant(F)
+
+
+def test_tampering_after_verification_is_reported():
+    """Members whose views were built by a passing report, tampered by
+    a multiple, a sum and a subset: each new correspondence reads its
+    own terms. On P3 and on E x P1 (its diagonal's components, odd
+    members included), and on a weighted lift."""
+    ExP1 = plane_cubic_times_line()
+    delta = diagonal(ExP1)
+    components = {p: delta._with_terms(t) for p, t in _components(delta, ExP1.basis).items()}
+    for P in (full_projectors(spaces.projective_space(3)),
+              ProjectorSet(ExP1, components, complete=True)):
+        assert report_passes(verify_ck(P))
+        projs = dict(P.projectors)
+        first, second, last = P.indices()[0], P.indices()[1], P.indices()[-1]
+        projs[first] = projs[first].scale(3)
+        projs[second] = projs[second] + projs[last]
+        projs[last] = projs[last]._with_terms(dict(list(projs[last].terms.items())[1:]))
+        tampered = ProjectorSet(P.ring, projs, complete=True)
+        report = verify_ck(tampered)
+        assert not report_passes(report) and report == oracle_verify_ck(tampered)
+    M = equivariant_projective_torus((1, 2, -1, 4), 8)
+    F = lift_projectors(full_projectors(M.base), M.group, 8, model=M)
+    assert report_passes(verify_equivariant(F))
+    projs = dict(F.projectors)
+    projs[2] = projs[2].scale(2)
+    projs[4] = projs[4] + projs[0]
+    projs[0] = projs[0]._with_terms(dict(list(projs[0].terms.items())[1:]))
+    tampered = EquivariantProjectorFamily(M, projs, complete=True)
+    report = verify_equivariant(tampered)
+    assert not report_passes(report) and report == fraction_verify_equivariant(tampered)
+
+
+def test_plane_curve_family_8_report_acts_once_per_class(monkeypatch):
+    """|I|^2 compositions, and one action per basis class: a full set's
+    member of degree i only reaches the classes of degree i (6,204
+    actions when every member acted on every class)."""
+    P = full_projectors(spaces.plane_curve_family(8))
+    calls = {"compose": 0, "act": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(kunneth, "compose", counted("compose", compose))
+    monkeypatch.setattr(kunneth, "act", counted("act", act))
+    assert report_passes(verify_ck(P))
+    assert len(P.ring.basis) == 132
+    assert calls == {"compose": len(P.indices()) ** 2, "act": 132}
