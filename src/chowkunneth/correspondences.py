@@ -4,51 +4,61 @@ A correspondence of degree shift r from X to Y is a homogeneous class
 of degree 2(dim X + r) on X x Y, stored sparsely over the pair basis
 (never materializing the product ring). Composition integrates out the
 middle factor by pairing-contraction, which makes the diagonal's
-identity laws exact theorems of the implementation.
+identity laws exact theorems of the implementation; the same joins
+compose and act for lifted correspondences.
 """
 
 from fractions import Fraction
 
 from .errors import RingMismatch
-from .graded_ring import ClassVector, _pure_tensor
+from .graded_ring import ClassVector, _integer_scaled, _pure_tensor
 
 
 class CorrespondenceClass:
     """Sparse homogeneous class on X x Y with explicit degree shift.
 
-    Sums, multiples and equality combine terms by key only, so a
-    subclass with other term keys (the lifted correspondences of
-    `equivariant`) shares them and supplies its own validation,
-    composition and labels.
+    The one correspondence calculus: a term key stands for (source
+    class, target class, code of a parameter monomial), here (i, j) with
+    code 0 (`_coded`, `_decoded`); codes add to multiply, and sums past
+    `_limit` are dropped. Lifted correspondences change only that map.
 
-    `terms` is never changed once built (the hash reads it); every sum,
-    multiple or subset is a new class. So two views of the terms are
-    built on first use and kept: the rows by source class
-    (`_by_source`) and the target factor contracted with the pairing
-    (`_contraction`), which `compose` and `act` join. A new class,
-    however made, starts with neither.
+    `terms` never changes once built (the hash reads it), so the joins
+    `_compose` and `_act` read two views built on first use and kept,
+    in integer numerators: the rows by source class (`_by_source`) and
+    the target factor contracted with the pairing (`_contraction`).
     """
 
     __slots__ = ("source", "target", "shift", "terms", "_rows", "_contracted")
+
+    _limit = 1
 
     def __init__(self, source, target, shift, terms):
         self.source = source
         self.target = target
         self.shift = int(shift)
-        degree = 2 * (source.dim + self.shift)
         clean = {}
-        for (i, j), c in terms.items():
+        for key, c in terms.items():
             c = Fraction(c)
-            if c == 0:
-                continue
-            if source.basis[i][1] + target.basis[j][1] != degree:
-                raise ValueError(
-                    f"term {source.basis[i][0]} x {target.basis[j][0]} has degree "
-                    f"{source.basis[i][1] + target.basis[j][1]}, expected {degree}"
-                )
-            clean[(i, j)] = c
+            if c and (key := self._checked(key)) is not None:
+                clean[key] = c
         self.terms = clean
         self._rows = self._contracted = None
+
+    def _checked(self, key):
+        """The term key (i, j), checked to have the class's degree."""
+        i, j = key
+        (si, di), (sj, dj) = self.source.basis[i], self.target.basis[j]
+        if di + dj != self.degree:
+            raise ValueError(f"term {si} x {sj} has degree {di + dj}, expected {self.degree}")
+        return i, j
+
+    @classmethod
+    def _trusted(cls, source, target, shift, terms):
+        """A class on valid, nonzero `Fraction` terms, not re-checked."""
+        out = object.__new__(cls)
+        out.source, out.target, out.shift, out.terms = source, target, shift, terms
+        out._rows = out._contracted = None
+        return out
 
     @property
     def degree(self):
@@ -82,32 +92,45 @@ class CorrespondenceClass:
         """Same type, rings and shift with other terms. Sums, multiples
         and subsets of valid terms stay valid, so only zero coefficients
         are dropped."""
-        out = object.__new__(type(self))
-        out.source, out.target, out.shift = self.source, self.target, self.shift
-        out.terms = {k: c for k, c in terms.items() if c}
-        out._rows = out._contracted = None
-        return out
+        return self._trusted(self.source, self.target, self.shift,
+                             {k: c for k, c in terms.items() if c})
+
+    def _coded(self):
+        """The term keys as (i, j, code), in term order."""
+        return [(i, j, 0) for i, j in self.terms]
+
+    def _decoded(self, coded):
+        """{term key: c} from {(i, j, code): c}: the inverse of `_coded`."""
+        return {(i, j): c for (i, j, _), c in coded.items()}
 
     def _by_source(self):
-        """{i: [(j, c)]}, the terms (i, j) -> c as rows by source class."""
+        """(L, {i: [(j, code, L * c)]}): the terms (i, j, code) -> c as
+        rows by source class, L the lcm of the denominators."""
         if self._rows is None:
+            scale, nums = _integer_scaled(self.terms.values())
             rows = {}
-            for (i, j), c in self.terms.items():
-                rows.setdefault(i, []).append((j, c))
-            self._rows = rows
+            for (i, j, m), c in zip(self._coded(), nums):
+                rows.setdefault(i, []).append((j, m, c))
+            self._rows = scale, rows
         return self._rows
 
     def _contraction(self):
-        """{k: {i: a}} with a the sum over terms (i, j) -> c of c times
-        the integral of e_j * e_k: the target factor paired with e_k."""
+        """(L * Lp, {k: {(i, code): a}}): the target factor paired with
+        e_k through the target's partner table, scaled by its Lp."""
         if self._contracted is None:
-            partners = self.target.pairing_partners
+            limit = self._limit
+            scale_p, partners = self.target._integer_partners()
+            scale, rows = self._by_source()
             out = {}
-            for (i, j), c in self.terms.items():
-                for k, val in partners(j):
-                    row = out.setdefault(k, {})
-                    row[i] = row.get(i, 0) + c * val
-            self._contracted = out
+            for i, row in rows.items():
+                for j, m1, c in row:
+                    for k, poly in partners[j]:
+                        left = out.setdefault(k, {})
+                        for mp, vp in poly:
+                            m = m1 + mp
+                            if m < limit:
+                                left[i, m] = left.get((i, m), 0) + c * vp
+            self._contracted = scale * scale_p, out
         return self._contracted
 
     def __add__(self, other):
@@ -176,38 +199,62 @@ def diagonal(X):
     return CorrespondenceClass(X, X, 0, terms)
 
 
+def _act(gamma, alpha):
+    """The action join, {(j, code): c}: the pairing partners of alpha's
+    classes joined with gamma's rows by source."""
+    limit = gamma._limit
+    scale_p, partners = gamma.source._integer_partners()
+    scale_g, rows = gamma._by_source()
+    scale_a, nums = _integer_scaled(alpha.coeffs.values())
+    out = {}
+    for a, ca in zip(alpha.coeffs, nums):
+        for i, poly in partners[a]:
+            for mp, vp in poly:
+                v = ca * vp
+                for j, m2, c in rows.get(i, ()):
+                    m = mp + m2
+                    if m < limit:
+                        out[j, m] = out.get((j, m), 0) + v * c
+    scale = scale_a * scale_g * scale_p
+    return {key: Fraction(v, scale) for key, v in out.items() if v}
+
+
+def _compose(f, g):
+    """The composition join, f applied first: f's contraction joined
+    with g's rows by source. The result is valid by construction."""
+    limit = f._limit
+    scale_f, contracted = f._contraction()
+    scale_g, rows = g._by_source()
+    out = {}
+    for k, left in contracted.items():
+        right = rows.get(k)
+        if not right:
+            continue
+        for (i, m1), a in left.items():
+            for l, m2, c in right:
+                m = m1 + m2
+                if m < limit:
+                    out[i, l, m] = out.get((i, l, m), 0) + a * c
+    scale = scale_f * scale_g
+    terms = f._decoded({key: Fraction(v, scale) for key, v in out.items() if v})
+    return f._trusted(f.source, g.target, f.shift + g.shift, terms)
+
+
 def act(gamma, alpha):
     """Action of a correspondence on a class: alpha on the source is
-    carried to the target, raising degree by twice the shift. Joins the
-    pairing partners of alpha's classes with gamma's rows by source."""
-    X = gamma.source
-    if alpha.ring != X:
+    carried to the target, raising degree by twice the shift."""
+    if alpha.ring != gamma.source:
         raise RingMismatch("class does not live over the correspondence's source")
-    rows = gamma._by_source()
-    out = {}
-    for m, ca in alpha.coeffs.items():
-        for i, val in X.pairing_partners(m):
-            for j, c in rows.get(i, ()):
-                out[j] = out.get(j, 0) + ca * val * c
-    return ClassVector(gamma.target, alpha.degree + 2 * gamma.shift, out)
+    return ClassVector(gamma.target, alpha.degree + 2 * gamma.shift,
+                       {j: c for (j, _), c in _act(gamma, alpha).items()})
 
 
 def compose(f, g):
     """Composition with f applied first: act(compose(f, g), a) equals
-    act(g, act(f, a)). Joins f's target factor, contracted with the
-    middle ring's pairing, with g's rows by source."""
+    act(g, act(f, a))."""
     if f.target != g.source:
         raise RingMismatch("inner rings do not match for composition")
-    rows = g._by_source()
-    out = {}
-    for k, left in f._contraction().items():
-        right = rows.get(k)
-        if not right:
-            continue
-        for i, a in left.items():
-            for l, cg in right:
-                out[(i, l)] = out.get((i, l), 0) + a * cg
-    return CorrespondenceClass(f.source, g.target, f.shift + g.shift, out)
+    return _compose(f, g)
 
 
 def transpose(f):

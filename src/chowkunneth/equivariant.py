@@ -3,20 +3,20 @@
 A group contributes a graded polynomial parameter ring (one generator
 per character or Chern class); the model of an action is the base ring
 with coefficients in the parameter ring, with monomials above a chosen
-even bound N discarded. Projector families lift into such models,
-compose with overflow dropped, and restrict back to the base by sending
-every parameter generator to zero. Lifted composition and action
-accumulate integer numerators over one common denominator per operand:
-results are exact and identical. All verified identities are exact
-degreewise up to the bound.
+even bound N discarded. A lifted correspondence is an ordinary one
+whose terms also carry a parameter monomial: it composes and acts by
+the joins of `correspondences`, each monomial an integer code, and is
+verified by the report of `kunneth`. Families restrict back to the base
+by sending every parameter generator to zero. All verified identities
+are exact degreewise up to the bound.
 """
 
 from fractions import Fraction
 
-from .correspondences import CorrespondenceClass, diagonal
+from .correspondences import CorrespondenceClass, _act, _compose, diagonal
 from .errors import RingMismatch, UnsupportedAction
 from .graded_ring import _integer_scaled
-from .kunneth import ProjectorSet, _components, _report, report_passes
+from .kunneth import ProjectorSet, _action_rows, _components, _report, report_passes
 
 
 # -- groups and parameter rings ---------------------------------------------
@@ -70,37 +70,43 @@ def general_linear_group(n):
 class TruncatedPolyRing:
     """Polynomial ring on weighted generators with every monomial of
     degree above the bound discarded. Monomials are exponent tuples;
-    the basis is ordered by degree, then by exponents largest-first."""
+    the basis is ordered by degree, then by exponents largest-first.
 
-    __slots__ = ("gens", "bound", "basis", "_monos", "_products")
+    Each monomial m also has the integer code deg(m) B^r + sum_g e_g B^g
+    for r generators and B = N/2 + 1 (`code_of`, inverted by `mono_of`).
+    Generators have degree >= 2, so no exponent of a product within the
+    bound reaches B: code(a) + code(b) is the code of a * b exactly when
+    it is below `limit` = (N + 1) B^r, and the unit's code is 0.
+    """
+
+    __slots__ = ("gens", "bound", "basis", "code_of", "mono_of", "limit")
 
     def __init__(self, gens, bound):
         bound = int(bound)
         if bound < 0 or bound % 2:
             raise ValueError("the truncation bound must be an even integer >= 0")
         self.gens = tuple((str(n), int(d)) for n, d in gens)
+        if any(d < 2 for _, d in self.gens):
+            raise ValueError("parameter generators must have degree >= 2")
         self.bound = bound
         monos = [()]
         for _, d in self.gens:
-            monos = [
-                m + (e,)
-                for m in monos
-                for e in range(
-                    (bound - sum(x * g for x, (_, g) in zip(m, self.gens))) // d + 1
-                )
-            ]
-        monos = [tuple(m) for m in monos]
+            monos = [m + (e,) for m in monos
+                     for e in range((bound - self.mono_degree(m)) // d + 1)]
         monos.sort(key=lambda m: (self.mono_degree(m), tuple(-e for e in m)))
-        self._monos = tuple(monos)
         self.basis = tuple((self.mono_label(m), self.mono_degree(m)) for m in monos)
-        self._products = {}
+        B, r = bound // 2 + 1, len(self.gens)
+        self.code_of = {m: self.mono_degree(m) * B**r + sum(e * B**g for g, e in enumerate(m))
+                        for m in monos}
+        self.mono_of = {c: m for m, c in self.code_of.items()}
+        self.limit = (bound + 1) * B**r
 
     @property
     def unit_mono(self):
         return (0,) * len(self.gens)
 
     def monomials(self):
-        return self._monos
+        return tuple(self.code_of)
 
     def mono_degree(self, exps):
         return sum(e * d for e, (_, d) in zip(exps, self.gens))
@@ -115,11 +121,9 @@ class TruncatedPolyRing:
         return " ".join(parts) if parts else "1"
 
     def multiply_mono(self, a, b):
-        """Product monomial, or None when it overflows the bound; memoized."""
-        if (a, b) not in self._products:
-            out = tuple(x + y for x, y in zip(a, b))
-            self._products[a, b] = None if self.mono_degree(out) > self.bound else out
-        return self._products[a, b]
+        """Product monomial, or None when it overflows the bound."""
+        out = tuple(x + y for x, y in zip(a, b))
+        return None if self.mono_degree(out) > self.bound else out
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedPolyRing):
@@ -202,28 +206,28 @@ class EquivariantModel:
         order of k: the `Fraction` view of the model's one partner
         table (`_integer_partners`)."""
         scale, rows = self._integer_partners()
-        return tuple((k, {m: Fraction(v, scale) for m, v in poly}) for k, poly in rows[j])
+        mono = self.bg.mono_of
+        return tuple((k, {mono[m]: Fraction(v, scale) for m, v in poly}) for k, poly in rows[j])
 
     def _integer_partners(self):
-        """(L, rows): the model's partner table, built once. Row j lists
-        (k, [(monomial, L * value)]) for every nonzero `pair_poly(j, k)`,
-        L the lcm of the values' denominators. A trivial model reads the
-        base ring's partners at the unit monomial. A weighted pair can
-        only be nonzero when its parameter degree deg e_j + deg e_k -
-        2 dim lies in [0, N], so no other pair is computed."""
+        """(L, rows), built once in the shape of a ring's table: row j
+        lists (k, [(code, L * value)]) for every nonzero `pair_poly(j,
+        k)`. A trivial model has the base ring's table. A weighted pair
+        is computed only when its parameter degree deg e_j + deg e_k -
+        2 dim lies in [0, N], outside which it is zero."""
         if self._scaled is None:
             if self.weights is None:
-                unit = self.bg.unit_mono
-                rows = [[(k, {unit: v}) for k, v in self.base.pairing_partners(j)]
-                        for j in range(len(self.base.basis))]
+                self._scaled = self.base._integer_partners()
             else:
                 degree = [d for _, d in self.base.basis]
                 low, high = 2 * self.dim, 2 * self.dim + self.N
                 rows = [[(k, poly) for k, dk in enumerate(degree)
                          if low <= dj + dk <= high and (poly := self.pair_poly(j, k))]
                         for j, dj in enumerate(degree)]
-            scale, nums = _integer_scaled(v for r in rows for _, p in r for v in p.values())
-            self._scaled = scale, [[(k, [(m, next(nums)) for m in p]) for k, p in r] for r in rows]
+                code = self.bg.code_of
+                scale, nums = _integer_scaled(v for r in rows for _, p in r for v in p.values())
+                self._scaled = scale, [[(k, [(code[m], next(nums)) for m in p]) for k, p in r]
+                                       for r in rows]
         return self._scaled
 
     def diagonal(self):
@@ -285,35 +289,46 @@ class EquivariantCorrespondence(CorrespondenceClass):
     """Sparse self-correspondence of the model's base with parameter
     monomial coefficients: terms (i, j, monomial) -> coefficient,
     homogeneous of total degree 2*(dim + shift). Source and target are
-    the model; sums, multiples and equality are those of ordinary
-    correspondences. Terms whose monomial overflows the bound are
-    dropped on construction (truncation)."""
+    the model. Its calculus is that of ordinary correspondences, each
+    monomial read as its code in the parameter ring; only the key check,
+    labels and restriction are its own. Terms whose monomial overflows
+    the bound are dropped on construction (truncation)."""
 
     __slots__ = ()
 
     def __init__(self, model, shift, terms):
-        self.source = self.target = model
-        self.shift = int(shift)
-        base, bg = model.base, model.bg
-        degree = 2 * (base.dim + self.shift)
-        clean = {}
-        for (i, j, mono), c in terms.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            mono = tuple(mono)
-            mdeg = bg.mono_degree(mono)
-            if mdeg > model.N:
-                continue
-            if base.basis[i][1] + base.basis[j][1] + mdeg != degree:
-                raise ValueError(
-                    f"term ({base.basis[i][0]}, {base.basis[j][0]}, "
-                    f"{bg.mono_label(mono)}) has degree "
-                    f"{base.basis[i][1] + base.basis[j][1] + mdeg}, expected {degree}"
-                )
-            clean[(i, j, mono)] = c
-        self.terms = clean
-        self._rows = self._contracted = None
+        super().__init__(model, model, shift, terms)
+
+    def _checked(self, key):
+        """The term key (i, j, monomial) checked to have the class's
+        degree, or None when the monomial overflows the bound."""
+        i, j, mono = key
+        base, bg = self.source.base, self.source.bg
+        mono = tuple(mono)
+        if len(mono) != len(bg.gens) or min(mono, default=0) < 0:
+            raise ValueError(f"{mono} is not a parameter monomial (one exponent >= 0 each)")
+        mdeg = bg.mono_degree(mono)
+        if mdeg > bg.bound:
+            return None
+        total = base.basis[i][1] + base.basis[j][1] + mdeg
+        if total != self.degree:
+            raise ValueError(
+                f"term ({base.basis[i][0]}, {base.basis[j][0]}, "
+                f"{bg.mono_label(mono)}) has degree {total}, expected {self.degree}"
+            )
+        return i, j, mono
+
+    @property
+    def _limit(self):
+        return self.source.bg.limit
+
+    def _coded(self):
+        code = self.source.bg.code_of
+        return [(i, j, code[m]) for i, j, m in self.terms]
+
+    def _decoded(self, coded):
+        mono = self.source.bg.mono_of
+        return {(i, j, mono[m]): c for (i, j, m), c in coded.items()}
 
     def label_terms(self):
         """Terms as (source label, target label, monomial label,
@@ -324,85 +339,26 @@ class EquivariantCorrespondence(CorrespondenceClass):
             for (i, j, mono), c in sorted(self.terms.items())
         ]
 
-    def _by_source(self):
-        """(L, {i: [(j, monomial, L * c)]}): the terms as rows by source
-        class, over L the lcm of the coefficients' denominators."""
-        if self._rows is None:
-            scale, nums = _integer_scaled(self.terms.values())
-            rows = {}
-            for (i, j, mono), c in zip(self.terms, nums):
-                rows.setdefault(i, []).append((j, mono, c))
-            self._rows = scale, rows
-        return self._rows
-
-    def _contraction(self):
-        """(L, {k: {(i, monomial): L * a}}): the target factor contracted
-        with the model's pairing, a summed over terms (i, j, m) -> c and
-        partner monomials m' of pair_poly(j, k) with m m' in the bound."""
-        if self._contracted is None:
-            multiply = self.source.bg.multiply_mono
-            scale_p, partners = self.source._integer_partners()
-            scale, rows = self._by_source()
-            out = {}
-            for i, row in rows.items():
-                for j, m1, c in row:
-                    for k, poly in partners[j]:
-                        left = out.setdefault(k, {})
-                        for mp, vp in poly:
-                            m = multiply(m1, mp)
-                            if m is not None:
-                                left[i, m] = left.get((i, m), 0) + c * vp
-            self._contracted = scale * scale_p, out
-        return self._contracted
-
     def compose(self, other):
-        """Composition with self applied first: self's contraction joined
-        with other's rows by source, monomials overflowing the bound
-        dropped."""
+        """Composition with self applied first, monomials overflowing
+        the bound dropped."""
         self._compat(other)
-        multiply = self.source.bg.multiply_mono
-        scale_f, contracted = self._contraction()
-        scale_g, rows = other._by_source()
-        out = {}
-        for k, left in contracted.items():
-            right = rows.get(k)
-            if not right:
-                continue
-            for (i, m1), a in left.items():
-                for l, m2, cg in right:
-                    mono = multiply(m1, m2)
-                    if mono is not None:
-                        out[i, l, mono] = out.get((i, l, mono), 0) + a * cg
-        out = {key: Fraction(v, scale_f * scale_g) for key, v in out.items() if v}
-        return EquivariantCorrespondence(self.source, self.shift + other.shift, out)
+        return _compose(self, other)
 
     def act(self, alpha):
         """Action on a base class with scalar coefficients, as
-        {(index, monomial): coeff}: the model's pairing partners of
-        alpha's classes joined with the rows by source."""
-        model = self.source
-        if alpha.ring != model.base:
+        {(index, monomial): coeff}."""
+        if alpha.ring != self.source.base:
             raise RingMismatch("class does not live over the model's base")
-        multiply = model.bg.multiply_mono
-        scale_p, partners = model._integer_partners()
-        scale_g, rows = self._by_source()
-        scale_a, nums_a = _integer_scaled(alpha.coeffs.values())
-        out = {}
-        for a, ca in zip(alpha.coeffs, nums_a):
-            for i, poly in partners[a]:
-                for j, mono, c in rows.get(i, ()):
-                    for mp, vp in poly:
-                        m = multiply(mono, mp)
-                        if m is not None:
-                            out[j, m] = out.get((j, m), 0) + ca * c * vp
-        return {key: Fraction(v, scale_a * scale_g * scale_p) for key, v in out.items() if v}
+        mono = self.source.bg.mono_of
+        return {(j, mono[m]): c for (j, m), c in _act(self, alpha).items()}
 
     def restrict(self):
         """Ordinary correspondence on the base: every parameter
         generator goes to zero, keeping only unit-monomial terms."""
         base, unit = self.source.base, self.source.bg.unit_mono
         terms = {(i, j): c for (i, j, mono), c in self.terms.items() if mono == unit}
-        return CorrespondenceClass(base, base, self.shift, terms)
+        return CorrespondenceClass._trusted(base, base, self.shift, terms)
 
 
 class EquivariantProjectorFamily(ProjectorSet):
@@ -474,37 +430,23 @@ def lift_projectors(P, G, N, model=None):
 
 def verify_equivariant(F):
     """Exact verification of a lifted family inside its truncation:
-    the report of `verify_ck`, with composition and the diagonal taken
-    in the model. Graded action is checked on base basis classes
-    indexed by base degree, and its residual rows carry the parameter
-    monomial, listed by (basis index, monomial). As in `verify_ck`, a
-    class off the member's degree that pairs with none of its sources
-    has no rows, and is not acted on."""
+    the report of `verify_ck`, with composition, action and the
+    diagonal taken in the model. Graded-action residual rows carry the
+    parameter monomial, listed by (basis index, monomial)."""
     model = F.model
     base, bg = model.base, model.bg
-    partners = model._integer_partners()[1]
-    vectors = [base.basis_vector(k) for k in range(len(base.basis))]
+    unit = bg.unit_mono
 
-    def action_rows(i, p):
-        rows = p._by_source()[1]
-        for k, (label, degree) in enumerate(base.basis):
-            if degree != i and not any(s in rows for s, _ in partners[k]):
-                yield label, []
-                continue
-            residual = p.act(vectors[k])
-            if degree == i:
-                key = (k, bg.unit_mono)
-                value = residual.get(key, Fraction(0)) - 1
-                if value:
-                    residual[key] = value
-                else:
-                    del residual[key]
-            yield label, [
-                [base.basis[j][0], bg.mono_label(m), str(c)]
-                for (j, m), c in sorted(residual.items())
-            ]
+    def residual_rows(p, e, on_degree):
+        residual = p.act(e)
+        if on_degree:
+            for k, c in e.coeffs.items():
+                residual[k, unit] = residual.get((k, unit), 0) - c
+        return [[base.basis[j][0], bg.mono_label(m), str(c)]
+                for (j, m), c in sorted(residual.items()) if c]
 
-    return _report(F, EquivariantCorrespondence.compose, model.diagonal, action_rows)
+    return _report(F, EquivariantCorrespondence.compose, model.diagonal,
+                   _action_rows(F, base, residual_rows))
 
 
 def compare_lifted_coefficients(F1, F2, D):

@@ -394,9 +394,10 @@ class GradedBasisRing:
 
     The pairing is the one table of nonzero integrals of e_i * e_j that
     the `pairing_nondegeneracy` check fills while proving it
-    nondegenerate; `pair_basis` and `pairing_partners` read that table,
-    `dual_basis` reads the inverses of its blocks that the check made,
-    and `pairing_matrix` builds a block from the table on demand.
+    nondegenerate; `pair_basis` reads it, `_integer_partners` holds
+    its rows (`pairing_partners` their `Fraction` view), `dual_basis`
+    reads the inverses of its blocks that the check made, and
+    `pairing_matrix` builds a block from the table on demand.
 
     Parameters
     ----------
@@ -434,10 +435,12 @@ class GradedBasisRing:
                     raise DegeneratePairing(detail)
                 raise RingAxiomError(name, detail)
         self._integrals, self._inverses = verdict.pairing, verdict.inverses
-        partners = [[] for _ in self.basis]
-        for (i, j), v in sorted(self._integrals.items()):
-            partners[i].append((j, v))
-        self._partners = tuple(map(tuple, partners))
+        pairs = sorted(self._integrals.items())
+        scale, nums = _integer_scaled(v for _, v in pairs)
+        rows = [[] for _ in self.basis]
+        for ((i, j), _), v in zip(pairs, nums):
+            rows[i].append((j, [(0, v)]))
+        self._partners = scale, rows
 
         self.label_index = {l: i for i, (l, _) in enumerate(self.basis)}
         self._by_degree = {}
@@ -546,7 +549,13 @@ class GradedBasisRing:
     def pairing_partners(self, j):
         """All (k, value) with nonzero integral of e_j * e_k, in basis
         order of k."""
-        return self._partners[j]
+        scale, rows = self._partners
+        return tuple((k, Fraction(v, scale)) for k, ((_, v),) in rows[j])
+
+    def _integer_partners(self):
+        """(L, rows): the pairing table in integer numerators over their
+        lcm L; row j lists (k, [(0, L * value)]), 0 the unit's code."""
+        return self._partners
 
     def pairing_matrix(self, p):
         """Pairing block between degree p and degree 2*dim - p."""

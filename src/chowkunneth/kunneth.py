@@ -326,6 +326,26 @@ def _report(P, compose_pair, delta, action_rows):
     return entries
 
 
+def _action_rows(P, base, residual_rows):
+    """`action_rows` for `_report` over the basis of `base`, where
+    `residual_rows(p, e, on_degree)` gives the rows of member p's action
+    on e, less e on the member's degree. A class off the member's degree
+    that pairs with none of its sources is carried to zero: it has no
+    rows and is not acted on."""
+    partners = P.ring._integer_partners()[1]
+    vectors = [base.basis_vector(k) for k in range(len(base.basis))]
+
+    def action_rows(i, p):
+        sources = p._by_source()[1]
+        for k, (label, degree) in enumerate(base.basis):
+            if degree != i and not any(s in sources for s, _ in partners[k]):
+                yield label, []
+            else:
+                yield label, residual_rows(p, vectors[k], degree == i)
+
+    return action_rows
+
+
 def verify_ck(P):
     """Exact verification of a projector set. Checks, in order:
     idempotence of each member, orthogonality of every ordered pair
@@ -333,23 +353,15 @@ def verify_ck(P):
     and the graded action of each member on every basis class. Returns
     the report (a list of entries {check, indices, pass,
     residual_class?}) and stores it on the set. Graded-action residuals
-    are classes, listed by label; a class off the member's degree that
-    pairs with none of the member's sources is carried to zero, so it
-    has no rows and `act` is not called on it."""
+    are classes, listed by label; classes a member cannot reach are not
+    acted on."""
     X = P.ring
-    vectors = [X.basis_vector(k) for k in range(len(X.basis))]
 
-    def action_rows(i, p):
-        sources = p._by_source()
-        for k, ((label, degree), e) in enumerate(zip(X.basis, vectors)):
-            if degree != i and not any(s in sources for s, _ in X.pairing_partners(k)):
-                yield label, []
-                continue
-            residual = act(p, e) - e if degree == i else act(p, e)
-            rows = sorted(residual.label_dict().items())
-            yield label, [[lab, str(c)] for lab, c in rows]
+    def residual_rows(p, e, on_degree):
+        residual = act(p, e) - e if on_degree else act(p, e)
+        return [[lab, str(c)] for lab, c in sorted(residual.label_dict().items())]
 
-    return _report(P, compose, lambda: diagonal(X), action_rows)
+    return _report(P, compose, lambda: diagonal(X), _action_rows(P, X, residual_rows))
 
 
 def report_passes(report):

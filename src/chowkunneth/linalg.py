@@ -18,22 +18,6 @@ def identity(n):
     )
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return ()
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def transpose(a):
-    if not a:
-        return ()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def _eliminate(rows, ncols):
     """Gauss-Jordan elimination in place on the first `ncols` columns of
     the row lists `rows`: each pivot is the first nonzero entry at or

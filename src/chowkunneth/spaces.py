@@ -578,6 +578,8 @@ def fano_delta(n, degrees, r):
     if not degrees or any(x < 1 for x in degrees):
         raise InvalidSpec("degrees must be a nonempty list of positive integers")
     n, r = int(n), int(r)
+    if not 0 <= r <= n:
+        raise InvalidSpec("fano_delta requires 0 <= r <= n")
     s = len(degrees)
     dmax = degrees[-1]
     return min((r + 1) * (n - r) - comb(dmax + r, r), n - 2 * r - s)
@@ -616,6 +618,6 @@ def barth_range(n, d):
     """Largest degree through which the cohomology of a d-dimensional
     subvariety of P^n is pinned to the ambient one: 2d - n."""
     n, d = int(n), int(d)
-    if d > n:
-        raise InvalidSpec("barth_range requires d <= n")
+    if not 0 <= d <= n:
+        raise InvalidSpec("barth_range requires 0 <= d <= n")
     return 2 * d - n

@@ -660,3 +660,16 @@ def test_formulas_invalid_input_exits_2(capsys):
         capsys, "formulas", "fano", "--n", "3", "--degrees", "x", "--r", "1"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fano", "--n", "3", "--degrees", "3", "--r", "-1"), "fano_delta requires 0 <= r <= n"),
+    (("fano", "--n", "-1", "--degrees", "3", "--r", "0"), "fano_delta requires 0 <= r <= n"),
+    (("fano", "--n", "2", "--degrees", "3", "--r", "3"), "fano_delta requires 0 <= r <= n"),
+    (("barth", "--n", "2", "--d", "-5"), "barth_range requires 0 <= d <= n"),
+])
+def test_formulas_out_of_range_exit_2_without_traceback(capsys, tmp_path, argv, message):
+    out = tmp_path / "formula.json"
+    code, text, err = run(capsys, "formulas", *argv, "--out", str(out))
+    assert code == 2 and text == "" and not out.exists()
+    assert err == f"error: {message}\n"

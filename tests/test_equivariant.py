@@ -109,7 +109,7 @@ def test_monomial_arithmetic():
     assert R.multiply_mono((2, 1), (1, 1)) is None  # degree 10 overflows
 
 
-def test_memoized_monomial_products_match_the_definition():
+def test_monomial_products_match_the_definition():
     for R in (bg_ring(torus_group(2), 6), bg_ring(general_linear_group(3), 8)):
         weights = [d for _, d in R.gens]
         for a in R.monomials():
@@ -117,11 +117,24 @@ def test_memoized_monomial_products_match_the_definition():
                 out = tuple(x + y for x, y in zip(a, b))
                 want = out if sum(e * w for e, w in zip(out, weights)) <= R.bound else None
                 assert R.multiply_mono(a, b) == want, (a, b)
-                assert R.multiply_mono(a, b) == want, (a, b)  # from the memo
-    # The memo keeps the pairs asked for, never a full table.
-    R = bg_ring(general_linear_group(3), 60)
-    assert R.multiply_mono((1, 0, 0), (0, 1, 0)) == (1, 1, 0)
-    assert R._products == {((1, 0, 0), (0, 1, 0)): (1, 1, 0)}
+
+
+def test_monomial_codes():
+    """code(m) = deg(m) B^r + sum e_g B^g with B = N/2 + 1; the unit is 0
+    and every code of the basis is below the limit (N + 1) B^r."""
+    R = bg_ring(general_linear_group(2), 8)
+    assert R.limit == 9 * 5 ** 2
+    assert R.code_of[R.unit_mono] == 0
+    assert R.code_of[(1, 1)] == 6 * 25 + 1 + 5
+    assert R.mono_of[6 * 25 + 1 + 5] == (1, 1)
+    assert sorted(R.code_of) == sorted(R.monomials())
+    assert all(c < R.limit for c in R.mono_of)
+    assert bg_ring(torus_group(3), 0).limit == 1
+
+
+def test_parameter_generators_of_degree_below_two_are_rejected():
+    with pytest.raises(ValueError, match="degree >= 2"):
+        TruncatedPolyRing((("s", 1),), 4)
 
 
 # -- trivial-action models ---------------------------------------------------------
@@ -158,6 +171,16 @@ def test_correspondence_homogeneity_enforced():
     M = equivariant_trivial_action(spaces.projective_space(1), torus_group(1), 4)
     with pytest.raises(ValueError):
         EquivariantCorrespondence(M, 0, {(0, 1, (1,)): 1})  # degree 4, not 2
+
+
+def test_correspondence_rejects_non_monomials():
+    """A negative exponent or a wrong number of exponents names no
+    parameter monomial, even where the degree would fit: (-1,) on
+    h^2 x h of P^2 has total degree 4."""
+    M = equivariant_projective_torus((0, 1, 2), 4)
+    for mono in ((-1,), (0, 0), ()):
+        with pytest.raises(ValueError, match="not a parameter monomial"):
+            EquivariantCorrespondence(M, 0, {(2, 1, mono): 1})
 
 
 def test_correspondence_truncation_drops_overflow():

@@ -10,13 +10,14 @@ tables; the assemblies through `multiply` and `integrate` on basis
 classes are kept here as their oracles. `tensor_ring` folds the
 factor tables one factor at a time; the assembly over every pair of
 product classes, with tuple terms and the Koszul sign of the whole
-tuples, is kept here as its oracle. Lifted `compose` and `act`
-accumulate integer numerators over one common denominator per operand;
-their loops on `Fraction`s are kept here as their oracles. Ordinary
-`compose` and `act` join two views each correspondence keeps of its
-terms, and both reports skip the classes a member cannot reach; the
-loops over every term, and the reports that act on every class, are
-kept here as their oracles.
+tuples, is kept here as its oracle. Ordinary and lifted `compose` and
+`act` are one pair of joins over two views each correspondence keeps
+of its terms, in integer numerators with parameter monomials as
+integer codes, built without re-validation; both reports skip the
+classes a member cannot reach. The loops over every term (on
+`Fraction`s and exponent tuples for lifted ones), and the reports that
+act on every class, are kept here as their oracles, and the codes are
+checked against `multiply_mono` on every pair of monomials.
 """
 
 import random
@@ -632,7 +633,8 @@ def test_integer_partner_view_is_the_partner_table_scaled():
         M = make(4 * n)
         scale, rows = M._integer_partners()
         for j, row in enumerate(rows):
-            scaled = [(k, {m: Fraction(v, scale) for m, v in poly}) for k, poly in row]
+            scaled = [(k, {M.bg.mono_of[m]: Fraction(v, scale) for m, v in poly})
+                      for k, poly in row]
             assert scaled == list(M.pairing_partners(j)), (name, j)
         assert all(type(v) is int for row in rows for _, poly in row for _, v in poly)
         assert scale == (3 if "1/3" in name else 1), name
@@ -640,6 +642,24 @@ def test_integer_partner_view_is_the_partner_table_scaled():
 
 LIFTED_CASES = lifted_cases()
 LIFTED_IDS = [f"{name} N={N}" for name, N in LIFTED_CASES]
+
+
+@pytest.mark.parametrize("name, N", LIFTED_CASES, ids=LIFTED_IDS)
+def test_monomial_codes_add_exactly_within_the_bound(name, N):
+    """For every pair of monomials, the codes' sum is below the limit
+    exactly when the product stays within the bound, and it is then the
+    product's code."""
+    bg = lifted_models()[name][0](N).bg
+    code, mono = bg.code_of, bg.mono_of
+    assert code[bg.unit_mono] == 0 and len(mono) == len(bg.monomials())
+    for a in bg.monomials():
+        for b in bg.monomials():
+            product = bg.multiply_mono(a, b)
+            assert product == mono_product(bg, a, b)
+            m = code[a] + code[b]
+            assert (m < bg.limit) == (product is not None), (a, b)
+            if product is not None:
+                assert mono[m] == product, (a, b)
 
 
 @pytest.mark.parametrize("name, N", LIFTED_CASES, ids=LIFTED_IDS)
@@ -666,8 +686,9 @@ def test_lifted_kernels_match_fraction_loops(name, N):
             nonzero += bool(got)
     assert nonzero
     if N == 2:
-        # truncation dropped a product on this bound
-        assert None in M.bg._products.values()
+        # truncation drops a product of the members' monomials on this bound
+        monos = {m for f in members for _, _, m in f.terms}
+        assert any(M.bg.multiply_mono(a, b) is None for a in monos for b in monos)
 
 
 @pytest.mark.parametrize("name, N", LIFTED_CASES, ids=LIFTED_IDS)
@@ -701,6 +722,45 @@ def fraction_verify_equivariant(F):
                           for (j, m), c in sorted(residual.items()) if c]
 
     return _report(F, fraction_compose, F.model.diagonal, action_rows)
+
+
+def test_joins_build_their_results_without_revalidation(monkeypatch):
+    """A join's result is valid by construction: over a report on
+    `plane_curve_family(4)` and one on a weighted P8 lift, `compose`
+    and `act` call neither class's constructor; the one construction
+    left per report is the diagonal of the completeness check."""
+    P = full_projectors(spaces.plane_curve_family(4))
+    M = equivariant_projective_torus((3, -2, 0, 1, 1, 5, -4, 2, 7), 32)
+    F = lift_projectors(full_projectors(M.base), M.group, 32, model=M)
+    built, from_joins = [], []
+    for cls in (CorrespondenceClass, EquivariantCorrespondence):
+        def counted(self, *args, _init=cls.__dict__["__init__"], _cls=cls):
+            if type(self) is _cls:
+                built.append(_cls)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def watched(fn):
+        def run(*args):
+            before = len(built)
+            out = fn(*args)
+            from_joins.append(len(built) - before)
+            return out
+        return run
+
+    monkeypatch.setattr(kunneth, "compose", watched(compose))
+    monkeypatch.setattr(kunneth, "act", watched(act))
+    for method in ("compose", "act"):
+        inner = EquivariantCorrespondence.__dict__[method]
+        monkeypatch.setattr(EquivariantCorrespondence, method, watched(inner))
+    for verify, S, cls in ((verify_ck, P, CorrespondenceClass),
+                           (verify_equivariant, F, EquivariantCorrespondence)):
+        built.clear()
+        from_joins.clear()
+        assert report_passes(verify(S))
+        assert len(from_joins) > len(S.indices()) ** 2
+        assert sum(from_joins) == 0
+        assert built == [cls]
 
 
 # -- ordinary composition and action, term by term ----------------------------------
