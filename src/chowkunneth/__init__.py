@@ -12,168 +12,67 @@ supported ring surjections. A batch command-line front end mirrors
 the library surface.
 """
 
-from .errors import (
-    ChowKunnethError,
-    DegeneratePairing,
-    IncompleteInput,
-    InvalidSpec,
-    NonLefschetzRange,
-    NotIdempotent,
-    NotRingMap,
-    OddRankObstruction,
-    PreconditionViolated,
-    RingAxiomError,
-    RingMismatch,
-    UnsupportedAction,
-)
-from .graded_ring import (
-    ClassVector,
-    GradedBasisRing,
-    RingMap,
-    tensor_class,
-    tensor_ring,
-)
-from .spaces import (
-    barth_range,
-    blowup,
-    build_space,
-    ci_model,
-    fano_delta,
-    fano_delta_notes,
-    grassmannian,
-    hypersurface_model,
-    kill_primitive_middle,
-    plane_curve_family,
-    product_space,
-    projective_space,
-    rep_variety_dim,
-)
-from .correspondences import (
-    CorrespondenceClass,
-    act,
-    compose,
-    diagonal,
-    exterior_product,
-    from_pair,
-    map_correspondence,
-    transpose,
-    zero_correspondence,
-)
-from .kunneth import (
-    MotiveObject,
-    ProjectorSet,
-    algebraic_projectors,
-    coevaluation_projector,
-    failing_checks,
-    full_projectors,
-    gram_schmidt_orthogonalize,
-    hypersurface_projectors,
-    is_morphism,
-    lefschetz_motive,
-    motive_of_space,
-    product_projectors,
-    remainder_projector,
-    report_passes,
-    tate_twist,
-    tensor_motives,
-    unit_motive,
-    verify_ck,
-)
-from .equivariant import (
-    EquivariantCorrespondence,
-    EquivariantModel,
-    EquivariantProjectorFamily,
-    GroupSpec,
-    TruncatedPolyRing,
-    bg_ring,
-    bottom_weight_restriction,
-    compare_lifted_coefficients,
-    equivariant_projective_torus,
-    equivariant_trivial_action,
-    general_linear_group,
-    lift_projectors,
-    stabilization_check,
-    torus_group,
-    verify_equivariant,
-)
-from . import schubert, serialize
+import sys
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChowKunnethError",
-    "DegeneratePairing",
-    "IncompleteInput",
-    "InvalidSpec",
-    "NonLefschetzRange",
-    "NotIdempotent",
-    "NotRingMap",
-    "OddRankObstruction",
-    "PreconditionViolated",
-    "RingAxiomError",
-    "RingMismatch",
-    "UnsupportedAction",
-    "ClassVector",
-    "GradedBasisRing",
-    "RingMap",
-    "tensor_class",
-    "tensor_ring",
-    "barth_range",
-    "blowup",
-    "build_space",
-    "ci_model",
-    "fano_delta",
-    "fano_delta_notes",
-    "grassmannian",
-    "hypersurface_model",
-    "kill_primitive_middle",
-    "plane_curve_family",
-    "product_space",
-    "projective_space",
-    "rep_variety_dim",
-    "CorrespondenceClass",
-    "act",
-    "compose",
-    "diagonal",
-    "exterior_product",
-    "from_pair",
-    "map_correspondence",
-    "transpose",
-    "zero_correspondence",
-    "MotiveObject",
-    "ProjectorSet",
-    "algebraic_projectors",
-    "coevaluation_projector",
-    "failing_checks",
-    "full_projectors",
-    "gram_schmidt_orthogonalize",
-    "hypersurface_projectors",
-    "is_morphism",
-    "lefschetz_motive",
-    "motive_of_space",
-    "product_projectors",
-    "remainder_projector",
-    "report_passes",
-    "tate_twist",
-    "tensor_motives",
-    "unit_motive",
-    "verify_ck",
-    "EquivariantCorrespondence",
-    "EquivariantModel",
-    "EquivariantProjectorFamily",
-    "GroupSpec",
-    "TruncatedPolyRing",
-    "bg_ring",
-    "bottom_weight_restriction",
-    "compare_lifted_coefficients",
-    "equivariant_projective_torus",
-    "equivariant_trivial_action",
-    "general_linear_group",
-    "lift_projectors",
-    "stabilization_check",
-    "torus_group",
-    "verify_equivariant",
-    "schubert",
-    "serialize",
-    "__version__",
-]
+# Each public name and the submodule that defines it. A name resolves on
+# first use, so `import chowkunneth` loads no engine module.
+_HOMES = {
+    "errors": (
+        "ChowKunnethError", "DegeneratePairing", "IncompleteInput", "InvalidSpec",
+        "NonLefschetzRange", "NotIdempotent", "NotRingMap", "OddRankObstruction",
+        "PreconditionViolated", "RingAxiomError", "RingMismatch", "UnsupportedAction",
+    ),
+    "graded_ring": (
+        "ClassVector", "GradedBasisRing", "RingMap", "tensor_class", "tensor_ring",
+    ),
+    "spaces": (
+        "blowup", "build_space", "ci_model", "grassmannian", "hypersurface_model",
+        "kill_primitive_middle", "plane_curve_family", "product_space",
+        "projective_space",
+    ),
+    "formulas": (
+        "barth_range", "fano_delta", "fano_delta_notes", "rep_variety_dim",
+    ),
+    "correspondences": (
+        "CorrespondenceClass", "act", "compose", "diagonal", "exterior_product",
+        "from_pair", "map_correspondence", "transpose", "zero_correspondence",
+    ),
+    "kunneth": (
+        "MotiveObject", "ProjectorSet", "algebraic_projectors",
+        "coevaluation_projector", "failing_checks", "full_projectors",
+        "gram_schmidt_orthogonalize", "hypersurface_projectors", "is_morphism",
+        "lefschetz_motive", "motive_of_space", "product_projectors",
+        "remainder_projector", "report_passes", "tate_twist", "tensor_motives",
+        "unit_motive", "verify_ck",
+    ),
+    "equivariant": (
+        "EquivariantCorrespondence", "EquivariantModel", "EquivariantProjectorFamily",
+        "GroupSpec", "TruncatedPolyRing", "bg_ring", "bottom_weight_restriction",
+        "compare_lifted_coefficients", "equivariant_projective_torus",
+        "equivariant_trivial_action", "general_linear_group", "lift_projectors",
+        "stabilization_check", "torus_group", "verify_equivariant",
+    ),
+}
+_SUBMODULES = ("schubert", "serialize")
+_HOME_OF = {name: f"{__name__}.{module}" for module, names in _HOMES.items() for name in names}
+
+__all__ = [*_HOME_OF, *_SUBMODULES, "__version__"]
+
+
+def __getattr__(name):
+    """The public object `name`, looked up in its submodule on every
+    access: nothing is cached here, so an attribute patched on the
+    submodule is what the package gives."""
+    path = _HOME_OF.get(name)
+    if path is not None:
+        return getattr(sys.modules.get(path) or import_module(path), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,23 +17,17 @@ detected while assembling a ring from supplied tables are reported
 under the name of the violated check ("pairing_nondegeneracy",
 "lefschetz_range", or the specific ring axiom) with exit code 1, the
 same way a failed verification is.
+
+Each subcommand imports the package modules it runs when it starts,
+before any work, so a process loads and compiles only those: `--help`
+and the formulas load none of the ring engine, and an ordinary
+projector set loads neither the equivariant models nor the Schubert
+calculus.
 """
 
 import argparse
-import json
 import sys
 
-from . import serialize
-from .correspondences import act, compose, diagonal
-from .equivariant import (
-    EquivariantProjectorFamily,
-    GroupSpec,
-    bottom_weight_restriction,
-    equivariant_trivial_action,
-    lift_projectors,
-    stabilization_check,
-    verify_equivariant,
-)
 from .errors import (
     ChowKunnethError,
     DegeneratePairing,
@@ -41,23 +35,20 @@ from .errors import (
     NonLefschetzRange,
     RingAxiomError,
 )
-from .kunneth import full_projectors, verify_ck
-from .spaces import (
-    barth_range,
-    build_space,
-    fano_delta,
-    fano_delta_notes,
-    kill_primitive_middle,
-    rep_variety_dim,
-)
 
 __all__ = ["main"]
+
+# The kinds of `GroupSpec.KINDS`, spelled here so that building the
+# parser loads no engine module; a test holds the two equal.
+_GROUP_KINDS = ("multiplicative_torus", "general_linear")
 
 
 # -- shared plumbing -----------------------------------------------------------
 
 
 def _inline_json(text, what):
+    import json
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -71,7 +62,9 @@ def _spec_arg(text):
     stripped = text.strip()
     if stripped.startswith("{"):
         return _inline_json(stripped, "inline description")
-    return serialize.read_document(text)
+    from .serialize import read_document
+
+    return read_document(text)
 
 
 def _int_csv(text, flag):
@@ -124,7 +117,9 @@ def _print_checks(checks):
 def _write_out(args, doc):
     out = getattr(args, "out", None)
     if out:
-        serialize.write_document(out, doc)
+        from .serialize import write_document
+
+        write_document(out, doc)
 
 
 def _finish(args, checks, doc=None):
@@ -140,6 +135,8 @@ def _finish(args, checks, doc=None):
 
 
 def _group_from_flags(args):
+    from .equivariant import GroupSpec
+
     if args.rank < 1:
         raise InvalidSpec("--rank must be a positive integer")
     return GroupSpec(args.group, args.rank)
@@ -152,6 +149,8 @@ def _even_bound(value, flag):
 
 
 def _load_projector_file(path):
+    from . import serialize
+
     return serialize.projector_set_from_document(
         serialize.read_document(path), where=path
     )
@@ -160,6 +159,8 @@ def _load_projector_file(path):
 def _load_set(path):
     """A projector set or a lifted family, as the document's head field
     ('space' or 'model') says."""
+    from . import serialize
+
     doc = serialize.read_document(path)
     if isinstance(doc, dict) and "model" in doc:
         return serialize.family_from_document(doc, where=path)
@@ -174,6 +175,9 @@ def _load_set(path):
 
 
 def _cmd_build(args):
+    from . import serialize
+    from .spaces import build_space
+
     ring = build_space(_spec_arg(args.space))
     betti = [ring.rank(t) for t in range(2 * ring.dim + 1)]
     doc = {
@@ -192,6 +196,10 @@ def _cmd_build(args):
 
 
 def _cmd_diagonal(args):
+    from . import serialize
+    from .correspondences import diagonal
+    from .spaces import build_space
+
     ring = build_space(_spec_arg(args.space))
     delta = diagonal(ring)
     doc = serialize.correspondence_document(delta)
@@ -204,6 +212,10 @@ def _cmd_diagonal(args):
 
 
 def _cmd_projectors(args):
+    from . import serialize
+    from .kunneth import full_projectors, verify_ck
+    from .spaces import build_space
+
     ring = build_space(_spec_arg(args.space))
     P = full_projectors(ring)
     doc = serialize.projector_set_document(P)
@@ -219,12 +231,18 @@ def _cmd_projectors(args):
 
 
 def _cmd_verify(args):
+    from .equivariant import EquivariantProjectorFamily, verify_equivariant
+    from .kunneth import verify_ck
+
     P = _load_set(args.input)
     lifted = isinstance(P, EquivariantProjectorFamily)
     return _finish(args, verify_equivariant(P) if lifted else verify_ck(P))
 
 
 def _cmd_compose(args):
+    from . import serialize
+    from .correspondences import compose
+
     f = serialize.correspondence_from_document(
         serialize.read_document(args.first), where=args.first
     )
@@ -242,6 +260,9 @@ def _cmd_compose(args):
 
 
 def _cmd_act(args):
+    from . import serialize
+    from .correspondences import act
+
     corr = serialize.correspondence_from_document(
         serialize.read_document(args.correspondence), where=args.correspondence
     )
@@ -279,6 +300,9 @@ def _cmd_act(args):
 
 
 def _make_model(args, base):
+    from . import serialize
+    from .equivariant import equivariant_trivial_action
+
     group = _group_from_flags(args)
     _even_bound(args.bound, "--bound")
     if args.weights is not None:
@@ -288,6 +312,11 @@ def _make_model(args, base):
 
 
 def _cmd_lift(args):
+    from . import serialize
+    from .equivariant import lift_projectors, verify_equivariant
+    from .kunneth import full_projectors
+    from .spaces import build_space
+
     if (args.input is None) == (args.space is None):
         raise InvalidSpec("pass exactly one of a projector file or --space")
     if args.space is not None:
@@ -307,6 +336,10 @@ def _cmd_lift(args):
 
 
 def _cmd_stabilize(args):
+    from .equivariant import stabilization_check
+    from .kunneth import full_projectors
+    from .spaces import build_space
+
     ring = build_space(_spec_arg(args.space))
     P = full_projectors(ring)
     group = _group_from_flags(args)
@@ -321,6 +354,11 @@ def _cmd_stabilize(args):
 
 
 def _cmd_restrict(args):
+    from . import serialize
+    from .equivariant import EquivariantProjectorFamily, bottom_weight_restriction
+    from .kunneth import verify_ck
+    from .spaces import kill_primitive_middle
+
     P = _load_set(args.input)
     if isinstance(P, EquivariantProjectorFamily):
         restricted = bottom_weight_restriction(P.model, P)
@@ -337,6 +375,8 @@ def _cmd_restrict(args):
 
 
 def _cmd_formulas(args):
+    from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
+
     if args.formula == "fano":
         degrees = _int_csv(args.degrees, "--degrees")
         value = fano_delta(args.n, degrees, args.r)
@@ -383,7 +423,7 @@ def _add_verify_flag(p):
 
 def _add_group_flags(p):
     p.add_argument(
-        "--group", choices=GroupSpec.KINDS, default="multiplicative_torus",
+        "--group", choices=_GROUP_KINDS, default="multiplicative_torus",
         help="acting group kind",
     )
     p.add_argument("--rank", type=int, default=1, help="group rank")

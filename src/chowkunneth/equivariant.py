@@ -341,8 +341,9 @@ class EquivariantCorrespondence(CorrespondenceClass):
 
     def compose(self, other):
         """Composition with self applied first, monomials overflowing
-        the bound dropped."""
-        self._compat(other)
+        the bound dropped; the shifts add, as for ordinary classes."""
+        if self.source != other.source:
+            raise RingMismatch("correspondences live over different models")
         return _compose(self, other)
 
     def act(self, alpha):

@@ -22,14 +22,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring
 
 from .correspondences import CorrespondenceClass
-from .equivariant import (
-    EquivariantCorrespondence,
-    EquivariantModel,
-    EquivariantProjectorFamily,
-    GroupSpec,
-    equivariant_projective_torus,
-    equivariant_trivial_action,
-)
 from .errors import InvalidSpec
 from .kunneth import ProjectorSet
 from .spaces import build_space, parse_fraction
@@ -279,6 +271,8 @@ def group_document(G):
 
 
 def group_from_document(doc, where="group"):
+    from .equivariant import GroupSpec
+
     kind = _require(doc, "kind", where)
     rank = _require(doc, "rank", where)
     if kind not in GroupSpec.KINDS:
@@ -302,6 +296,8 @@ def model_document(model):
 def weighted_model(base, group, weights, N, where):
     """The weighted model of the given weights at bound N, checked to
     act through a rank-1 multiplicative torus on the given base."""
+    from .equivariant import GroupSpec, equivariant_projective_torus
+
     if group != GroupSpec("multiplicative_torus", 1):
         raise InvalidSpec(f"{where}: weighted models require a rank-1 multiplicative torus")
     model = equivariant_projective_torus(weights, N)
@@ -314,6 +310,8 @@ def weighted_model(base, group, weights, N, where):
 
 
 def model_from_document(doc, where="equivariant model"):
+    from .equivariant import equivariant_trivial_action
+
     base = load_space(_require(doc, "base", where))
     group = group_from_document(_require(doc, "group", where), f"{where}: group")
     N = _require(doc, "N", where)
@@ -334,6 +332,8 @@ def family_document(F):
 
 
 def family_from_document(doc, where="equivariant projector family"):
+    from .equivariant import EquivariantCorrespondence, EquivariantProjectorFamily
+
     model = model_from_document(_require(doc, "model", where), f"{where}: model")
     bg = model.bg
     monomials = {bg.mono_label(m): m for m in bg.monomials()}

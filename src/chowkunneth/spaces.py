@@ -6,16 +6,17 @@ construction. Constructed rings carry a serializable `space`
 description, and construction is cached on that description, so equal
 descriptions yield the same ring object.
 
-Also houses the closed-form dimension formulas and the
-primitive-killing surjection used by bottom-weight restriction.
+Also houses the primitive-killing surjection used by bottom-weight
+restriction, and re-exports the closed-form dimension formulas of
+`formulas`.
 """
 
 import json
 from fractions import Fraction
-from math import comb
 
-from . import linalg, schubert
+from . import linalg
 from .errors import InvalidSpec, NonLefschetzRange, DegeneratePairing
+from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
 from .graded_ring import ClassVector, GradedBasisRing, RingMap, _combine, _product, tensor_ring
 
 _CACHE = {}
@@ -135,6 +136,8 @@ def grassmannian(k, n):
 
 
 def _build_grassmannian(spec):
+    from . import schubert
+
     k = _require_int(spec, "k", minimum=1)
     n = _require_int(spec, "n", minimum=2)
     if not 0 < k < n:
@@ -565,59 +568,3 @@ def kill_primitive_middle(ring):
               for i, (_, deg) in enumerate(ring.basis)]
     q = RingMap(ring, target, images, require_surjective=True, strict=False)
     return target, q
-
-
-# -- closed-form dimension formulas -------------------------------------------
-
-
-def fano_delta(n, degrees, r):
-    """The printed lower-bound formula for the dimension of the Fano
-    scheme of r-planes on a complete intersection of the given degrees
-    in P^n; the binomial term reads the largest degree only."""
-    degrees = tuple(sorted(int(x) for x in degrees))
-    if not degrees or any(x < 1 for x in degrees):
-        raise InvalidSpec("degrees must be a nonempty list of positive integers")
-    n, r = int(n), int(r)
-    if not 0 <= r <= n:
-        raise InvalidSpec("fano_delta requires 0 <= r <= n")
-    s = len(degrees)
-    dmax = degrees[-1]
-    return min((r + 1) * (n - r) - comb(dmax + r, r), n - 2 * r - s)
-
-
-def fano_delta_notes(n, degrees, r):
-    """Caveats accompanying fano_delta, as printable warning strings."""
-    degrees = tuple(sorted(int(x) for x in degrees))
-    notes = []
-    if len(degrees) > 1:
-        notes.append(
-            "warning: multidegree input — the formula's binomial term uses only the "
-            "largest degree as printed; a per-degree sum is NOT assumed"
-        )
-    if (int(n), degrees, int(r)) == (4, (3,), 1):
-        notes.append(
-            "warning: for lines on a cubic threefold the printed formula gives 1, "
-            "while the classical Fano surface of lines is 2-dimensional; the printed "
-            "value is reported unchanged"
-        )
-    return notes
-
-
-def rep_variety_dim(g, n):
-    """Dimension of the representation variety of a genus-g surface
-    group into GL(n): (2g-1)n^2+1 for g>1, n^2+n for g=1."""
-    g, n = int(g), int(n)
-    if g < 1 or n < 1:
-        raise InvalidSpec("rep_variety_dim requires g >= 1 and n >= 1")
-    if g == 1:
-        return n * n + n
-    return (2 * g - 1) * n * n + 1
-
-
-def barth_range(n, d):
-    """Largest degree through which the cohomology of a d-dimensional
-    subvariety of P^n is pinned to the ambient one: 2d - n."""
-    n, d = int(n), int(d)
-    if not 0 <= d <= n:
-        raise InvalidSpec("barth_range requires 0 <= d <= n")
-    return 2 * d - n

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import chowkunneth
-from chowkunneth import cli, serialize, spaces
+from chowkunneth import cli, kunneth, serialize, spaces
 from chowkunneth.correspondences import diagonal
 from chowkunneth.errors import InvalidSpec
 from chowkunneth.kunneth import ProjectorSet, full_projectors
@@ -483,7 +483,7 @@ def test_stabilize_scaled_member_exits_1(capsys, monkeypatch):
         projs[2] = projs[2].scale(3)
         return ProjectorSet(ring, projs, complete=P.complete)
 
-    monkeypatch.setattr(cli, "full_projectors", scaled)
+    monkeypatch.setattr(kunneth, "full_projectors", scaled)
     code, text, _ = run(
         capsys, "stabilize", "--space", P2, "--degrees", "4", "--n1", "6",
         "--n2", "10",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chowkunneth import spaces
-from chowkunneth.correspondences import act
+from chowkunneth.correspondences import act, compose
 from chowkunneth.equivariant import (
     EquivariantCorrespondence,
     EquivariantModel,
@@ -197,6 +197,27 @@ def test_correspondence_linear_structure():
     assert (d - d).is_zero()
     with pytest.raises(RingMismatch):
         d + EquivariantCorrespondence(M, 1, {})
+
+
+def test_lifted_compose_adds_shifts():
+    """Lifted classes of different shifts compose as ordinary ones do:
+    on P^2 under a trivial torus, (1 x h) then (h x h) is 1 x h."""
+    X = spaces.projective_space(2)
+    M = equivariant_trivial_action(X, torus_group(1), 4)
+    one, h, unit = X.label_index["1"], X.label_index["h"], M.bg.unit_mono
+    f = EquivariantCorrespondence(M, -1, {(one, h, unit): 1})
+    g = EquivariantCorrespondence(M, 0, {(h, h, unit): 1})
+    lifted = f.compose(g)
+    assert lifted.shift == -1
+    assert lifted.label_terms() == [("1", "h", "1", Fraction(1))]
+    assert lifted.restrict() == compose(f.restrict(), g.restrict())
+    # With weights the parameters enter the pairing; the diagonal is
+    # still a two-sided unit for a class of another shift.
+    W = equivariant_projective_torus((0, 1, 3), 8)
+    k = EquivariantCorrespondence(W, -1, {(0, 1, (0,)): 2, (0, 0, (1,)): 3, (1, 0, (0,)): -1})
+    assert k.compose(W.diagonal()) == k == W.diagonal().compose(k)
+    with pytest.raises(RingMismatch):
+        f.compose(EquivariantCorrespondence(W, 0, {}))
 
 
 # -- the weighted projective-line model ------------------------------------------------
