@@ -23,10 +23,10 @@ _HOMES = {
     "errors": (
         "ChowKunnethError", "DegeneratePairing", "IncompleteInput", "InvalidSpec",
         "NonLefschetzRange", "NotIdempotent", "NotRingMap", "OddRankObstruction",
-        "PreconditionViolated", "RingAxiomError", "RingMismatch", "UnsupportedAction",
+        "RingAxiomError", "RingMismatch", "UnsupportedAction",
     ),
     "graded_ring": (
-        "ClassVector", "GradedBasisRing", "RingMap", "tensor_class", "tensor_ring",
+        "ClassVector", "GradedBasisRing", "RingMap", "tensor_ring",
     ),
     "spaces": (
         "blowup", "build_space", "ci_model", "grassmannian", "hypersurface_model",
@@ -41,12 +41,9 @@ _HOMES = {
         "from_pair", "map_correspondence", "transpose", "zero_correspondence",
     ),
     "kunneth": (
-        "MotiveObject", "ProjectorSet", "algebraic_projectors",
-        "coevaluation_projector", "failing_checks", "full_projectors",
-        "gram_schmidt_orthogonalize", "hypersurface_projectors", "is_morphism",
-        "lefschetz_motive", "motive_of_space", "product_projectors",
-        "remainder_projector", "report_passes", "tate_twist", "tensor_motives",
-        "unit_motive", "verify_ck",
+        "ProjectorSet", "algebraic_projectors", "coevaluation_projector",
+        "failing_checks", "full_projectors", "gram_schmidt_orthogonalize",
+        "hypersurface_projectors", "product_projectors", "report_passes", "verify_ck",
     ),
     "equivariant": (
         "EquivariantCorrespondence", "EquivariantModel", "EquivariantProjectorFamily",

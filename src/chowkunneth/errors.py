@@ -37,10 +37,6 @@ class IncompleteInput(ChowKunnethError):
     not supplied."""
 
 
-class PreconditionViolated(ChowKunnethError):
-    """An operation's documented precondition fails on the given input."""
-
-
 class NotRingMap(ChowKunnethError):
     """A claimed ring homomorphism is not multiplicative, not unital,
     not degree-preserving, or not surjective where required."""

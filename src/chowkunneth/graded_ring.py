@@ -147,35 +147,6 @@ class ClassVector:
         return " + ".join(parts)
 
 
-class PairingMatrix:
-    """Integrals of products between one degree and its complement."""
-
-    __slots__ = ("row_degree", "col_degree", "row_labels", "col_labels", "entries")
-
-    def __init__(self, row_degree, col_degree, row_labels, col_labels, entries):
-        self.row_degree = row_degree
-        self.col_degree = col_degree
-        self.row_labels = tuple(row_labels)
-        self.col_labels = tuple(col_labels)
-        self.entries = linalg.mat(entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, PairingMatrix):
-            return NotImplemented
-        return (
-            self.row_degree == other.row_degree
-            and self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return (
-            f"PairingMatrix(deg {self.row_degree} x deg {self.col_degree}, "
-            f"{len(self.row_labels)}x{len(self.col_labels)})"
-        )
-
-
 def _generators(deg, prod):
     """Basis indices that generate the ring under `prod`, degree by degree.
 
@@ -395,9 +366,8 @@ class GradedBasisRing:
     The pairing is the one table of nonzero integrals of e_i * e_j that
     the `pairing_nondegeneracy` check fills while proving it
     nondegenerate; `pair_basis` reads it, `_integer_partners` holds
-    its rows (`pairing_partners` their `Fraction` view), `dual_basis`
-    reads the inverses of its blocks that the check made, and
-    `pairing_matrix` builds a block from the table on demand.
+    its rows (`pairing_partners` their `Fraction` view), and
+    `dual_basis` reads the inverses of its blocks that the check made.
 
     Parameters
     ----------
@@ -557,18 +527,6 @@ class GradedBasisRing:
         lcm L; row j lists (k, [(0, L * value)]), 0 the unit's code."""
         return self._partners
 
-    def pairing_matrix(self, p):
-        """Pairing block between degree p and degree 2*dim - p."""
-        q = self.top_degree - p
-        rows, cols = self.degree_indices(p), self.degree_indices(q)
-        return PairingMatrix(
-            p,
-            q,
-            [self.basis[i][0] for i in rows],
-            [self.basis[j][0] for j in cols],
-            [[self.pair_basis(i, j) for j in cols] for i in rows],
-        )
-
     def dual_basis(self, p):
         """Classes (ê_j) in degree 2*dim - p with ∫ e_i · ê_j = δ_ij,
         indexed like the degree-p basis: from the inverse that
@@ -721,15 +679,3 @@ def tensor_ring(factors, space=None):
         space = {"kind": "product", "factors": [f.space for f in factors]}
     return GradedBasisRing(sum(f.dim for f in factors), basis, structure, integration,
                            space=space, parts={"factors": factors, "index": index})
-
-
-def tensor_class(ring, parts):
-    """Pure tensor of one class per factor, as a class of a tensor ring."""
-    factors, index = ring.parts["factors"], ring.parts["index"]
-    if len(parts) != len(factors):
-        raise ValueError("one class per tensor factor is required")
-    for v, f in zip(parts, factors):
-        if v.ring != f:
-            raise RingMismatch("tensor part lives over the wrong factor")
-    return ClassVector(ring, sum(v.degree for v in parts),
-                       {index[t]: c for t, c in _pure_tensor(v.coeffs for v in parts).items()})

@@ -24,7 +24,6 @@ from .errors import (
     IncompleteInput,
     NotIdempotent,
     OddRankObstruction,
-    PreconditionViolated,
     RingMismatch,
 )
 from .graded_ring import tensor_ring
@@ -157,32 +156,6 @@ def algebraic_projectors(X, m=None, algebraic_degrees=None):
         for t in wanted for p in (t, top - t) if p in groups
     }
     return ProjectorSet(X, projs, complete=len(projs) == len(groups))
-
-
-def remainder_projector(X, partial):
-    """The diagonal minus the members of `partial`. Requires the
-    members to be pairwise orthogonal idempotents (PreconditionViolated
-    otherwise), which makes the remainder an idempotent orthogonal to
-    all of them."""
-    if partial.ring != X:
-        raise RingMismatch("partial set lives over a different ring")
-    idx = partial.indices()
-    for i in idx:
-        p = partial.projectors[i]
-        if compose(p, p) != p:
-            raise PreconditionViolated(f"member at index {i} is not idempotent")
-    for i in idx:
-        for j in idx:
-            if i != j and not compose(
-                partial.projectors[i], partial.projectors[j]
-            ).is_zero():
-                raise PreconditionViolated(
-                    f"members at indices {i} and {j} are not orthogonal"
-                )
-    rem = diagonal(X)
-    for i in idx:
-        rem = rem - partial.projectors[i]
-    return rem
 
 
 def full_projectors(X):
@@ -375,78 +348,3 @@ def failing_checks(report):
         if not entry["pass"] and entry["check"] not in seen:
             seen.append(entry["check"])
     return seen
-
-
-# -- motives ----------------------------------------------------------------
-
-
-class MotiveObject:
-    """A triple (ring, idempotent self-correspondence, twist)."""
-
-    __slots__ = ("ring", "projector", "twist")
-
-    def __init__(self, ring, projector, twist=0):
-        if projector.source != ring or projector.target != ring:
-            raise RingMismatch("motive projector must be a self-correspondence")
-        if projector.shift != 0:
-            raise ValueError("motive projector must have degree shift 0")
-        if compose(projector, projector) != projector:
-            raise NotIdempotent("motive projector is not idempotent")
-        self.ring = ring
-        self.projector = projector
-        self.twist = int(twist)
-
-    def __eq__(self, other):
-        if not isinstance(other, MotiveObject):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.projector == other.projector
-            and self.twist == other.twist
-        )
-
-    def __repr__(self):
-        return f"<MotiveObject dim={self.ring.dim} twist={self.twist}>"
-
-
-def motive_of_space(X, twist=0):
-    return MotiveObject(X, diagonal(X), twist)
-
-
-def tensor_motives(M, N):
-    XY = tensor_ring((M.ring, N.ring))
-    return MotiveObject(
-        XY, exterior_product(M.projector, N.projector, XY, XY), M.twist + N.twist
-    )
-
-
-def tate_twist(M, r):
-    """Twist by r: tensoring with the inverse r-th power of the
-    Lefschetz motive, under the identification with the point factor
-    dropped."""
-    return MotiveObject(M.ring, M.projector, M.twist + int(r))
-
-
-def lefschetz_motive():
-    from .spaces import projective_space
-
-    pt = projective_space(0)
-    return MotiveObject(pt, diagonal(pt), -1)
-
-
-def unit_motive():
-    from .spaces import projective_space
-
-    pt = projective_space(0)
-    return MotiveObject(pt, diagonal(pt), 0)
-
-
-def is_morphism(f, M, N):
-    """Whether f defines a morphism of motives: the degree shift must
-    equal the twist difference and f must absorb the two projectors
-    (source projector composed in, target projector composed out)."""
-    if f.source != M.ring or f.target != N.ring:
-        raise RingMismatch("correspondence does not connect the two motives' rings")
-    if f.shift != N.twist - M.twist:
-        return False
-    return compose(M.projector, f) == f and compose(f, N.projector) == f

@@ -13,6 +13,7 @@ restriction, and re-exports the closed-form dimension formulas of
 
 import json
 from fractions import Fraction
+from itertools import count
 
 from . import linalg
 from .errors import InvalidSpec, NonLefschetzRange, DegeneratePairing
@@ -461,13 +462,21 @@ def _build_blowup(spec):
         pulled.append(_combine(paired, duals))
 
     # Basis: per degree, base classes (power 0), then the exceptional
-    # classes e_z E^j by power j; pos[(j, i)] is the blow-up index.
+    # classes e_z E^j by power j; pos[(j, i)] is the blow-up index. The
+    # mark is the first of E, E2, E3, ... under which no exceptional
+    # label repeats a base label, as it would in an iterated blow-up.
     tags = sorted([(t, 0, b) for b, (_, t) in enumerate(base.basis)]
                   + [(t + 2 * j, j, z) for j in range(1, c)
                      for z, (_, t) in enumerate(center.basis)])
     pos = {(j, i): x for x, (_, j, i) in enumerate(tags)}
-    basis = [(base.basis[i][0], t) if j == 0 else
-             (center.basis[i][0] + (" E" if j == 1 else f" E^{j}"), t) for t, j, i in tags]
+
+    def exceptional(mark, j, z):
+        return f"{center.basis[z][0]} {mark}" + (f"^{j}" if j > 1 else "")
+
+    taken = {label for label, _ in base.basis}
+    mark = next(m for m in (f"E{n}" if n > 1 else "E" for n in count(1))
+                if all(exceptional(m, j, z) not in taken for _, j, z in tags if j))
+    basis = [(exceptional(mark, j, i) if j else base.basis[i][0], t) for t, j, i in tags]
 
     def push_fn(v, p):
         """j_*(g^* v * zeta^p) over the blow-up basis, for a center class
@@ -521,9 +530,7 @@ def plane_curve_family(d, middle_rank=0):
 
 def _build_plane_curve_family(spec):
     d = _require_int(spec, "d", minimum=1)
-    middle_rank = spec.get("middle_rank", 0)
-    if not isinstance(middle_rank, int) or middle_rank < 0:
-        raise InvalidSpec("plane_curve_family: middle_rank must be a nonnegative integer")
+    middle_rank = _require_int(spec, "middle_rank", minimum=0) if "middle_rank" in spec else 0
     n_param = d * (d + 3) // 2
     ambient_spec = {
         "kind": "product",

@@ -56,6 +56,14 @@ def test_build_malformed_space_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("middle_rank", [True, -1, 1.5])
+def test_plane_curve_family_bad_middle_rank_exits_2(capsys, middle_rank):
+    spec = {"kind": "plane_curve_family", "d": 3, "middle_rank": middle_rank}
+    code, text, err = run(capsys, "build", "--space", json.dumps(spec))
+    assert code == 2 and text == ""
+    assert err.startswith("error: plane_curve_family: ") and "'middle_rank'" in err
+
+
 @pytest.mark.parametrize("kind", [[], {}, {"n": 1}, ["projective_space"]],
                          ids=["empty list", "empty object", "object", "list"])
 @pytest.mark.parametrize("path", ["build", "lift", "verify set", "verify family"])

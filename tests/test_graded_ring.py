@@ -16,7 +16,6 @@ from chowkunneth.graded_ring import (
     GradedBasisRing,
     RingMap,
     run_ring_checks,
-    tensor_class,
     tensor_ring,
 )
 
@@ -290,35 +289,6 @@ def test_pairing_table_matches_the_structure_scan():
             assert ring.pair_basis(a, b) == want.get((a, b), 0), (name, a, b)
 
 
-def test_dual_bases_build_no_pairing_matrix(monkeypatch):
-    from chowkunneth import graded_ring
-    from chowkunneth.correspondences import diagonal
-
-    built = []
-    inner = graded_ring.PairingMatrix
-
-    def counted(*args):
-        built.append(args[:2])
-        return inner(*args)
-
-    monkeypatch.setattr(graded_ring, "PairingMatrix", counted)
-    for ring in (plane_ring(), curve_ring(), curve_times_line()):
-        for p in ring.degrees():
-            ring.dual_basis(p)
-        diagonal(ring)
-        ring.point()
-    assert built == []
-    assert curve_ring().pairing_matrix(1).row_labels == ("a", "b")
-    assert built == [(1, 1)]  # built on demand, through the patched name
-
-
-def test_pairing_matrix_shape_and_entries():
-    ring = curve_ring()
-    pm = ring.pairing_matrix(1)
-    assert pm.row_labels == ("a", "b") and pm.col_labels == ("a", "b")
-    assert pm.entries == ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
-
-
 def test_dual_basis_is_dual():
     for ring in (plane_ring(), curve_ring(), curve_times_line()):
         for p in ring.degrees():
@@ -432,27 +402,14 @@ def test_tensor_ring_labels_and_ranks():
 def test_tensor_ring_koszul_sign():
     E = curve_ring()
     T = tensor_ring((E, E))
-    a1 = tensor_class(T, (E.basis_class("a"), E.unit()))
-    b2 = tensor_class(T, (E.unit(), E.basis_class("b")))
+    a1 = T.basis_class("a # 1")
+    b2 = T.basis_class("1 # b")
     # moving b past a picks up a sign: (a x 1)(1 x b) = a x b,
     # (1 x b)(a x 1) = -(a x b)
     left = T.multiply(a1, b2)
     right = T.multiply(b2, a1)
     assert left == right.scale(-1)
     assert left.label_dict() == {"a # b": Fraction(1)}
-
-
-def test_tensor_class_matches_direct_product():
-    ring = plane_ring()
-    T = tensor_ring((ring, ring))
-    v = tensor_class(T, (ring.basis_class("h"), ring.basis_class("h^2")))
-    assert v.label_dict() == {"h # h^2": Fraction(1)}
-    w = tensor_class(
-        T, (ring.from_label_dict({"h": 2}), ring.from_label_dict({"h^2": "1/3"}))
-    )
-    assert w.label_dict() == {"h # h^2": Fraction(2, 3)}
-    with pytest.raises(RingMismatch):
-        tensor_class(T, (curve_ring().unit(), ring.unit()))
 
 
 def test_tensor_ring_pairing_nondegenerate():
@@ -476,8 +433,8 @@ def test_rings_declare_their_attributes():
 
 def test_one_inverse_per_pairing_block(monkeypatch):
     """Construction inverts the pairing block of each pair of degrees
-    p <= 2*dim - p once; dual bases and pairing matrices of both degrees
-    reuse that inverse. Over a ring's whole life that is one inverse per
+    p <= 2*dim - p once; the dual bases of both degrees reuse that
+    inverse. Over a ring's whole life that is one inverse per
     complementary pair of degrees."""
     from chowkunneth import linalg
 
@@ -494,8 +451,7 @@ def test_one_inverse_per_pairing_block(monkeypatch):
         del calls[:]
         ring = make()
         for p in ring.degrees():
-            assert ring.pairing_matrix(p).row_degree == p
             ring.dual_basis(p)
-            ring.pairing_matrix(p)
+            ring.dual_basis(p)
         pairs = {min(p, ring.top_degree - p) for p in ring.degrees()}
         assert len(calls) == len(pairs), ring

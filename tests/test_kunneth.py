@@ -18,11 +18,9 @@ from chowkunneth.errors import (
     IncompleteInput,
     NotIdempotent,
     OddRankObstruction,
-    PreconditionViolated,
 )
 from chowkunneth.graded_ring import tensor_ring
 from chowkunneth.kunneth import (
-    MotiveObject,
     ProjectorSet,
     algebraic_projectors,
     coevaluation_projector,
@@ -30,15 +28,8 @@ from chowkunneth.kunneth import (
     full_projectors,
     gram_schmidt_orthogonalize,
     hypersurface_projectors,
-    is_morphism,
-    lefschetz_motive,
-    motive_of_space,
     product_projectors,
-    remainder_projector,
     report_passes,
-    tate_twist,
-    tensor_motives,
-    unit_motive,
     verify_ck,
 )
 
@@ -141,6 +132,20 @@ def test_full_projectors_verify_on_corpus():
         assert report_passes(report), X
 
 
+def test_full_projectors_middle_member_is_what_the_others_leave():
+    # The members away from the middle are the coevaluation projectors;
+    # the middle one is the diagonal minus all of them.
+    for X in (spaces.projective_space(2), spaces.projective_space(3), cubic_curve(),
+              spaces.hypersurface_model(3, 3, 7), spaces.plane_curve_family(1)):
+        P = full_projectors(X)
+        rest = diagonal(X)
+        for i in P.indices():
+            if i != X.dim:
+                assert P.member(i) == coevaluation_projector(X, i), (X, i)
+                rest = rest - P.member(i)
+        assert P.member(X.dim) == rest, X
+
+
 def test_algebraic_projectors_default_cutoff_completes_even_rings():
     G = spaces.grassmannian(2, 4)
     P = algebraic_projectors(G)
@@ -158,7 +163,7 @@ def test_algebraic_projectors_partial_request():
     P = algebraic_projectors(P3, algebraic_degrees=[0])
     assert P.indices() == (0, 6)
     assert not P.complete
-    rem = remainder_projector(P3, P)
+    rem = diagonal(P3) - P.member(0) - P.member(6)
     assert rem == coevaluation_projector(P3, 2) + coevaluation_projector(P3, 4)
 
 
@@ -176,34 +181,6 @@ def test_projector_set_validation():
         ProjectorSet(P2, {7: coevaluation_projector(P2, 0)})
     with pytest.raises(ValueError):
         ProjectorSet(P2, {0: from_pair(P2.point(), P2.basis_class("h"))})
-
-
-# -- remainder ----------------------------------------------------------------------
-
-
-def test_remainder_of_empty_set_is_diagonal():
-    P2 = spaces.projective_space(2)
-    assert remainder_projector(P2, ProjectorSet(P2, {})) == diagonal(P2)
-
-
-def test_remainder_of_full_set_is_zero():
-    P2 = spaces.projective_space(2)
-    assert remainder_projector(P2, full_projectors(P2)).is_zero()
-
-
-def test_remainder_requires_idempotents():
-    P2 = spaces.projective_space(2)
-    bad = ProjectorSet(P2, {0: coevaluation_projector(P2, 0).scale(2)})
-    with pytest.raises(PreconditionViolated):
-        remainder_projector(P2, bad)
-
-
-def test_remainder_requires_orthogonality():
-    P2 = spaces.projective_space(2)
-    pi0 = coevaluation_projector(P2, 0)
-    bad = ProjectorSet(P2, {0: pi0, 2: pi0})
-    with pytest.raises(PreconditionViolated):
-        remainder_projector(P2, bad)
 
 
 def test_cubic_surface_middle_projector_action():
@@ -454,7 +431,9 @@ def oracle_full(X):
     d = X.dim
     partial = oracle_algebraic(X, m=d - 1) if d > 0 else ProjectorSet(X, {})
     projs = dict(partial.projectors)
-    projs[d] = remainder_projector(X, partial)
+    projs[d] = diagonal(X)
+    for p in partial.projectors.values():
+        projs[d] = projs[d] - p
     return ProjectorSet(X, projs, complete=True, remainder_indices={d})
 
 
@@ -622,48 +601,3 @@ def test_graded_action_failure_rows_sorted_by_label():
         ([4], "s[1,1]", [["s[1,1]", "1"]]),
     ]
 
-
-# -- motives ------------------------------------------------------------------------------
-
-
-def test_motive_requires_idempotent():
-    P2 = spaces.projective_space(2)
-    with pytest.raises(NotIdempotent):
-        MotiveObject(P2, diagonal(P2).scale(2))
-
-
-def test_unit_and_lefschetz_motives():
-    one = unit_motive()
-    L = lefschetz_motive()
-    assert one.twist == 0 and L.twist == -1
-    assert one.ring is L.ring
-    assert tate_twist(one, -1) == L
-    assert tate_twist(L, 0) == L
-
-
-def test_tensor_motives_adds_twists():
-    M = motive_of_space(spaces.projective_space(1), twist=2)
-    N = motive_of_space(spaces.projective_space(2), twist=-1)
-    MN = tensor_motives(M, N)
-    assert MN.twist == 1
-    assert MN.ring.parts["factors"] == (M.ring, N.ring)
-    assert MN.projector == diagonal(MN.ring)
-
-
-def test_projector_is_endomorphism_of_its_own_motive():
-    P1 = spaces.projective_space(1)
-    p = coevaluation_projector(P1, 0)
-    M = MotiveObject(P1, p)
-    assert is_morphism(p, M, M)
-    q = coevaluation_projector(P1, 2)
-    assert not is_morphism(q, M, M)  # p absorbs itself, not q
-
-
-def test_twist_shift_matching():
-    P1 = spaces.projective_space(1)
-    M = motive_of_space(P1)
-    N = motive_of_space(P1, twist=1)
-    f = from_pair(P1.point(), P1.point())  # degree shift 1
-    assert is_morphism(f, M, N)
-    assert not is_morphism(diagonal(P1), M, N)  # shift 0 != twist gap 1
-    assert is_morphism(diagonal(P1), M, M)

@@ -7,11 +7,14 @@ ordinary projector set is built without the equivariant models or the
 Schubert calculus.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from chowkunneth import cli, kunneth
 from chowkunneth.equivariant import GroupSpec
 
 SRC = os.path.dirname(os.path.dirname(chowkunneth.__file__))
+ROOT = Path(SRC).parent
 P2 = json.dumps({"kind": "projective_space", "n": 2})
 CURVES = json.dumps({"kind": "plane_curve_family", "d": 3})
 
@@ -111,9 +115,85 @@ def test_star_import_and_dir_list_the_public_names():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="'chowkunneth' has no attribute 'no_such_name'"):
-        chowkunneth.no_such_name
-    assert not hasattr(chowkunneth, "no_such_name")
+    # The names after the first were public until they were deleted.
+    for name in ("no_such_name", "MotiveObject", "remainder_projector",
+                 "PreconditionViolated", "PairingMatrix", "tensor_class"):
+        with pytest.raises(AttributeError, match=f"'chowkunneth' has no attribute '{name}'"):
+            getattr(chowkunneth, name)
+        assert not hasattr(chowkunneth, name)
+
+
+def _names_used(node):
+    """The names a node refers to: a name, an attribute, an imported
+    name, or each part of a dotted string."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, ast.alias):
+        return (node.name.rpartition(".")[2],)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if re.fullmatch(r"[\w.]+", node.value):
+            return tuple(node.value.split("."))
+    return ()
+
+
+def _unused_public_names(public, uses, named, home):
+    """The public names with no use and not in `named`. `uses` holds
+    (module, top-level definition or None, name used); `home(name)` is
+    the module that defines a public name. A use inside the definition
+    of the name itself, or of a public name that is itself unused, does
+    not count: a class and the helpers that alone build it are unused
+    together."""
+    unused = set()
+    while True:
+        dead = {(home(name), name) for name in unused}
+        used = {name for module, owner, name in uses
+                if (module, owner) not in dead and (module, owner) != (home(name), name)}
+        grown = public - used - named
+        if grown == unused:
+            return unused
+        unused = grown
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    """Each public name is used by a package module other than
+    `__init__` or by the benchmark, or the README names it in backticks."""
+    modules = [p for p in sorted((ROOT / "src" / "chowkunneth").glob("*.py"))
+               if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+    uses = set()  # (module, top-level definition or None, name used)
+    for path in modules:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                uses.update((path.stem, owner, name) for name in _names_used(node))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = {part for span in re.findall(r"`([^`\n]+)`", readme)
+             for part in re.match(r"[\w.]*", span).group().split(".")}
+
+    def home(name):
+        return chowkunneth._HOME_OF.get(name, "").rpartition(".")[2]
+
+    public = {name for name in chowkunneth.__all__ if not name.startswith("__")}
+    unused = _unused_public_names(public, uses, named, home)
+    assert not unused, "no use outside the tests: " + ", ".join(sorted(unused))
+
+
+def test_the_surface_guard_finds_names_only_unused_names_use():
+    # Motive is a class that only refers to itself, twist a function that
+    # only Motive calls, unit a function that only calls itself: all
+    # three are unused. Diagonal is used by another module, point only
+    # by the README.
+    uses = {("m", "Motive", "Motive"), ("m", "Motive", "twist"), ("m", "unit", "unit"),
+            ("k", "build", "diagonal"), ("k", None, "build")}
+    public = {"Motive", "twist", "unit", "diagonal", "point"}
+    found = _unused_public_names(public, uses, {"point"}, lambda name: "m")
+    assert found == {"Motive", "twist", "unit"}
+    uses.add(("k", "build", "twist"))
+    assert _unused_public_names(public, uses, {"point"}, lambda name: "m") == {"Motive", "unit"}
+    nodes = ast.parse("import a.b as c\nx.motive_of('k.diagonal', 'not a name')").body
+    assert {n for top in nodes for node in ast.walk(top) for n in _names_used(node)} >= {
+        "b", "x", "motive_of", "k", "diagonal"}
 
 
 def test_a_patched_submodule_name_is_what_the_package_gives(monkeypatch):

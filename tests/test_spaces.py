@@ -1,17 +1,19 @@
 """Space constructors: shapes, products, sections, blow-ups, formulas."""
 
+import json
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from chowkunneth import graded_ring, schubert, spaces
+from chowkunneth import cli, graded_ring, schubert, spaces
 from chowkunneth.errors import (
     DegeneratePairing,
     InvalidSpec,
     NonLefschetzRange,
 )
 from chowkunneth.graded_ring import GradedBasisRing
+from chowkunneth.kunneth import full_projectors, report_passes, verify_ck
 from schubert_oracles import lr_multiply
 
 
@@ -333,6 +335,59 @@ def test_blowup_rank_formula():
             assert X.rank(t) == want, (t, X)
 
 
+def iterated_point_blowup(r, n=2):
+    """Bl_r P^n as r successive blow-ups of a point, each away from the
+    exceptional divisors already made (its class is the point class h^n)."""
+    spec = {"kind": "projective_space", "n": n}
+    for _ in range(r):
+        spec = {"kind": "blowup", "base": spec, "center": {"kind": "projective_space", "n": 0},
+                "codim": n, "center_pushforward_expr": {"1": {f"h^{n}": "1"}},
+                "normal_chern": {str(j): {} for j in range(1, n + 1)}}
+    return spec
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_iterated_point_blowups_of_the_plane(r):
+    # The i-th exceptional curve is labelled "1 E" for i = 1 and "1 Ei"
+    # after, so one blow-up keeps its labels; K = -3h + sum E_i has
+    # K^2 = 9 - r, and the projectors verify.
+    X = spaces.build_space(iterated_point_blowup(r))
+    marks = ["E"] + [f"E{i}" for i in range(2, r + 1)]
+    assert [l for l, _ in X.basis] == ["1", "h", *(f"1 {m}" for m in marks), "h^2"]
+    assert X.betti() == {0: 1, 2: r + 1, 4: 1}
+    E = [X.basis_class(f"1 {m}") for m in marks]
+    K = X.basis_class("h").scale(-3)
+    for e in E:
+        K = K + e
+    assert X.integrate(K * K) == 9 - r
+    assert [[X.integrate(a * b) for b in E] for a in E] == [
+        [-1 if a is b else 0 for b in E] for a in E
+    ]
+    assert report_passes(verify_ck(full_projectors(X)))
+
+
+def test_iterated_point_blowup_marks_the_powers_of_each_divisor():
+    # In a threefold the exceptional divisor has a square: the second
+    # blow-up's classes are "1 E2" and "1 E2^2", each E_i^3 = 1, and the
+    # two divisors are disjoint.
+    X = spaces.build_space(iterated_point_blowup(2, n=3))
+    assert [l for l, _ in X.basis] == ["1", "h", "1 E", "1 E2", "h^2", "1 E^2", "1 E2^2", "h^3"]
+    assert X.betti() == {0: 1, 2: 3, 4: 3, 6: 1}
+    for mark in ("E", "E2"):
+        E = X.basis_class(f"1 {mark}")
+        assert E * E == X.basis_class(f"1 {mark}^2")
+        assert X.integrate(E * E * E) == 1
+    assert (X.basis_class("1 E") * X.basis_class("1 E2")).is_zero()
+    assert report_passes(verify_ck(full_projectors(X)))
+
+
+def test_iterated_point_blowup_builds_from_the_cli(capsys):
+    code = cli.main(["build", "--space", json.dumps(iterated_point_blowup(2))])
+    out = capsys.readouterr().out
+    assert code == 0 and "FAIL" not in out
+    assert "built: dimension 2, total rank 5, betti 1,0,3,0,1" in out
+
+
 def test_codimension_one_blowup_is_the_base():
     # P^2 along a line: the description passes every check a higher
     # codimension does, then the base comes back unchanged.
@@ -439,6 +494,14 @@ def test_plane_curve_family_validates_each_ring_once(monkeypatch):
     assert X.parts["restrict_map"].target is X
     assert X.parts["restrict_map"].source is built[2]
     assert X.parts["restrict_map"].source is built[2]
+
+
+def test_plane_curve_family_middle_rank_defaults_to_zero():
+    spec = {"kind": "plane_curve_family", "d": 2}
+    X = spaces.build_space(spec)
+    Y = spaces.build_space({**spec, "middle_rank": 0})
+    assert X.basis == Y.basis and X.structure == Y.structure
+    assert X.parts["primitive_indices"] == ()
 
 
 def test_plane_curve_family_middle_rank_parameter():
