@@ -161,14 +161,11 @@ class EquivariantModel:
     __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_scaled")
 
     def __init__(self, base, group, N, weights=None):
-        N = int(N)
-        if N < 0 or N % 2:
-            raise ValueError("the truncation bound must be an even integer >= 0")
+        self.bg = bg_ring(group, N)
         self.base = base
         self.group = group
-        self.N = N
+        self.N = self.bg.bound
         self.weights = None if weights is None else tuple(int(w) for w in weights)
-        self.bg = bg_ring(group, N)
         self._chern = self._segre = self._scaled = None
         if self.weights is not None:
             e = [1]

@@ -2,7 +2,8 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; anything else surfaces as a plain ValueError/TypeError from the
-offending operation.
+offending operation. A ring construction that fails a named check
+raises a `RingAxiomError` carrying that name.
 """
 
 
@@ -12,15 +13,6 @@ class ChowKunnethError(Exception):
 
 class RingMismatch(ChowKunnethError):
     """Operands live over different rings (or incompatible source/target)."""
-
-
-class DegeneratePairing(ChowKunnethError):
-    """A Poincare pairing block that must be invertible is singular."""
-
-
-class NonLefschetzRange(ChowKunnethError):
-    """The ambient pairing of a complete-intersection model degenerates
-    below the middle degree, so the truncation hypotheses fail."""
 
 
 class OddRankObstruction(ChowKunnethError):
@@ -52,7 +44,8 @@ class InvalidSpec(ChowKunnethError):
 
 
 class RingAxiomError(ChowKunnethError):
-    """Constructed structure constants violate a graded ring axiom.
+    """A ring under construction fails one of its named checks: a graded
+    ring axiom, or a hypothesis the construction needs.
 
     Carries the name of the failed check in ``check``.
     """
@@ -60,3 +53,22 @@ class RingAxiomError(ChowKunnethError):
     def __init__(self, check, message):
         super().__init__(message)
         self.check = check
+
+
+class DegeneratePairing(RingAxiomError):
+    """A Poincare pairing block that must be invertible is singular."""
+
+    check = "pairing_nondegeneracy"
+
+    def __init__(self, message):
+        super().__init__(self.check, message)
+
+
+class NonLefschetzRange(RingAxiomError):
+    """The ambient pairing of a complete-intersection model degenerates
+    below the middle degree, so the truncation hypotheses fail."""
+
+    check = "lefschetz_range"
+
+    def __init__(self, message):
+        super().__init__(self.check, message)

@@ -12,19 +12,10 @@ float.
 
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 from . import linalg
 from .errors import DegeneratePairing, RingAxiomError, RingMismatch
-
-CHECK_NAMES = (
-    "basis_shape",
-    "grading",
-    "unit",
-    "graded_commutativity",
-    "associativity",
-    "integration_support",
-    "pairing_nondegeneracy",
-)
 
 
 def _coerce_coeffs(coeffs):
@@ -186,88 +177,59 @@ def _generators(deg, prod):
     return gens
 
 
-def run_ring_checks(dim, basis, structure, integration):
-    """Yield (check_name, ok, detail) for every graded ring axiom.
+# The construction checks. Each reads the raw data `r` that
+# `run_ring_checks` gathers and returns the detail of its first
+# failure, or None; it may assume that every check before it in
+# `_CHECKS` passed.
 
-    Pure function of the raw data, so the CLI can report all checks even
-    when some fail; the constructor raises on the first failure instead.
-    """
-    n = len(basis)
-    top = 2 * dim
 
-    ok_shape = True
-    detail = ""
-    labels = [b[0] for b in basis]
-    if len(set(labels)) != n:
-        ok_shape, detail = False, "duplicate basis labels"
-    elif any(not isinstance(b[0], str) or not b[0] for b in basis):
-        ok_shape, detail = False, "basis labels must be nonempty strings"
-    elif any(d < 0 or d > top for _, d in basis):
-        ok_shape, detail = False, f"basis degrees must lie in [0, {top}]"
-    elif sum(1 for _, d in basis if d == 0) != 1:
-        ok_shape, detail = False, "degree 0 must have rank exactly 1"
-    yield ("basis_shape", ok_shape, detail)
-    if not ok_shape:
-        return
+def _basis_shape(r):
+    if len(set(r.labels)) != len(r.labels):
+        return "duplicate basis labels"
+    if any(not isinstance(label, str) or not label for label in r.labels):
+        return "basis labels must be nonempty strings"
+    if any(d < 0 or d > r.top for d in r.deg):
+        return f"basis degrees must lie in [0, {r.top}]"
+    if r.deg.count(0) != 1:
+        return "degree 0 must have rank exactly 1"
 
-    deg = [b[1] for b in basis]
 
-    ok, detail = True, ""
-    for (i, j), prod in structure.items():
+def _grading(r):
+    deg = r.deg
+    for (i, j), prod in r.structure.items():
         target = deg[i] + deg[j]
         for k, c in prod.items():
-            if c == 0:
-                continue
-            if target > top or deg[k] != target:
-                ok = False
-                detail = (
-                    f"product {labels[i]}*{labels[j]} has a degree-{deg[k]} term, "
-                    f"expected degree {target}"
-                )
-                break
-        if not ok:
-            break
-    yield ("grading", ok, detail)
-    if not ok:
-        return
+            if c != 0 and (target > r.top or deg[k] != target):
+                return (f"product {r.labels[i]}*{r.labels[j]} has a degree-{deg[k]} term, "
+                        f"expected degree {target}")
 
-    def prod(i, j):
-        return structure.get((i, j), {})
 
-    unit = next(i for i in range(n) if deg[i] == 0)
-    ok, detail = True, ""
-    for j in range(n):
-        left = prod(unit, j)
-        right = prod(j, unit)
-        want = {j: Fraction(1)}
-        if left != want or right != want:
-            ok, detail = False, f"unit does not act as identity on {labels[j]}"
-            break
-    yield ("unit", ok, detail)
-    if not ok:
-        return
+def _unit(r):
+    unit = r.deg.index(0)
+    for j, label in enumerate(r.labels):
+        want = {j: 1}
+        if r.prod(unit, j) != want or r.prod(j, unit) != want:
+            return f"unit does not act as identity on {label}"
 
-    ok, detail = True, ""
+
+def _graded_commutativity(r):
+    deg, prod, n = r.deg, r.prod, len(r.deg)
     for i in range(n):
         for j in range(i, n):
             a, b = prod(i, j), prod(j, i)
             if deg[i] % 2 and deg[j] % 2:
                 b = {k: -c for k, c in b.items()}
             if a != b:
-                ok = False
-                detail = f"graded commutativity fails on {labels[i]}, {labels[j]}"
-                break
-        if not ok:
-            break
-    yield ("graded_commutativity", ok, detail)
-    if not ok:
-        return
+                return f"graded commutativity fails on {r.labels[i]}, {r.labels[j]}"
 
+
+def _associativity(r):
+    deg, n, top = r.deg, len(r.deg), r.top
     # Scaled by the lcm L of its denominators the table is integral, and
     # L^2 (x*s)*y = L^2 x*(s*y) is the same identity, so the test below
     # runs on ints.
-    nums = _integer_scaled(c for p in structure.values() for c in p.values())[1]
-    table = {ij: {k: next(nums) for k in p} for ij, p in structure.items()}
+    nums = _integer_scaled(c for p in r.structure.values() for c in p.values())[1]
+    table = {ij: {k: next(nums) for k in p} for ij, p in r.structure.items()}
 
     # Light's associativity test (Clifford & Preston, The Algebraic Theory
     # of Semigroups I, 1961): the classes s with (x*s)*y = x*(s*y) for all
@@ -276,8 +238,7 @@ def run_ring_checks(dim, basis, structure, integration):
     # commutativity turns (e_k*s)*e_i = e_k*(s*e_i) into (e_i*s)*e_k =
     # e_i*(s*e_k) times one Koszul sign on both sides, so k >= i suffices,
     # and the first failing triple is the one a loop over all k finds.
-    ok, detail = True, ""
-    for s in _generators(deg, prod):
+    for s in _generators(deg, r.prod):
         right = [table.get((s, k), {}) for k in range(n)]
         for i in range(n):
             if deg[i] + deg[s] > top:
@@ -287,45 +248,32 @@ def run_ring_checks(dim, basis, structure, integration):
                 if deg[i] + deg[s] + deg[k] > top:
                     continue
                 if _product(table, left, {k: 1}) != _product(table, {i: 1}, right[k]):
-                    ok = False
-                    detail = f"associativity fails on ({labels[i]}, {labels[s]}, {labels[k]})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    yield ("associativity", ok, detail)
-    if not ok:
-        return
+                    return f"associativity fails on ({r.labels[i]}, {r.labels[s]}, {r.labels[k]})"
 
-    ok, detail = True, ""
-    for i, c in integration.items():
-        if deg[i] != top and c != 0:
-            ok, detail = False, f"integration supported on degree {deg[i]} class {labels[i]}"
-            break
-    yield ("integration_support", ok, detail)
-    if not ok:
-        return
 
+def _integration_support(r):
+    for i, c in r.integration.items():
+        if r.deg[i] != r.top and c != 0:
+            return f"integration supported on degree {r.deg[i]} class {r.labels[i]}"
+
+
+def _pairing_nondegeneracy(r):
+    top, prod, integration, pairing = r.top, r.prod, r.integration, r.pairing
     by_degree = {}
-    for i, d in enumerate(deg):
+    for i, d in enumerate(r.deg):
         by_degree.setdefault(d, []).append(i)
 
     # Each block of degrees p <= q = 2*dim - p is integrated once. Its
     # nonzero entries fill the pairing table in both orientations: by
     # graded commutativity the block of (q, p) is its transpose times
     # (-1)^(p*q), and p, q have the same parity.
-    ok, detail = True, ""
-    pairing, inverses = {}, {}
     for p, rows in sorted(by_degree.items()):
         q = top - p
         if q < p and q in by_degree:
             continue  # the block of degrees (q, p) was checked
         cols = by_degree.get(q, [])
         if len(rows) != len(cols):
-            ok = False
-            detail = f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
-            break
+            return f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
         block = [[sum((c * integration.get(k, 0) for k, c in prod(i, j).items()), Fraction(0))
                   for j in cols] for i in rows]
         sign = -1 if p % 2 else 1
@@ -335,28 +283,58 @@ def run_ring_checks(dim, basis, structure, integration):
                     pairing[i, j] = v
                     if p < q:
                         pairing[j, i] = sign * v
-        inverses[p] = linalg.inverse(linalg.mat(block))
-        if inverses[p] is None:
-            ok, detail = False, f"pairing block between degrees {p} and {q} is singular"
-            break
+        r.inverses[p] = linalg.inverse(linalg.mat(block))
+        if r.inverses[p] is None:
+            return f"pairing block between degrees {p} and {q} is singular"
     missing = [q for q in by_degree if top - q not in by_degree]
-    if ok and missing:
-        ok = False
-        detail = f"degree {missing[0]} has no complementary degree {top - missing[0]}"
-    yield _PairingVerdict(ok, detail, pairing, inverses)
+    if missing:
+        return f"degree {missing[0]} has no complementary degree {top - missing[0]}"
 
 
-class _PairingVerdict(tuple):
-    """The pairing check's ("pairing_nondegeneracy", ok, detail), which
-    also hands the ring under construction what the check computed: the
+_CHECKS = (
+    ("basis_shape", _basis_shape),
+    ("grading", _grading),
+    ("unit", _unit),
+    ("graded_commutativity", _graded_commutativity),
+    ("associativity", _associativity),
+    ("integration_support", _integration_support),
+    ("pairing_nondegeneracy", _pairing_nondegeneracy),
+)
+
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
+
+
+def run_ring_checks(dim, basis, structure, integration):
+    """Yield (check_name, ok, detail) for the graded ring axioms, in
+    `CHECK_NAMES` order, and stop after the first that fails.
+
+    A pure function of the raw data: `check_report` lists its verdicts,
+    and the constructor raises the failure as an error that carries the
+    check's name, which the command line reports alone. Each verdict also
+    carries what the pairing check computed (empty until it runs): the
     table `pairing` {(i, j): integral of e_i * e_j} of every nonzero
-    integral, in both orientations, and the block inverses, `inverses[p]`
-    inverting the block of degrees p <= 2*dim - p."""
+    integral, in both orientations, and the block inverses,
+    `inverses[p]` inverting the block of degrees p <= 2*dim - p.
+    """
+    r = SimpleNamespace(
+        top=2 * dim, labels=[b[0] for b in basis], deg=[b[1] for b in basis],
+        structure=structure, integration=integration, pairing={}, inverses={},
+        prod=lambda i, j: structure.get((i, j), {}),
+    )
+    for name, check in _CHECKS:
+        detail = check(r)
+        yield _Verdict(name, detail, r)
+        if detail is not None:
+            return
 
-    def __new__(cls, ok, detail, pairing, inverses):
-        verdict = super().__new__(cls, ("pairing_nondegeneracy", ok, detail))
-        verdict.pairing = pairing
-        verdict.inverses = inverses
+
+class _Verdict(tuple):
+    """A check's (name, ok, detail), with the `pairing` and `inverses`
+    of the data under check."""
+
+    def __new__(cls, name, detail, r):
+        verdict = super().__new__(cls, (name, detail is None, detail or ""))
+        verdict.pairing, verdict.inverses = r.pairing, r.inverses
         return verdict
 
 
@@ -364,7 +342,7 @@ class GradedBasisRing:
     """Immutable graded ring with basis, products, integration, pairing.
 
     The pairing is the one table of nonzero integrals of e_i * e_j that
-    the `pairing_nondegeneracy` check fills while proving it
+    the pairing check of `run_ring_checks` fills while proving it
     nondegenerate; `pair_basis` reads it, `_integer_partners` holds
     its rows (`pairing_partners` their `Fraction` view), and
     `dual_basis` reads the inverses of its blocks that the check made.
@@ -401,7 +379,7 @@ class GradedBasisRing:
         ):
             name, ok, detail = verdict
             if not ok:
-                if name == "pairing_nondegeneracy":
+                if name == DegeneratePairing.check:
                     raise DegeneratePairing(detail)
                 raise RingAxiomError(name, detail)
         self._integrals, self._inverses = verdict.pairing, verdict.inverses
@@ -550,7 +528,7 @@ class GradedBasisRing:
         return self.dual_basis(0)[0]
 
     def check_report(self):
-        """Re-run every construction axiom; list of (check, ok, detail)."""
+        """Re-run the construction checks: their (check, ok, detail) list."""
         return list(
             run_ring_checks(self.dim, self.basis, self.structure, self.integration)
         )

@@ -21,10 +21,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .correspondences import CorrespondenceClass
 from .errors import InvalidSpec
-from .kunneth import ProjectorSet
-from .spaces import build_space, parse_fraction
 
 __all__ = [
     "fraction_str",
@@ -54,6 +51,19 @@ __all__ = [
 def fraction_str(value):
     """Canonical lowest-terms string form: "p/q", or "p" when q = 1."""
     return str(Fraction(value))
+
+
+def parse_fraction(value, where="coefficient"):
+    """An exact rational from a document or a helper argument: an
+    integer, a Fraction or a rational string such as "7/3". Floats and
+    booleans are rejected, so no coefficient ever passes through binary
+    floating point."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
+        raise InvalidSpec(f"{where}: expected an exact rational string, got {value!r}")
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidSpec(f"{where}: bad rational {value!r}") from exc
 
 
 # -- documents on disk ---------------------------------------------------------
@@ -146,6 +156,8 @@ def space_document(ring):
 
 
 def load_space(doc):
+    from .spaces import build_space
+
     return build_space(doc)
 
 
@@ -201,6 +213,8 @@ def correspondence_document(f):
 
 
 def correspondence_from_document(doc, where="correspondence"):
+    from .correspondences import CorrespondenceClass
+
     source = load_space(_require(doc, "source", where))
     target = load_space(_require(doc, "target", where))
     shift = _require_index(_require(doc, "degree_shift", where), where)
@@ -256,6 +270,9 @@ def projector_set_document(P):
 
 
 def projector_set_from_document(doc, where="projector set"):
+    from .correspondences import CorrespondenceClass
+    from .kunneth import ProjectorSet
+
     ring = load_space(_require(doc, "space", where))
     return _set_from_document(
         doc, where, ProjectorSet, ring, _columns(ring, ring),

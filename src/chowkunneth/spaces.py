@@ -19,6 +19,7 @@ from . import linalg
 from .errors import InvalidSpec, NonLefschetzRange, DegeneratePairing
 from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
 from .graded_ring import ClassVector, GradedBasisRing, RingMap, _combine, _product, tensor_ring
+from .serialize import parse_fraction
 
 _CACHE = {}
 
@@ -65,19 +66,6 @@ def _require_int(spec, field, minimum=None):
     if minimum is not None and v < minimum:
         raise InvalidSpec(f"{spec.get('kind')}: field {field!r} must be >= {minimum}")
     return v
-
-
-def parse_fraction(value, where="coefficient"):
-    """An exact rational from a document or a helper argument: an
-    integer, a Fraction or a rational string such as "7/3". Floats and
-    booleans are rejected, so no coefficient ever passes through binary
-    floating point."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
-        raise InvalidSpec(f"{where}: expected an exact rational string, got {value!r}")
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidSpec(f"{where}: bad rational {value!r}") from exc
 
 
 def _exact_strings(raw, where):

@@ -151,7 +151,7 @@ def test_trivial_model_zero_bound_is_the_base():
 
 def test_model_bound_validation():
     X = spaces.projective_space(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the truncation bound must be an even integer >= 0"):
         EquivariantModel(X, torus_group(1), 3)
 
 

@@ -2,8 +2,8 @@
 
 `import chowkunneth` loads no engine module: a public name is looked up
 in its submodule when used. Each CLI command imports the modules it
-runs, so the closed-form formulas start without the ring engine and an
-ordinary projector set is built without the equivariant models or the
+runs, so the closed-form formulas start without the ring engine (with
+`--out`, only the document writer joins them) and an ordinary projector set is built without the equivariant models or the
 Schubert calculus.
 """
 
@@ -68,6 +68,21 @@ def test_formulas_and_help_load_no_engine(tmp_path, argv):
     code, loaded = probe(tmp_path, *argv)
     assert code == 0
     assert loaded <= FORMULAS_ONLY, sorted(loaded - FORMULAS_ONLY)
+
+
+def test_formulas_document_loads_serialize_without_the_engine(tmp_path):
+    code, loaded = probe(tmp_path, "formulas", "rep", "--g", "2", "--n", "2",
+                         "--out", "r.json")
+    assert code == 0
+    assert loaded == FORMULAS_ONLY | {"chowkunneth.serialize"}
+    assert json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["value"] == 13
+
+
+def test_every_serialize_name_resolves():
+    from chowkunneth import serialize
+
+    for name in serialize.__all__:
+        assert callable(getattr(serialize, name)), name
 
 
 def test_ordinary_projectors_load_no_equivariant_or_schubert(tmp_path):
