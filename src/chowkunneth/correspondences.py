@@ -11,7 +11,8 @@ compose and act for lifted correspondences.
 from fractions import Fraction
 
 from .errors import RingMismatch
-from .graded_ring import ClassVector, _integer_scaled, _pure_tensor
+from .graded_ring import ClassVector, _pure_tensor
+from .linalg import _integer_scaled
 
 
 class CorrespondenceClass:

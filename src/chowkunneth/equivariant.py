@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .correspondences import CorrespondenceClass, _act, _compose, diagonal
 from .errors import RingMismatch, UnsupportedAction
-from .graded_ring import _integer_scaled
 from .kunneth import ProjectorSet, _action_rows, _components, _report, report_passes
+from .linalg import _integer_scaled
 
 
 # -- groups and parameter rings ---------------------------------------------

@@ -6,15 +6,19 @@ a full multiplication table, and a top-degree integration functional.
 Poincare duality is an axiom, not a theorem: construction fails unless
 every complementary pairing block is invertible over Q.
 
-All coefficients are `fractions.Fraction`; nothing here ever touches a
-float.
+All stored coefficients are `fractions.Fraction`; nothing here ever
+touches a float. The construction checks and the tensor fold run on
+integer numerators instead: a check run scales the multiplication table
+and the integration functional to integers once (`_scaled`), and a
+tensor product scales each factor's table once and makes one `Fraction`
+per distinct coefficient of the result.
 """
 
 from fractions import Fraction
-from math import lcm
 from types import SimpleNamespace
 
 from . import linalg
+from .linalg import _integer_scaled
 from .errors import DegeneratePairing, RingAxiomError, RingMismatch
 
 
@@ -25,13 +29,6 @@ def _coerce_coeffs(coeffs):
         if f:
             out[k] = f
     return out
-
-
-def _integer_scaled(values):
-    """(L, an iterator over the ints L * v for v in values), L the lcm of their denominators."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*{d for _, d in ratios})
-    return scale, iter([n * (scale // d) for n, d in ratios])
 
 
 def _product(structure, a, b):
@@ -180,7 +177,25 @@ def _generators(deg, prod):
 # The construction checks. Each reads the raw data `r` that
 # `run_ring_checks` gathers and returns the detail of its first
 # failure, or None; it may assume that every check before it in
-# `_CHECKS` passed.
+# `_CHECKS` passed. From `unit` on they read the table on integer
+# numerators that `_scaled` makes once per run.
+
+
+def _scaled(r):
+    """`r` with `rows` and `volume`, made at the first call: rows[i] is
+    {j: {k: L * c}} for the products e_i * e_j of the structure table,
+    and volume {k: M * c} the integration functional, where L = r.scale
+    and M = r.volume_scale are the lcms of their denominators. Zero
+    entries are kept, so that rows[i][j] and the product e_i * e_j
+    compare alike."""
+    if r.rows is None:
+        r.scale, nums = _integer_scaled(c for p in r.structure.values() for c in p.values())
+        r.rows = [{} for _ in r.deg]
+        for (i, j), p in r.structure.items():
+            r.rows[i][j] = {k: next(nums) for k in p}
+        r.volume_scale, nums = _integer_scaled(r.integration.values())
+        r.volume = {k: next(nums) for k in r.integration}
+    return r
 
 
 def _basis_shape(r):
@@ -199,56 +214,81 @@ def _grading(r):
     for (i, j), prod in r.structure.items():
         target = deg[i] + deg[j]
         for k, c in prod.items():
-            if c != 0 and (target > r.top or deg[k] != target):
+            if (target > r.top or deg[k] != target) and c != 0:
                 return (f"product {r.labels[i]}*{r.labels[j]} has a degree-{deg[k]} term, "
                         f"expected degree {target}")
 
 
 def _unit(r):
-    unit = r.deg.index(0)
+    rows, unit = _scaled(r).rows, r.deg.index(0)
     for j, label in enumerate(r.labels):
-        want = {j: 1}
-        if r.prod(unit, j) != want or r.prod(j, unit) != want:
+        want = {j: r.scale}
+        if rows[unit].get(j) != want or rows[j].get(unit) != want:
             return f"unit does not act as identity on {label}"
 
 
 def _graded_commutativity(r):
-    deg, prod, n = r.deg, r.prod, len(r.deg)
-    for i in range(n):
-        for j in range(i, n):
-            a, b = prod(i, j), prod(j, i)
+    deg, rows = r.deg, _scaled(r).rows
+    # Each product is compared once with its swap, and the detail names
+    # the least failing pair (i <= j), as a loop over all pairs would.
+    failing = []
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if j < i and i in rows[j]:
+                continue  # compared as (j, i)
+            b = rows[j].get(i, {})
             if deg[i] % 2 and deg[j] % 2:
                 b = {k: -c for k, c in b.items()}
             if a != b:
-                return f"graded commutativity fails on {r.labels[i]}, {r.labels[j]}"
+                failing.append((min(i, j), max(i, j)))
+    if failing:
+        i, j = min(failing)
+        return f"graded commutativity fails on {r.labels[i]}, {r.labels[j]}"
 
 
 def _associativity(r):
-    deg, n, top = r.deg, len(r.deg), r.top
-    # Scaled by the lcm L of its denominators the table is integral, and
-    # L^2 (x*s)*y = L^2 x*(s*y) is the same identity, so the test below
-    # runs on ints.
-    nums = _integer_scaled(c for p in r.structure.values() for c in p.values())[1]
-    table = {ij: {k: next(nums) for k in p} for ij, p in r.structure.items()}
-
+    deg, n, top, rows = r.deg, len(r.deg), r.top, _scaled(r).rows
+    # On the table scaled by L, L^2 (x*s)*y = L^2 x*(s*y) is the same
+    # identity, so the test below runs on ints.
+    #
     # Light's associativity test (Clifford & Preston, The Algebraic Theory
     # of Semigroups I, 1961): the classes s with (x*s)*y = x*(s*y) for all
     # basis x, y form a subspace closed under products that holds the unit,
     # so checking s over a generating set proves associativity. Graded
     # commutativity turns (e_k*s)*e_i = e_k*(s*e_i) into (e_i*s)*e_k =
-    # e_i*(s*e_k) times one Koszul sign on both sides, so k >= i suffices,
-    # and the first failing triple is the one a loop over all k finds.
+    # e_i*(s*e_k) times one Koszul sign on both sides, so k >= i suffices.
+    # For each s and i, `diff` collects (e_i*s)*e_k - e_i*(s*e_k) for every
+    # k >= i at once, keyed k*n + t for the coefficient of e_t; the least
+    # k with a nonzero entry names the triple a loop over k finds first.
+    # Triples beyond the top degree are zero on both sides by grading, and
+    # those through the unit hold by the unit axiom.
+    unit = deg.index(0)
+    diff = {}
+    get = diff.get
     for s in _generators(deg, r.prod):
-        right = [table.get((s, k), {}) for k in range(n)]
+        right = rows[s]
         for i in range(n):
-            if deg[i] + deg[s] > top:
+            if i == unit or deg[i] + deg[s] > top:
                 continue
-            left = table.get((i, s), {})
-            for k in range(i, n):
-                if deg[i] + deg[s] + deg[k] > top:
-                    continue
-                if _product(table, left, {k: 1}) != _product(table, {i: 1}, right[k]):
-                    return f"associativity fails on ({r.labels[i]}, {r.labels[s]}, {r.labels[k]})"
+            for m, c in rows[i].get(s, {}).items():
+                for k, p in rows[m].items():
+                    if k >= i:
+                        kn = k * n
+                        for t, v in p.items():
+                            key = kn + t
+                            diff[key] = get(key, 0) + c * v
+            row = rows[i]
+            for k, p in right.items():
+                if k >= i:
+                    kn = k * n
+                    for m, c in p.items():
+                        for t, v in row.get(m, {}).items():
+                            key = kn + t
+                            diff[key] = get(key, 0) - c * v
+            if any(diff.values()):
+                k = min(key for key, v in diff.items() if v) // n
+                return f"associativity fails on ({r.labels[i]}, {r.labels[s]}, {r.labels[k]})"
+            diff.clear()
 
 
 def _integration_support(r):
@@ -258,32 +298,39 @@ def _integration_support(r):
 
 
 def _pairing_nondegeneracy(r):
-    top, prod, integration, pairing = r.top, r.prod, r.integration, r.pairing
+    top, deg, rows, pairing = r.top, r.deg, _scaled(r).rows, r.pairing
     by_degree = {}
-    for i, d in enumerate(r.deg):
+    for i, d in enumerate(deg):
         by_degree.setdefault(d, []).append(i)
 
-    # Each block of degrees p <= q = 2*dim - p is integrated once. Its
-    # nonzero entries fill the pairing table in both orientations: by
-    # graded commutativity the block of (q, p) is its transpose times
-    # (-1)^(p*q), and p, q have the same parity.
-    for p, rows in sorted(by_degree.items()):
+    # The integrals come from the products of top degree alone: e_i * e_j
+    # with deg i <= deg j is integrated once, over the common denominator
+    # L * M of the two scaled tables, and fills the pairing table in both
+    # orientations, since by graded commutativity e_j * e_i is e_i * e_j
+    # times (-1)^(deg i * deg j), and deg i, deg j have the same parity.
+    volume, denominator = r.volume, r.scale * r.volume_scale
+    for i, row in enumerate(rows):
+        p = deg[i]
+        if 2 * p > top:
+            continue
+        for j, prod in row.items():
+            if p + deg[j] == top:
+                v = sum(c * volume.get(k, 0) for k, c in prod.items())
+                if v:
+                    pairing[i, j] = Fraction(v, denominator)
+                    if 2 * p < top:
+                        pairing[j, i] = Fraction(-v if p % 2 else v, denominator)
+
+    # Each block of degrees p <= q = 2*dim - p is read off that table.
+    for p, rows_p in sorted(by_degree.items()):
         q = top - p
         if q < p and q in by_degree:
             continue  # the block of degrees (q, p) was checked
         cols = by_degree.get(q, [])
-        if len(rows) != len(cols):
-            return f"rank {len(rows)} in degree {p} vs rank {len(cols)} in degree {q}"
-        block = [[sum((c * integration.get(k, 0) for k, c in prod(i, j).items()), Fraction(0))
-                  for j in cols] for i in rows]
-        sign = -1 if p % 2 else 1
-        for i, values in zip(rows, block):
-            for j, v in zip(cols, values):
-                if v:
-                    pairing[i, j] = v
-                    if p < q:
-                        pairing[j, i] = sign * v
-        r.inverses[p] = linalg.inverse(linalg.mat(block))
+        if len(rows_p) != len(cols):
+            return f"rank {len(rows_p)} in degree {p} vs rank {len(cols)} in degree {q}"
+        block = [[pairing.get((i, j), 0) for j in cols] for i in rows_p]
+        r.inverses[p] = linalg.inverse(block)
         if r.inverses[p] is None:
             return f"pairing block between degrees {p} and {q} is singular"
     missing = [q for q in by_degree if top - q not in by_degree]
@@ -319,7 +366,7 @@ def run_ring_checks(dim, basis, structure, integration):
     r = SimpleNamespace(
         top=2 * dim, labels=[b[0] for b in basis], deg=[b[1] for b in basis],
         structure=structure, integration=integration, pairing={}, inverses={},
-        prod=lambda i, j: structure.get((i, j), {}),
+        prod=lambda i, j: structure.get((i, j), {}), rows=None,
     )
     for name, check in _CHECKS:
         detail = check(r)
@@ -619,28 +666,35 @@ def tensor_ring(factors, space=None):
     tables, one factor at a time: a prefix pair (x, y) with product xy
     and a factor pair (a, b) with product ab give
     (x # a)*(y # b) = (-1)^(|a| |y|) xy # ab, |y| the right prefix's
-    degree. Basis classes are all tuples of factor basis classes,
-    labelled by joining the factor labels with " # ", ordered by total
-    degree and then by the factor index tuple. The returned ring records
-    its `factors` and `index` in `parts`, for callers that address pure
-    tensors. Without a `space`, a product of described factors is
-    described as the product of their descriptions.
+    degree. The fold runs on integer numerators: each factor's table is
+    scaled by the lcm of its denominators, and the entries become
+    `Fraction`s over the product of those lcms at the end, one per
+    distinct numerator. Basis classes are all tuples of factor basis
+    classes, labelled by joining the factor labels with " # ", ordered
+    by total degree and then by the factor index tuple. The returned
+    ring records its `factors` and `index` in `parts`, for callers that
+    address pure tensors. Without a `space`, a product of described
+    factors is described as the product of their descriptions.
     """
     factors = tuple(factors)
     if not factors:
         raise ValueError("tensor product needs at least one factor")
 
     degree = {(): 0}
-    table = {((), ()): {(): Fraction(1)}}
+    table = {((), ()): {(): 1}}
+    denominator = 1
     for f in factors:
         fdeg = [d for _, d in f.basis]
+        scale, nums = _integer_scaled(c for p in f.structure.values() for c in p.values())
+        denominator *= scale
+        ftable = [(a, b, [(l, next(nums)) for l in ab]) for (a, b), ab in f.structure.items()]
         table = {
             (x + (a,), y + (b,)): {
                 k + (l,): -c * s if fdeg[a] % 2 and degree[y] % 2 else c * s
-                for k, c in xy.items() for l, s in ab.items()
+                for k, c in xy.items() for l, s in ab
             }
             for (x, y), xy in table.items()
-            for (a, b), ab in f.structure.items()
+            for a, b, ab in ftable
         }
         degree = {t + (i,): d + fdeg[i] for t, d in degree.items() for i in range(len(fdeg))}
 
@@ -648,7 +702,9 @@ def tensor_ring(factors, space=None):
     index = {t: g for g, t in enumerate(tuples)}
     basis = [(" # ".join(f.basis[i][0] for f, i in zip(factors, t)), degree[t])
              for t in tuples]
-    structure = {(index[x], index[y]): {index[k]: c for k, c in xy.items()}
+    numerators = {c for xy in table.values() for c in xy.values()}
+    exact = {c: Fraction(c, denominator) for c in numerators}
+    structure = {(index[x], index[y]): {index[k]: exact[c] for k, c in xy.items()}
                  for (x, y), xy in table.items()}
     integration = {index[t]: c for t, c in
                    _pure_tensor(f.integration for f in factors).items()}

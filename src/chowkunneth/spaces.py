@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import count
 
 from . import linalg
-from .errors import InvalidSpec, NonLefschetzRange, DegeneratePairing
+from .errors import DegeneratePairing, InvalidSpec, NonLefschetzRange, NotRingMap
 from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
 from .graded_ring import ClassVector, GradedBasisRing, RingMap, _combine, _product, tensor_ring
 from .serialize import parse_fraction
@@ -135,8 +135,11 @@ def _build_grassmannian(spec):
     parts = schubert.partitions_in_box(k, cols)
     index = {lam: i for i, lam in enumerate(parts)}
     basis = [(schubert.partition_label(lam), 2 * sum(lam)) for lam in parts]
-    structure = {(index[lam], index[mu]): {index[nu]: Fraction(c) for nu, c in prod.items()}
-                 for (lam, mu), prod in schubert.product_table(k, cols).items() if prod}
+    table = schubert.product_table(k, cols)
+    # One Fraction per distinct coefficient, shared by the entries.
+    exact = {c: Fraction(c) for c in {c for prod in table.values() for c in prod.values()}}
+    structure = {(index[lam], index[mu]): {index[nu]: exact[c] for nu, c in prod.items()}
+                 for (lam, mu), prod in table.items() if prod}
     box = tuple([cols] * k)
     return GradedBasisRing(k * cols, basis, structure, {index[box]: Fraction(1)}, space=spec)
 
@@ -436,8 +439,6 @@ def _build_blowup(spec):
                                     allow_empty=True).coeffs
         elif j < c or c >= 3:
             raise InvalidSpec(f"blowup: normal_chern missing c_{j}")
-    if c == 1:
-        return base
 
     # i^* by pairing adjunction against the center's own duality: the
     # coefficient of the dual of e_z in i^* e_b is the integral of e_b * i_* e_z.
@@ -448,6 +449,19 @@ def _build_blowup(spec):
         paired = {r: sum(s * base.pair_basis(b, k) for k, s in push[z].items())
                   for r, z in enumerate(rows)}
         pulled.append(_combine(paired, duals))
+    # The pushforward of a subvariety makes that adjoint a unital ring
+    # map; with it, the projection formula i_*(i^*a * z) = a * i_*z holds
+    # too, since both sides pair alike with every base class.
+    try:
+        RingMap(base, center, [ClassVector(center, t, pulled[b])
+                                for b, (_, t) in enumerate(base.basis)])
+    except NotRingMap as exc:
+        raise InvalidSpec(
+            f"blowup: 'center_pushforward_expr' is not a pushforward: the pullback "
+            f"adjoint to it is not a ring map ({exc})"
+        ) from exc
+    if c == 1:
+        return base
 
     # Basis: per degree, base classes (power 0), then the exceptional
     # classes e_z E^j by power j; pos[(j, i)] is the blow-up index. The

@@ -118,3 +118,12 @@ def test_tracer_reaches_the_session_spans(tmp_path, monkeypatch):
     missing = [span for span in expected if not t.calls[span]]
     assert not missing, f"spans never reached: {missing}"
     assert t.coverage_errors == []
+
+
+def test_tracer_times_every_ring_check_by_its_name():
+    """The tracer names its `graded_ring.check.*.s` metrics from its own
+    list of the ring checks; it must be the one the checks run under, or
+    a renamed or added check is timed under a counter no metric reads."""
+    from chowkunneth.graded_ring import CHECK_NAMES
+
+    assert _perfbench("tracer").CHECK_NAMES == CHECK_NAMES

@@ -87,11 +87,8 @@ CONTROLS = {
     "basis_shape": _raw(2, [("1", 0), ("h", 2), ("h", 4)], {(1, 1): {2: 1}}, {2: 1}),
     # h*h lands in degree 2
     "grading": _raw(2, PLANE, {(1, 1): {1: 1}}, {2: 1}),
-    "unit": _build({
-        "kind": "blowup", "base": P2, "center": {"kind": "projective_space", "n": 0},
-        "codim": 2, "center_pushforward_expr": {"1": {"h^2": "0"}},
-        "normal_chern": {"1": {}},
-    }),
+    # 1*h = 2h
+    "unit": _raw(2, PLANE, {(0, 1): {1: 2}, (1, 1): {2: 1}}, {2: 1}),
     # odd classes a, b of a curve with b*a = a*b
     "graded_commutativity": _raw(1, [("1", 0), ("a", 1), ("b", 1), ("pt", 2)],
                                  {(1, 2): {3: 1}, (2, 1): {3: 1}}, {3: 1}),

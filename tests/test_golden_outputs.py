@@ -10,13 +10,18 @@ E x E diagonal before product rings were folded from the factors'
 tables, the G(3,6) and G(2,5) x P^2 cases before Schubert tables
 were filled by Pieri recursion, and the plane cubic E (odd middle) and
 P^0 cases before projector sets were built by grouping the diagonal,
-and the four `build-fails-*` cases before the ring checks became a
+and the `build-fails-*` cases before the ring checks became a
 table and construction errors began to carry their check's name;
 any change to a report, a document or an exit code shows up here as a
 changed digest. One digest was re-recorded on purpose:
 `verify-tampered-family`, when the residual rows of lifted graded-action
 checks began to print as classes ("(8) h") instead of as correspondence
-terms ("(8) h x 1").
+terms ("(8) h x 1"). One case changed on purpose: the blow-up of a
+point whose pushforward is zero failed `unit` as `build-fails-unit`
+(exit 1) until blow-ups checked that their pullback is a ring map; it
+is now `build-rejects-point_pushed_to_zero` (exit 2), recorded with
+`build-rejects-line_with_doubled_point` from the first code that
+rejected them.
 
 To re-record after an intended change of output, run this file as a
 script: it prints the digest table.
@@ -74,14 +79,6 @@ BL_LINE = {
 # Descriptions whose ring construction fails one named check: `build`
 # exits 1 with a one-entry report naming it.
 CONSTRUCTION_FAILURES = {
-    "unit": {
-        "kind": "blowup",
-        "base": P2,
-        "center": P0,
-        "codim": 2,
-        "center_pushforward_expr": {"1": {"h^2": "0"}},
-        "normal_chern": {"1": {}},
-    },
     "odd_middle_rank": {
         "kind": "ci_model",
         "ambient": P2,
@@ -100,6 +97,24 @@ CONSTRUCTION_FAILURES = {
         "ambient": P1xP2,
         "fundamental_class_expr": {"h # 1": "1"},
         "middle_rank": 0,
+    },
+}
+
+# Blow-up descriptions whose pushforward is no pushforward of a
+# subvariety, as its adjoint pullback is not unital: `build` exits 2
+# with an `error:` line.
+INVALID_BLOWUPS = {
+    "point_pushed_to_zero": {
+        "kind": "blowup",
+        "base": P2,
+        "center": P0,
+        "codim": 2,
+        "center_pushforward_expr": {"1": {"h^2": "0"}},
+        "normal_chern": {"1": {}},
+    },
+    "line_with_doubled_point": {
+        **BL_LINE,
+        "center_pushforward_expr": {"1": {"h^2": "1"}, "h": {"h^3": "2"}},
     },
 }
 
@@ -173,6 +188,8 @@ def corpus(workdir):
 
     for name, spec in CONSTRUCTION_FAILURES.items():
         add(f"build-fails-{name}", "build", "--space", json.dumps(spec))
+    for name, spec in INVALID_BLOWUPS.items():
+        add(f"build-rejects-{name}", "build", "--space", json.dumps(spec))
 
     tampered_set = d / "tampered-set.json"
     tampered_family = d / "tampered-family.json"
@@ -242,10 +259,11 @@ GOLDEN = {
     'restrict-P3': '2ce98f3b86e2dceb42453596c9ab93e7847eed77c99ec07a3846b39031a18e19',
     'stabilize-P2': '1f1643609abc6c8272573da37a03ebb994bc3dcf2e503080037dde9f5a7ec302',
     'stabilize-gl2-P1xP2': 'a3a06eaf0c2436250b703bdb13963bde07f5aec3eae06c177c548386db2eb348',
-    'build-fails-unit': '085305f7b096d018f7d527d814c0adba9068bd2a14bc17c535c09417b670bf45',
     'build-fails-odd_middle_rank': 'db36d4072df0c1c669c357066b1620b062424c800cfa5d3b9b5813c690c3c467',
     'build-fails-singular_middle_pairing': '72d6a49fdd1c9fa0aea81afdebefa5033489446e21f5e6485f8ec28f28f3c6be',
     'build-fails-lefschetz_range': '49be3899590b33f04c84a54ae32d0c275d2c409fa611e34ef8a6ed6a35217fdc',
+    'build-rejects-point_pushed_to_zero': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
+    'build-rejects-line_with_doubled_point': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
     'verify-tampered-set': '3fb89bf1f24d2c5576d016f76f64cb290760604b1537a168f231c8850426f36c',
     'verify-tampered-family': 'fa64897a00f7f1c242e52a11ef7f4dab619b592363223d56f3b804b3f9bbcd5c',
     'restrict-tampered-family': '0553556f486b1d8cece9354f418b552aff43a4914a27d64ea18cd8744c5a6f97',

@@ -18,6 +18,7 @@ from chowkunneth.graded_ring import (
     run_ring_checks,
     tensor_ring,
 )
+import ring_oracles
 
 
 def plane_ring():
@@ -261,12 +262,14 @@ def oracle_pairing(ring):
 
 
 def pairing_oracle_rings():
+    from test_acceptance import corpus_rings
     from test_golden_outputs import SPACES
 
     from chowkunneth import spaces
 
     E = spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2)
-    rings = {name: spaces.build_space(spec) for name, spec in SPACES.items()}
+    rings = {spaces.canonical_spec_key(r.space): r for r in corpus_rings()}
+    rings.update({name: spaces.build_space(spec) for name, spec in SPACES.items()})
     rings.update({
         "G(4,8)": spaces.grassmannian(4, 8),
         "E": E,
@@ -287,6 +290,38 @@ def test_pairing_table_matches_the_structure_scan():
         assert ring._integrals == want, name
         for a, b in itertools.product(range(n), repeat=2):
             assert ring.pair_basis(a, b) == want.get((a, b), 0), (name, a, b)
+
+
+def test_tensor_fold_matches_the_fraction_fold():
+    """On every product among the pairing oracle rings, the integer fold
+    gives the structure table of the `Fraction` fold, in the same key
+    order at both levels."""
+    rings = {name: ring for name, ring in pairing_oracle_rings().items()
+             if "factors" in ring.parts}
+    assert len(rings) >= 6
+    for name, ring in rings.items():
+        want = ring_oracles.fraction_tensor_table(ring.parts["factors"])
+        assert [(ij, list(p.items())) for ij, p in ring.structure.items()] == [
+            (ij, list(p.items())) for ij, p in want.items()], name
+
+
+def test_pairing_and_inverses_match_the_dense_fraction_integration():
+    for name, ring in pairing_oracle_rings().items():
+        pairing, inverses = ring_oracles.dense_pairing(ring)
+        assert ring._integrals == pairing, name
+        assert ring._inverses == inverses, name
+
+
+def test_ring_data_is_exact():
+    """No structure coefficient, integral, pairing value or inverse entry
+    of a corpus ring, a product or G(4,8) is a float."""
+    for name, ring in pairing_oracle_rings().items():
+        values = [c for p in ring.structure.values() for c in p.values()]
+        values += list(ring.integration.values()) + list(ring._integrals.values())
+        values += [c for inv in ring._inverses.values() for row in inv for c in row]
+        values += [c for p in ring.degrees() for v in ring.dual_basis(p)
+                   for c in v.coeffs.values()]
+        assert all(type(c) in (Fraction, int) for c in values), name
 
 
 def test_dual_basis_is_dual():

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over Fraction."""
+"""Exact dense linear algebra, against the `Fraction` elimination it replaced."""
 
 import random
 from fractions import Fraction
 
 from chowkunneth import linalg
+import ring_oracles
 
 
 def random_matrix(rng, n, m, lo=-4, hi=4):
@@ -85,3 +86,59 @@ def test_rank_bounds_and_empty():
     assert linalg.rank(()) == 0
     assert linalg.rank(((Fraction(0),),)) == 0
     assert linalg.rank(linalg.identity(4)) == 4
+
+
+def seeded_matrices(seed, count=300):
+    """Seeded square and rectangular matrices up to 8 x 8: dense, sparse
+    (most entries zero, often a signed permutation as pairing blocks
+    are) and singular (one row a combination of two others)."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n, m = rng.randint(1, 8), rng.randint(1, 8)
+        kind = trial % 3
+        if kind == 1 and rng.random() < 0.5:
+            m = n
+            perm = rng.sample(range(n), n)
+            a = [[Fraction(rng.choice([-1, 1])) if perm[i] == j else Fraction(0)
+                  for j in range(m)] for i in range(n)]
+        else:
+            density = 1.0 if kind == 0 else 0.25
+            a = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < density
+                  else Fraction(0) for _ in range(m)] for _ in range(n)]
+        if kind == 2 and n > 2:
+            x, y = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(1, 3))
+            a[-1] = [x * u + y * v for u, v in zip(a[0], a[1])]
+        yield linalg.mat(a)
+
+
+def test_fraction_free_elimination_matches_the_fraction_oracle():
+    rng = random.Random(16)
+    singular = 0
+    for a in seeded_matrices(17):
+        assert linalg.rank(a) == ring_oracles.rank(a), a
+        if len(a) != len(a[0]):
+            continue
+        inv = linalg.inverse(a)
+        assert inv == ring_oracles.inverse(a), a
+        singular += inv is None
+        b = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)] for _ in a]
+        x = linalg.solve(a, b)
+        assert x == ring_oracles.solve(a, b), a
+        if x is not None:
+            assert all(type(v) is Fraction for row in (*inv, *x) for v in row)
+    assert singular >= 20
+
+
+def test_every_corpus_pairing_block_matches_the_fraction_oracle():
+    from test_graded_ring import pairing_oracle_rings
+
+    blocks = 0
+    for name, ring in pairing_oracle_rings().items():
+        for p in ring.degrees():
+            q = ring.top_degree - p
+            block = linalg.mat([[ring.pair_basis(i, j) for j in ring.degree_indices(q)]
+                                for i in ring.degree_indices(p)])
+            assert linalg.inverse(block) == ring_oracles.inverse(block), (name, p)
+            assert linalg.rank(block) == ring_oracles.rank(block) == len(block), (name, p)
+            blocks += 1
+    assert blocks > 50

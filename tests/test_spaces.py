@@ -388,6 +388,74 @@ def test_iterated_point_blowup_builds_from_the_cli(capsys):
     assert "built: dimension 2, total rank 5, betti 1,0,3,0,1" in out
 
 
+def pushforward_of(X, v):
+    """i_* of a class of the center of the blow-up X, over the base."""
+    base, center, push = X.parts["base"], X.parts["center"], X.space["center_pushforward_expr"]
+    out = base.zero(v.degree + 2 * (base.dim - center.dim))
+    for z, c in v.coeffs.items():
+        out = out + base.from_label_dict(push[center.basis[z][0]], out.degree).scale(c)
+    return out
+
+
+def pullback_of(X, a):
+    """i^* of a base class: the center class whose integral against each
+    center class z is the base integral of a * i_*z."""
+    base, center = X.parts["base"], X.parts["center"]
+    q = 2 * center.dim - a.degree
+    out = center.zero(a.degree)
+    for z, dual in zip(center.degree_indices(q), center.dual_basis(q)):
+        out = out + dual.scale(base.integrate(a * pushforward_of(X, center.basis_vector(z))))
+    return out
+
+
+def corpus_blowups():
+    from test_acceptance import corpus_rings
+
+    rings = [X for X in corpus_rings() if "center" in X.parts]
+    rings += [blowup_point_in_plane(), blowup_line_in_space(),
+              spaces.build_space(iterated_point_blowup(3)),
+              spaces.build_space(iterated_point_blowup(2, n=3))]
+    return rings
+
+
+def test_blowup_pullback_satisfies_the_projection_formula():
+    """i_*(i^*a * z) = a * i_*z for every base class a and center class
+    z, on every blow-up the tests build and on a conic in P^3 (a line
+    whose pushforward of 1 is twice the line class)."""
+    conic = {"kind": "blowup", "base": {"kind": "projective_space", "n": 3},
+             "center": {"kind": "projective_space", "n": 1}, "codim": 2,
+             "center_pushforward_expr": {"1": {"h^2": "2"}, "h": {"h^3": "1"}},
+             "normal_chern": {"1": {"h": "4"}}}
+    rings = corpus_blowups() + [spaces.build_space(conic)]
+    assert len(rings) >= 6
+    for X in rings:
+        base, center = X.parts["base"], X.parts["center"]
+        for b in range(len(base.basis)):
+            a = base.basis_vector(b)
+            for z in range(len(center.basis)):
+                e = center.basis_vector(z)
+                assert pushforward_of(X, pullback_of(X, a) * e) == a * pushforward_of(X, e)
+
+
+@pytest.mark.parametrize("base, center, push", [
+    (3, 1, {"1": {"h^2": "1"}, "h": {"h^3": "2"}}),
+    (2, 0, {"1": {"h^2": "0"}}),
+])
+def test_blowup_rejects_a_pushforward_with_no_unital_pullback(base, center, push, capsys):
+    """A pushforward whose adjoint pullback is not a unital ring map is
+    malformed input, not a failed ring axiom: exit 2 with `error:`."""
+    spec = {"kind": "blowup", "base": {"kind": "projective_space", "n": base},
+            "center": {"kind": "projective_space", "n": center}, "codim": base - center,
+            "center_pushforward_expr": push,
+            "normal_chern": {"1": {"h": "2"} if center else {}}}
+    with pytest.raises(InvalidSpec, match="not a ring map .unit must map to unit"):
+        spaces.build_space(spec)
+    assert cli.main(["build", "--space", json.dumps(spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: blowup: 'center_pushforward_expr' is not a pushforward")
+
+
 def test_codimension_one_blowup_is_the_base():
     # P^2 along a line: the description passes every check a higher
     # codimension does, then the base comes back unchanged.
@@ -397,6 +465,9 @@ def test_codimension_one_blowup_is_the_base():
     assert X is base
     with pytest.raises(InvalidSpec, match="pushforward missing"):
         spaces.blowup(base, spaces.projective_space(1), 1, {})
+    with pytest.raises(InvalidSpec, match="not a ring map"):
+        spaces.blowup(base, spaces.projective_space(1), 1,
+                      {"1": {"h": 1}, "h": {"h^2": 2}}, normal_chern={1: {"h": 1}})
 
 
 def test_blowup_missing_chern_class_rejected():
