@@ -23,7 +23,7 @@ _HOMES = {
     "errors": (
         "ChowKunnethError", "DegeneratePairing", "IncompleteInput", "InvalidSpec",
         "NonLefschetzRange", "NotIdempotent", "NotRingMap", "OddRankObstruction",
-        "RingAxiomError", "RingMismatch", "UnsupportedAction",
+        "RingAxiomError", "RingMismatch", "SizeLimitExceeded", "UnsupportedAction",
     ),
     "graded_ring": (
         "ClassVector", "GradedBasisRing", "RingMap", "tensor_ring",

@@ -25,8 +25,10 @@ class CorrespondenceClass:
 
     `terms` never changes once built (the hash reads it), so the joins
     `_compose` and `_act` read two views built on first use and kept,
-    in integer numerators: the rows by source class (`_by_source`) and
-    the target factor contracted with the pairing (`_contraction`).
+    in integer numerators: the rows by source class (`_by_source`),
+    each target class and code packed into one int j * `_limit` + code,
+    and the target factor contracted with the pairing (`_contraction`),
+    by middle class. The joins add into int keys and split each once.
     """
 
     __slots__ = ("source", "target", "shift", "terms", "_rows", "_contracted")
@@ -100,38 +102,45 @@ class CorrespondenceClass:
         """The term keys as (i, j, code), in term order."""
         return [(i, j, 0) for i, j in self.terms]
 
-    def _decoded(self, coded):
-        """{term key: c} from {(i, j, code): c}: the inverse of `_coded`."""
-        return {(i, j): c for (i, j, _), c in coded.items()}
+    def _decoded(self, packed, stride, scale):
+        """{term key: c} from the compose join's {i * stride + j * W +
+        code: scale * c}, W the `_limit`: the inverse of `_coded`."""
+        return {divmod(key, stride): Fraction(v, scale) for key, v in packed.items() if v}
 
     def _by_source(self):
-        """(L, {i: [(j, code, L * c)]}): the terms (i, j, code) -> c as
-        rows by source class, L the lcm of the denominators."""
+        """(L, {i: [(code, j * W + code, L * c)]}): the terms (i, j,
+        code) -> c as rows by source class, W the `_limit` and L the lcm
+        of the denominators."""
         if self._rows is None:
+            width = self._limit
             scale, nums = _integer_scaled(self.terms.values())
             rows = {}
             for (i, j, m), c in zip(self._coded(), nums):
-                rows.setdefault(i, []).append((j, m, c))
+                rows.setdefault(i, []).append((m, j * width + m, c))
             self._rows = scale, rows
         return self._rows
 
     def _contraction(self):
-        """(L * Lp, {k: {(i, code): a}}): the target factor paired with
-        e_k through the target's partner table, scaled by its Lp."""
+        """(L * Lp, {k: [(code, i, a)]}): the target factor paired with
+        e_k through the target's partner table, scaled by its Lp, one
+        nonzero entry per (i, code)."""
         if self._contracted is None:
             limit = self._limit
             scale_p, partners = self.target._integer_partners()
             scale, rows = self._by_source()
-            out = {}
+            sums = {}
             for i, row in rows.items():
-                for j, m1, c in row:
-                    for k, poly in partners[j]:
-                        left = out.setdefault(k, {})
+                for m1, key, c in row:
+                    for k, poly in partners[key // limit]:
+                        left = sums.setdefault(k, {})
                         for mp, vp in poly:
                             m = m1 + mp
                             if m < limit:
                                 left[i, m] = left.get((i, m), 0) + c * vp
-            self._contracted = scale * scale_p, out
+            self._contracted = scale * scale_p, {
+                k: entries for k, left in sums.items()
+                if (entries := [(m, i, a) for (i, m), a in left.items() if a])
+            }
         return self._contracted
 
     def __add__(self, other):
@@ -201,8 +210,9 @@ def diagonal(X):
 
 
 def _act(gamma, alpha):
-    """The action join, {(j, code): c}: the pairing partners of alpha's
-    classes joined with gamma's rows by source."""
+    """The action join, (L, {j * W + code: L * c}), W the `_limit`:
+    the pairing partners of alpha's classes joined with gamma's rows by
+    source."""
     limit = gamma._limit
     scale_p, partners = gamma.source._integer_partners()
     scale_g, rows = gamma._by_source()
@@ -210,34 +220,40 @@ def _act(gamma, alpha):
     out = {}
     for a, ca in zip(alpha.coeffs, nums):
         for i, poly in partners[a]:
+            row = rows.get(i)
+            if row is None:
+                continue
             for mp, vp in poly:
                 v = ca * vp
-                for j, m2, c in rows.get(i, ()):
-                    m = mp + m2
-                    if m < limit:
-                        out[j, m] = out.get((j, m), 0) + v * c
-    scale = scale_a * scale_g * scale_p
-    return {key: Fraction(v, scale) for key, v in out.items() if v}
+                for m2, key, c in row:
+                    if mp + m2 < limit:
+                        key += mp
+                        out[key] = out.get(key, 0) + v * c
+    return scale_a * scale_g * scale_p, out
 
 
 def _compose(f, g):
     """The composition join, f applied first: f's contraction joined
-    with g's rows by source. The result is valid by construction."""
+    with g's rows by source on the middle classes both have, each sum
+    kept under one int key i * (W * |target basis|) + l * W + code and
+    decoded once. The result is valid by construction."""
     limit = f._limit
     scale_f, contracted = f._contraction()
     scale_g, rows = g._by_source()
+    shared = contracted.keys() & rows.keys()
+    if not shared:
+        return f._trusted(f.source, g.target, f.shift + g.shift, {})
+    # the partner table has one row per target basis class
+    stride = limit * len(g.target._integer_partners()[1])
     out = {}
-    for k, left in contracted.items():
-        right = rows.get(k)
-        if not right:
-            continue
-        for (i, m1), a in left.items():
-            for l, m2, c in right:
-                m = m1 + m2
-                if m < limit:
-                    out[i, l, m] = out.get((i, l, m), 0) + a * c
-    scale = scale_f * scale_g
-    terms = f._decoded({key: Fraction(v, scale) for key, v in out.items() if v})
+    for k in shared:
+        left = contracted[k]
+        for m2, tail, c in rows[k]:
+            for m1, i, a in left:
+                if m1 + m2 < limit:
+                    key = i * stride + m1 + tail
+                    out[key] = out.get(key, 0) + a * c
+    terms = f._decoded(out, stride, scale_f * scale_g)
     return f._trusted(f.source, g.target, f.shift + g.shift, terms)
 
 
@@ -246,8 +262,9 @@ def act(gamma, alpha):
     carried to the target, raising degree by twice the shift."""
     if alpha.ring != gamma.source:
         raise RingMismatch("class does not live over the correspondence's source")
+    scale, out = _act(gamma, alpha)
     return ClassVector(gamma.target, alpha.degree + 2 * gamma.shift,
-                       {j: c for (j, _), c in _act(gamma, alpha).items()})
+                       {j: Fraction(v, scale) for j, v in out.items() if v})
 
 
 def compose(f, g):

@@ -14,7 +14,7 @@ are exact degreewise up to the bound.
 from fractions import Fraction
 
 from .correspondences import CorrespondenceClass, _act, _compose, diagonal
-from .errors import RingMismatch, UnsupportedAction
+from .errors import RingMismatch, SizeLimitExceeded, UnsupportedAction
 from .kunneth import ProjectorSet, _action_rows, _components, _report, report_passes
 from .linalg import _integer_scaled
 
@@ -46,6 +46,35 @@ class GroupSpec:
                 return (("t", 2),)
             return tuple((f"t{i}", 2) for i in range(1, self.size + 1))
         return tuple((f"c{i}", 2 * i) for i in range(1, self.size + 1))
+
+    def monomial_count(self, N, cap=None):
+        """The number of monomials of degree <= N in the generators,
+        without listing them: C(r + N/2, r) for a torus of rank r, and
+        for GL(r) the partitions of at most N/2 into parts of at most
+        min(r, N/2). Past `cap` the count stops early and returns a
+        lower bound above `cap`, so a huge group or bound costs no more
+        than a count up to `cap`."""
+        half, r = N // 2, self.size
+        if self.kind == "multiplicative_torus":
+            k = min(r, half)
+            count = 1
+            for i in range(1, k + 1):
+                count = count * (r + half - k + i) // i
+                if cap is not None and count > cap:
+                    break
+            return count
+        if cap is not None and half >= cap:
+            return half + 1
+        # counts[n]: the partitions of n into the parts used so far
+        counts = [1] * (half + 1)
+        total = half + 1
+        for part in range(2, min(r, half) + 1):
+            if cap is not None and total > cap:
+                break
+            for n in range(part, half + 1):
+                counts[n] += counts[n - part]
+            total = sum(counts)
+        return total
 
     def __eq__(self, other):
         if not isinstance(other, GroupSpec):
@@ -82,24 +111,31 @@ class TruncatedPolyRing:
     __slots__ = ("gens", "bound", "basis", "code_of", "mono_of", "limit")
 
     def __init__(self, gens, bound):
-        bound = int(bound)
-        if bound < 0 or bound % 2:
-            raise ValueError("the truncation bound must be an even integer >= 0")
+        bound = _truncation_bound(bound)
         self.gens = tuple((str(n), int(d)) for n, d in gens)
         if any(d < 2 for _, d in self.gens):
             raise ValueError("parameter generators must have degree >= 2")
         self.bound = bound
-        monos = [()]
-        for _, d in self.gens:
-            monos = [m + (e,) for m in monos
-                     for e in range((bound - self.mono_degree(m)) // d + 1)]
-        monos.sort(key=lambda m: (self.mono_degree(m), tuple(-e for e in m)))
-        self.basis = tuple((self.mono_label(m), self.mono_degree(m)) for m in monos)
+        # (degree, ((generator, exponent > 0), ...)) for every monomial,
+        # each generator extending the ones before it
+        sparse = [(0, ())]
+        for g, (_, d) in enumerate(self.gens):
+            sparse += [(deg + e * d, support + ((g, e),)) for deg, support in sparse
+                       for e in range(1, (bound - deg) // d + 1)]
         B, r = bound // 2 + 1, len(self.gens)
-        self.code_of = {m: self.mono_degree(m) * B**r + sum(e * B**g for g, e in enumerate(m))
-                        for m in monos}
+        powers = [B**g for g in range(r + 1)]
+        monos = []
+        for deg, support in sparse:
+            exps = [0] * r
+            for g, e in support:
+                exps[g] = e
+            code = deg * powers[r] + sum(e * powers[g] for g, e in support)
+            monos.append((deg, [-e for e in exps], tuple(exps), code))
+        monos.sort()
+        self.basis = tuple((self.mono_label(m), deg) for deg, _, m, _ in monos)
+        self.code_of = {m: code for _, _, m, code in monos}
         self.mono_of = {c: m for m, c in self.code_of.items()}
-        self.limit = (bound + 1) * B**r
+        self.limit = (bound + 1) * powers[r]
 
     @property
     def unit_mono(self):
@@ -135,8 +171,33 @@ class TruncatedPolyRing:
         return f"<TruncatedPolyRing [{names}] bound={self.bound} rank={len(self.basis)}>"
 
 
+def _truncation_bound(N):
+    N = int(N)
+    if N < 0 or N % 2:
+        raise ValueError("the truncation bound must be an even integer >= 0")
+    return N
+
+
+# A parameter ring holds one exponent per generator in each monomial;
+# `bg_ring` refuses one that would hold more than this many. A rank-5
+# torus at N = 40 holds 53,130 monomials (265,650 exponents) and builds
+# in about 0.5 s.
+MAX_PARAMETER_EXPONENTS = 1_000_000
+
+
 def bg_ring(G, N):
-    """The parameter ring of the group, truncated at even degree N."""
+    """The parameter ring of the group, truncated at even degree N. Its
+    monomials are counted before any generator is listed, and a ring
+    past MAX_PARAMETER_EXPONENTS raises SizeLimitExceeded."""
+    N = _truncation_bound(N)
+    cap = MAX_PARAMETER_EXPONENTS // G.size
+    count = G.monomial_count(N, cap)
+    if count > cap:
+        raise SizeLimitExceeded(
+            f"the parameter ring of {G.kind} of rank {G.size} truncated at N = {N} "
+            f"would hold at least {count} monomials of {G.size} exponents each, past "
+            f"the limit of {MAX_PARAMETER_EXPONENTS} exponents"
+        )
     return TruncatedPolyRing(G.generators(), N)
 
 
@@ -233,11 +294,16 @@ class EquivariantModel:
         the sum over a + b + c = m - 1 of e_c t^c (h^a x h^b)."""
         if self.weights is None:
             return unit_lift(self, diagonal(self.base))
-        m = len(self.weights)
-        return EquivariantCorrespondence(self, 0, {
-            (a, b, (m - 1 - a - b,)): self._chern[m - 1 - a - b]
-            for a in range(m) for b in range(m - a)
-        })
+        return EquivariantCorrespondence(self, 0, self._divided_difference())
+
+    def _divided_difference(self):
+        """The weighted diagonal's terms {(a, b, (c,)): e_c}, without the
+        zero e_c and the t^c past the bound: nonzero `Fraction`s of the
+        diagonal's degree, valid as they stand."""
+        m, top = len(self.weights), self.N // 2
+        chern = [Fraction(e) for e in self._chern]
+        return {(a, b, (c,)): chern[c] for a in range(m) for b in range(m - a)
+                if (c := m - 1 - a - b) <= top and chern[c]}
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantModel):
@@ -323,9 +389,15 @@ class EquivariantCorrespondence(CorrespondenceClass):
         code = self.source.bg.code_of
         return [(i, j, code[m]) for i, j, m in self.terms]
 
-    def _decoded(self, coded):
-        mono = self.source.bg.mono_of
-        return {(i, j, mono[m]): c for (i, j, m), c in coded.items()}
+    def _decoded(self, packed, stride, scale):
+        mono, width = self.source.bg.mono_of, self._limit
+        terms = {}
+        for key, v in packed.items():
+            if v:
+                i, key = divmod(key, stride)
+                j, m = divmod(key, width)
+                terms[i, j, mono[m]] = Fraction(v, scale)
+        return terms
 
     def label_terms(self):
         """Terms as (source label, target label, monomial label,
@@ -348,8 +420,14 @@ class EquivariantCorrespondence(CorrespondenceClass):
         {(index, monomial): coeff}."""
         if alpha.ring != self.source.base:
             raise RingMismatch("class does not live over the model's base")
-        mono = self.source.bg.mono_of
-        return {(j, mono[m]): c for (j, m), c in _act(self, alpha).items()}
+        mono, width = self.source.bg.mono_of, self._limit
+        scale, out = _act(self, alpha)
+        image = {}
+        for key, v in out.items():
+            if v:
+                j, m = divmod(key, width)
+                image[j, mono[m]] = Fraction(v, scale)
+        return image
 
     def restrict(self):
         """Ordinary correspondence on the base: every parameter
@@ -397,8 +475,10 @@ def lift_projectors(P, G, N, model=None):
     model accepts only the standard decomposition of its base
     projective space, and replaces member 2k by the terms of the
     model's diagonal with target h^k: these stay exactly idempotent,
-    orthogonal and complete in the truncation. Any other set raises
-    UnsupportedAction. With no model, the trivial-action model is used.
+    orthogonal and complete in the truncation. Only the members it does
+    not replace (the zero middle member of an odd-dimensional base) are
+    lifted. Any other set raises UnsupportedAction. With no model, the
+    trivial-action model is used.
     """
     if model is None:
         model = equivariant_trivial_action(P.ring, G, N)
@@ -408,19 +488,21 @@ def lift_projectors(P, G, N, model=None):
         raise RingMismatch("model was built for a different truncation bound")
     if P.ring != model.base:
         raise RingMismatch("projector set does not live over the model's base")
-    projs = {i: unit_lift(model, p) for i, p in P.projectors.items()}
+    projs = {}
     if model.weights is not None:
-        delta = model.diagonal()
-        standard = {
+        delta = EquivariantCorrespondence._trusted(model, model, 0, model._divided_difference())
+        projs = {
             i: delta._with_terms(t) for i, t in _components(delta, model.base.basis).items()
         }
         actual = {i: p for i, p in P.projectors.items() if not p.is_zero()}
-        if actual != {i: p.restrict() for i, p in standard.items()}:
+        if actual != {i: p.restrict() for i, p in projs.items()}:
             raise UnsupportedAction(
                 "a projective-torus model only lifts the standard projector "
                 "set of its base projective space"
             )
-        projs.update(standard)
+    for i, p in P.projectors.items():
+        if i not in projs:
+            projs[i] = unit_lift(model, p)
     return EquivariantProjectorFamily(
         model, projs, complete=P.complete, remainder_indices=P.remainder_indices,
     )

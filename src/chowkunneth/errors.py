@@ -43,6 +43,11 @@ class InvalidSpec(ChowKunnethError):
     """A serialized space/group/correspondence description is malformed."""
 
 
+class SizeLimitExceeded(ChowKunnethError):
+    """A description asks for an object past a documented size limit;
+    the size is predicted, and the object never built."""
+
+
 class RingAxiomError(ChowKunnethError):
     """A ring under construction fails one of its named checks: a graded
     ring axiom, or a hypothesis the construction needs.

@@ -258,7 +258,9 @@ def gram_schmidt_orthogonalize(projectors):
 
 
 def _entry(check, indices, residual):
-    entry = {"check": check, "indices": list(indices), "pass": residual.is_zero()}
+    """A report entry; `residual` is None or zero when the check held."""
+    entry = {"check": check, "indices": list(indices),
+             "pass": residual is None or residual.is_zero()}
     if not entry["pass"]:
         entry["residual_class"] = [
             [*labels, str(c)] for *labels, c in residual.label_terms()
@@ -272,22 +274,30 @@ def _report(P, compose_pair, delta, action_rows):
     applies f first), the diagonal (`delta()`, called only when the set
     claims completeness) and `action_rows(i, p)`: (basis label,
     residual rows) per basis class, with no rows where member p at
-    index i acts correctly."""
+    index i acts correctly. A residual is built only for a failed
+    check: idempotence compares terms, and completeness sums every
+    member's terms, less the diagonal's, in one dict."""
     members = P.projectors
     idx = P.indices()
-    entries = [
-        _entry("idempotence", (i,), compose_pair(members[i], members[i]) - members[i])
-        for i in idx
-    ]
+    entries = []
+    for i in idx:
+        p = members[i]
+        square = compose_pair(p, p)
+        entries.append(_entry("idempotence", (i,),
+                              None if square.terms == p.terms else square - p))
     entries.extend(
         _entry("orthogonality", (i, j), compose_pair(members[i], members[j]))
         for i in idx for j in idx if i != j
     )
     if P.complete:
-        residual = -delta()
+        whole = delta()
+        sums = {}
         for i in idx:
-            residual = residual + members[i]
-        entries.append(_entry("completeness", idx, residual))
+            for key, c in members[i].terms.items():
+                sums[key] = sums.get(key, 0) + c
+        for key, c in whole.terms.items():
+            sums[key] = sums.get(key, 0) - c
+        entries.append(_entry("completeness", idx, whole._with_terms(sums)))
     for i in idx:
         for label, rows in action_rows(i, members[i]):
             entry = {"check": "graded_action", "indices": [i],

@@ -23,15 +23,26 @@ is now `build-rejects-point_pushed_to_zero` (exit 2), recorded with
 `build-rejects-line_with_doubled_point` from the first code that
 rejected them.
 
+The digests leave standard error out. Every case that writes to it is
+listed in `STDERR` with the exact text it writes (the `error:` line of
+an exit-2 case), and every other case must write nothing there. The
+`build-rejects-*` texts were recorded from the code before the
+parameter-ring size guard; `lift-rejects-oversized_torus`, the guard's
+case, from the first code that had it. Its digest (exit 2, empty
+stdout, no document) is the one the two `build-rejects-*` cases share.
+
 To re-record after an intended change of output, run this file as a
-script: it prints the digest table.
+script: it prints the digest table and the standard-error table.
 """
 
 import hashlib
+import io
 import json
-import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from chowkunneth import cli
 
@@ -190,6 +201,10 @@ def corpus(workdir):
         add(f"build-fails-{name}", "build", "--space", json.dumps(spec))
     for name, spec in INVALID_BLOWUPS.items():
         add(f"build-rejects-{name}", "build", "--space", json.dumps(spec))
+    # 1,001 monomials of 1,000 exponents each, just past the size guard's
+    # limit, and quick to build should the guard ever stop refusing it.
+    add("lift-rejects-oversized_torus", "lift", "--space", json.dumps(P2),
+        "--bound", "2", "--rank", "1000")
 
     tampered_set = d / "tampered-set.json"
     tampered_family = d / "tampered-family.json"
@@ -207,22 +222,26 @@ def corpus(workdir):
     return cases
 
 
-def run_corpus(workdir, capture):
-    """{case name: sha256 of exit code, stdout and --out bytes}."""
-    digests = {}
+def run_corpus(workdir):
+    """({case name: sha256 of exit code, stdout and --out bytes},
+    {case name: stderr text, for the cases that write any})."""
+    digests, errors = {}, {}
     for name, argv, out in corpus(workdir):
         if callable(argv):
             argv()
             continue
-        code = cli.main(argv)
-        stdout = capture()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(argv)
         h = hashlib.sha256()
         h.update(f"exit {code}\n".encode())
-        h.update(stdout.encode())
+        h.update(stdout.getvalue().encode())
         if out is not None and out.exists():
             h.update(b"\0--out\0" + out.read_bytes())
         digests[name] = h.hexdigest()
-    return digests
+        if stderr.getvalue():
+            errors[name] = stderr.getvalue()
+    return digests, errors
 
 
 GOLDEN = {
@@ -264,33 +283,52 @@ GOLDEN = {
     'build-fails-lefschetz_range': '49be3899590b33f04c84a54ae32d0c275d2c409fa611e34ef8a6ed6a35217fdc',
     'build-rejects-point_pushed_to_zero': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
     'build-rejects-line_with_doubled_point': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
+    'lift-rejects-oversized_torus': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
     'verify-tampered-set': '3fb89bf1f24d2c5576d016f76f64cb290760604b1537a168f231c8850426f36c',
     'verify-tampered-family': 'fa64897a00f7f1c242e52a11ef7f4dab619b592363223d56f3b804b3f9bbcd5c',
     'restrict-tampered-family': '0553556f486b1d8cece9354f418b552aff43a4914a27d64ea18cd8744c5a6f97',
 }
 
 
-def test_outputs_are_byte_identical_to_the_recorded_ones(tmp_path, capsys):
-    got = run_corpus(tmp_path, lambda: capsys.readouterr().out)
+STDERR = {
+    'build-rejects-point_pushed_to_zero':
+        "error: blowup: 'center_pushforward_expr' is not a pushforward: the pullback "
+        "adjoint to it is not a ring map (unit must map to unit)\n",
+    'build-rejects-line_with_doubled_point':
+        "error: blowup: 'center_pushforward_expr' is not a pushforward: the pullback "
+        "adjoint to it is not a ring map (unit must map to unit)\n",
+    'lift-rejects-oversized_torus':
+        'error: the parameter ring of multiplicative_torus of rank 1000 truncated '
+        'at N = 2 would hold at least 1001 monomials of 1000 exponents each, past '
+        'the limit of 1000000 exponents\n',
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_run(tmp_path_factory):
+    return run_corpus(tmp_path_factory.mktemp("corpus"))
+
+
+def test_outputs_are_byte_identical_to_the_recorded_ones(corpus_run):
+    got, _ = corpus_run
     assert sorted(got) == sorted(GOLDEN)
     changed = [name for name in GOLDEN if got[name] != GOLDEN[name]]
     assert not changed, f"output changed for {changed}"
 
 
+def test_error_output_is_the_recorded_text(corpus_run):
+    """Exactly the cases of `STDERR` write to standard error, and each
+    writes its recorded text."""
+    _, errors = corpus_run
+    assert errors == STDERR
+
+
 if __name__ == "__main__":
-    import io
     import tempfile
-    from contextlib import redirect_stdout
 
-    buffer = io.StringIO()
-
-    def capture():
-        text = buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate()
-        return text
-
-    with tempfile.TemporaryDirectory() as workdir, redirect_stdout(buffer):
-        digests = run_corpus(workdir, capture)
+    with tempfile.TemporaryDirectory() as workdir:
+        digests, errors = run_corpus(workdir)
     for name, digest in digests.items():
-        print(f"    {name!r}: {digest!r},", file=sys.stderr)
+        print(f"    {name!r}: {digest!r},")
+    for name, text in errors.items():
+        print(f"    {name!r}: {text!r},")

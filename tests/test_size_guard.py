@@ -1,0 +1,141 @@
+"""The size guard of parameter rings.
+
+`bg_ring` counts a group's monomials within the bound before it lists a
+single generator (`GroupSpec.monomial_count`), and refuses a ring that
+would hold more than `MAX_PARAMETER_EXPONENTS` exponents, one per
+generator in each monomial, with `SizeLimitExceeded`: `error:` and exit
+2 from `lift`, `stabilize` and every command that reads a model
+document. The refusals run with the enumeration replaced by one that
+raises, so a guard that stops guarding fails at once instead of
+building a huge ring.
+"""
+
+import json
+from math import comb
+
+import pytest
+
+from chowkunneth import cli, equivariant, spaces
+from chowkunneth.equivariant import (
+    MAX_PARAMETER_EXPONENTS,
+    GroupSpec,
+    TruncatedPolyRing,
+    bg_ring,
+    general_linear_group,
+    lift_projectors,
+    torus_group,
+)
+from chowkunneth.errors import SizeLimitExceeded
+from chowkunneth.kunneth import full_projectors
+from chowkunneth.serialize import dumps, family_document
+
+P2 = json.dumps({"kind": "projective_space", "n": 2})
+HUGE = 100_000_000
+
+SMALL = [(kind, r, N) for kind in GroupSpec.KINDS for r in (1, 2, 3, 5)
+         for N in (0, 2, 4, 6, 10, 16)]
+
+
+@pytest.mark.parametrize("kind, r, N", SMALL)
+def test_predicted_count_is_the_built_rank(kind, r, N):
+    G = GroupSpec(kind, r)
+    count = len(bg_ring(G, N).basis)
+    assert G.monomial_count(N) == count
+    if kind == "multiplicative_torus":
+        assert count == comb(r + N // 2, r)
+    # past a cap the count stops at a lower bound above it
+    for cap in range(count + 2):
+        got = G.monomial_count(N, cap)
+        assert got == count if count <= cap else cap < got <= count, cap
+
+
+def test_the_limit_counts_exponents(monkeypatch):
+    """At a limit of 21 exponents: t^0..t^20 (N = 40) builds and N = 42
+    does not; a rank-3 torus at N = 4 has 10 monomials of 3 exponents."""
+    monkeypatch.setattr(equivariant, "MAX_PARAMETER_EXPONENTS", 21)
+    assert len(bg_ring(torus_group(1), 40).basis) == 21
+    with pytest.raises(SizeLimitExceeded, match="at least 22 monomials of 1 exponents"):
+        bg_ring(torus_group(1), 42)
+    with pytest.raises(SizeLimitExceeded, match="at least 10 monomials of 3 exponents"):
+        bg_ring(torus_group(3), 4)
+    monkeypatch.setattr(equivariant, "MAX_PARAMETER_EXPONENTS", 30)
+    assert len(bg_ring(torus_group(3), 4).basis) == 10
+
+
+def test_the_limit_admits_the_models_in_use():
+    assert MAX_PARAMETER_EXPONENTS == 1_000_000
+    assert torus_group(5).monomial_count(40) * 5 <= MAX_PARAMETER_EXPONENTS
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parameter ring past the size guard was enumerated")
+
+    monkeypatch.setattr(GroupSpec, "generators", refuse)
+    monkeypatch.setattr(TruncatedPolyRing, "__init__", refuse)
+
+
+@pytest.mark.parametrize("G, N, count", [
+    (torus_group(HUGE), 4, HUGE + 1),
+    (torus_group(3), HUGE, HUGE // 2 + 1),
+    (torus_group(HUGE), HUGE, HUGE + 1),
+    (general_linear_group(HUGE), 4, 3),
+    (general_linear_group(3), HUGE, HUGE // 2 + 1),
+    (general_linear_group(HUGE), HUGE, HUGE // 2 + 1),
+])
+def test_huge_rings_are_refused_before_enumeration(no_enumeration, G, N, count):
+    with pytest.raises(SizeLimitExceeded, match=f"at least {count} monomials of {G.size} "):
+        bg_ring(G, N)
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("lift", "--space", P2, "--bound", "4", "--rank", str(HUGE)), HUGE + 1),
+    (("lift", "--space", P2, "--bound", str(HUGE), "--rank", "3"), HUGE // 2 + 1),
+    (("lift", "--space", P2, "--bound", "4", "--group", "general_linear",
+      "--rank", str(HUGE)), 3),
+    (("lift", "--space", P2, "--bound", str(HUGE), "--weights", "0,1,2"), HUGE // 2 + 1),
+    (("stabilize", "--space", P2, "--rank", str(HUGE), "--degrees", "2",
+      "--n1", "4", "--n2", "6"), HUGE + 1),
+])
+def test_commands_refuse_huge_rings(no_enumeration, capsys, argv, count):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the parameter ring of ")
+    assert f"at least {count} monomials" in err
+    assert err.count("\n") == 1
+
+
+# A lifted family over P^1 at N = 2, as `lift --out` writes it.
+FAMILY = {
+    "complete": True,
+    "model": {"N": 2, "base": {"kind": "projective_space", "n": 1},
+              "group": {"kind": "multiplicative_torus", "rank": 1}},
+    "projectors": [{"index": 0, "terms": [["h", "1", "1", "1"]]},
+                   {"index": 1, "terms": []},
+                   {"index": 2, "terms": [["1", "h", "1", "1"]]}],
+    "remainder_indices": [1],
+}
+
+
+def test_the_family_document_is_what_lift_writes():
+    F = lift_projectors(full_projectors(spaces.projective_space(1)), torus_group(1), 2)
+    assert json.loads(dumps(family_document(F))) == FAMILY
+
+
+@pytest.mark.parametrize("command", ["verify", "restrict"])
+@pytest.mark.parametrize("model", [{"group": {"kind": "multiplicative_torus", "rank": HUGE}},
+                                   {"N": HUGE}])
+def test_model_documents_refuse_huge_rings(no_enumeration, tmp_path, capsys, command, model):
+    path = tmp_path / "family.json"
+    doc = {**FAMILY, "model": {**FAMILY["model"], **model}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the parameter ring of multiplicative_torus")
