@@ -156,11 +156,6 @@ class TruncatedPolyRing:
                 parts.append(f"{name}^{e}")
         return " ".join(parts) if parts else "1"
 
-    def multiply_mono(self, a, b):
-        """Product monomial, or None when it overflows the bound."""
-        out = tuple(x + y for x, y in zip(a, b))
-        return None if self.mono_degree(out) > self.bound else out
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedPolyRing):
             return NotImplemented
@@ -188,17 +183,20 @@ MAX_PARAMETER_EXPONENTS = 1_000_000
 def bg_ring(G, N):
     """The parameter ring of the group, truncated at even degree N. Its
     monomials are counted before any generator is listed, and a ring
-    past MAX_PARAMETER_EXPONENTS raises SizeLimitExceeded."""
+    past MAX_PARAMETER_EXPONENTS raises SizeLimitExceeded. GL(r) keeps
+    c_1 .. c_min(r, N/2), the generators within the bound."""
     N = _truncation_bound(N)
-    cap = MAX_PARAMETER_EXPONENTS // G.size
+    kept = G.size if G.kind == "multiplicative_torus" else min(G.size, N // 2)
+    cap = MAX_PARAMETER_EXPONENTS // max(kept, 1)
     count = G.monomial_count(N, cap)
     if count > cap:
         raise SizeLimitExceeded(
             f"the parameter ring of {G.kind} of rank {G.size} truncated at N = {N} "
-            f"would hold at least {count} monomials of {G.size} exponents each, past "
+            f"would hold at least {count} monomials of {kept} exponents each, past "
             f"the limit of {MAX_PARAMETER_EXPONENTS} exponents"
         )
-    return TruncatedPolyRing(G.generators(), N)
+    gens = G.generators() if kept == G.size else [(f"c{i}", 2 * i) for i in range(1, kept + 1)]
+    return TruncatedPolyRing(gens, N)
 
 
 # -- action models -----------------------------------------------------------
@@ -219,7 +217,8 @@ class EquivariantModel:
     the diagonal is the divided difference of product(h + w_i t).
     """
 
-    __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_scaled")
+    __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_scaled",
+                 "_diagonal")
 
     def __init__(self, base, group, N, weights=None):
         self.bg = bg_ring(group, N)
@@ -227,7 +226,7 @@ class EquivariantModel:
         self.group = group
         self.N = self.bg.bound
         self.weights = None if weights is None else tuple(int(w) for w in weights)
-        self._chern = self._segre = self._scaled = None
+        self._chern = self._segre = self._scaled = self._diagonal = None
         if self.weights is not None:
             e = [1]
             for w in self.weights:
@@ -291,10 +290,13 @@ class EquivariantModel:
     def diagonal(self):
         """The model's diagonal: the base diagonal at the unit monomial
         or, with weights, the divided difference of product(h + w_i t),
-        the sum over a + b + c = m - 1 of e_c t^c (h^a x h^b)."""
-        if self.weights is None:
-            return unit_lift(self, diagonal(self.base))
-        return EquivariantCorrespondence(self, 0, self._divided_difference())
+        the sum over a + b + c = m - 1 of e_c t^c (h^a x h^b); its terms
+        are made once per model, valid as they stand."""
+        if self._diagonal is None:
+            terms = self._divided_difference() if self.weights is not None else {
+                (i, j, self.bg.unit_mono): c for (i, j), c in diagonal(self.base).terms.items()}
+            self._diagonal = terms
+        return EquivariantCorrespondence._trusted(self, self, 0, self._diagonal)
 
     def _divided_difference(self):
         """The weighted diagonal's terms {(a, b, (c,)): e_c}, without the
@@ -490,7 +492,7 @@ def lift_projectors(P, G, N, model=None):
         raise RingMismatch("projector set does not live over the model's base")
     projs = {}
     if model.weights is not None:
-        delta = EquivariantCorrespondence._trusted(model, model, 0, model._divided_difference())
+        delta = model.diagonal()
         projs = {
             i: delta._with_terms(t) for i, t in _components(delta, model.base.basis).items()
         }
@@ -531,16 +533,16 @@ def verify_equivariant(F):
 
 def compare_lifted_coefficients(F1, F2, D):
     """Whether two lifted families agree on every coefficient whose
-    parameter monomial has degree at most D. The families may live at
-    different truncation bounds."""
+    parameter monomial has degree at most D, monomials read by label: the
+    families may live at different bounds, which keep different generators."""
     if F1.indices() != F2.indices():
         return False
 
     def filtered(F, p):
+        bg = F.model.bg
         return {
-            (i, j, mono): c
-            for (i, j, mono), c in F.projectors[p].terms.items()
-            if F.model.bg.mono_degree(mono) <= D
+            (i, j, bg.mono_label(mono)): c
+            for (i, j, mono), c in F.projectors[p].terms.items() if bg.mono_degree(mono) <= D
         }
 
     return all(filtered(F1, p) == filtered(F2, p) for p in F1.indices())

@@ -6,15 +6,15 @@ a full multiplication table, and a top-degree integration functional.
 Poincare duality is an axiom, not a theorem: construction fails unless
 every complementary pairing block is invertible over Q.
 
-All stored coefficients are `fractions.Fraction`; nothing here ever
-touches a float. The construction checks and the tensor fold run on
-integer numerators instead: a check run scales the multiplication table
-and the integration functional to integers once (`_scaled`), and a
-tensor product scales each factor's table once and makes one `Fraction`
-per distinct coefficient of the result.
+A ring stores its multiplication table once, on integer numerators
+over the lcm of the reduced denominators of its constants
+(`_IntegerTable`), which the construction checks and the tensor fold
+read as stored; classes, integrals and dual bases are `Fraction`s, and
+nothing here ever touches a float.
 """
 
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 from . import linalg
@@ -29,6 +29,25 @@ def _coerce_coeffs(coeffs):
         if f:
             out[k] = f
     return out
+
+
+class _IntegerTable(dict):
+    """{(i, j): {k: n}}: e_i * e_j is the sum of n / `denominator` * e_k
+    over the entries of (i, j), and missing pairs multiply to zero."""
+
+    denominator = 1
+
+
+def _integer_table(structure, keep_zeros=False):
+    """A rational table on integer numerators over their lcm, in its
+    order, without zero entries and empty products unless `keep_zeros`."""
+    table = _IntegerTable()
+    table.denominator, nums = _integer_scaled(c for p in structure.values() for c in p.values())
+    for ij, p in structure.items():
+        row = {k: n for k, n in zip(p, nums) if n or keep_zeros}
+        if row or keep_zeros:
+            table[ij] = row
+    return table
 
 
 def _product(structure, a, b):
@@ -140,10 +159,13 @@ def _generators(deg, prod):
 
     In each positive degree the products g*e of the generators g found
     so far with basis classes e of positive degree are row reduced
-    exactly; the basis classes on the non-pivot columns complete them to
-    a basis of that degree and join the generators. By induction on the
-    degree every class is then a combination of products of generators,
-    whatever the table, so the search itself proves that they generate.
+    exactly on integer numerators, without division (x becomes
+    p * x - c * (pivot row), p and c over their gcd; echelon rows are
+    kept primitive); the basis classes on the non-pivot columns complete
+    them to a basis of that degree and join the generators. By induction
+    on the degree every class is then a combination of products of
+    generators, whatever the table, so the search itself proves that
+    they generate.
     """
     by_degree = {}
     for i, d in enumerate(deg):
@@ -157,19 +179,23 @@ def _generators(deg, prod):
             for e in by_degree.get(d - deg[g], ()):
                 if len(pivots) == len(cols):
                     break
-                vec = {t: c for t, c in prod(g, e).items() if c}
+                ge = prod(g, e)
+                vec = {t: c for t, c in zip(ge, _integer_scaled(ge.values())[1]) if c}
                 for col, row in pivots.items():
-                    c = vec.get(col)
-                    if c:
-                        f = c / row[col]
+                    if c := vec.get(col):
+                        p = row[col]
+                        if (f := gcd(p, c)) != p:
+                            vec = {t: v * (p // f) for t, v in vec.items()}
+                        c //= f
                         for t, v in row.items():
-                            w = vec.get(t, 0) - f * v
+                            w = vec.get(t, 0) - c * v
                             if w:
                                 vec[t] = w
                             else:
                                 vec.pop(t, None)
                 if vec:
-                    pivots[min(vec)] = vec
+                    f = gcd(*vec.values())
+                    pivots[min(vec)] = {t: v // f for t, v in vec.items()} if f != 1 else vec
         gens.extend(i for i in cols if i not in pivots)
     return gens
 
@@ -177,25 +203,8 @@ def _generators(deg, prod):
 # The construction checks. Each reads the raw data `r` that
 # `run_ring_checks` gathers and returns the detail of its first
 # failure, or None; it may assume that every check before it in
-# `_CHECKS` passed. From `unit` on they read the table on integer
-# numerators that `_scaled` makes once per run.
-
-
-def _scaled(r):
-    """`r` with `rows` and `volume`, made at the first call: rows[i] is
-    {j: {k: L * c}} for the products e_i * e_j of the structure table,
-    and volume {k: M * c} the integration functional, where L = r.scale
-    and M = r.volume_scale are the lcms of their denominators. Zero
-    entries are kept, so that rows[i][j] and the product e_i * e_j
-    compare alike."""
-    if r.rows is None:
-        r.scale, nums = _integer_scaled(c for p in r.structure.values() for c in p.values())
-        r.rows = [{} for _ in r.deg]
-        for (i, j), p in r.structure.items():
-            r.rows[i][j] = {k: next(nums) for k in p}
-        r.volume_scale, nums = _integer_scaled(r.integration.values())
-        r.volume = {k: next(nums) for k in r.integration}
-    return r
+# `_CHECKS` passed. They read the integer table `r.table` as it is,
+# over its `denominator` L, and from `associativity` on by rows too.
 
 
 def _basis_shape(r):
@@ -211,7 +220,7 @@ def _basis_shape(r):
 
 def _grading(r):
     deg = r.deg
-    for (i, j), prod in r.structure.items():
+    for (i, j), prod in r.table.items():
         target = deg[i] + deg[j]
         for k, c in prod.items():
             if (target > r.top or deg[k] != target) and c != 0:
@@ -220,35 +229,37 @@ def _grading(r):
 
 
 def _unit(r):
-    rows, unit = _scaled(r).rows, r.deg.index(0)
+    table, unit = r.table, r.deg.index(0)
     for j, label in enumerate(r.labels):
-        want = {j: r.scale}
-        if rows[unit].get(j) != want or rows[j].get(unit) != want:
+        want = {j: table.denominator}
+        if table.get((unit, j)) != want or table.get((j, unit)) != want:
             return f"unit does not act as identity on {label}"
 
 
 def _graded_commutativity(r):
-    deg, rows = r.deg, _scaled(r).rows
+    deg, table = r.deg, r.table
     # Each product is compared once with its swap, and the detail names
     # the least failing pair (i <= j), as a loop over all pairs would.
     failing = []
-    for i, row in enumerate(rows):
-        for j, a in row.items():
-            if j < i and i in rows[j]:
-                continue  # compared as (j, i)
-            b = rows[j].get(i, {})
-            if deg[i] % 2 and deg[j] % 2:
-                b = {k: -c for k, c in b.items()}
-            if a != b:
-                failing.append((min(i, j), max(i, j)))
+    for (i, j), a in table.items():
+        if j < i and (j, i) in table:
+            continue  # compared as (j, i)
+        b = table.get((j, i), {})
+        if deg[i] % 2 and deg[j] % 2:
+            b = {k: -c for k, c in b.items()}
+        if a != b:
+            failing.append((min(i, j), max(i, j)))
     if failing:
         i, j = min(failing)
         return f"graded commutativity fails on {r.labels[i]}, {r.labels[j]}"
 
 
 def _associativity(r):
-    deg, n, top, rows = r.deg, len(r.deg), r.top, _scaled(r).rows
-    # On the table scaled by L, L^2 (x*s)*y = L^2 x*(s*y) is the same
+    deg, n, top, table = r.deg, len(r.deg), r.top, r.table
+    r.rows = rows = [{} for _ in deg]
+    for (i, j), p in table.items():
+        rows[i][j] = p
+    # On numerators over L, L^2 (x*s)*y = L^2 x*(s*y) is the same
     # identity, so the test below runs on ints.
     #
     # Light's associativity test (Clifford & Preston, The Algebraic Theory
@@ -265,7 +276,7 @@ def _associativity(r):
     unit = deg.index(0)
     diff = {}
     get = diff.get
-    for s in _generators(deg, r.prod):
+    for s in _generators(deg, lambda i, j: table.get((i, j), {})):
         right = rows[s]
         for i in range(n):
             if i == unit or deg[i] + deg[s] > top:
@@ -298,17 +309,19 @@ def _integration_support(r):
 
 
 def _pairing_nondegeneracy(r):
-    top, deg, rows, pairing = r.top, r.deg, _scaled(r).rows, r.pairing
+    top, deg, rows, pairing = r.top, r.deg, r.rows, r.pairing
     by_degree = {}
     for i, d in enumerate(deg):
         by_degree.setdefault(d, []).append(i)
 
     # The integrals come from the products of top degree alone: e_i * e_j
-    # with deg i <= deg j is integrated once, over the common denominator
-    # L * M of the two scaled tables, and fills the pairing table in both
+    # with deg i <= deg j is integrated once, over L * M, M the scale of
+    # the integration functional, and fills the pairing table in both
     # orientations, since by graded commutativity e_j * e_i is e_i * e_j
     # times (-1)^(deg i * deg j), and deg i, deg j have the same parity.
-    volume, denominator = r.volume, r.scale * r.volume_scale
+    scale, nums = _integer_scaled(r.integration.values())
+    volume = dict(zip(r.integration, nums))
+    denominator = r.table.denominator * scale
     for i, row in enumerate(rows):
         p = deg[i]
         if 2 * p > top:
@@ -361,12 +374,14 @@ def run_ring_checks(dim, basis, structure, integration):
     carries what the pairing check computed (empty until it runs): the
     table `pairing` {(i, j): integral of e_i * e_j} of every nonzero
     integral, in both orientations, and the block inverses,
-    `inverses[p]` inverting the block of degrees p <= 2*dim - p.
+    `inverses[p]` inverting the block of degrees p <= 2*dim - p. Any
+    `structure` but an `_IntegerTable` is put on one, zero entries kept.
     """
+    if not isinstance(structure, _IntegerTable):
+        structure = _integer_table(structure, keep_zeros=True)
     r = SimpleNamespace(
         top=2 * dim, labels=[b[0] for b in basis], deg=[b[1] for b in basis],
-        structure=structure, integration=integration, pairing={}, inverses={},
-        prod=lambda i, j: structure.get((i, j), {}), rows=None,
+        table=structure, integration=integration, pairing={}, inverses={},
     )
     for name, check in _CHECKS:
         detail = check(r)
@@ -392,15 +407,17 @@ class GradedBasisRing:
     the pairing check of `run_ring_checks` fills while proving it
     nondegenerate; `pair_basis` reads it, `_integer_partners` holds
     its rows (`pairing_partners` their `Fraction` view), and
-    `dual_basis` reads the inverses of its blocks that the check made.
+    `dual_basis` and the diagonal's terms, kept once made, read the
+    inverses of its blocks that the check made.
 
     Parameters
     ----------
     dim : complex dimension; cohomological degrees run 0..2*dim.
     basis : sequence of (label, degree) pairs; emission order is the
         stable basis order.
-    structure : {(i, j): {k: Fraction}} full multiplication table on
-        basis indices (missing pairs multiply to zero).
+    structure : {(i, j): {k: rational}} full multiplication table on
+        basis indices (missing pairs multiply to zero), or a canonical
+        `_IntegerTable` without zeros, kept as it is.
     integration : {i: Fraction} functional on the top-degree basis.
     space : optional serializable description of how the ring was built.
     parts : the rings and maps the ring was built from, by name: a
@@ -409,21 +426,21 @@ class GradedBasisRing:
         `primitive_indices` and `restrict_map` from its ambient ring.
     """
 
-    __slots__ = ("dim", "basis", "structure", "integration", "space", "parts",
-                 "label_index", "_by_degree", "_integrals", "_partners", "_inverses")
+    __slots__ = ("dim", "basis", "integration", "space", "parts", "label_index", "_by_degree",
+                 "_table", "_structure", "_integrals", "_partners", "_inverses", "_diagonal")
 
     def __init__(self, dim, basis, structure, integration, space=None, parts=None):
         self.dim = int(dim)
         self.basis = tuple((str(l), int(d)) for l, d in basis)
-        self.structure = {ij: p for ij, p in (
-            (ij, _coerce_coeffs(prod)) for ij, prod in structure.items()) if p}
+        if not isinstance(structure, _IntegerTable):
+            structure = _integer_table(structure)
+        self._table = structure
+        self._structure = self._diagonal = None
         self.integration = _coerce_coeffs(integration)
         self.space = space
         self.parts = dict(parts or {})
 
-        for verdict in run_ring_checks(
-            self.dim, self.basis, self.structure, self.integration
-        ):
+        for verdict in run_ring_checks(self.dim, self.basis, structure, self.integration):
             name, ok, detail = verdict
             if not ok:
                 if name == DegeneratePairing.check:
@@ -453,7 +470,8 @@ class GradedBasisRing:
         return (
             self.dim == other.dim
             and self.basis == other.basis
-            and self.structure == other.structure
+            and self._table.denominator == other._table.denominator
+            and self._table == other._table
             and self.integration == other.integration
         )
 
@@ -466,6 +484,19 @@ class GradedBasisRing:
         return f"<GradedBasisRing{tag} dim={self.dim} rank={len(self.basis)}>"
 
     # -- basic queries ----------------------------------------------------
+
+    @property
+    def structure(self):
+        """{(i, j): {k: rational}}: the integer table itself over
+        denominator 1, else its `Fraction` view, made on first request."""
+        table = self._table
+        if table.denominator == 1:
+            return table
+        if self._structure is None:
+            d = table.denominator
+            self._structure = {ij: {k: Fraction(n, d) for k, n in p.items()}
+                               for ij, p in table.items()}
+        return self._structure
 
     @property
     def top_degree(self):
@@ -532,10 +563,7 @@ class GradedBasisRing:
             raise RingMismatch("class lives over a different ring")
         if a.degree != self.top_degree:
             return Fraction(0)
-        return sum(
-            (c * self.integration.get(i, Fraction(0)) for i, c in a.coeffs.items()),
-            Fraction(0),
-        )
+        return sum((c * self.integration.get(i, 0) for i, c in a.coeffs.items()), Fraction(0))
 
     def pair_basis(self, i, j):
         """Integral of e_i * e_j."""
@@ -576,9 +604,7 @@ class GradedBasisRing:
 
     def check_report(self):
         """Re-run the construction checks: their (check, ok, detail) list."""
-        return list(
-            run_ring_checks(self.dim, self.basis, self.structure, self.integration)
-        )
+        return list(run_ring_checks(self.dim, self.basis, self._table, self.integration))
 
 
 class RingMap:
@@ -662,50 +688,51 @@ def _pure_tensor(coeff_dicts):
 def tensor_ring(factors, space=None):
     """Graded tensor product of basis rings, with Koszul signs.
 
-    The product table is folded from the nonzero entries of the factor
-    tables, one factor at a time: a prefix pair (x, y) with product xy
-    and a factor pair (a, b) with product ab give
+    The product table is folded from the factors' integer tables, one
+    factor at a time, the last step into global indices: a prefix pair
+    (x, y) with product xy and a factor pair (a, b) with product ab give
     (x # a)*(y # b) = (-1)^(|a| |y|) xy # ab, |y| the right prefix's
-    degree. The fold runs on integer numerators: each factor's table is
-    scaled by the lcm of its denominators, and the entries become
-    `Fraction`s over the product of those lcms at the end, one per
-    distinct numerator. Basis classes are all tuples of factor basis
-    classes, labelled by joining the factor labels with " # ", ordered
-    by total degree and then by the factor index tuple. The returned
-    ring records its `factors` and `index` in `parts`, for callers that
-    address pure tensors. Without a `space`, a product of described
-    factors is described as the product of their descriptions.
+    degree. The product of the factors' denominators is again the lcm of
+    the reduced ones: a prime dividing it spares a numerator of every
+    factor, and their product. Basis classes are all tuples of factor
+    basis classes, labelled by joining the factor labels with " # ",
+    ordered by total degree and then by the factor index tuple. The
+    returned ring records its `factors` and `index` in `parts`, for
+    callers that address pure tensors. Without a `space`, a product of
+    described factors is described as the product of their descriptions.
     """
     factors = tuple(factors)
     if not factors:
         raise ValueError("tensor product needs at least one factor")
 
-    degree = {(): 0}
+    *first, last = factors
+    degree = {(): 0}  # the degree of each prefix
     table = {((), ()): {(): 1}}
-    denominator = 1
-    for f in factors:
+    denominator = last._table.denominator
+    for f in first:
         fdeg = [d for _, d in f.basis]
-        scale, nums = _integer_scaled(c for p in f.structure.values() for c in p.values())
-        denominator *= scale
-        ftable = [(a, b, [(l, next(nums)) for l in ab]) for (a, b), ab in f.structure.items()]
+        denominator *= f._table.denominator
         table = {
-            (x + (a,), y + (b,)): {
-                k + (l,): -c * s if fdeg[a] % 2 and degree[y] % 2 else c * s
-                for k, c in xy.items() for l, s in ab
-            }
+            (x + (a,), y + (b,)): {k + (l,): -c * s if fdeg[a] % 2 and degree[y] % 2 else c * s
+                                   for k, c in xy.items() for l, s in ab.items()}
             for (x, y), xy in table.items()
-            for a, b, ab in ftable
+            for (a, b), ab in f._table.items()
         }
         degree = {t + (i,): d + fdeg[i] for t, d in degree.items() for i in range(len(fdeg))}
 
-    tuples = sorted(degree, key=lambda t: (degree[t], t))
+    ldeg = [d for _, d in last.basis]
+    total = {t + (i,): d + e for t, d in degree.items() for i, e in enumerate(ldeg)}
+    tuples = sorted(total, key=lambda t: (total[t], t))
     index = {t: g for g, t in enumerate(tuples)}
-    basis = [(" # ".join(f.basis[i][0] for f, i in zip(factors, t)), degree[t])
-             for t in tuples]
-    numerators = {c for xy in table.values() for c in xy.values()}
-    exact = {c: Fraction(c, denominator) for c in numerators}
-    structure = {(index[x], index[y]): {index[k]: exact[c] for k, c in xy.items()}
-                 for (x, y), xy in table.items()}
+    glob = {t: [index[t + (i,)] for i in range(len(ldeg))] for t in degree}
+    structure = _IntegerTable()
+    structure.denominator = denominator
+    for (x, y), xy in table.items():
+        gx, gy, terms = glob[x], glob[y], [(glob[k], c) for k, c in xy.items()]
+        for (a, b), ab in last._table.items():
+            structure[gx[a], gy[b]] = {gk[l]: -c * s if ldeg[a] % 2 and degree[y] % 2 else c * s
+                                       for gk, c in terms for l, s in ab.items()}
+    basis = [(" # ".join(f.basis[i][0] for f, i in zip(factors, t)), total[t]) for t in tuples]
     integration = {index[t]: c for t, c in
                    _pure_tensor(f.integration for f in factors).items()}
 

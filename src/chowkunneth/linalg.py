@@ -18,12 +18,6 @@ def mat(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
 def _integer_scaled(values):
     """(L, an iterator over the ints L * v for v in values), L the lcm of their denominators."""
     ratios = [v.as_integer_ratio() for v in values]

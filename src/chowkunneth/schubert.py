@@ -18,28 +18,10 @@ map onto the classes of the box is a ring homomorphism.
 """
 
 
-def validate_partition(lam):
-    lam = tuple(int(x) for x in lam)
-    if any(x <= 0 for x in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {lam}")
-    return lam
-
-
 def partition_label(lam):
     if not lam:
         return "1"
     return "s[" + ",".join(str(x) for x in lam) + "]"
-
-
-def parse_partition_label(label):
-    if label == "1":
-        return ()
-    if not (label.startswith("s[") and label.endswith("]")):
-        raise ValueError(f"not a Schubert class label: {label!r}")
-    inner = label[2:-1]
-    return validate_partition(tuple(int(x) for x in inner.split(",")))
 
 
 def partitions_in_box(max_rows, max_cols):

@@ -183,9 +183,8 @@ def _read_terms(raw_terms, where, columns, make):
                 raise InvalidSpec(f"{where}: term {k}: unknown {what} {label!r}")
             key.append(lookup[label])
         key = tuple(key)
-        terms[key] = terms.get(key, Fraction(0)) + parse_fraction(
-            item[-1], f"{where}: term {k}"
-        )
+        c = parse_fraction(item[-1], f"{where}: term {k}")
+        terms[key] = terms[key] + c if key in terms else c
     try:
         return make(terms)
     except ValueError as exc:

@@ -1,6 +1,7 @@
 """Constructors for cohomology rings of standard varieties.
 
-Each constructor assembles exact structure constants and hands them to
+Each constructor assembles exact structure constants (integer tables
+for projective spaces and Grassmannians) and hands them to
 GradedBasisRing, whose axiom checks re-validate every table after
 construction. Constructed rings carry a serializable `space`
 description, and construction is cached on that description, so equal
@@ -18,7 +19,9 @@ from itertools import count
 from . import linalg
 from .errors import DegeneratePairing, InvalidSpec, NonLefschetzRange, NotRingMap
 from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
-from .graded_ring import ClassVector, GradedBasisRing, RingMap, _combine, _product, tensor_ring
+from .graded_ring import (
+    ClassVector, GradedBasisRing, RingMap, _combine, _IntegerTable, _product, tensor_ring,
+)
 from .serialize import parse_fraction
 
 _CACHE = {}
@@ -109,12 +112,8 @@ def _build_projective(spec):
     basis = [("1", 0)]
     for k in range(1, n + 1):
         basis.append(("h" if k == 1 else f"h^{k}", 2 * k))
-    one = Fraction(1)
-    structure = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            structure[(i, j)] = {i + j: one}
-    return GradedBasisRing(n, basis, structure, {n: one}, space=spec)
+    structure = _IntegerTable(((i, j), {i + j: 1}) for i in range(n + 1) for j in range(n + 1 - i))
+    return GradedBasisRing(n, basis, structure, {n: 1}, space=spec)
 
 
 # -- grassmannian -------------------------------------------------------------
@@ -136,12 +135,10 @@ def _build_grassmannian(spec):
     index = {lam: i for i, lam in enumerate(parts)}
     basis = [(schubert.partition_label(lam), 2 * sum(lam)) for lam in parts]
     table = schubert.product_table(k, cols)
-    # One Fraction per distinct coefficient, shared by the entries.
-    exact = {c: Fraction(c) for c in {c for prod in table.values() for c in prod.values()}}
-    structure = {(index[lam], index[mu]): {index[nu]: exact[c] for nu, c in prod.items()}
-                 for (lam, mu), prod in table.items() if prod}
+    structure = _IntegerTable(((index[lam], index[mu]), {index[nu]: c for nu, c in prod.items()})
+                              for (lam, mu), prod in table.items() if prod)
     box = tuple([cols] * k)
-    return GradedBasisRing(k * cols, basis, structure, {index[box]: Fraction(1)}, space=spec)
+    return GradedBasisRing(k * cols, basis, structure, {index[box]: 1}, space=spec)
 
 
 # -- products -----------------------------------------------------------------
@@ -294,7 +291,7 @@ def _build_ci_model(spec, space=None):
     nx = len(basis)
     point_index = dual_to_x[amb.degree_indices(0)[0]]
 
-    structure = {}
+    amb_table, structure = amb.structure, {}
     for a in range(nx):
         ka, pa = kind_of[a]
         da = basis[a][1]
@@ -306,7 +303,7 @@ def _build_ci_model(spec, space=None):
                 continue
             out = {}
             if ka == "amb" and kb == "amb":
-                prod = amb.structure.get((pa, pb), {})
+                prod = amb_table.get((pa, pb), {})
                 if total <= d:
                     out = {amb_to_x[i]: c for i, c in prod.items()}
                 else:
@@ -314,15 +311,11 @@ def _build_ci_model(spec, space=None):
                         c = sum(s * twisted.get((i, k), 0) for k, s in prod.items())
                         if c:
                             out[dual_to_x[i]] = c
-            elif ka == "amb" and kb == "dual":
+            elif "amb" in (ka, kb) and "dual" in (ka, kb):
+                # e_u * (e_v)* = sum over i of (the e_v term of e_i * e_u) (e_i)*
+                u, v = (pa, pb) if ka == "amb" else (pb, pa)
                 for i in amb.degree_indices(top - total):
-                    c = amb.structure.get((i, pa), {}).get(pb)
-                    if c:
-                        out[dual_to_x[i]] = c
-            elif ka == "dual" and kb == "amb":
-                for i in amb.degree_indices(top - total):
-                    c = amb.structure.get((i, pb), {}).get(pa)
-                    if c:
+                    if c := amb_table.get((i, u), {}).get(v):
                         out[dual_to_x[i]] = c
             elif ka == "prim" and kb == "prim":
                 c = prim_pairing[pa][pb]

@@ -5,7 +5,10 @@ it became fraction-free; `fraction_tensor_table` is the tensor fold
 `graded_ring.tensor_ring` ran over `Fraction`s before it folded integer
 numerators; `dense_pairing` integrates every entry of every pairing
 block, as the pairing check did before it read the products of top
-degree alone. All three now serve only to check the faster paths.
+degree alone. `fraction_table` is a ring's table as rings stored it
+before they kept integer numerators, and `fraction_product` the product
+`multiply` took over it. All of them now serve only to check the
+faster paths.
 """
 
 from fractions import Fraction
@@ -103,3 +106,21 @@ def dense_pairing(ring):
                         pairing[j, i] = sign * v
         inverses[p] = inverse(block)
     return pairing, inverses
+
+
+def fraction_table(ring):
+    """{(i, j): {k: Fraction}}: the ring's structure table over
+    `Fraction`s, one per entry, in the order of its integer table."""
+    d = ring._table.denominator
+    return {ij: {k: Fraction(n, d) for k, n in p.items()} for ij, p in ring._table.items()}
+
+
+def fraction_product(structure, a, b):
+    """The product of coefficient dicts a and b over a `Fraction` table,
+    summed term by term, without zero entries."""
+    out = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            for k, s in structure.get((i, j), {}).items():
+                out[k] = out.get(k, Fraction(0)) + ca * cb * s
+    return {k: c for k, c in out.items() if c}

@@ -10,7 +10,26 @@ table was filled by Pieri recursion, and both now serve only to check it.
 
 from itertools import permutations
 
-from chowkunneth.schubert import partitions_in_box, pieri, validate_partition
+from chowkunneth.schubert import partitions_in_box, pieri
+
+
+def validate_partition(lam):
+    lam = tuple(int(x) for x in lam)
+    if any(x <= 0 for x in lam):
+        raise ValueError(f"partition parts must be positive: {lam}")
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+        raise ValueError(f"partition parts must be weakly decreasing: {lam}")
+    return lam
+
+
+def parse_partition_label(label):
+    """The partition of a Schubert class label, the inverse of
+    `schubert.partition_label`."""
+    if label == "1":
+        return ()
+    if not (label.startswith("s[") and label.endswith("]")):
+        raise ValueError(f"not a Schubert class label: {label!r}")
+    return validate_partition(tuple(int(x) for x in label[2:-1].split(",")))
 
 
 def perm_sign(perm):

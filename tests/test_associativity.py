@@ -10,15 +10,24 @@ on the table scaled to integers). The check also takes the last factor
 of a triple only from the first factor's index on, which graded
 commutativity makes enough; on every one of those tables it must give
 the (ok, detail) of Light's test with the last factor over every basis
-class, so it names the same failing triple.
+class, so it names the same failing triple. On each of those tables all
+the checks give the same verdicts whether handed the `Fraction` table
+or its integer numerators, as a ring stores them.
 """
 
 import random
 from fractions import Fraction
 
 from chowkunneth import spaces
-from chowkunneth.graded_ring import GradedBasisRing, _generators, _product, run_ring_checks
+from chowkunneth.graded_ring import (
+    GradedBasisRing,
+    _generators,
+    _integer_table,
+    _product,
+    run_ring_checks,
+)
 from test_acceptance import corpus_rings
+import ring_oracles
 
 
 def full_associativity(dim, basis, structure):
@@ -240,3 +249,29 @@ def test_odd_class_times_its_own_product_is_rejected():
     structure[(x, xh)] = {point: Fraction(1)}
     structure[(xh, x)] = {point: Fraction(-1)}
     assert not light_verdict(X, structure)
+
+
+def same_verdicts(ring, structure):
+    """The (name, ok, detail) list of the checks on a `Fraction` table,
+    which must equal the one on its integer numerators."""
+    rational = list(run_ring_checks(ring.dim, ring.basis, structure, ring.integration))
+    integer = list(run_ring_checks(ring.dim, ring.basis, _integer_table(structure),
+                                   ring.integration))
+    assert rational == integer
+    return rational
+
+
+def test_fraction_and_integer_tables_give_the_same_verdicts():
+    """On the corpus rings, G(4,8), their rescaled copies and seeded
+    perturbations of both, every negative control fails alike."""
+    rings = sorted(oracle_rings().items()) + [("G(4,8)", spaces.grassmannian(4, 8))]
+    failed = set()
+    for seed, (name, ring) in enumerate(rings):
+        X = rescaled(ring, seed)
+        count = 2 if name == "G(4,8)" else 8
+        for R in (ring, X):
+            tables = [ring_oracles.fraction_table(R), *perturbations(R, count, seed)]
+            for structure in tables:
+                verdicts = same_verdicts(R, structure)
+                failed.update(check for check, ok, _ in verdicts if not ok)
+    assert {"associativity", "pairing_nondegeneracy"} <= failed

@@ -120,6 +120,25 @@ def test_tracer_reaches_the_session_spans(tmp_path, monkeypatch):
     assert t.coverage_errors == []
 
 
+def test_set_up_counts_the_rings_it_validates(tmp_path, monkeypatch):
+    """A traced session set-up from an empty ring cache validates each of
+    its 21 rings once, and `structure_nonzeros` sums the nonzero entries
+    of their tables: the counters read what the rings hold."""
+    monkeypatch.setattr(spaces, "_CACHE", {})
+    session = _perfbench("session")
+    t = _perfbench("tracer").Tracer().install()
+    try:
+        workload = session.SessionWorkload(str(tmp_path), random.Random(1), t)
+        for _, step in workload.setup_steps(True):
+            step()
+    finally:
+        t.uninstall()
+    rings = {id(ring): ring for ring in spaces._CACHE.values()}.values()
+    held = sum(len(p) for ring in rings for p in ring._table.values())
+    assert (t.counters["rings_validated"], t.counters["structure_nonzeros"]) == (21, 2715)
+    assert (len(rings), held) == (21, 2715)
+
+
 def test_tracer_times_every_ring_check_by_its_name():
     """The tracer names its `graded_ring.check.*.s` metrics from its own
     list of the ring checks; it must be the one the checks run under, or

@@ -19,7 +19,7 @@ import pytest
 from chowkunneth import cli, spaces
 from chowkunneth.equivariant import stabilization_check, torus_group
 from chowkunneth.errors import NonLefschetzRange
-from chowkunneth.graded_ring import CHECK_NAMES, run_ring_checks
+from chowkunneth.graded_ring import CHECK_NAMES, _integer_table, run_ring_checks
 from chowkunneth.kunneth import ProjectorSet, failing_checks, full_projectors, verify_ck
 
 P2 = {"kind": "projective_space", "n": 2}
@@ -55,12 +55,17 @@ def _verify(tamper):
 
 def _raw(dim, basis, products, integration):
     """`run_ring_checks` on a table with a unit in position 0 and the
-    given products of positive-degree classes."""
+    given products of positive-degree classes; the control keeps its
+    data as `raw`."""
     structure = {(0, i): {i: 1} for i in range(len(basis))}
     structure.update({(i, 0): {i: 1} for i in range(len(basis))})
     structure.update(products)
-    return lambda tmp_path: [
-        name for name, ok, _ in run_ring_checks(dim, basis, structure, integration) if not ok]
+
+    def control(tmp_path):
+        return [name for name, ok, _ in run_ring_checks(dim, basis, structure, integration)
+                if not ok]
+    control.raw = dim, basis, structure, integration
+    return control
 
 
 def _scale_member_2(members):
@@ -125,3 +130,15 @@ def test_every_printable_check_has_a_control_that_fails_it(name, tmp_path):
     assert failed[:1] == [name], failed
     if name not in ("idempotence", "orthogonality"):
         assert failed == [name]
+
+
+@pytest.mark.parametrize("name", [name for name in CHECK_NAMES if hasattr(CONTROLS[name], "raw")])
+def test_raw_controls_fail_alike_on_integer_tables(name):
+    """A raw control's table over `Fraction`s and on integer numerators,
+    as a ring stores it, fails the same check with the same detail."""
+    dim, basis, structure, integration = CONTROLS[name].raw
+    fraction = {ij: {k: Fraction(c) for k, c in p.items()} for ij, p in structure.items()}
+    rational = list(run_ring_checks(dim, basis, fraction, integration))
+    integer = list(run_ring_checks(dim, basis, _integer_table(fraction), integration))
+    assert rational == integer
+    assert rational[-1][:2] == (name, False)

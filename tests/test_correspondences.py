@@ -17,13 +17,51 @@ from chowkunneth.correspondences import (
     transpose,
     zero_correspondence,
 )
+from chowkunneth.equivariant import (
+    EquivariantCorrespondence,
+    equivariant_projective_torus,
+    equivariant_trivial_action,
+    torus_group,
+    unit_lift,
+)
 from chowkunneth.errors import RingMismatch
 from chowkunneth.graded_ring import ClassVector
+from test_acceptance import corpus_rings
 
 
 def cubic_curve():
     """dim-1 ring with two odd middle classes (ranks 1, 2, 1)."""
     return spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2)
+
+
+def dual_basis_diagonal(X):
+    """The diagonal validated term by term: (-1)^p e_i x its dual class,
+    read off `dual_basis`, over every degree p."""
+    terms = {}
+    for p in X.degrees():
+        for i, dual in zip(X.degree_indices(p), X.dual_basis(p)):
+            for j, c in dual.coeffs.items():
+                terms[i, j] = (-1) ** p * c
+    return CorrespondenceClass(X, X, 0, terms)
+
+
+def test_cached_diagonal_is_the_validated_one():
+    """The diagonal read off the block inverses, its terms kept on the
+    ring, equals the validated one in terms and their order, on every
+    corpus ring, an odd curve and a product with it; a model's diagonal,
+    its terms kept on the model, equals its validated construction."""
+    for X in [*corpus_rings(), cubic_curve(),
+              spaces.product_space(cubic_curve(), spaces.projective_space(1))]:
+        delta = diagonal(X)
+        assert delta.terms is diagonal(X).terms
+        want = dual_basis_diagonal(X)
+        assert delta == want and list(delta.terms.items()) == list(want.terms.items()), X
+    M = equivariant_projective_torus((3, -2, 0, 1, 1, 5, -4, 2, 7), 32)
+    assert M.diagonal().terms is M.diagonal().terms
+    assert M.diagonal() == EquivariantCorrespondence(M, 0, M._divided_difference())
+    T = equivariant_trivial_action(cubic_curve(), torus_group(2), 4)
+    assert T.diagonal().terms is T.diagonal().terms
+    assert T.diagonal() == unit_lift(T, dual_basis_diagonal(T.base))
 
 
 def random_corr(rng, X, Y, shift):

@@ -105,18 +105,22 @@ def test_monomial_arithmetic():
     assert R.mono_degree(c1c2) == 6
     assert R.mono_label(c1c2) == "c1 c2"
     assert R.mono_label((2, 1)) == "c1^2 c2"
-    assert R.multiply_mono((1, 0), (1, 1)) == (2, 1)
-    assert R.multiply_mono((2, 1), (1, 1)) is None  # degree 10 overflows
+    code = R.code_of
+    assert R.mono_of[code[1, 0] + code[1, 1]] == (2, 1)
+    assert code[2, 1] + code[1, 1] >= R.limit  # degree 10 overflows
 
 
 def test_monomial_products_match_the_definition():
+    """Codes add to the code of the product, or past the limit exactly
+    when the product overflows the bound."""
     for R in (bg_ring(torus_group(2), 6), bg_ring(general_linear_group(3), 8)):
         weights = [d for _, d in R.gens]
         for a in R.monomials():
             for b in R.monomials():
                 out = tuple(x + y for x, y in zip(a, b))
                 want = out if sum(e * w for e, w in zip(out, weights)) <= R.bound else None
-                assert R.multiply_mono(a, b) == want, (a, b)
+                m = R.code_of[a] + R.code_of[b]
+                assert (R.mono_of[m] if m < R.limit else None) == want, (a, b)
 
 
 def test_monomial_codes():
@@ -599,6 +603,8 @@ def test_stabilization_for_trivial_lifts():
     P = full_projectors(P2)
     assert stabilization_check(P2, torus_group(1), P, 4, 6, 10)
     assert stabilization_check(P2, general_linear_group(2), P, 4, 6, 10)
+    # GL(3) keeps c1 alone at N = 2 and c1, c2, c3 at N = 6
+    assert stabilization_check(P2, general_linear_group(3), P, 2, 2, 6)
 
 
 def scaled_member_set(ring, index, factor):

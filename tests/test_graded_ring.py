@@ -1,10 +1,12 @@
 """Graded basis rings: axioms, pairing, duals, maps, tensor products."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from chowkunneth import spaces
 from chowkunneth.errors import (
     DegeneratePairing,
     NotRingMap,
@@ -15,6 +17,7 @@ from chowkunneth.graded_ring import (
     ClassVector,
     GradedBasisRing,
     RingMap,
+    _integer_table,
     run_ring_checks,
     tensor_ring,
 )
@@ -322,6 +325,76 @@ def test_ring_data_is_exact():
         values += [c for p in ring.degrees() for v in ring.dual_basis(p)
                    for c in v.coeffs.values()]
         assert all(type(c) in (Fraction, int) for c in values), name
+
+
+def test_stored_table_is_the_fraction_table_on_canonical_numerators():
+    """Each ring keeps its table on integer numerators over the lcm of
+    the reduced denominators of its constants, in the order of its
+    `Fraction` table, which `structure` shows; products among them, whose
+    fold multiplies the factors' denominators, too."""
+    for name, ring in pairing_oracle_rings().items():
+        want = ring_oracles.fraction_table(ring)
+        table = _integer_table(want)
+        assert list(ring._table.items()) == list(table.items()), name
+        assert ring._table.denominator == table.denominator, name
+        assert list(ring.structure.items()) == list(want.items()), name
+        assert all(type(n) is int and n for p in ring._table.values() for n in p.values())
+    X = spaces.ci_model(spaces.projective_space(3), {"h": 3}, 2, [["1/2", "0"], ["0", "1/3"]])
+    XxX = spaces.product_space(X, X)
+    assert (X._table.denominator, XxX._table.denominator) == (6, 36)
+    assert _integer_table(ring_oracles.fraction_table(XxX)).denominator == 36
+    assert XxX.structure is XxX.structure
+
+
+def test_both_tables_give_the_same_verdicts():
+    """`run_ring_checks` on a ring's `Fraction` table and on its stored
+    integer table: the same (name, ok, detail) list, and the same
+    pairing and inverses."""
+    for name, ring in pairing_oracle_rings().items():
+        rational = list(run_ring_checks(ring.dim, ring.basis,
+                                        ring_oracles.fraction_table(ring), ring.integration))
+        stored = ring.check_report()
+        assert rational == stored and all(ok for _, ok, _ in stored), name
+        assert (rational[-1].pairing, rational[-1].inverses) == (
+            stored[-1].pairing, stored[-1].inverses), name
+
+
+def test_multiply_matches_the_fraction_product():
+    """`multiply` on seeded classes of mixed denominators, against the
+    product over the `Fraction` table."""
+    rng = random.Random(5)
+
+    def random_class(ring, d):
+        return ClassVector(ring, d, {i: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                     for i in ring.degree_indices(d)})
+
+    for name, ring in pairing_oracle_rings().items():
+        structure = ring_oracles.fraction_table(ring)
+        for _ in range(12):
+            a, b = (random_class(ring, rng.choice(ring.degrees())) for _ in range(2))
+            got = ring.multiply(a, b)
+            assert got.coeffs == ring_oracles.fraction_product(structure, a.coeffs, b.coeffs), name
+
+
+def test_builds_hold_no_fraction_table():
+    """Building G(4,8), a product and a ci_model from an empty cache
+    leaves every ring built with its integer table alone: no
+    `Fraction` view, and int entries."""
+    cache = dict(spaces._CACHE)
+    spaces._CACHE.clear()
+    try:
+        G = spaces.grassmannian(4, 8)
+        rings = [G, spaces.product_space(G, spaces.projective_space(2)),
+                 spaces.plane_curve_family(4)]
+        rings.append(rings[-1].parts["restrict_map"].source)
+        for ring in rings:
+            assert ring._structure is None, ring
+            assert ring._table.denominator == 1, ring
+            assert all(type(n) is int for p in ring._table.values() for n in p.values()), ring
+            assert ring.structure is ring._table
+    finally:
+        spaces._CACHE.clear()
+        spaces._CACHE.update(cache)
 
 
 def test_dual_basis_is_dual():

@@ -200,6 +200,16 @@ def test_correspondence_duplicate_terms_are_summed():
     ]
 
 
+def test_correspondence_terms_that_cancel_are_dropped():
+    doc = {
+        "source": {"kind": "projective_space", "n": 1},
+        "target": {"kind": "projective_space", "n": 1},
+        "degree_shift": 0,
+        "terms": [["1", "h", "1/2"], ["h", "1", "1"], ["1", "h", "-1/2"]],
+    }
+    assert correspondence_from_document(doc).label_terms() == [("h", "1", Fraction(1))]
+
+
 def test_correspondence_document_errors():
     base = {
         "source": {"kind": "projective_space", "n": 1},

@@ -2,10 +2,10 @@
 
 `bg_ring` counts a group's monomials within the bound before it lists a
 single generator (`GroupSpec.monomial_count`), and refuses a ring that
-would hold more than `MAX_PARAMETER_EXPONENTS` exponents, one per
-generator in each monomial, with `SizeLimitExceeded`: `error:` and exit
-2 from `lift`, `stabilize` and every command that reads a model
-document. The refusals run with the enumeration replaced by one that
+would hold more than `MAX_PARAMETER_EXPONENTS` exponents, one per kept
+generator in each monomial (GL(r) keeps c_1 .. c_min(r, N/2)), with
+`SizeLimitExceeded`: `error:` and exit 2 from `lift`, `stabilize` and
+every command that reads a model document. The refusals run with the enumeration replaced by one that
 raises, so a guard that stops guarding fails at once instead of
 building a huge ring.
 """
@@ -76,17 +76,31 @@ def no_enumeration(monkeypatch):
     monkeypatch.setattr(TruncatedPolyRing, "__init__", refuse)
 
 
-@pytest.mark.parametrize("G, N, count", [
-    (torus_group(HUGE), 4, HUGE + 1),
-    (torus_group(3), HUGE, HUGE // 2 + 1),
-    (torus_group(HUGE), HUGE, HUGE + 1),
-    (general_linear_group(HUGE), 4, 3),
-    (general_linear_group(3), HUGE, HUGE // 2 + 1),
-    (general_linear_group(HUGE), HUGE, HUGE // 2 + 1),
+@pytest.mark.parametrize("G, N, count, kept", [
+    (torus_group(HUGE), 4, HUGE + 1, HUGE),
+    (torus_group(3), HUGE, HUGE // 2 + 1, 3),
+    (torus_group(HUGE), HUGE, HUGE + 1, HUGE),
+    (general_linear_group(3), HUGE, HUGE // 2 + 1, 3),
+    (general_linear_group(HUGE), HUGE, HUGE // 2 + 1, HUGE // 2),
 ])
-def test_huge_rings_are_refused_before_enumeration(no_enumeration, G, N, count):
-    with pytest.raises(SizeLimitExceeded, match=f"at least {count} monomials of {G.size} "):
+def test_huge_rings_are_refused_before_enumeration(no_enumeration, G, N, count, kept):
+    with pytest.raises(SizeLimitExceeded, match=f"at least {count} monomials of {kept} "):
         bg_ring(G, N)
+
+
+def test_general_linear_keeps_the_generators_within_the_bound(monkeypatch):
+    """GL(10^6) at N = 4 builds its 3 monomials in c_1, c_2 without
+    listing the group's generators, and GL(2) keeps both of its."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generators of a trimmed group were listed")
+
+    monkeypatch.setattr(GroupSpec, "generators", refuse)
+    R = bg_ring(general_linear_group(10**6), 4)
+    assert R.basis == (("1", 0), ("c1", 2), ("c1^2", 4), ("c2", 4))
+    assert R.gens == (("c1", 2), ("c2", 4))
+    assert bg_ring(general_linear_group(3), 2).gens == (("c1", 2),)
+    monkeypatch.undo()
+    assert bg_ring(general_linear_group(2), 4).gens == general_linear_group(2).generators()
 
 
 def run(capsys, *argv):
@@ -98,8 +112,8 @@ def run(capsys, *argv):
 @pytest.mark.parametrize("argv, count", [
     (("lift", "--space", P2, "--bound", "4", "--rank", str(HUGE)), HUGE + 1),
     (("lift", "--space", P2, "--bound", str(HUGE), "--rank", "3"), HUGE // 2 + 1),
-    (("lift", "--space", P2, "--bound", "4", "--group", "general_linear",
-      "--rank", str(HUGE)), 3),
+    (("lift", "--space", P2, "--bound", str(HUGE), "--group", "general_linear",
+      "--rank", "3"), HUGE // 2 + 1),
     (("lift", "--space", P2, "--bound", str(HUGE), "--weights", "0,1,2"), HUGE // 2 + 1),
     (("stabilize", "--space", P2, "--rank", str(HUGE), "--degrees", "2",
       "--n1", "4", "--n2", "6"), HUGE + 1),
@@ -110,6 +124,13 @@ def test_commands_refuse_huge_rings(no_enumeration, capsys, argv, count):
     assert err.startswith("error: the parameter ring of ")
     assert f"at least {count} monomials" in err
     assert err.count("\n") == 1
+
+
+def test_a_huge_general_linear_group_lifts_at_a_small_bound(capsys):
+    code, out, err = run(capsys, "lift", "--space", P2, "--bound", "4", "--group",
+                         "general_linear", "--rank", str(HUGE), "--verify")
+    assert code == 0 and err == ""
+    assert out.endswith("19/19 checks passed\n")
 
 
 # A lifted family over P^1 at N = 2, as `lift --out` writes it.
