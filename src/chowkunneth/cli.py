@@ -19,9 +19,11 @@ check with exit code 1, the same way a failed verification is.
 
 Each subcommand imports the package modules it runs when it starts,
 before any work, so a process loads and compiles only those: `--help`
-and the formulas load none of the ring engine, and an ordinary
-projector set loads neither the equivariant models nor the Schubert
-calculus.
+and the formulas load none of the ring engine, `projectors` loads no
+equivariant models, and only a Grassmannian loads the Schubert
+calculus. `verify` and `restrict` take an ordinary set or a lifted
+family and tell them apart by type, so they load the equivariant
+models for every document.
 """
 
 import argparse

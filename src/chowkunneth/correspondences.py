@@ -41,7 +41,7 @@ class CorrespondenceClass:
         self.shift = int(shift)
         clean = {}
         for key, c in terms.items():
-            c = Fraction(c)
+            c = c if type(c) is Fraction else Fraction(c)
             if c and (key := self._checked(key)) is not None:
                 clean[key] = c
         self.terms = clean
@@ -266,8 +266,8 @@ def act(gamma, alpha):
     if alpha.ring != gamma.source:
         raise RingMismatch("class does not live over the correspondence's source")
     scale, out = _act(gamma, alpha)
-    return ClassVector(gamma.target, alpha.degree + 2 * gamma.shift,
-                       {j: Fraction(v, scale) for j, v in out.items() if v})
+    return ClassVector._trusted(gamma.target, alpha.degree + 2 * gamma.shift,
+                                {j: Fraction(v, scale) for j, v in out.items() if v})
 
 
 def compose(f, g):

@@ -514,16 +514,20 @@ def verify_equivariant(F):
     """Exact verification of a lifted family inside its truncation:
     the report of `verify_ck`, with composition, action and the
     diagonal taken in the model. Graded-action residual rows carry the
-    parameter monomial, listed by (basis index, monomial)."""
+    parameter monomial, listed by (basis index, monomial), and are built
+    only for an image that is not e at the unit monomial on the member's
+    degree and zero elsewhere."""
     model = F.model
     base, bg = model.base, model.bg
     unit = bg.unit_mono
 
     def residual_rows(p, e, on_degree):
         residual = p.act(e)
-        if on_degree:
-            for k, c in e.coeffs.items():
-                residual[k, unit] = residual.get((k, unit), 0) - c
+        expected = {(k, unit): c for k, c in e.coeffs.items()} if on_degree else {}
+        if residual == expected:
+            return []
+        for key, c in expected.items():
+            residual[key] = residual.get(key, 0) - c
         return [[base.basis[j][0], bg.mono_label(m), str(c)]
                 for (j, m), c in sorted(residual.items()) if c]
 

@@ -91,6 +91,14 @@ class ClassVector:
                     f"expected degree {degree}"
                 )
 
+    @classmethod
+    def _trusted(cls, ring, degree, coeffs):
+        """A class on nonzero `Fraction` coefficients of its degree, not
+        re-checked."""
+        out = object.__new__(cls)
+        out.ring, out.degree, out.coeffs = ring, degree, coeffs
+        return out
+
     def is_zero(self):
         return not self.coeffs
 
@@ -204,7 +212,8 @@ def _generators(deg, prod):
 # `run_ring_checks` gathers and returns the detail of its first
 # failure, or None; it may assume that every check before it in
 # `_CHECKS` passed. They read the integer table `r.table` as it is,
-# over its `denominator` L, and from `associativity` on by rows too.
+# over its `denominator` L, and from `graded_commutativity` on by rows
+# too, `r.rows[i][j]` the product e_i * e_j.
 
 
 def _basis_shape(r):
@@ -238,27 +247,30 @@ def _unit(r):
 
 def _graded_commutativity(r):
     deg, table = r.deg, r.table
+    r.rows = rows = [{} for _ in deg]
+    for (i, j), p in table.items():
+        rows[i][j] = p
     # Each product is compared once with its swap, and the detail names
     # the least failing pair (i <= j), as a loop over all pairs would.
     failing = []
-    for (i, j), a in table.items():
-        if j < i and (j, i) in table:
-            continue  # compared as (j, i)
-        b = table.get((j, i), {})
-        if deg[i] % 2 and deg[j] % 2:
-            b = {k: -c for k, c in b.items()}
-        if a != b:
-            failing.append((min(i, j), max(i, j)))
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            b = rows[j].get(i)
+            if b is None:
+                b = {}
+            elif j < i:
+                continue  # compared as (j, i)
+            if deg[i] % 2 and deg[j] % 2:
+                b = {k: -c for k, c in b.items()}
+            if a != b:
+                failing.append((min(i, j), max(i, j)))
     if failing:
         i, j = min(failing)
         return f"graded commutativity fails on {r.labels[i]}, {r.labels[j]}"
 
 
 def _associativity(r):
-    deg, n, top, table = r.deg, len(r.deg), r.top, r.table
-    r.rows = rows = [{} for _ in deg]
-    for (i, j), p in table.items():
-        rows[i][j] = p
+    deg, n, top, table, rows = r.deg, len(r.deg), r.top, r.table, r.rows
     # On numerators over L, L^2 (x*s)*y = L^2 x*(s*y) is the same
     # identity, so the test below runs on ints.
     #

@@ -314,17 +314,22 @@ def _action_rows(P, base, residual_rows):
     `residual_rows(p, e, on_degree)` gives the rows of member p's action
     on e, less e on the member's degree. A class off the member's degree
     that pairs with none of its sources is carried to zero: it has no
-    rows and is not acted on."""
+    rows and is not acted on. The classes a member reaches are gathered
+    once, from its sources' partner rows: the partner table's support is
+    symmetric, so k is among the partners of a source exactly when a
+    source is among the partners of k."""
     partners = P.ring._integer_partners()[1]
     vectors = [base.basis_vector(k) for k in range(len(base.basis))]
 
     def action_rows(i, p):
-        sources = p._by_source()[1]
+        reach = set()
+        for s in p._by_source()[1]:
+            reach.update(k for k, _ in partners[s])
         for k, (label, degree) in enumerate(base.basis):
-            if degree != i and not any(s in sources for s, _ in partners[k]):
-                yield label, []
-            else:
+            if degree == i or k in reach:
                 yield label, residual_rows(p, vectors[k], degree == i)
+            else:
+                yield label, []
 
     return action_rows
 
@@ -336,12 +341,16 @@ def verify_ck(P):
     and the graded action of each member on every basis class. Returns
     the report (a list of entries {check, indices, pass,
     residual_class?}) and stores it on the set. Graded-action residuals
-    are classes, listed by label; classes a member cannot reach are not
-    acted on."""
+    are classes, listed by label, built only for an image that is not
+    the expected one (e on the member's degree, zero elsewhere); classes
+    a member cannot reach are not acted on."""
     X = P.ring
 
     def residual_rows(p, e, on_degree):
-        residual = act(p, e) - e if on_degree else act(p, e)
+        image = act(p, e)
+        if image.coeffs == (e.coeffs if on_degree else {}):
+            return []
+        residual = image - e if on_degree else image
         return [[lab, str(c)] for lab, c in sorted(residual.label_dict().items())]
 
     return _report(P, compose, lambda: diagonal(X), _action_rows(P, X, residual_rows))

@@ -168,12 +168,13 @@ def _read_terms(raw_terms, where, columns, make):
     """A correspondence from [label, ..., coeff] rows. `columns` gives,
     per label position, its name in the row shape, what it names (for
     errors) and its {label: key} lookup; repeated keys are summed and
-    `make` builds the result from {key tuple: coefficient}."""
+    `make` builds the result from {key tuple: coefficient}. Each distinct
+    coefficient string is parsed once, at its first term."""
     shape = "[" + ", ".join(name for name, _, _ in columns) + ", coeff]"
     if not isinstance(raw_terms, list):
         raise InvalidSpec(f"{where}: 'terms' must be a list of {shape}")
     width = len(columns) + 1
-    terms = {}
+    terms, parsed = {}, {}
     for k, item in enumerate(raw_terms):
         if not isinstance(item, list) or len(item) != width:
             raise InvalidSpec(f"{where}: term {k} must be {shape}")
@@ -183,7 +184,12 @@ def _read_terms(raw_terms, where, columns, make):
                 raise InvalidSpec(f"{where}: term {k}: unknown {what} {label!r}")
             key.append(lookup[label])
         key = tuple(key)
-        c = parse_fraction(item[-1], f"{where}: term {k}")
+        raw = item[-1]
+        c = parsed.get(raw) if type(raw) is str else None
+        if c is None:
+            c = parse_fraction(raw, f"{where}: term {k}")
+            if type(raw) is str:
+                parsed[raw] = c
         terms[key] = terms[key] + c if key in terms else c
     try:
         return make(terms)

@@ -4,12 +4,17 @@ replaced.
 `kunneth._report` decides idempotence by comparing the terms of p∘p
 with those of p, and builds the residual p∘p − p only when they differ;
 it decides completeness from one dict of every member's terms less the
-diagonal's. The loop it replaced, which subtracted p from every p∘p
-and added the members one by one to −Δ, is kept here as
-`subtraction_report`. Both verify paths, ordinary and lifted, run once
-with each, and the whole reports, residual classes included, must be
-equal: on every corpus set and on seeded tampered sets that fail
-idempotence, completeness, both, or neither.
+diagonal's. The graded-action check gathers the classes a member
+reaches once, from its sources' partner rows, and compares each image
+with the expected class, building residual rows only when they differ.
+The loop these replaced, which subtracted p from every p∘p, added the
+members one by one to −Δ, scanned each class's partner row for one of
+the member's sources and subtracted e from every image on the member's
+degree, is kept here as `subtraction_report`. Both verify paths,
+ordinary and lifted, run once with each, and the whole reports,
+residual classes included, must be equal: on every corpus set and on
+seeded tampered sets that fail idempotence, completeness, the graded
+action, several of them, or none.
 """
 
 import random
@@ -18,15 +23,53 @@ from fractions import Fraction
 import pytest
 
 from chowkunneth import equivariant, kunneth, spaces
-from chowkunneth.equivariant import lift_projectors, verify_equivariant
+from chowkunneth.correspondences import CorrespondenceClass, act
+from chowkunneth.equivariant import (
+    EquivariantCorrespondence,
+    EquivariantProjectorFamily,
+    lift_projectors,
+    verify_equivariant,
+)
 from chowkunneth.kunneth import _entry, failing_checks, full_projectors, verify_ck
 from test_acceptance import corpus_rings
 from test_table_oracles import lifted_models, random_lifted, random_ordinary
 
 
+def scan_action_rows(P):
+    """The graded action's rows as they were first checked: each class's
+    partner row scanned for one of the member's sources, and every
+    reached class's residual built by subtraction."""
+    lifted = isinstance(P, EquivariantProjectorFamily)
+    base = P.model.base if lifted else P.ring
+    partners = P.ring._integer_partners()[1]
+
+    def residual_rows(p, k, on_degree):
+        e = base.basis_vector(k)
+        if not lifted:
+            residual = act(p, e) - e if on_degree else act(p, e)
+            return [[lab, str(c)] for lab, c in sorted(residual.label_dict().items())]
+        bg = P.model.bg
+        residual = p.act(e)
+        if on_degree:
+            residual[k, bg.unit_mono] = residual.get((k, bg.unit_mono), 0) - 1
+        return [[base.basis[j][0], bg.mono_label(m), str(c)]
+                for (j, m), c in sorted(residual.items()) if c]
+
+    def action_rows(i, p):
+        sources = p._by_source()[1]
+        for k, (label, degree) in enumerate(base.basis):
+            if degree != i and not any(s in sources for s, _ in partners[k]):
+                yield label, []
+            else:
+                yield label, residual_rows(p, k, degree == i)
+
+    return action_rows
+
+
 def subtraction_report(P, compose_pair, delta, action_rows):
     """`_report` with a residual class for every idempotence and
-    completeness check."""
+    completeness check, and the graded action of `scan_action_rows` in
+    place of the `action_rows` given."""
     members = P.projectors
     idx = P.indices()
     entries = [
@@ -42,6 +85,7 @@ def subtraction_report(P, compose_pair, delta, action_rows):
         for i in idx:
             residual = residual + members[i]
         entries.append(_entry("completeness", idx, residual))
+    action_rows = scan_action_rows(P)
     for i in idx:
         for label, rows in action_rows(i, members[i]):
             entry = {"check": "graded_action", "indices": [i],
@@ -53,13 +97,32 @@ def subtraction_report(P, compose_pair, delta, action_rows):
     return entries
 
 
+def off_degree_term(P, i, rng):
+    """A degree-0 correspondence e_a x e_b with deg e_b != i, lifted at
+    the unit monomial for a family. Added to member i, it carries the
+    classes that pair with e_a, those of degree deg e_b among them, to
+    multiples of e_b: off the member's degree, where the check reaches
+    a class only through the pairing with one of the member's sources."""
+    lifted = isinstance(P, EquivariantProjectorFamily)
+    base = P.model.base if lifted else P.ring
+    top = 2 * base.dim
+    pairs = [(a, b) for a, (_, da) in enumerate(base.basis)
+             for b, (_, db) in enumerate(base.basis) if db != i and da + db == top]
+    a, b = rng.choice(pairs)
+    if lifted:
+        return EquivariantCorrespondence(P.model, 0, {(a, b, P.model.bg.unit_mono): 1})
+    return CorrespondenceClass(base, base, 0, {(a, b): 1})
+
+
 def tampered_sets(P, rng, extra):
     """Sets over P's ring, each claiming completeness, made from P's
     members with `extra()` (a seeded degree-0 correspondence) and one
     nonzero member i: 3 p_i (idempotence and completeness fail), p_i + x with
     p_j - x (the sum is kept), P without p_i (completeness alone fails),
-    p_i folded into p_j (both hold; graded action fails), and 3 p_i
-    without the completeness claim."""
+    p_i folded into p_j (both hold; graded action fails), 3 p_i
+    without the completeness claim, and p_i plus a term that reaches
+    classes off degree i through the pairing alone (`off_degree_term`;
+    graded action fails there)."""
     projs, cls = P.projectors, type(P)
     i = rng.choice([k for k in P.indices() if not projs[k].is_zero()])
     others = [j for j in P.indices() if j != i]
@@ -78,6 +141,7 @@ def tampered_sets(P, rng, extra):
         x = extra()
         add({i: projs[i] + x, j: projs[j] - x})
         add({i: None, j: projs[i] + projs[j]})
+    add({i: projs[i] + off_degree_term(P, i, rng)})
     return sets
 
 
@@ -94,6 +158,14 @@ def compare(sets, verify, monkeypatch):
     return {name for report in reports for name in failing_checks(report)}
 
 
+def fails_off_degree(report, base):
+    """Whether a graded-action entry fails on a class off its member's
+    degree."""
+    degree = dict(base.basis)
+    return any(e["check"] == "graded_action" and not e["pass"]
+               and degree[e["basis_class"]] != e["indices"][0] for e in report)
+
+
 @pytest.mark.parametrize("name", [repr(X) for X in corpus_rings()])
 def test_ordinary_reports_match_the_subtractions(name, monkeypatch):
     (X,) = [X for X in corpus_rings() if repr(X) == name]
@@ -101,7 +173,8 @@ def test_ordinary_reports_match_the_subtractions(name, monkeypatch):
     P = full_projectors(X)
     sets = [P, *tampered_sets(P, rng, lambda: random_ordinary(X, X, rng, 8, 0))]
     failed = compare(sets, verify_ck, monkeypatch)
-    assert {"idempotence", "completeness"} <= failed
+    assert {"idempotence", "completeness", "graded_action"} <= failed
+    assert fails_off_degree(sets[-1].report, X)
 
 
 LIFTED = [(name, N) for name, (_, n) in lifted_models().items() for N in (2, 4 * n)]
@@ -114,7 +187,8 @@ def test_lifted_reports_match_the_subtractions(name, N, monkeypatch):
     F = lift_projectors(full_projectors(M.base), M.group, N, model=M)
     sets = [F, *tampered_sets(F, rng, lambda: random_lifted(M, rng, 8, 0))]
     failed = compare(sets, verify_equivariant, monkeypatch)
-    assert {"idempotence", "completeness"} <= failed
+    assert {"idempotence", "completeness", "graded_action"} <= failed
+    assert fails_off_degree(sets[-1].report, M.base)
 
 
 def test_each_shortcut_decides_a_check_the_other_passes(monkeypatch):

@@ -228,6 +228,34 @@ def test_correspondence_document_errors():
         correspondence_from_document({**base})  # terms missing
 
 
+def test_repeated_coefficient_strings_are_parsed_once(monkeypatch):
+    """A coefficient string is parsed at its first term only; other
+    values are parsed at every term, so `True` is refused after `1`,
+    and a bad string is reported at its first term."""
+    base = {
+        "source": {"kind": "projective_space", "n": 1},
+        "target": {"kind": "projective_space", "n": 1},
+        "degree_shift": 0,
+    }
+    parsed = []
+
+    def counted(value, where="coefficient"):
+        parsed.append(value)
+        return parse_fraction(value, where)
+
+    monkeypatch.setattr(serialize, "parse_fraction", counted)
+    terms = [["1", "h", "1/2"], ["h", "1", "1/2"], ["1", "h", 1], ["h", "1", 1]]
+    f = correspondence_from_document({**base, "terms": terms})
+    assert f.label_terms() == [("1", "h", Fraction(3, 2)), ("h", "1", Fraction(3, 2))]
+    assert parsed == ["1/2", 1, 1]
+    with pytest.raises(InvalidSpec, match="term 1: expected an exact rational"):
+        correspondence_from_document({**base, "terms": [["1", "h", 1], ["h", "1", True]]})
+    for bad in ("x", "1/0"):
+        terms = [["1", "h", "1"], ["h", "1", bad], ["1", "h", bad]]
+        with pytest.raises(InvalidSpec, match=f"term 1: bad rational '{bad}'"):
+            correspondence_from_document({**base, "terms": terms})
+
+
 # -- projector sets ------------------------------------------------------------------------
 
 
