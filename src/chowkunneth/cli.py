@@ -91,6 +91,9 @@ def _residual_text(entry):
 
 
 def _print_checks(checks):
+    """Write one line per check, with its residual or detail when it
+    failed, and the count of passes, in one write."""
+    lines = []
     for e in checks:
         status = "PASS" if e["pass"] else "FAIL"
         line = f"{status} {e['check']}"
@@ -99,14 +102,15 @@ def _print_checks(checks):
             line += " [" + ", ".join(str(i) for i in indices) + "]"
         if "basis_class" in e:
             line += f" on {e['basis_class']}"
-        print(line)
+        lines.append(line)
         if not e["pass"]:
             if "residual_class" in e:
-                print("  residual: " + _residual_text(e))
+                lines.append("  residual: " + _residual_text(e))
             if "detail" in e:
-                print("  " + e["detail"])
+                lines.append("  " + e["detail"])
     passed = sum(1 for e in checks if e["pass"])
-    print(f"{passed}/{len(checks)} checks passed")
+    lines.append(f"{passed}/{len(checks)} checks passed\n")
+    sys.stdout.write("\n".join(lines))
 
 
 def _write_out(args, doc):

@@ -232,11 +232,12 @@ class EquivariantModel:
             for w in self.weights:
                 e = [a + w * b for a, b in zip(e + [0], [0] + e)]
             # e[c] is the c-th elementary symmetric function of the
-            # weights; s[r] = -sum e[i] s[r - i] inverts their series
-            s = [Fraction(1)]
+            # weights; s[r] = -sum e[i] s[r - i] inverts their series,
+            # in integers since e[0] = 1
+            s = [1]
             for r in range(1, len(self.weights)):
                 s.append(-sum(e[i] * s[r - i] for i in range(1, r + 1)))
-            self._chern, self._segre = tuple(e), tuple(s)
+            self._chern, self._segre = tuple(e), tuple(map(Fraction, s))
 
     @property
     def dim(self):
@@ -303,9 +304,9 @@ class EquivariantModel:
         zero e_c and the t^c past the bound: nonzero `Fraction`s of the
         diagonal's degree, valid as they stand."""
         m, top = len(self.weights), self.N // 2
-        chern = [Fraction(e) for e in self._chern]
+        chern = {c: Fraction(e) for c, e in enumerate(self._chern[:top + 1]) if e}
         return {(a, b, (c,)): chern[c] for a in range(m) for b in range(m - a)
-                if (c := m - 1 - a - b) <= top and chern[c]}
+                if (c := m - 1 - a - b) in chern}
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantModel):

@@ -275,8 +275,10 @@ def _report(P, compose_pair, delta, action_rows):
     claims completeness) and `action_rows(i, p)`: (basis label,
     residual rows) per basis class, with no rows where member p at
     index i acts correctly. A residual is built only for a failed
-    check: idempotence compares terms, and completeness sums every
-    member's terms, less the diagonal's, in one dict."""
+    check: idempotence compares terms, and completeness holds at once
+    when the members' supports are disjoint and their union is the
+    diagonal's terms (as for members cut from the diagonal); otherwise
+    it sums every member's terms, less the diagonal's, in one dict."""
     members = P.projectors
     idx = P.indices()
     entries = []
@@ -290,14 +292,19 @@ def _report(P, compose_pair, delta, action_rows):
         for i in idx for j in idx if i != j
     )
     if P.complete:
-        whole = delta()
-        sums = {}
-        for i in idx:
-            for key, c in members[i].terms.items():
-                sums[key] = sums.get(key, 0) + c
-        for key, c in whole.terms.items():
-            sums[key] = sums.get(key, 0) - c
-        entries.append(_entry("completeness", idx, whole._with_terms(sums)))
+        whole, union = delta(), {}
+        for p in members.values():
+            union.update(p.terms)
+        residual = None
+        if len(union) != sum(len(p.terms) for p in members.values()) or union != whole.terms:
+            sums = {}
+            for i in idx:
+                for key, c in members[i].terms.items():
+                    sums[key] = sums.get(key, 0) + c
+            for key, c in whole.terms.items():
+                sums[key] = sums.get(key, 0) - c
+            residual = whole._with_terms(sums)
+        entries.append(_entry("completeness", idx, residual))
     for i in idx:
         for label, rows in action_rows(i, members[i]):
             entry = {"check": "graded_action", "indices": [i],
@@ -317,16 +324,22 @@ def _action_rows(P, base, residual_rows):
     rows and is not acted on. The classes a member reaches are gathered
     once, from its sources' partner rows: the partner table's support is
     symmetric, so k is among the partners of a source exactly when a
-    source is among the partners of k."""
+    source is among the partners of k. Each partner row's classes are
+    gathered once per report, and each basis vector is made when a
+    member first acts on it."""
     partners = P.ring._integer_partners()[1]
-    vectors = [base.basis_vector(k) for k in range(len(base.basis))]
+    reached, vectors = {}, {}
 
     def action_rows(i, p):
         reach = set()
         for s in p._by_source()[1]:
-            reach.update(k for k, _ in partners[s])
+            if s not in reached:
+                reached[s] = {k for k, _ in partners[s]}
+            reach |= reached[s]
         for k, (label, degree) in enumerate(base.basis):
             if degree == i or k in reach:
+                if k not in vectors:
+                    vectors[k] = base.basis_vector(k)
                 yield label, residual_rows(p, vectors[k], degree == i)
             else:
                 yield label, []

@@ -57,11 +57,15 @@ def parse_fraction(value, where="coefficient"):
     """An exact rational from a document or a helper argument: an
     integer, a Fraction or a rational string such as "7/3". Floats and
     booleans are rejected, so no coefficient ever passes through binary
-    floating point."""
+    floating point. A string of decimal digits, with at most one leading
+    "-", is read by `int`, which gives what `Fraction` would."""
     if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise InvalidSpec(f"{where}: expected an exact rational string, got {value!r}")
+    text = str(value)
     try:
-        return Fraction(str(value))
+        if (text[1:] if text[:1] == "-" else text).isdecimal():
+            return Fraction(int(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(f"{where}: bad rational {value!r}") from exc
 

@@ -389,6 +389,59 @@ def test_weighted_diagonal_matches_back_substituted_duals():
         assert M.diagonal() == EquivariantCorrespondence(M, 0, terms), (weights, N)
 
 
+# The model runs the Segre recurrence on ints (e_0 = 1, so every s_r is
+# an integer). The recurrence in `Fraction`s, as the model first ran it,
+# is kept here as an oracle for everything the model builds from it.
+
+
+def fraction_segre(weights):
+    e = elementary(weights)
+    s = [Fraction(1)]
+    for r in range(1, len(weights)):
+        s.append(-sum(e[i] * s[r - i] for i in range(1, r + 1)))
+    return e, s
+
+
+def segre_weight_cases():
+    """Weight vectors with zero, repeated and negative weights, a single
+    weight, and weights like those of P^20 in the benchmark's session
+    workload (0..20 permuted, either sign), each at bounds below, at and
+    above 2(m-1)."""
+    rng = random.Random("session weights")
+    permuted = list(range(21))
+    rng.shuffle(permuted)
+    vectors = [(0, 1, 2), (0, 1, 3, 7), (1, 2, 5, 5, 9), (-3, 0, 4), (6,),
+               tuple(permuted), tuple(-w for w in permuted)]
+    for w in vectors:
+        top = 2 * (len(w) - 1)
+        for N in sorted({0, 2, top, 4 * top}):
+            yield w, N
+
+
+@pytest.mark.parametrize("weights, N", list(segre_weight_cases()))
+def test_integer_segre_numbers_match_the_fraction_recurrence(weights, N):
+    M = equivariant_projective_torus(weights, N)
+    e, s = fraction_segre(weights)
+    assert M._chern == tuple(e) and all(type(c) is int for c in M._chern)
+    assert M._segre == tuple(s) and all(type(c) is Fraction for c in M._segre)
+    m, basis = len(weights), M.base.basis
+    pairs = {}
+    for j, (_, dj) in enumerate(basis):
+        for k, (_, dk) in enumerate(basis):
+            r = (dj + dk) // 2 - M.dim
+            want = {(r,): s[r]} if 0 <= r and 2 * r <= N and s[r] else {}
+            got = M.pair_poly(j, k)
+            assert got == want and all(type(c) is Fraction for c in got.values()), (j, k)
+            if want:
+                pairs.setdefault(j, []).append((k, [(M.bg.code_of[(r,)], int(s[r]))]))
+    assert M._integer_partners() == (1, [pairs.get(j, []) for j in range(m)])
+    terms = {(a, b, (c,)): e[c] for a in range(m) for b in range(m - a)
+             if 2 * (c := m - 1 - a - b) <= N and e[c]}
+    delta = M.diagonal()
+    assert delta == EquivariantCorrespondence(M, 0, terms)
+    assert all(type(c) is Fraction for c in delta.terms.values())
+
+
 # -- trivial lifts ----------------------------------------------------------------------
 
 

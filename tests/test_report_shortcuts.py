@@ -3,10 +3,12 @@ replaced.
 
 `kunneth._report` decides idempotence by comparing the terms of p∘p
 with those of p, and builds the residual p∘p − p only when they differ;
-it decides completeness from one dict of every member's terms less the
-diagonal's. The graded-action check gathers the classes a member
-reaches once, from its sources' partner rows, and compares each image
-with the expected class, building residual rows only when they differ.
+it passes completeness without arithmetic when the members' supports
+are disjoint and their union is the diagonal's terms, and otherwise
+sums every member's terms, less the diagonal's, in one dict. The
+graded-action check gathers the classes a member reaches once, from
+its sources' partner rows, and compares each image with the expected
+class, building residual rows only when they differ.
 The loop these replaced, which subtracted p from every p∘p, added the
 members one by one to −Δ, scanned each class's partner row for one of
 the member's sources and subtracted e from every image on the member's
@@ -23,14 +25,20 @@ from fractions import Fraction
 import pytest
 
 from chowkunneth import equivariant, kunneth, spaces
-from chowkunneth.correspondences import CorrespondenceClass, act
+from chowkunneth.correspondences import CorrespondenceClass, act, diagonal
 from chowkunneth.equivariant import (
     EquivariantCorrespondence,
     EquivariantProjectorFamily,
     lift_projectors,
     verify_equivariant,
 )
-from chowkunneth.kunneth import _entry, failing_checks, full_projectors, verify_ck
+from chowkunneth.kunneth import (
+    _entry,
+    failing_checks,
+    full_projectors,
+    report_passes,
+    verify_ck,
+)
 from test_acceptance import corpus_rings
 from test_table_oracles import lifted_models, random_lifted, random_ordinary
 
@@ -191,20 +199,70 @@ def test_lifted_reports_match_the_subtractions(name, N, monkeypatch):
     assert fails_off_degree(sets[-1].report, M.base)
 
 
+def one_term(S, key, c):
+    """The degree-0 correspondence c * key over the ring of S."""
+    if isinstance(S, EquivariantProjectorFamily):
+        return EquivariantCorrespondence(S.ring, 0, {key: c})
+    return CorrespondenceClass(S.ring, S.ring, 0, {key: c})
+
+
+def keys_off_the_diagonal(S):
+    """Term keys of degree-0 correspondences over the ring of S that
+    the diagonal does not hold."""
+    if isinstance(S, EquivariantProjectorFamily):
+        base, bg, delta = S.model.base, S.model.bg, S.model.diagonal()
+        tails = [((m,), bg.mono_degree(m)) for m in bg.monomials()]
+    else:
+        base, delta, tails = S.ring, diagonal(S.ring), [((), 0)]
+    return [key for a, (_, da) in enumerate(base.basis) for b, (_, db) in enumerate(base.basis)
+            for tail, dm in tails
+            if da + db + dm == 2 * base.dim and (key := (a, b, *tail)) not in delta.terms]
+
+
+def supports_disjoint(S):
+    keys = [key for p in S.projectors.values() for key in p.terms]
+    return len(set(keys)) == len(keys)
+
+
 def test_each_shortcut_decides_a_check_the_other_passes(monkeypatch):
-    """On P^3 and its weighted lift: half of p_2 moved onto p_0 keeps
-    the sum, so idempotence fails and completeness holds; dropping p_2
-    keeps every member idempotent, and completeness fails."""
-    X = spaces.projective_space(3)
-    M = equivariant.equivariant_projective_torus((1, 2, -1, 4), 8)
-    for S, verify in ((full_projectors(X), verify_ck),
-                      (lift_projectors(full_projectors(X), M.group, 8, model=M),
-                       verify_equivariant)):
+    """On P^3, G(2,4) and weighted lifts of P^3: half of p_2 moved onto
+    p_0 keeps the sum, so idempotence fails and completeness holds,
+    through the sum, since the supports now overlap; dropping p_2 keeps
+    every member idempotent, and completeness fails. With disjoint
+    supports, a perturbed coefficient, a dropped diagonal term and a
+    term off the diagonal (where the ring has one) each fail
+    completeness with the subtraction's residual; so does p_0 counted
+    twice, in p_0 and in p_2, whose supports overlap while their union
+    is still the diagonal's terms."""
+    X, G = spaces.projective_space(3), spaces.grassmannian(2, 4)
+    cases = [(full_projectors(X), verify_ck), (full_projectors(G), verify_ck)]
+    for weights in ((1, 2, -1, 4), (1, -1, 2, -2)):
+        M = equivariant.equivariant_projective_torus(weights, 8)
+        cases.append((lift_projectors(full_projectors(X), M.group, 8, model=M),
+                      verify_equivariant))
+    extra_keys = 0
+    for S, verify in cases:
+        assert supports_disjoint(S) and report_passes(verify(S))
         projs, half = S.projectors, S.projectors[2].scale(Fraction(1, 2))
         moved = type(S)(S.ring, {**projs, 0: projs[0] + half, 2: projs[2] - half},
                         complete=True)
         dropped = type(S)(S.ring, {k: p for k, p in projs.items() if k != 2}, complete=True)
+        assert not supports_disjoint(moved)
         compare([moved, dropped], verify, monkeypatch)
         decided = [{"idempotence", "completeness"} & set(failing_checks(verify(T)))
                    for T in (moved, dropped)]
         assert decided == [{"idempotence"}, {"completeness"}]
+
+        key = min(projs[0].terms)
+        changed = [projs[0] + one_term(S, key, 1), projs[0] - one_term(S, key, projs[0].terms[key])]
+        off = keys_off_the_diagonal(S)
+        if off:
+            extra_keys += 1
+            changed.append(projs[0] + one_term(S, off[0], 1))
+        controls = [type(S)(S.ring, {**projs, 0: p}, complete=True) for p in changed]
+        assert all(supports_disjoint(T) for T in controls)
+        controls.append(type(S)(S.ring, {**projs, 2: projs[2] + projs[0]}, complete=True))
+        compare(controls, verify, monkeypatch)
+        for T in controls:
+            assert "completeness" in failing_checks(T.report)
+    assert extra_keys == 2

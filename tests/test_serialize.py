@@ -55,6 +55,26 @@ def test_fraction_parse_rejects_junk():
             parse_fraction(bad)
 
 
+EDGE_STRINGS = ("0", "7", "-7", "007", "-0", "+7", " 7", "7 ", "1_000", "١٢", "-١٢", "²",
+                "1/2", "-4/6", "1.5", "1e3", "", "-", "--1", "-+1", "nan", "inf", "9" * 5000)
+
+
+@pytest.mark.parametrize("text", EDGE_STRINGS, ids=[repr(s[:12]) for s in EDGE_STRINGS])
+def test_integer_strings_parse_as_fraction_does(text):
+    """Decimal-digit strings are read by `int`, everything else by
+    `Fraction`: either way the value, or the refusal and its message,
+    is what `Fraction(text)` gives."""
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InvalidSpec) as caught:
+            parse_fraction(text, "term 3")
+        assert str(caught.value) == f"term 3: bad rational {text!r}"
+    else:
+        got = parse_fraction(text)
+        assert type(got) is Fraction and got == want
+
+
 # -- document plumbing ------------------------------------------------------------
 
 
