@@ -4,7 +4,7 @@ cohomology is given by finite rational tables.
 The package builds graded basis rings with exact structure constants,
 runs the calculus of degree-shifted correspondences between them,
 constructs graded projector decompositions of the diagonal class
-(its components by target degree, or closed forms),
+(its components by target degree, or products of the factors' sets),
 verifies idempotence / orthogonality / completeness / graded action
 with zero tolerance, lifts decompositions into truncated
 parameter-ring models of group actions, and transports them along the

@@ -198,18 +198,8 @@ def from_pair(a, b, shift=None):
 def diagonal(X):
     """The diagonal of X as a degree-0 self-correspondence: summed over
     every degree p, the sign (-1)^p times basis x dual-basis, its terms
-    read off the block inverses as `dual_basis` reads them, once per ring."""
-    if X._diagonal is None:
-        terms = {}
-        for p in X.degrees():
-            q = X.top_degree - p
-            inv, sign = X._inverses[min(p, q)], (-1) ** p if p <= q else 1
-            for j, i in enumerate(X.degree_indices(p)):
-                for k, col in enumerate(X.degree_indices(q)):
-                    if c := inv[k][j] if p <= q else inv[j][k]:
-                        terms[i, col] = sign * c
-        X._diagonal = terms  # not the class itself: it would hold X in a cycle
-    return CorrespondenceClass._trusted(X, X, 0, X._diagonal)
+    read off the block inverses once per ring (`_diagonal_terms`)."""
+    return CorrespondenceClass._trusted(X, X, 0, X._diagonal_terms())
 
 
 def _act(gamma, alpha):

@@ -367,16 +367,18 @@ class EquivariantCorrespondence(CorrespondenceClass):
 
     def _checked(self, key):
         """The term key (i, j, monomial) checked to have the class's
-        degree, or None when the monomial overflows the bound."""
+        degree, read off the monomial's code (code // B^r), or None when
+        the monomial has no code: it then overflows the bound."""
         i, j, mono = key
         base, bg = self.source.base, self.source.bg
-        mono = tuple(mono)
-        if len(mono) != len(bg.gens) or min(mono, default=0) < 0:
-            raise ValueError(f"{mono} is not a parameter monomial (one exponent >= 0 each)")
-        mdeg = bg.mono_degree(mono)
-        if mdeg > bg.bound:
-            return None
-        total = base.basis[i][1] + base.basis[j][1] + mdeg
+        code = bg.code_of.get(mono)
+        if code is None:
+            mono = tuple(mono)
+            if len(mono) != len(bg.gens) or min(mono, default=0) < 0:
+                raise ValueError(f"{mono} is not a parameter monomial (one exponent >= 0 each)")
+            if (code := bg.code_of.get(mono)) is None:
+                return None
+        total = base.basis[i][1] + base.basis[j][1] + code // (bg.limit // (bg.bound + 1))
         if total != self.degree:
             raise ValueError(
                 f"term ({base.basis[i][0]}, {base.basis[j][0]}, "

@@ -418,9 +418,9 @@ class GradedBasisRing:
     The pairing is the one table of nonzero integrals of e_i * e_j that
     the pairing check of `run_ring_checks` fills while proving it
     nondegenerate; `pair_basis` reads it, `_integer_partners` holds
-    its rows (`pairing_partners` their `Fraction` view), and
-    `dual_basis` and the diagonal's terms, kept once made, read the
-    inverses of its blocks that the check made.
+    its rows (`pairing_partners` their `Fraction` view), the diagonal's
+    terms, kept once made, read the inverses of its blocks that the
+    check made, and `dual_basis` reads the diagonal.
 
     Parameters
     ----------
@@ -592,23 +592,34 @@ class GradedBasisRing:
         lcm L; row j lists (k, [(0, L * value)]), 0 the unit's code."""
         return self._partners
 
+    def _diagonal_terms(self):
+        """The diagonal's terms {(i, j): c}, kept once made (not as a
+        class, which would hold the ring in a cycle): over every degree
+        p, (-1)^p e_i x ê_i, read off the inverse of the block of degrees
+        (p, q), q = 2*dim - p, or for p > q of the block of (q, p), which
+        is this one transposed and times (-1)^(p*q), and so is its inverse."""
+        if self._diagonal is None:
+            terms = {}
+            for p in self.degrees():
+                q = self.top_degree - p
+                inv, sign = self._inverses[min(p, q)], (-1) ** p if p <= q else 1
+                for j, i in enumerate(self.degree_indices(p)):
+                    for k, col in enumerate(self.degree_indices(q)):
+                        if c := inv[k][j] if p <= q else inv[j][k]:
+                            terms[i, col] = sign * c
+            self._diagonal = terms
+        return self._diagonal
+
     def dual_basis(self, p):
         """Classes (ê_j) in degree 2*dim - p with ∫ e_i · ê_j = δ_ij,
-        indexed like the degree-p basis: from the inverse that
-        construction made of the block of degrees (p, q), q = 2*dim - p,
-        or for p > q of the block of (q, p), which is this one
-        transposed and times (-1)^(p*q), and so is its inverse."""
-        q = self.top_degree - p
-        rows, cols = self.degree_indices(p), self.degree_indices(q)
-        if p <= q:
-            inv = self._inverses.get(p, ())
-        else:
-            sign = -1 if p % 2 else 1
-            inv = [[sign * c for c in col] for col in zip(*self._inverses.get(q, ()))]
-        return tuple(
-            ClassVector(self, q, {cols[k]: inv[k][j] for k in range(len(cols))})
-            for j in range(len(rows))
-        )
+        indexed like the degree-p basis: (-1)^p times the diagonal's
+        terms whose source class has degree p."""
+        sign = -1 if p % 2 else 1
+        rows = {i: {} for i in self.degree_indices(p)}
+        for (i, j), c in self._diagonal_terms().items():
+            if i in rows:
+                rows[i][j] = sign * c
+        return tuple(ClassVector(self, self.top_degree - p, row) for row in rows.values())
 
     def point(self):
         """The degree-2*dim class integrating to 1."""

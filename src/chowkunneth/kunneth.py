@@ -5,19 +5,16 @@ idempotent self-correspondences, one per cohomological degree, each
 acting as the identity on its own degree and as zero elsewhere. On a
 ring whose pairing is nondegenerate these are the components of the
 diagonal, grouped by the degree of their target class; the
-constructors here take them from there, from closed-form hyperplane
-powers on hypersurface models, and from products of existing sets;
-`verify_ck` re-checks every defining identity in exact arithmetic.
+constructors here take them from there, a hypersurface model's among
+them, and from products of existing sets; `verify_ck` re-checks every
+defining identity in exact arithmetic.
 """
-
-from fractions import Fraction
 
 from .correspondences import (
     act,
     compose,
     diagonal,
     exterior_product,
-    from_pair,
     zero_correspondence,
 )
 from .errors import (
@@ -174,27 +171,14 @@ def full_projectors(X):
 
 
 def hypersurface_projectors(n, d, middle_rank):
-    """Closed-form decomposition for a degree-d hypersurface model in
-    P^n: away from the middle, the projector in degree 2r is
-    (1/d) * H^(n-1-r) x H^r for the restricted hyperplane class H; the
-    middle is the diagonal's component in the middle degree, which
-    completes the others to the diagonal (the set's remainder index)."""
+    """The decomposition of a degree-d hypersurface model in P^n: the
+    components of its diagonal (`full_projectors`). Away from the
+    middle, the member in degree 2r is (1/d) * H^(n-1-r) x H^r for the
+    restricted hyperplane class H; the middle member completes the
+    others to the diagonal (the set's remainder index)."""
     from .spaces import hypersurface_model
 
-    X = hypersurface_model(n, d, middle_rank)
-    dim = n - 1
-    q = X.parts["restrict_map"]
-    H = q.apply(q.source.basis_class("h" if n >= 1 else "1"))
-    powers = [X.unit()]
-    for _ in range(dim):
-        powers.append(X.multiply(powers[-1], H))
-    projs = {}
-    for r in range(dim + 1):
-        if 2 * r == dim:
-            continue
-        projs[2 * r] = from_pair(powers[dim - r], powers[r]).scale(Fraction(1, d))
-    projs[dim] = coevaluation_projector(X, dim)
-    return ProjectorSet(X, projs, complete=True, remainder_indices={dim})
+    return full_projectors(hypersurface_model(n, d, middle_rank))
 
 
 def product_projectors(PX, PY, product_ring=None):

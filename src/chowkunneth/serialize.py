@@ -168,17 +168,18 @@ def load_space(doc):
 # -- correspondences -----------------------------------------------------------
 
 
-def _read_terms(raw_terms, where, columns, make):
+def _read_terms(raw_terms, where, columns, make, parsed):
     """A correspondence from [label, ..., coeff] rows. `columns` gives,
     per label position, its name in the row shape, what it names (for
     errors) and its {label: key} lookup; repeated keys are summed and
     `make` builds the result from {key tuple: coefficient}. Each distinct
-    coefficient string is parsed once, at its first term."""
+    coefficient string is parsed once, at its first term, into `parsed`
+    {string: value}, which the members of one document share."""
     shape = "[" + ", ".join(name for name, _, _ in columns) + ", coeff]"
     if not isinstance(raw_terms, list):
         raise InvalidSpec(f"{where}: 'terms' must be a list of {shape}")
     width = len(columns) + 1
-    terms, parsed = {}, {}
+    terms = {}
     for k, item in enumerate(raw_terms):
         if not isinstance(item, list) or len(item) != width:
             raise InvalidSpec(f"{where}: term {k} must be {shape}")
@@ -229,7 +230,7 @@ def correspondence_from_document(doc, where="correspondence"):
     shift = _require_index(_require(doc, "degree_shift", where), where)
     return _read_terms(
         _require(doc, "terms", where), where, _columns(source, target),
-        lambda terms: CorrespondenceClass(source, target, shift, terms),
+        lambda terms: CorrespondenceClass(source, target, shift, terms), {},
     )
 
 
@@ -251,14 +252,14 @@ def _set_from_document(doc, where, make_set, ring, columns, make_member):
     raw = _require(doc, "projectors", where)
     if not isinstance(raw, list):
         raise InvalidSpec(f"{where}: 'projectors' must be a list")
-    members = {}
+    members, parsed = {}, {}
     for entry in raw:
         i = _require_index(_require(entry, "index", where), f"{where}: 'index'")
         if i in members:
             raise InvalidSpec(f"{where}: duplicate projector index {i}")
         members[i] = _read_terms(
             _require(entry, "terms", where), f"{where}: projector {i}",
-            columns, make_member,
+            columns, make_member, parsed,
         )
     remainder = doc.get("remainder_indices", [])
     if not isinstance(remainder, list) or not all(

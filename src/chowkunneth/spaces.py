@@ -271,83 +271,57 @@ def _build_ci_model(spec, space=None):
     # Basis layout: ambient classes survive through degree d (labels kept),
     # primitives sit in the middle, degrees above d are duals of the
     # complementary ambient classes (label = ambient label + "*").
-    basis, kind_of = [], []  # kind_of[x] = (kind, ambient or primitive index)
+    basis, amb_to_x, dual_to_x, prims = [], {}, {}, []
     for t in range(0, top + 1):
         if t <= d:
             for i in amb.degree_indices(t):
-                kind_of.append(("amb", i))
+                amb_to_x[i] = len(basis)
                 basis.append((amb.basis[i][0], t))
         if t == d:
             for p in range(k_prim):
-                kind_of.append(("prim", p))
+                prims.append(len(basis))
                 basis.append((f"m{p + 1}", d))
         if t > d:
             for i in amb.degree_indices(top - t):
-                kind_of.append(("dual", i))
+                dual_to_x[i] = len(basis)
                 basis.append((amb.basis[i][0] + "*", t))
-    amb_to_x = {i: x for x, (kind, i) in enumerate(kind_of) if kind == "amb"}
-    dual_to_x = {i: x for x, (kind, i) in enumerate(kind_of) if kind == "dual"}
+    (amb_unit,) = amb.degree_indices(0)
+    unit, point_index = amb_to_x[amb_unit], dual_to_x[amb_unit]
 
-    nx = len(basis)
-    point_index = dual_to_x[amb.degree_indices(0)[0]]
+    # The restriction of each ambient class: itself through degree d, and
+    # above d the sum over i of twisted(i, k) (e_i)*.
+    restricted = [{amb_to_x[k]: 1} if t <= d else
+                  {dual_to_x[i]: c for i in amb.degree_indices(top - t)
+                   if (c := twisted.get((i, k)))}
+                  for k, t in enumerate(amb_deg)]
 
-    amb_table, structure = amb.structure, {}
-    for a in range(nx):
-        ka, pa = kind_of[a]
-        da = basis[a][1]
-        for b in range(nx):
-            kb, pb = kind_of[b]
-            db = basis[b][1]
-            total = da + db
-            if total > top:
-                continue
-            out = {}
-            if ka == "amb" and kb == "amb":
-                prod = amb_table.get((pa, pb), {})
-                if total <= d:
-                    out = {amb_to_x[i]: c for i, c in prod.items()}
-                else:
-                    for i in amb.degree_indices(top - total):
-                        c = sum(s * twisted.get((i, k), 0) for k, s in prod.items())
-                        if c:
-                            out[dual_to_x[i]] = c
-            elif "amb" in (ka, kb) and "dual" in (ka, kb):
-                # e_u * (e_v)* = sum over i of (the e_v term of e_i * e_u) (e_i)*
-                u, v = (pa, pb) if ka == "amb" else (pb, pa)
-                for i in amb.degree_indices(top - total):
-                    if c := amb_table.get((i, u), {}).get(v):
-                        out[dual_to_x[i]] = c
-            elif ka == "prim" and kb == "prim":
-                c = prim_pairing[pa][pb]
-                if c != 0:
-                    out[point_index] = c
-            elif ka == "prim" and kb == "amb" and db == 0:
-                out = {a: Fraction(1)}
-            elif kb == "prim" and ka == "amb" and da == 0:
-                out = {b: Fraction(1)}
-            # every other mixed product vanishes (primitives against
-            # positive-degree restricted or dual classes; dual against dual
-            # would overflow except at impossible degrees)
-            if out:
-                structure[(a, b)] = out
+    # The table from the ambient one: restricted classes multiply as their
+    # ambient classes do, e_v * (e_w)* is the sum over u of (the e_w term
+    # of e_u * e_v) (e_u)*, in both orders, primitives pair to the point,
+    # and every other mixed product vanishes (primitives against
+    # positive-degree classes, dual against dual past the top degree).
+    structure = {}
+    for (u, v), prod in amb.structure.items():
+        if amb_deg[u] <= d and amb_deg[v] <= d and (out := _combine(prod, restricted)):
+            structure[amb_to_x[u], amb_to_x[v]] = out
+        for w, c in prod.items():
+            if w in dual_to_x:
+                a, b = amb_to_x[v], dual_to_x[w]
+                structure.setdefault((a, b), {})[dual_to_x[u]] = c
+                structure.setdefault((b, a), {})[dual_to_x[u]] = c
+    for p, a in enumerate(prims):
+        structure[unit, a] = structure[a, unit] = {a: 1}
+        for q, b in enumerate(prims):
+            if prim_pairing[p][q]:
+                structure[a, b] = {point_index: prim_pairing[p][q]}
 
     ring = GradedBasisRing(
-        d, basis, structure, {point_index: Fraction(1)}, space=spec if space is None else space,
-        parts={"primitive_indices": tuple(x for x, (kind, _) in enumerate(kind_of)
-                                          if kind == "prim")},
+        d, basis, structure, {point_index: 1}, space=spec if space is None else space,
+        parts={"primitive_indices": tuple(prims)},
     )
-
-    images = []
-    for i in range(len(amb.basis)):
-        t = amb.basis[i][1]
-        if t <= d:
-            images.append(ring.basis_vector(amb_to_x[i]))
-        else:
-            images.append(ClassVector(ring, t, {
-                dual_to_x[jx]: twisted.get((jx, i), 0) for jx in amb.degree_indices(top - t)
-            }))
     # The one part recorded after construction: the map's target is the ring.
-    ring.parts["restrict_map"] = RingMap(amb, ring, images)
+    ring.parts["restrict_map"] = RingMap(amb, ring, [
+        ClassVector(ring, t, restricted[k]) for k, t in enumerate(amb_deg)])
     return ring
 
 

@@ -7,11 +7,23 @@ numerators; `dense_pairing` integrates every entry of every pairing
 block, as the pairing check did before it read the products of top
 degree alone. `fraction_table` is a ring's table as rings stored it
 before they kept integer numerators, and `fraction_product` the product
-`multiply` took over it. All of them now serve only to check the
-faster paths.
+`multiply` took over it. `pairwise_ci_model` builds a ci_model's table
+by a loop over every pair of its basis classes, as `spaces` did before
+it read the table off the restriction of each ambient class;
+`block_dual_basis` reads dual bases off the pairing's block inverses, as
+`dual_basis` did before it read them off the diagonal; and
+`closed_form_hypersurface_projectors` is the (1/d) H^(n-1-r) x H^r set
+`hypersurface_projectors` built before it took `full_projectors`. All
+of them now serve only to check the faster or shorter paths.
 """
 
 from fractions import Fraction
+
+from chowkunneth import linalg, spaces
+from chowkunneth.correspondences import from_pair
+from chowkunneth.errors import DegeneratePairing, InvalidSpec, NonLefschetzRange
+from chowkunneth.graded_ring import ClassVector, GradedBasisRing, RingMap
+from chowkunneth.kunneth import ProjectorSet, coevaluation_projector
 
 
 def gauss_jordan(rows, ncols):
@@ -124,3 +136,173 @@ def fraction_product(structure, a, b):
             for k, s in structure.get((i, j), {}).items():
                 out[k] = out.get(k, Fraction(0)) + ca * cb * s
     return {k: c for k, c in out.items() if c}
+
+
+def pairwise_ci_model(spec):
+    """The ci_model ring of `spec`, uncached, with its `restrict_map`:
+    every product of two basis classes is found by the kinds of its
+    factors (restricted ambient, primitive or dual), each restricted
+    ambient product twisted by xi above the middle."""
+    amb = spaces.build_space(spaces._require_field(spec, "ambient"))
+    if any(deg % 2 for _, deg in amb.basis):
+        raise InvalidSpec("ci_model ambient must have even cohomology only")
+    xi = spaces._label_class(
+        amb, spaces._require_field(spec, "fundamental_class_expr"),
+        "ci_model fundamental_class_expr",
+    )
+    if xi.is_zero() or xi.degree % 2 or xi.degree == 0:
+        raise InvalidSpec(
+            "ci_model fundamental_class_expr must be homogeneous of positive even degree"
+        )
+    d = amb.dim - xi.degree // 2
+    if d < 1:
+        raise InvalidSpec("ci_model requires ambient dimension > codimension")
+    top = 2 * d
+    k_prim = spaces._require_int(spec, "middle_rank", minimum=0)
+
+    amb_deg = [t for _, t in amb.basis]
+    xi_value = {k: sum(c * amb.pair_basis(k, x) for x, c in xi.coeffs.items())
+                for k in amb.degree_indices(top)}
+    twisted = {}
+    for (i, j), prod in amb.structure.items():
+        if amb_deg[i] + amb_deg[j] == top:
+            val = sum(c * xi_value[k] for k, c in prod.items())
+            if val:
+                twisted[(i, j)] = val
+    for t in range(0, d + 1):
+        rows = amb.degree_indices(t)
+        if not rows:
+            continue
+        cols = amb.degree_indices(top - t)
+        m = linalg.mat([[twisted.get((i, j), Fraction(0)) for j in cols] for i in rows])
+        if linalg.rank(m) != len(rows):
+            raise NonLefschetzRange(f"xi-twisted ambient pairing drops rank in degree {t}")
+
+    odd_middle = bool(d % 2)
+    if "middle_pairing" in spec:
+        rawp = spec["middle_pairing"]
+        if (
+            not isinstance(rawp, list)
+            or len(rawp) != k_prim
+            or any(not isinstance(r, list) or len(r) != k_prim for r in rawp)
+        ):
+            raise InvalidSpec("middle_pairing must be a middle_rank x middle_rank matrix")
+        prim_pairing = [[spaces.parse_fraction(v, "middle_pairing") for v in row]
+                        for row in rawp]
+        for i in range(k_prim):
+            for j in range(k_prim):
+                want = -prim_pairing[j][i] if odd_middle else prim_pairing[j][i]
+                if prim_pairing[i][j] != want:
+                    kind = "antisymmetric" if odd_middle else "symmetric"
+                    raise InvalidSpec(f"middle_pairing must be {kind}")
+        if k_prim and linalg.inverse(linalg.mat(prim_pairing)) is None:
+            raise DegeneratePairing("supplied middle pairing is singular")
+    else:
+        prim_pairing = spaces._default_middle_pairing(k_prim, odd_middle)
+
+    basis, kind_of = [], []  # kind_of[x] = (kind, ambient or primitive index)
+    for t in range(0, top + 1):
+        if t <= d:
+            for i in amb.degree_indices(t):
+                kind_of.append(("amb", i))
+                basis.append((amb.basis[i][0], t))
+        if t == d:
+            for p in range(k_prim):
+                kind_of.append(("prim", p))
+                basis.append((f"m{p + 1}", d))
+        if t > d:
+            for i in amb.degree_indices(top - t):
+                kind_of.append(("dual", i))
+                basis.append((amb.basis[i][0] + "*", t))
+    amb_to_x = {i: x for x, (kind, i) in enumerate(kind_of) if kind == "amb"}
+    dual_to_x = {i: x for x, (kind, i) in enumerate(kind_of) if kind == "dual"}
+    point_index = dual_to_x[amb.degree_indices(0)[0]]
+
+    amb_table, structure = amb.structure, {}
+    for a, (ka, pa) in enumerate(kind_of):
+        da = basis[a][1]
+        for b, (kb, pb) in enumerate(kind_of):
+            db = basis[b][1]
+            total = da + db
+            if total > top:
+                continue
+            out = {}
+            if ka == "amb" and kb == "amb":
+                prod = amb_table.get((pa, pb), {})
+                if total <= d:
+                    out = {amb_to_x[i]: c for i, c in prod.items()}
+                else:
+                    for i in amb.degree_indices(top - total):
+                        c = sum(s * twisted.get((i, k), 0) for k, s in prod.items())
+                        if c:
+                            out[dual_to_x[i]] = c
+            elif "amb" in (ka, kb) and "dual" in (ka, kb):
+                # e_u * (e_v)* = sum over i of (the e_v term of e_i * e_u) (e_i)*
+                u, v = (pa, pb) if ka == "amb" else (pb, pa)
+                for i in amb.degree_indices(top - total):
+                    if c := amb_table.get((i, u), {}).get(v):
+                        out[dual_to_x[i]] = c
+            elif ka == "prim" and kb == "prim":
+                c = prim_pairing[pa][pb]
+                if c != 0:
+                    out[point_index] = c
+            elif ka == "prim" and kb == "amb" and db == 0:
+                out = {a: Fraction(1)}
+            elif kb == "prim" and ka == "amb" and da == 0:
+                out = {b: Fraction(1)}
+            if out:
+                structure[(a, b)] = out
+
+    ring = GradedBasisRing(
+        d, basis, structure, {point_index: Fraction(1)}, space=spec,
+        parts={"primitive_indices": tuple(x for x, (kind, _) in enumerate(kind_of)
+                                          if kind == "prim")},
+    )
+    images = []
+    for i, t in enumerate(amb_deg):
+        if t <= d:
+            images.append(ring.basis_vector(amb_to_x[i]))
+        else:
+            images.append(ClassVector(ring, t, {
+                dual_to_x[jx]: twisted.get((jx, i), 0) for jx in amb.degree_indices(top - t)
+            }))
+    ring.parts["restrict_map"] = RingMap(amb, ring, images)
+    return ring
+
+
+def block_dual_basis(ring, p):
+    """The dual classes of the degree-p basis, read off the inverse of
+    the pairing block of degrees (p, q), q = 2*dim - p, or for p > q off
+    that of (q, p), transposed and times (-1)^(p*q)."""
+    q = ring.top_degree - p
+    rows, cols = ring.degree_indices(p), ring.degree_indices(q)
+    if p <= q:
+        inv = ring._inverses.get(p, ())
+    else:
+        sign = -1 if p % 2 else 1
+        inv = [[sign * c for c in col] for col in zip(*ring._inverses.get(q, ()))]
+    return tuple(
+        ClassVector(ring, q, {cols[k]: inv[k][j] for k in range(len(cols))})
+        for j in range(len(rows))
+    )
+
+
+def closed_form_hypersurface_projectors(n, d, middle_rank):
+    """The degree-d hypersurface model in P^n split in closed form: away
+    from the middle, the member in degree 2r is (1/d) H^(n-1-r) x H^r
+    for the restricted hyperplane class H; the middle member is the
+    diagonal's component in the middle degree, the set's remainder."""
+    X = spaces.hypersurface_model(n, d, middle_rank)
+    dim = n - 1
+    q = X.parts["restrict_map"]
+    H = q.apply(q.source.basis_class("h" if n >= 1 else "1"))
+    powers = [X.unit()]
+    for _ in range(dim):
+        powers.append(X.multiply(powers[-1], H))
+    projs = {}
+    for r in range(dim + 1):
+        if 2 * r == dim:
+            continue
+        projs[2 * r] = from_pair(powers[dim - r], powers[r]).scale(Fraction(1, d))
+    projs[dim] = coevaluation_projector(X, dim)
+    return ProjectorSet(X, projs, complete=True, remainder_indices={dim})

@@ -26,6 +26,7 @@ from chowkunneth.equivariant import (
 )
 from chowkunneth.errors import RingMismatch
 from chowkunneth.graded_ring import ClassVector
+import ring_oracles
 from test_acceptance import corpus_rings
 
 
@@ -36,10 +37,11 @@ def cubic_curve():
 
 def dual_basis_diagonal(X):
     """The diagonal validated term by term: (-1)^p e_i x its dual class,
-    read off `dual_basis`, over every degree p."""
+    over every degree p, each dual class read off the block inverses by
+    the oracle, since `dual_basis` itself reads the diagonal."""
     terms = {}
     for p in X.degrees():
-        for i, dual in zip(X.degree_indices(p), X.dual_basis(p)):
+        for i, dual in zip(X.degree_indices(p), ring_oracles.block_dual_basis(X, p)):
             for j, c in dual.coeffs.items():
                 terms[i, j] = (-1) ** p * c
     return CorrespondenceClass(X, X, 0, terms)
@@ -62,6 +64,23 @@ def test_cached_diagonal_is_the_validated_one():
     T = equivariant_trivial_action(cubic_curve(), torus_group(2), 4)
     assert T.diagonal().terms is T.diagonal().terms
     assert T.diagonal() == unit_lift(T, dual_basis_diagonal(T.base))
+
+
+def test_dual_bases_are_dual_and_match_the_block_reading():
+    """∫ e_i · ê_j = δ_ij in every degree p on the cubic curve, its
+    square and cubic x P^1, and on those and every corpus ring each dual
+    basis equals the one read off the block inverses directly."""
+    E = cubic_curve()
+    odd = [E, spaces.product_space(E, E), spaces.product_space(E, spaces.projective_space(1))]
+    for X in odd:
+        for p in X.degrees():
+            duals = X.dual_basis(p)
+            for a, i in enumerate(X.degree_indices(p)):
+                for b, dual in enumerate(duals):
+                    assert X.integrate(X.basis_vector(i) * dual) == (a == b), (X, p)
+    for X in [*odd, *corpus_rings()]:
+        for p in range(-1, X.top_degree + 2):
+            assert X.dual_basis(p) == ring_oracles.block_dual_basis(X, p), (X, p)
 
 
 def random_corr(rng, X, Y, shift):

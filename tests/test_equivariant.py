@@ -23,6 +23,7 @@ from chowkunneth.equivariant import (
     lift_projectors,
     stabilization_check,
     torus_group,
+    unit_lift,
     verify_equivariant,
 )
 from chowkunneth.errors import RingMismatch, UnsupportedAction
@@ -33,6 +34,7 @@ from chowkunneth.kunneth import (
     report_passes,
     verify_ck,
 )
+from chowkunneth.serialize import family_document, family_from_document
 
 
 # -- groups -------------------------------------------------------------------
@@ -192,6 +194,38 @@ def test_correspondence_truncation_drops_overflow():
     # 1 x 1 t^2 would be homogeneous for shift 1, but t^2 overflows N=2
     c = EquivariantCorrespondence(M, 1, {(0, 0, (2,)): 1})
     assert c.is_zero()
+
+
+def test_lifted_terms_read_their_degree_from_the_code(monkeypatch):
+    """Reading a family document and `unit_lift` make no `mono_degree`
+    call: a monomial within the bound has a code, which holds its
+    degree. A monomial past the bound is still dropped, and a term of
+    the wrong degree or a non-monomial still named."""
+    M = equivariant_projective_torus((0, 1, 3, 7), 8)
+    F = lift_projectors(full_projectors(M.base), M.group, M.N, model=M)
+    doc = family_document(F)
+    T = equivariant_trivial_action(spaces.grassmannian(2, 4), torus_group(2), 6)
+    P = full_projectors(T.base)
+    calls = []
+    original = TruncatedPolyRing.mono_degree
+
+    def counted(self, exps):
+        calls.append(exps)
+        return original(self, exps)
+
+    monkeypatch.setattr(TruncatedPolyRing, "mono_degree", counted)
+    assert family_from_document(doc) == F
+    for i in P.indices():
+        assert unit_lift(T, P.member(i)).restrict() == P.member(i)
+    assert calls == []
+
+    L = equivariant_trivial_action(spaces.projective_space(1), torus_group(1), 2)
+    assert EquivariantCorrespondence(L, 0, {(0, 0, (1,)): 1}).terms == {(0, 0, (1,)): 1}
+    assert EquivariantCorrespondence(L, 1, {(0, 0, (2,)): 1}).is_zero()
+    with pytest.raises(ValueError, match=r"^term \(1, h, t\) has degree 4, expected 2$"):
+        EquivariantCorrespondence(L, 0, {(0, 1, (1,)): 1})
+    with pytest.raises(ValueError, match=r"^\(0, -1\) is not a parameter monomial"):
+        EquivariantCorrespondence(L, 0, {(0, 1, (0, -1)): 1})
 
 
 def test_correspondence_linear_structure():

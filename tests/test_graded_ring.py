@@ -1,12 +1,14 @@
 """Graded basis rings: axioms, pairing, duals, maps, tensor products."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from chowkunneth import spaces
+from chowkunneth import graded_ring, spaces
 from chowkunneth.errors import (
     DegeneratePairing,
     NotRingMap,
@@ -423,6 +425,69 @@ def test_structural_equality_ignores_description():
         r1.dim, r1.basis, r1.structure, r1.integration, space={"kind": "x"}
     )
     assert r3 == r1
+
+
+def private_slot_writes(source, slots):
+    """(line, target, slot) for each write of an attribute named in
+    `slots` on a target other than `self`: `x.slot = ...` alone, in a
+    chain, unpacked or augmented, and `setattr(x, "slot", ...)`."""
+    found = []
+
+    def targets(node):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            for element in node.elts:
+                yield from targets(element)
+        elif isinstance(node, ast.Starred):
+            yield from targets(node.value)
+        else:
+            yield node
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            written = [t for target in node.targets for t in targets(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            written = list(targets(node.target))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "setattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in slots):
+            if not (isinstance(node.args[0], ast.Name) and node.args[0].id == "self"):
+                found.append((node.lineno, ast.unparse(node.args[0]), node.args[1].value))
+            continue
+        else:
+            continue
+        for t in written:
+            if (isinstance(t, ast.Attribute) and t.attr in slots
+                    and not (isinstance(t.value, ast.Name) and t.value.id == "self")):
+                found.append((t.lineno, ast.unparse(t.value), t.attr))
+    return found
+
+
+def test_only_graded_ring_writes_private_ring_slots():
+    """No module but `graded_ring` assigns a private slot of a ring."""
+    slots = {slot for slot in GradedBasisRing.__slots__ if slot.startswith("_")}
+    found = [(path.name, *write)
+             for path in sorted(Path(graded_ring.__file__).parent.glob("*.py"))
+             if path.name != "graded_ring.py"
+             for write in private_slot_writes(path.read_text(encoding="utf-8"), slots)]
+    assert not found
+
+
+def test_the_slot_guard_finds_writes_from_outside():
+    source = (
+        "def diagonal(X, Y):\n"
+        "    X._diagonal = terms\n"
+        "    self._diagonal = Y.parts['k'] = Y._inverses[0] = 1\n"
+        "    a, (Y._inverses, *X._table) = 1, (2, 3)\n"
+        "    X._partners += 1\n"
+        "    setattr(Y, '_diagonal', 0)\n"
+        "    setattr(self, '_diagonal', 0)\n"
+        "    X._rows = Y.basis = 0\n"
+    )
+    slots = {"_diagonal", "_inverses", "_table", "_partners"}
+    assert private_slot_writes(source, slots) == [
+        (2, "X", "_diagonal"), (4, "Y", "_inverses"), (4, "X", "_table"),
+        (5, "X", "_partners"), (6, "Y", "_diagonal"),
+    ]
 
 
 # -- ring maps ---------------------------------------------------------------------

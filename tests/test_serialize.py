@@ -276,6 +276,37 @@ def test_repeated_coefficient_strings_are_parsed_once(monkeypatch):
             correspondence_from_document({**base, "terms": terms})
 
 
+def test_a_family_document_parses_each_coefficient_string_once(monkeypatch):
+    """The members of one document share the parsed strings: reading a
+    weighted family parses each distinct coefficient string once, in
+    the order of first appearance, although strings repeat across
+    members; a bad string is still reported at its first term."""
+    M = equivariant_projective_torus((0, 1, 3, 7), 8)
+    F = lift_projectors(full_projectors(M.base), M.group, M.N, model=M)
+    doc = family_document(F)
+    strings = [row[-1] for member in doc["projectors"] for row in member["terms"]]
+    first = list(dict.fromkeys(strings))
+    shared = [c for c in first if sum(c in {row[-1] for row in member["terms"]}
+                                      for member in doc["projectors"]) > 1]
+    assert shared and len(first) < len(strings)
+    parsed = []
+
+    def counted(value, where="coefficient"):
+        parsed.append(value)
+        return parse_fraction(value, where)
+
+    monkeypatch.setattr(serialize, "parse_fraction", counted)
+    assert family_from_document(doc) == F
+    assert parsed == first
+    bad = json.loads(json.dumps(doc))
+    later = [member for member in bad["projectors"][1:] if member["terms"]]
+    for member in later:
+        member["terms"][0][-1] = "x"
+    where = f"projector {later[0]['index']}: term 0: bad rational 'x'"
+    with pytest.raises(InvalidSpec, match=where):
+        family_from_document(bad)
+
+
 # -- projector sets ------------------------------------------------------------------------
 
 

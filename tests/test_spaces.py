@@ -8,12 +8,14 @@ import pytest
 
 from chowkunneth import cli, graded_ring, schubert, spaces
 from chowkunneth.errors import (
+    ChowKunnethError,
     DegeneratePairing,
     InvalidSpec,
     NonLefschetzRange,
 )
 from chowkunneth.graded_ring import GradedBasisRing
 from chowkunneth.kunneth import full_projectors, report_passes, verify_ck
+import ring_oracles
 from schubert_oracles import lr_multiply, parse_partition_label
 
 
@@ -283,6 +285,65 @@ def test_lefschetz_range_failure_detected():
     )
     with pytest.raises(NonLefschetzRange):
         spaces.ci_model(T, {"h # 1 # 1": 1}, 0)
+
+
+def ci_model_grid():
+    """ci_model descriptions: the plane curve families d = 1..6,
+    hypersurfaces of degree 1..4 in P^n for n = 2..6 with middle rank 0,
+    2 or 3, sections of G(2,5) and of P^2 x P^3 (one by a mixed class),
+    supplied middle pairings, and sections of quadric models, one with a
+    rational middle pairing; some of them fail to build."""
+    def ci(ambient, xi, rank, **extra):
+        return {"kind": "ci_model", "ambient": ambient, "fundamental_class_expr": xi,
+                "middle_rank": rank, **extra}
+
+    def pn(n):
+        return {"kind": "projective_space", "n": n}
+
+    grid = [ci({"kind": "product", "factors": [pn(2), pn(d * (d + 3) // 2)]},
+               {"h # 1": str(d), "1 # h": "1"}, 0) for d in range(1, 7)]
+    grid += [ci(pn(n), {"h": str(e)}, r)
+             for n in range(2, 7) for e in range(1, 5) for r in (0, 2, 3)]
+    g25 = {"kind": "grassmannian", "k": 2, "n": 5}
+    grid += [ci(g25, {"s[1]": "1"}, 0), ci(g25, {"s[1]": "1"}, 2), ci(g25, {"s[1]": "2"}, 4),
+             ci(g25, {"s[2]": "1"}, 0), ci(g25, {"s[1,1]": "1", "s[2]": "1"}, 1)]
+    p2p3 = {"kind": "product", "factors": [pn(2), pn(3)]}
+    grid += [ci(p2p3, {"h # 1": "2", "1 # h": "3"}, r) for r in (0, 2)]
+    grid += [ci(p2p3, {"h # 1": "1"}, 0), ci(p2p3, {"h^2 # 1": "1", "1 # h^2": "1"}, 1)]
+    grid += [ci(pn(3), {"h": "2"}, 2, middle_pairing=pairing)
+             for pairing in ([["1", "1/2"], ["1/2", "-3"]], [["1", "1"], ["1", "1"]],
+                             [["1", "2"], ["0", "1"]])]
+    quadric = ci(pn(4), {"h": "2"}, 0)
+    rational = ci(pn(3), {"h": "2"}, 1, middle_pairing=[["1/2"]])
+    grid += [ci(quadric, {"h": "1"}, r) for r in (0, 1)]
+    grid += [ci(quadric, {"h": "2"}, 0), ci(rational, {"h": "1"}, 2), ci(rational, {"m1": "1"}, 0)]
+    return grid
+
+
+def test_ci_model_tables_match_the_pairwise_oracle():
+    """The table read off the restriction of each ambient class equals
+    the one the pairwise oracle builds by the kinds of both factors, and
+    so do the basis, integration, primitives and `restrict_map` images,
+    or both raise the same error."""
+    built = 0
+    for spec in ci_model_grid():
+        try:
+            want = ring_oracles.pairwise_ci_model(spec)
+        except ChowKunnethError as exc:
+            with pytest.raises(type(exc)) as got:
+                spaces._build_ci_model(spec)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc), spec
+            continue
+        ring = spaces._build_ci_model(spec)
+        built += 1
+        assert ring.basis == want.basis and ring.integration == want.integration, spec
+        assert ring._table.denominator == want._table.denominator, spec
+        assert sorted(ring._table.items()) == sorted(want._table.items()), spec
+        assert ring.parts["primitive_indices"] == want.parts["primitive_indices"], spec
+        got_images = [(v.degree, v.coeffs) for v in ring.parts["restrict_map"].images]
+        assert got_images == [(v.degree, v.coeffs)
+                              for v in want.parts["restrict_map"].images], spec
+    assert built >= 60
 
 
 # -- blow-ups -----------------------------------------------------------------------
