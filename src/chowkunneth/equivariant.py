@@ -519,7 +519,20 @@ def verify_equivariant(F):
     diagonal taken in the model. Graded-action residual rows carry the
     parameter monomial, listed by (basis index, monomial), and are built
     only for an image that is not e at the unit monomial on the member's
-    degree and zero elsewhere."""
+    degree and zero elsewhere.
+
+    Idempotence composes each member with itself. Orthogonality composes
+    only the pairs with a member that fails a graded-action entry; a
+    pair of passing members holds from the action alone. Over the
+    truncated parameter ring R_N write the model's pairing as G = J + U,
+    with J its unit-monomial part, the base ring's pairing, invertible
+    by the base's `pairing_nondegeneracy` check, and U of positive
+    parameter degree, hence nilpotent. So G is invertible, with inverse
+    the sum over k <= N/2 of (-J^-1 U)^k J^-1, and the action matrix
+    A_γ = G C_γ of a member with coefficient matrix C_γ determines it.
+    As act(compose(f, g), e) = act(g, act(f, e)), A_{f∘g} = A_f A_g; two
+    passing members act as the degree projections E_i and E_j at the
+    unit monomial, so A_{p_i∘p_j} = E_i E_j = 0 and p_i∘p_j = 0."""
     model = F.model
     base, bg = model.base, model.bg
     unit = bg.unit_mono
@@ -535,7 +548,7 @@ def verify_equivariant(F):
                 for (j, m), c in sorted(residual.items()) if c]
 
     return _report(F, EquivariantCorrespondence.compose, model.diagonal,
-                   _action_rows(F, base, residual_rows))
+                   _action_rows(F, base, residual_rows), orthogonality_from_action=True)
 
 
 def compare_lifted_coefficients(F1, F2, D):

@@ -252,27 +252,39 @@ def _entry(check, indices, residual):
     return entry
 
 
-def _report(P, compose_pair, delta, action_rows):
+def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=False):
     """The report loop shared by `verify_ck` and `verify_equivariant`,
     which supply the composition of two members (`compose_pair(f, g)`
     applies f first), the diagonal (`delta()`, called only when the set
     claims completeness) and `action_rows(i, p)`: (basis label,
     residual rows) per basis class, with no rows where member p at
-    index i acts correctly. A residual is built only for a failed
-    check: idempotence compares terms, and completeness holds at once
-    when the members' supports are disjoint and their union is the
+    index i acts correctly. Every member's rows are gathered first; the
+    entries follow in report order. A residual is built only for a
+    failed check: idempotence compares terms, and completeness holds at
+    once when the members' supports are disjoint and their union is the
     diagonal's terms (as for members cut from the diagonal); otherwise
-    it sums every member's terms, less the diagonal's, in one dict."""
+    it sums every member's terms, less the diagonal's, in one dict.
+
+    Orthogonality composes every ordered pair unless
+    `orthogonality_from_action` is set. Then two members that both pass
+    every graded-action entry are orthogonal without a composition, and
+    only the pairs with a failing member compose. That is exact when the
+    action matrix A_γ determines γ: A_{f∘g} = A_f A_g, so two passing
+    members have A_{p_i∘p_j} = E_i E_j = 0 for the degree projections
+    E_i, E_j (`verify_equivariant` proves it for a truncated model)."""
     members = P.projectors
     idx = P.indices()
+    rows = {i: list(action_rows(i, members[i])) for i in idx}
     entries = []
     for i in idx:
         p = members[i]
         square = compose_pair(p, p)
         entries.append(_entry("idempotence", (i,),
                               None if square.terms == p.terms else square - p))
+    passing = {i for i in idx if orthogonality_from_action and not any(r for _, r in rows[i])}
     entries.extend(
-        _entry("orthogonality", (i, j), compose_pair(members[i], members[j]))
+        _entry("orthogonality", (i, j), None if i in passing and j in passing
+               else compose_pair(members[i], members[j]))
         for i in idx for j in idx if i != j
     )
     if P.complete:
@@ -290,11 +302,11 @@ def _report(P, compose_pair, delta, action_rows):
             residual = whole._with_terms(sums)
         entries.append(_entry("completeness", idx, residual))
     for i in idx:
-        for label, rows in action_rows(i, members[i]):
+        for label, residual in rows[i]:
             entry = {"check": "graded_action", "indices": [i],
-                     "basis_class": label, "pass": not rows}
-            if rows:
-                entry["residual_class"] = rows
+                     "basis_class": label, "pass": not residual}
+            if residual:
+                entry["residual_class"] = residual
             entries.append(entry)
     P.report = entries
     return entries

@@ -21,7 +21,11 @@ point whose pushforward is zero failed `unit` as `build-fails-unit`
 (exit 1) until blow-ups checked that their pullback is a ring map; it
 is now `build-rejects-point_pushed_to_zero` (exit 2), recorded with
 `build-rejects-line_with_doubled_point` from the first code that
-rejected them.
+rejected them. `verify-tampered-weighted-P3`, a weighted lift with a
+term off one member's degree (its orthogonality entries carry
+residuals), was recorded from the code that composed every pair of
+members, before lifted reports read orthogonality off the graded
+action.
 
 The digests leave standard error out. Every case that writes to it is
 listed in `STDERR` with the exact text it writes (the `error:` line of
@@ -157,6 +161,17 @@ def _scaled(doc, index, factor):
     return doc
 
 
+def _with_term(doc, index, term):
+    """A copy of a set or family document with one term added to one
+    member."""
+    doc = json.loads(json.dumps(doc))
+    doc.pop("report", None)
+    for entry in doc["projectors"]:
+        if entry["index"] == index:
+            entry["terms"].append(term)
+    return doc
+
+
 def corpus(workdir):
     """(name, argv, out path or None) in run order; later cases read
     documents written by earlier ones. A callable in place of argv
@@ -208,17 +223,23 @@ def corpus(workdir):
 
     tampered_set = d / "tampered-set.json"
     tampered_family = d / "tampered-family.json"
+    tampered_weighted = d / "tampered-weighted-P3.json"
 
     def tamper():
         doc = json.loads(sets["P2"].read_text(encoding="utf-8"))
         tampered_set.write_text(json.dumps(_scaled(doc, 2, 3)), encoding="utf-8")
         doc = json.loads(wP2.read_text(encoding="utf-8"))
         tampered_family.write_text(json.dumps(_scaled(doc, 2, 9)), encoding="utf-8")
+        # h x h^2 at the unit monomial: off member 2's degree
+        doc = json.loads(wP3.read_text(encoding="utf-8"))
+        tampered_weighted.write_text(json.dumps(_with_term(doc, 2, ["h", "h^2", "1", "5/2"])),
+                                     encoding="utf-8")
 
     cases.append(("tamper", tamper, None))
     add("verify-tampered-set", "verify", str(tampered_set))
     add("verify-tampered-family", "verify", str(tampered_family))
     add("restrict-tampered-family", "restrict", str(tampered_family), "--verify")
+    add("verify-tampered-weighted-P3", "verify", str(tampered_weighted))
     return cases
 
 
@@ -287,6 +308,7 @@ GOLDEN = {
     'verify-tampered-set': '3fb89bf1f24d2c5576d016f76f64cb290760604b1537a168f231c8850426f36c',
     'verify-tampered-family': 'fa64897a00f7f1c242e52a11ef7f4dab619b592363223d56f3b804b3f9bbcd5c',
     'restrict-tampered-family': '0553556f486b1d8cece9354f418b552aff43a4914a27d64ea18cd8744c5a6f97',
+    'verify-tampered-weighted-P3': '41589dd0ed2f90fad4660fdfafab449b53950b6a80e51ed55a20971637c6d3ec',
 }
 
 

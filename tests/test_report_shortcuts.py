@@ -16,7 +16,15 @@ degree, is kept here as `subtraction_report`. Both verify paths,
 ordinary and lifted, run once with each, and the whole reports,
 residual classes included, must be equal: on every corpus set and on
 seeded tampered sets that fail idempotence, completeness, the graded
-action, several of them, or none.
+action, several of them, or none. `subtraction_report` composes every
+ordered pair of members, as the ordinary report still does.
+
+A lifted report decides the orthogonality of two members that both
+pass their graded action without composing them. The last section
+pins each step of the argument for that, and holds the lifted report
+against `fraction_verify_equivariant`, which composes every pair, on
+seeded tampered families whose failing members carry orthogonality
+residuals.
 """
 
 import random
@@ -29,7 +37,11 @@ from chowkunneth.correspondences import CorrespondenceClass, act, diagonal
 from chowkunneth.equivariant import (
     EquivariantCorrespondence,
     EquivariantProjectorFamily,
+    equivariant_projective_torus,
+    equivariant_trivial_action,
+    general_linear_group,
     lift_projectors,
+    torus_group,
     verify_equivariant,
 )
 from chowkunneth.kunneth import (
@@ -39,8 +51,18 @@ from chowkunneth.kunneth import (
     report_passes,
     verify_ck,
 )
+from chowkunneth.linalg import inverse
+from chowkunneth.serialize import model_document, model_from_document
 from test_acceptance import corpus_rings
-from test_table_oracles import lifted_models, random_lifted, random_ordinary
+from test_table_oracles import (
+    fraction_verify_equivariant,
+    lifted_models,
+    mixed_coefficient,
+    mono_product,
+    random_classes,
+    random_lifted,
+    random_ordinary,
+)
 
 
 def scan_action_rows(P):
@@ -74,10 +96,11 @@ def scan_action_rows(P):
     return action_rows
 
 
-def subtraction_report(P, compose_pair, delta, action_rows):
+def subtraction_report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=False):
     """`_report` with a residual class for every idempotence and
-    completeness check, and the graded action of `scan_action_rows` in
-    place of the `action_rows` given."""
+    completeness check, one composition for every orthogonality entry
+    whatever `orthogonality_from_action` says, and the graded action of
+    `scan_action_rows` in place of the `action_rows` given."""
     members = P.projectors
     idx = P.indices()
     entries = [
@@ -266,3 +289,218 @@ def test_each_shortcut_decides_a_check_the_other_passes(monkeypatch):
         for T in controls:
             assert "completeness" in failing_checks(T.report)
     assert extra_keys == 2
+
+
+# -- orthogonality read off the graded action ----------------------------------------
+#
+# A lifted report composes only the pairs with a member that fails its
+# graded action. That is exact because the action determines a lifted
+# correspondence: over the truncated parameter ring the pairing G = J + U
+# (J its unit-monomial part, the base pairing; U of positive parameter
+# degree) has the inverse sum_k (-J^-1 U)^k J^-1, the action matrix is
+# A = G C for the coefficient matrix C, and A_{f∘g} = A_f A_g. The tests
+# below pin each step of that argument, and hold the report against
+# `fraction_verify_equivariant`, which composes every pair.
+
+
+def g24_times_p1():
+    return spaces.product_space(spaces.grassmannian(2, 4), spaces.projective_space(1))
+
+
+ORTHOGONALITY_MODELS = {
+    "P2 (0,1,3) N=8": lambda: equivariant_projective_torus((0, 1, 3), 8),
+    "P3 (1,2,-1,4) N=10": lambda: equivariant_projective_torus((1, 2, -1, 4), 10),
+    "P4 (2,-1,0,3,1) N=16": lambda: equivariant_projective_torus((2, -1, 0, 3, 1), 16),
+    "P5 (2,-1,-1,0,3,5) N=20": lambda: equivariant_projective_torus((2, -1, -1, 0, 3, 5), 20),
+    "G(2,4)xP1 T2 N=4": lambda: equivariant_trivial_action(g24_times_p1(), torus_group(2), 4),
+    "G(2,4)xP1 GL2 N=4": lambda: equivariant_trivial_action(
+        g24_times_p1(), general_linear_group(2), 4),
+}
+
+
+def orthogonality_tampered(F, rng):
+    """Families of F's members, each claiming completeness: one
+    coefficient of a member perturbed; a term of another member copied
+    onto it, or moved onto it; a term off its degree
+    (`off_degree_term`); and a member added at an index F lacks, zero
+    or a seeded correspondence."""
+    M, projs = F.model, F.projectors
+    nonzero = [k for k in F.indices() if not projs[k].is_zero()]
+    i = rng.choice(nonzero)
+    j = rng.choice([k for k in nonzero if k != i])
+    key = rng.choice(sorted(projs[i].terms))
+    moved = rng.choice(sorted(projs[j].terms))
+    term = one_term(F, moved, projs[j].terms[moved])
+
+    def family(changes):
+        return EquivariantProjectorFamily(M, {**projs, **changes}, complete=True)
+
+    families = [
+        family({i: projs[i] + one_term(F, key, mixed_coefficient(rng))}),
+        family({i: projs[i] + term}),
+        family({i: projs[i] + term, j: projs[j] - term}),
+        family({i: projs[i] + off_degree_term(F, i, rng)}),
+    ]
+    free = [k for k in range(2 * M.dim + 1) if k not in projs]
+    if free:
+        k = rng.choice(free)
+        families.append(family({k: EquivariantCorrespondence(M, 0, {})}))
+        families.append(family({k: random_lifted(M, rng, 4, 0)}))
+    return families
+
+
+@pytest.mark.parametrize("name", list(ORTHOGONALITY_MODELS))
+def test_lifted_orthogonality_matches_the_composed_pairs(name):
+    """Seeded tampered families report entry for entry as the report
+    that composes every pair; each failing orthogonality entry names a
+    member that fails its graded action, and some carry residuals."""
+    M = ORTHOGONALITY_MODELS[name]()
+    F = lift_projectors(full_projectors(M.base), M.group, M.N, model=M)
+    rng = random.Random(f"orthogonality {name}")
+    families = [F]
+    for _ in range(6):
+        families += orthogonality_tampered(F, rng)
+    residuals = 0
+    for S in families:
+        report = verify_equivariant(S)
+        assert report == fraction_verify_equivariant(S), S
+        acting_wrongly = {e["indices"][0] for e in report
+                          if e["check"] == "graded_action" and not e["pass"]}
+        for e in report:
+            if e["check"] == "orthogonality" and not e["pass"]:
+                assert acting_wrongly & set(e["indices"]), (S, e)
+                residuals += bool(e["residual_class"])
+    assert residuals
+
+
+def premise_models():
+    """name -> model: the weighted, trivial torus and trivial GL models of
+    `lifted_models` at N = 4n, and each of them read back from its
+    document."""
+    models = {name: make(4 * n) for name, (make, n) in lifted_models().items()}
+    for name, M in list(models.items()):
+        models[f"{name}, read back"] = model_from_document(model_document(M))
+    return models
+
+
+PREMISE_MODELS = premise_models()
+
+
+@pytest.mark.parametrize("name", list(PREMISE_MODELS))
+def test_unit_monomial_part_of_the_pairing_is_the_base_pairing(name):
+    """J, the unit-monomial part of the model's partner table, is the
+    base ring's partner table, which `pairing_nondegeneracy` checked to
+    be invertible; every other entry, U, has positive parameter degree."""
+    M = PREMISE_MODELS[name]
+    scale, rows = M._integer_partners()
+    base_scale, base_rows = M.base._integer_partners()
+    assert len(rows) == len(base_rows)
+    for row, base_row in zip(rows, base_rows):
+        unit = {k: Fraction(v, scale) for k, poly in row for code, v in poly if code == 0}
+        assert unit == {k: Fraction(v, base_scale) for k, poly in base_row for _, v in poly}
+        assert all(M.bg.mono_degree(M.bg.mono_of[code]) > 0
+                   for _, poly in row for code, _ in poly if code)
+
+
+def poly_product(bg, p, q):
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            if (m := mono_product(bg, a, b)) is not None:
+                out[m] = out.get(m, 0) + x * y
+    return {m: c for m, c in out.items() if c}
+
+
+def matrix_product(bg, A, B):
+    """The product of two matrices of {monomial: coefficient} over the
+    truncated parameter ring."""
+    out = [[{} for _ in B[0]] for _ in A]
+    for i, row in enumerate(A):
+        for k, a in enumerate(row):
+            for j, b in enumerate(B[k]):
+                for m, c in poly_product(bg, a, b).items():
+                    out[i][j][m] = out[i][j].get(m, 0) + c
+    return [[{m: c for m, c in p.items() if c} for p in row] for row in out]
+
+
+def matrix_sum(A, B):
+    out = [[dict(p) for p in row] for row in A]
+    for row, other in zip(out, B):
+        for p, q in zip(row, other):
+            for m, c in q.items():
+                p[m] = p.get(m, 0) + c
+    return [[{m: c for m, c in p.items() if c} for p in row] for row in out]
+
+
+def pairing_and_series_inverse(M):
+    """G, the model's pairing on base classes, and sum_k (-J^-1 U)^k J^-1
+    for k <= N/2; also checks that the next power of -J^-1 U is zero."""
+    bg, n, unit = M.bg, len(M.base.basis), M.bg.unit_mono
+    G = [[M.pair_poly(j, k) for k in range(n)] for j in range(n)]
+    J_inv = [[{unit: v} if v else {} for v in row]
+             for row in inverse([[G[j][k].get(unit, 0) for k in range(n)] for j in range(n)])]
+    minus_U = [[{m: -c for m, c in p.items() if m != unit} for p in row] for row in G]
+    step = matrix_product(bg, J_inv, minus_U)
+    term = total = J_inv
+    for _ in range(bg.bound // 2):
+        term = matrix_product(bg, step, term)
+        total = matrix_sum(total, term)
+    assert not any(matrix_product(bg, step, term)[j][k] for j in range(n) for k in range(n))
+    return G, total
+
+
+PRODUCT_MODELS = {
+    "P5 (2,-1,-1,0,3,5) N=20": lambda: equivariant_projective_torus((2, -1, -1, 0, 3, 5), 20),
+    "G(2,4)xP1 T2 N=8": lambda: equivariant_trivial_action(g24_times_p1(), torus_group(2), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_MODELS))
+def test_the_action_determines_a_lifted_correspondence(name):
+    """G has the series inverse, and C = G^-1 A recovers each seeded
+    correspondence's coefficient matrix from its action on base classes."""
+    M = PRODUCT_MODELS[name]()
+    bg, base, n = M.bg, M.base, len(M.base.basis)
+    G, G_inv = pairing_and_series_inverse(M)
+    identity = [[{bg.unit_mono: 1} if j == k else {} for k in range(n)] for j in range(n)]
+    assert matrix_product(bg, G, G_inv) == identity == matrix_product(bg, G_inv, G)
+    rng = random.Random(f"injective {name}")
+    for _ in range(4):
+        gamma = random_lifted(M, rng, 10, 0)
+        A = [[{} for _ in range(n)] for _ in range(n)]
+        for k in range(n):
+            for (j, m), c in gamma.act(base.basis_vector(k)).items():
+                A[k][j][m] = c
+        C = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j, m), c in gamma.terms.items():
+            C[i][j][m] = c
+        assert matrix_product(bg, G, C) == A
+        assert matrix_product(bg, G_inv, A) == C
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_MODELS))
+def test_composite_acts_as_the_second_after_the_first(name):
+    """act(compose(f, g), e) is act(g, .), extended linearly over the
+    truncated parameter ring, applied to act(f, e): on seeded f and g of
+    every pair of shifts, on basis classes and on seeded classes."""
+    M = PRODUCT_MODELS[name]()
+    bg, base = M.bg, M.base
+    rng = random.Random(f"composite {name}")
+    classes = [base.basis_vector(k) for k in range(len(base.basis))]
+    classes += random_classes(base, rng, 6)
+    nonzero = 0
+    for f_shift, g_shift in ((0, 0), (-1, 1), (1, -1), (0, 1), (-1, 0)):
+        f = random_lifted(M, rng, 12, f_shift)
+        g = random_lifted(M, rng, 12, g_shift)
+        images = [g.act(base.basis_vector(j)) for j in range(len(base.basis))]
+        fg = f.compose(g)
+        for alpha in classes:
+            want = {}
+            for (j, m), c in f.act(alpha).items():
+                for (l, m2), c2 in images[j].items():
+                    if (p := mono_product(bg, m, m2)) is not None:
+                        want[l, p] = want.get((l, p), 0) + c * c2
+            got = fg.act(alpha)
+            assert got == {key: c for key, c in want.items() if c}
+            nonzero += bool(got)
+    assert nonzero

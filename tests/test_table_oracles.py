@@ -730,7 +730,9 @@ def test_joins_build_their_results_without_revalidation(monkeypatch):
     `ClassVector`'s, and the report builds no correspondence with one:
     the diagonal of the completeness check is built once from the
     pairing block inverses or the model's closed form. The only
-    validated classes are the basis vectors the actions start from."""
+    validated classes are the basis vectors the actions start from.
+    The ordinary report composes every ordered pair; the lifted one
+    composes each member with itself and also acts."""
     P = full_projectors(spaces.plane_curve_family(4))
     M = equivariant_projective_torus((3, -2, 0, 1, 1, 5, -4, 2, 7), 32)
     F = lift_projectors(full_projectors(M.base), M.group, 32, model=M)
@@ -755,11 +757,12 @@ def test_joins_build_their_results_without_revalidation(monkeypatch):
     for method in ("compose", "act"):
         inner = EquivariantCorrespondence.__dict__[method]
         monkeypatch.setattr(EquivariantCorrespondence, method, watched(inner))
-    for verify, S in ((verify_ck, P), (verify_equivariant, F)):
+    for verify, S, joins in ((verify_ck, P, len(P.indices()) ** 2),
+                             (verify_equivariant, F, len(F.indices()))):
         built.clear()
         from_joins.clear()
         assert report_passes(verify(S))
-        assert len(from_joins) > len(S.indices()) ** 2
+        assert len(from_joins) > joins
         assert sum(from_joins) == 0
         assert set(built) <= {ClassVector}
     assert built
@@ -980,21 +983,54 @@ def test_plane_curve_family_8_report_acts_once_per_class(monkeypatch):
     assert calls == {"compose": len(P.indices()) ** 2, "act": 132}
 
 
-def test_weighted_p8_report_acts_once_per_reached_class(monkeypatch):
-    """The lifted twin: |I|^2 compositions, and one action per class a
-    member reaches. On P8 with weights at N = 32 the member of degree
-    2m has the sources h^a, a <= 8 - m, and h^a pairs with h^k only in
-    parameter degree 2(a + k - 8) >= 0, so the member reaches no class
-    below its degree; with these weights it reaches every class from
-    its degree up: 9 + 8 + ... + 1 = 45 actions of 81."""
-    M = equivariant_projective_torus((3, -2, 0, 1, 1, 5, -4, 2, 7), 32)
-    F = lift_projectors(full_projectors(M.base), M.group, 32, model=M)
+def counted_lifted_joins(monkeypatch):
+    """{"compose": 0, "act": 0}, counting the lifted joins from now on."""
     calls = {"compose": 0, "act": 0}
     for name in calls:
         def run(*args, _name=name, _fn=EquivariantCorrespondence.__dict__[name]):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(EquivariantCorrespondence, name, run)
+    return calls
+
+
+def weighted_p8_family():
+    M = equivariant_projective_torus((3, -2, 0, 1, 1, 5, -4, 2, 7), 32)
+    return lift_projectors(full_projectors(M.base), M.group, 32, model=M)
+
+
+def test_weighted_p8_report_acts_once_per_reached_class(monkeypatch):
+    """The lifted twin: one composition per member, its square, since
+    orthogonality of members that pass the graded action is read off
+    their actions; and one action per class a member reaches. On P8
+    with weights at N = 32 the member of degree 2m has the sources h^a,
+    a <= 8 - m, and h^a pairs with h^k only in parameter degree
+    2(a + k - 8) >= 0, so the member reaches no class below its degree;
+    with these weights it reaches every class from its degree up:
+    9 + 8 + ... + 1 = 45 actions of 81."""
+    F = weighted_p8_family()
+    calls = counted_lifted_joins(monkeypatch)
     assert report_passes(verify_equivariant(F))
-    assert len(F.indices()) == len(M.base.basis) == 9
-    assert calls == {"compose": 81, "act": sum(9 - m for m in range(9))}
+    assert len(F.indices()) == len(F.model.base.basis) == 9
+    assert calls == {"compose": 9, "act": sum(9 - m for m in range(9))}
+
+
+def test_weighted_p8_report_composes_the_pairs_of_a_failing_member(monkeypatch):
+    """Member 4 of the weighted P8 family gains h^3 x h^5 at the unit
+    monomial, off its degree, and fails its graded action: the report
+    composes each member with itself and the 2(|I| - 1) ordered pairs
+    with member 4, 9 + 16 = 25 compositions, and equals the report that
+    composes every pair."""
+    F = weighted_p8_family()
+    M = F.model
+    h3, h5 = M.base.label_index["h^3"], M.base.label_index["h^5"]
+    projs = dict(F.projectors)
+    projs[4] = projs[4] + EquivariantCorrespondence(M, 0, {(h3, h5, M.bg.unit_mono): 2})
+    tampered = EquivariantProjectorFamily(M, projs, complete=True)
+    calls = counted_lifted_joins(monkeypatch)
+    report = verify_equivariant(tampered)
+    assert calls["compose"] == 9 + 2 * 8
+    assert {e["check"] for e in report if not e["pass"]} >= {"orthogonality", "graded_action"}
+    assert all(4 in e["indices"] for e in report
+               if e["check"] == "orthogonality" and not e["pass"])
+    assert report == fraction_verify_equivariant(tampered)
