@@ -38,12 +38,11 @@ _HOMES = {
     ),
     "correspondences": (
         "CorrespondenceClass", "act", "compose", "diagonal", "exterior_product",
-        "from_pair", "map_correspondence", "transpose", "zero_correspondence",
+        "map_correspondence", "zero_correspondence",
     ),
     "kunneth": (
-        "ProjectorSet", "algebraic_projectors", "coevaluation_projector",
-        "failing_checks", "full_projectors", "gram_schmidt_orthogonalize",
-        "hypersurface_projectors", "product_projectors", "report_passes", "verify_ck",
+        "ProjectorSet", "full_projectors", "gram_schmidt_orthogonalize",
+        "product_projectors", "report_passes", "verify_ck",
     ),
     "equivariant": (
         "EquivariantCorrespondence", "EquivariantModel", "EquivariantProjectorFamily",

@@ -11,7 +11,7 @@ compose and act for lifted correspondences.
 from fractions import Fraction
 
 from .errors import RingMismatch
-from .graded_ring import ClassVector, _pure_tensor
+from .graded_ring import ClassVector
 from .linalg import _integer_scaled
 
 
@@ -184,17 +184,6 @@ def zero_correspondence(source, target, shift=0):
     return CorrespondenceClass(source, target, shift, {})
 
 
-def from_pair(a, b, shift=None):
-    """The correspondence a x b from a's ring to b's ring."""
-    source, target = a.ring, b.ring
-    if shift is None:
-        twice = a.degree + b.degree - 2 * source.dim
-        if twice % 2:
-            raise ValueError("pair degrees do not give an integer degree shift")
-        shift = twice // 2
-    return CorrespondenceClass(source, target, shift, _pure_tensor((a.coeffs, b.coeffs)))
-
-
 def diagonal(X):
     """The diagonal of X as a degree-0 self-correspondence: summed over
     every degree p, the sign (-1)^p times basis x dual-basis, its terms
@@ -266,17 +255,6 @@ def compose(f, g):
     if f.target != g.source:
         raise RingMismatch("inner rings do not match for composition")
     return _compose(f, g)
-
-
-def transpose(f):
-    """Swap the factors with the Koszul sign; the shift adjusts by the
-    dimension difference."""
-    X, Y = f.source, f.target
-    terms = {}
-    for (i, j), c in f.terms.items():
-        sign = -1 if (X.basis[i][1] % 2 and Y.basis[j][1] % 2) else 1
-        terms[(j, i)] = sign * c
-    return CorrespondenceClass(Y, X, f.shift + X.dim - Y.dim, terms)
 
 
 def exterior_product(f, g, product_source, product_target):

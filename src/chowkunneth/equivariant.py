@@ -259,14 +259,6 @@ class EquivariantModel:
             return {}
         return {(s,): self._segre[s]}
 
-    def pairing_partners(self, j):
-        """All (k, polynomial) with nonzero `pair_poly(j, k)`, in basis
-        order of k: the `Fraction` view of the model's one partner
-        table (`_integer_partners`)."""
-        scale, rows = self._integer_partners()
-        mono = self.bg.mono_of
-        return tuple((k, {mono[m]: Fraction(v, scale) for m, v in poly}) for k, poly in rows[j])
-
     def _integer_partners(self):
         """(L, rows), built once in the shape of a ring's table: row j
         lists (k, [(code, L * value)]) for every nonzero `pair_poly(j,

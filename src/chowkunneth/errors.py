@@ -16,8 +16,8 @@ class RingMismatch(ChowKunnethError):
 
 
 class OddRankObstruction(ChowKunnethError):
-    """An odd cohomological degree inside the requested algebraic range
-    has nonzero rank, so the all-algebraic projector recipe does not apply."""
+    """An odd cohomological degree below the middle has nonzero rank, so
+    the all-algebraic projector recipe does not apply."""
 
 
 class NotIdempotent(ChowKunnethError):

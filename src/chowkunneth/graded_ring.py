@@ -380,12 +380,12 @@ def run_ring_checks(dim, basis, structure, integration):
     """Yield (check_name, ok, detail) for the graded ring axioms, in
     `CHECK_NAMES` order, and stop after the first that fails.
 
-    A pure function of the raw data: `check_report` lists its verdicts,
-    and the constructor raises the failure as an error that carries the
-    check's name, which the command line reports alone. Each verdict also
-    carries what the pairing check computed (empty until it runs): the
-    table `pairing` {(i, j): integral of e_i * e_j} of every nonzero
-    integral, in both orientations, and the block inverses,
+    A pure function of the raw data, so a table can be checked without
+    building a ring; the constructor raises the failure as an error that
+    carries the check's name, which the command line reports alone. Each
+    verdict also carries what the pairing check computed (empty until it
+    runs): the table `pairing` {(i, j): integral of e_i * e_j} of every
+    nonzero integral, in both orientations, and the block inverses,
     `inverses[p]` inverting the block of degrees p <= 2*dim - p. Any
     `structure` but an `_IntegerTable` is put on one, zero entries kept.
     """
@@ -417,10 +417,10 @@ class GradedBasisRing:
 
     The pairing is the one table of nonzero integrals of e_i * e_j that
     the pairing check of `run_ring_checks` fills while proving it
-    nondegenerate; `pair_basis` reads it, `_integer_partners` holds
-    its rows (`pairing_partners` their `Fraction` view), the diagonal's
-    terms, kept once made, read the inverses of its blocks that the
-    check made, and `dual_basis` reads the diagonal.
+    nondegenerate; `pair_basis` reads it, `_integer_partners` holds its
+    rows in integer numerators, the diagonal's terms, kept once made,
+    read the inverses of its blocks that the check made, and
+    `dual_basis` reads the diagonal.
 
     Parameters
     ----------
@@ -581,12 +581,6 @@ class GradedBasisRing:
         """Integral of e_i * e_j."""
         return self._integrals.get((i, j), Fraction(0))
 
-    def pairing_partners(self, j):
-        """All (k, value) with nonzero integral of e_j * e_k, in basis
-        order of k."""
-        scale, rows = self._partners
-        return tuple((k, Fraction(v, scale)) for k, ((_, v),) in rows[j])
-
     def _integer_partners(self):
         """(L, rows): the pairing table in integer numerators over their
         lcm L; row j lists (k, [(0, L * value)]), 0 the unit's code."""
@@ -624,10 +618,6 @@ class GradedBasisRing:
     def point(self):
         """The degree-2*dim class integrating to 1."""
         return self.dual_basis(0)[0]
-
-    def check_report(self):
-        """Re-run the construction checks: their (check, ok, detail) list."""
-        return list(run_ring_checks(self.dim, self.basis, self._table, self.integration))
 
 
 class RingMap:

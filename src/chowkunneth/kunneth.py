@@ -4,10 +4,10 @@ A projector set splits the diagonal of a space into orthogonal
 idempotent self-correspondences, one per cohomological degree, each
 acting as the identity on its own degree and as zero elsewhere. On a
 ring whose pairing is nondegenerate these are the components of the
-diagonal, grouped by the degree of their target class; the
-constructors here take them from there, a hypersurface model's among
-them, and from products of existing sets; `verify_ck` re-checks every
-defining identity in exact arithmetic.
+diagonal, grouped by the degree of their target class;
+`full_projectors` takes them from there, `product_projectors` from the
+sets of a product's factors, and `verify_ck` re-checks every defining
+identity in exact arithmetic.
 """
 
 from .correspondences import (
@@ -103,58 +103,6 @@ def _components(delta, basis):
     return groups
 
 
-def _require_even_ranks(X, m):
-    for t in X.degrees():
-        if t % 2 and t <= m and X.rank(t) > 0:
-            raise OddRankObstruction(
-                f"degree {t} has rank {X.rank(t)} but lies below the cutoff {m}"
-            )
-
-
-def coevaluation_projector(X, p):
-    """The projector onto degree p: the component of the diagonal whose
-    target class has degree p, i.e. the sum over the degree-p basis of
-    (dual class) x (basis class). Basis-independent; acts as the
-    identity on degree p and as zero elsewhere."""
-    delta = diagonal(X)
-    return delta._with_terms(_components(delta, X.basis).get(p, {}))
-
-
-def algebraic_projectors(X, m=None, algebraic_degrees=None):
-    """The diagonal's components for every even degree up to the cutoff
-    `m` (default: the dimension) and for the complementary degrees.
-
-    Odd degrees up to the cutoff must have rank zero, else
-    OddRankObstruction. The optional `algebraic_degrees` restricts which
-    even degrees are split off, producing a partial (incomplete) set.
-    The set is marked complete exactly when it holds every component of
-    the diagonal, i.e. when its members sum to the diagonal.
-    """
-    top = 2 * X.dim
-    if m is None:
-        m = X.dim
-    _require_even_ranks(X, m)
-    if algebraic_degrees is None:
-        wanted = [t for t in X.degrees() if t % 2 == 0 and t <= m]
-    else:
-        wanted = []
-        for t in algebraic_degrees:
-            t = int(t)
-            if t % 2:
-                raise ValueError(f"requested degree {t} is odd")
-            if not 0 <= t <= top:
-                raise ValueError(f"requested degree {t} outside [0, {top}]")
-            if t <= m:
-                wanted.append(t)
-    delta = diagonal(X)
-    groups = _components(delta, X.basis)
-    projs = {
-        p: delta._with_terms(groups[p])
-        for t in wanted for p in (t, top - t) if p in groups
-    }
-    return ProjectorSet(X, projs, complete=len(projs) == len(groups))
-
-
 def full_projectors(X):
     """The complete decomposition: one member per component of the
     diagonal. Odd degrees strictly below the middle must have rank zero
@@ -162,23 +110,16 @@ def full_projectors(X):
     parity, is always present, even when zero, and is the set's
     remainder index."""
     d = X.dim
-    _require_even_ranks(X, d - 1)
+    for t in X.degrees():
+        if t % 2 and t < d and X.rank(t) > 0:
+            raise OddRankObstruction(
+                f"degree {t} has rank {X.rank(t)} but lies below the cutoff {d - 1}"
+            )
     delta = diagonal(X)
     groups = _components(delta, X.basis)
     groups.setdefault(d, {})
     projs = {p: delta._with_terms(terms) for p, terms in groups.items()}
     return ProjectorSet(X, projs, complete=True, remainder_indices={d})
-
-
-def hypersurface_projectors(n, d, middle_rank):
-    """The decomposition of a degree-d hypersurface model in P^n: the
-    components of its diagonal (`full_projectors`). Away from the
-    middle, the member in degree 2r is (1/d) * H^(n-1-r) x H^r for the
-    restricted hyperplane class H; the middle member completes the
-    others to the diagonal (the set's remainder index)."""
-    from .spaces import hypersurface_model
-
-    return full_projectors(hypersurface_model(n, d, middle_rank))
 
 
 def product_projectors(PX, PY, product_ring=None):
@@ -368,11 +309,3 @@ def verify_ck(P):
 def report_passes(report):
     return all(entry["pass"] for entry in report)
 
-
-def failing_checks(report):
-    """The distinct check names that failed, in report order."""
-    seen = []
-    for entry in report:
-        if not entry["pass"] and entry["check"] not in seen:
-            seen.append(entry["check"])
-    return seen

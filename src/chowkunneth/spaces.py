@@ -5,7 +5,9 @@ for projective spaces and Grassmannians) and hands them to
 GradedBasisRing, whose axiom checks re-validate every table after
 construction. Constructed rings carry a serializable `space`
 description, and construction is cached on that description, so equal
-descriptions yield the same ring object.
+descriptions yield the same ring object. Each builder predicts the
+rank of its ring before it allocates any of it, and refuses a ring past
+`MAX_RING_RANK` with `SizeLimitExceeded`.
 
 Also houses the primitive-killing surjection used by bottom-weight
 restriction, and re-exports the closed-form dimension formulas of
@@ -15,9 +17,12 @@ restriction, and re-exports the closed-form dimension formulas of
 import json
 from fractions import Fraction
 from itertools import count
+from math import comb, prod
 
 from . import linalg
-from .errors import DegeneratePairing, InvalidSpec, NonLefschetzRange, NotRingMap
+from .errors import (
+    DegeneratePairing, InvalidSpec, NonLefschetzRange, NotRingMap, SizeLimitExceeded,
+)
 from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
 from .graded_ring import (
     ClassVector, GradedBasisRing, RingMap, _combine, _IntegerTable, _product, tensor_ring,
@@ -25,6 +30,23 @@ from .graded_ring import (
 from .serialize import parse_fraction
 
 _CACHE = {}
+
+# The largest rank a space description may ask for. A ring's axiom
+# checks grow about with the cube of its rank: G(5,11) (rank 462) builds
+# in about 2.5 s, G(6,12) (rank 924) in 17-21 s and 289 MB.
+MAX_RING_RANK = 1000
+
+
+def _require_rank(what, rank, exact=True):
+    """Refuse `what` with SizeLimitExceeded if `rank`, the rank its
+    builder predicts before allocating any of it (a lower bound unless
+    `exact`), is past MAX_RING_RANK. The message names a rank past 10^30
+    by that bound alone: Python prints no int of over 4300 digits."""
+    if rank > MAX_RING_RANK:
+        shown = "more than 10^30" if rank > 10**30 else rank if exact else f"at least {rank}"
+        raise SizeLimitExceeded(
+            f"{what} would have rank {shown}, past the limit of {MAX_RING_RANK}"
+        )
 
 
 def canonical_spec_key(spec):
@@ -109,6 +131,7 @@ def projective_space(n):
 
 def _build_projective(spec):
     n = _require_int(spec, "n", minimum=0)
+    _require_rank(f"P^{n}", n + 1)
     basis = [("1", 0)]
     for k in range(1, n + 1):
         basis.append(("h" if k == 1 else f"h^{k}", 2 * k))
@@ -130,6 +153,8 @@ def _build_grassmannian(spec):
     n = _require_int(spec, "n", minimum=2)
     if not 0 < k < n:
         raise InvalidSpec("grassmannian requires 0 < k < n")
+    small = n <= MAX_RING_RANK  # else C(n, k) >= n is past the limit already
+    _require_rank(f"G({k},{n})", comb(n, k) if small else n, exact=small)
     cols = n - k
     parts = schubert.partitions_in_box(k, cols)
     index = {lam: i for i, lam in enumerate(parts)}
@@ -154,6 +179,7 @@ def _build_product(spec):
     if not isinstance(raw, list) or not raw:
         raise InvalidSpec("product: 'factors' must be a nonempty list")
     factors = [build_space(s) for s in raw]
+    _require_rank(f"a product of {len(factors)} factors", prod(len(f.basis) for f in factors))
     return tensor_ring(factors, space=spec)
 
 
@@ -221,6 +247,10 @@ def _build_ci_model(spec, space=None):
         raise InvalidSpec("ci_model requires ambient dimension > codimension")
     top = 2 * d
     k_prim = _require_int(spec, "middle_rank", minimum=0)
+    # the ambient classes through degree d, the duals of those below it,
+    # and the primitives
+    _require_rank("the ci_model", sum(amb.rank(t) for t in range(d + 1))
+                  + sum(amb.rank(t) for t in range(d)) + k_prim)
 
     # The xi-twisted pairing: twisted[(i, j)] = integral of e_i * e_j * xi
     # over the ambient, for every pair of complementary degree in X.
@@ -371,6 +401,7 @@ def _build_blowup(spec):
         raise InvalidSpec(
             f"center dimension {center.dim} incompatible with codimension {c} in dimension {d}"
         )
+    _require_rank("the blow-up", len(base.basis) + (c - 1) * len(center.basis))
 
     raw_push = spec.get("center_pushforward_expr")
     if not isinstance(raw_push, dict):
@@ -501,6 +532,9 @@ def _build_plane_curve_family(spec):
     d = _require_int(spec, "d", minimum=1)
     middle_rank = _require_int(spec, "middle_rank", minimum=0) if "middle_rank" in spec else 0
     n_param = d * (d + 3) // 2
+    # P^2 x P^N holds three classes in each degree but the first two, so
+    # the ci_model's classes through its middle and their duals are 3N
+    _require_rank(f"the plane curve family of degree {d}", 3 * n_param + middle_rank)
     ambient_spec = {
         "kind": "product",
         "factors": [

@@ -13,17 +13,23 @@ it read the table off the restriction of each ambient class;
 `block_dual_basis` reads dual bases off the pairing's block inverses, as
 `dual_basis` did before it read them off the diagonal; and
 `closed_form_hypersurface_projectors` is the (1/d) H^(n-1-r) x H^r set
-`hypersurface_projectors` built before it took `full_projectors`. All
-of them now serve only to check the faster or shorter paths.
+a hypersurface model's decomposition was built as before it became
+`full_projectors` of the model. All of them now serve only to check the
+faster or shorter paths.
+
+The helpers at the end build what the tests need and the engine does
+not: a pure tensor a x b, one component of the diagonal, the transpose
+of a correspondence, the failed check names of a report, and the
+`Fraction` view of a pairing partner row.
 """
 
 from fractions import Fraction
 
-from chowkunneth import linalg, spaces
-from chowkunneth.correspondences import from_pair
+from chowkunneth import kunneth, linalg, spaces
+from chowkunneth.correspondences import CorrespondenceClass, diagonal
 from chowkunneth.errors import DegeneratePairing, InvalidSpec, NonLefschetzRange
 from chowkunneth.graded_ring import ClassVector, GradedBasisRing, RingMap
-from chowkunneth.kunneth import ProjectorSet, coevaluation_projector
+from chowkunneth.kunneth import ProjectorSet
 
 
 def gauss_jordan(rows, ncols):
@@ -303,6 +309,55 @@ def closed_form_hypersurface_projectors(n, d, middle_rank):
     for r in range(dim + 1):
         if 2 * r == dim:
             continue
-        projs[2 * r] = from_pair(powers[dim - r], powers[r]).scale(Fraction(1, d))
-    projs[dim] = coevaluation_projector(X, dim)
+        projs[2 * r] = pure_tensor(powers[dim - r], powers[r]).scale(Fraction(1, d))
+    projs[dim] = diagonal_component(X, dim)
     return ProjectorSet(X, projs, complete=True, remainder_indices={dim})
+
+
+# -- helpers -------------------------------------------------------------------
+
+
+def pure_tensor(a, b, shift=None):
+    """The correspondence a x b from a's ring to b's ring, its degree
+    shift read off the degrees unless given."""
+    source, target = a.ring, b.ring
+    if shift is None:
+        twice = a.degree + b.degree - 2 * source.dim
+        if twice % 2:
+            raise ValueError("pair degrees do not give an integer degree shift")
+        shift = twice // 2
+    terms = {(i, j): ca * cb for i, ca in a.coeffs.items() for j, cb in b.coeffs.items()}
+    return CorrespondenceClass(source, target, shift, terms)
+
+
+def diagonal_component(X, p):
+    """The component of X's diagonal whose target class has degree p:
+    the projector onto degree p, zero where X has no degree-p class."""
+    delta = diagonal(X)
+    return delta._with_terms(kunneth._components(delta, X.basis).get(p, {}))
+
+
+def transpose(f):
+    """f with its factors swapped and the Koszul sign; the shift adjusts
+    by the dimension difference."""
+    X, Y = f.source, f.target
+    terms = {(j, i): -c if X.basis[i][1] % 2 and Y.basis[j][1] % 2 else c
+             for (i, j), c in f.terms.items()}
+    return CorrespondenceClass(Y, X, f.shift + X.dim - Y.dim, terms)
+
+
+def failing_checks(report):
+    """The distinct check names that failed, in report order."""
+    return list(dict.fromkeys(entry["check"] for entry in report if not entry["pass"]))
+
+
+def fraction_partners(table, j):
+    """Row j of the pairing partners of a ring, (k, value), or of a
+    model, (k, {monomial: value}), over `Fraction`s and in basis order
+    of k: the view of the integer rows (`_integer_partners`) that the
+    engine reads."""
+    scale, rows = table._integer_partners()
+    bg = getattr(table, "bg", None)
+    if bg is None:
+        return tuple((k, Fraction(v, scale)) for k, ((_, v),) in rows[j])
+    return tuple((k, {bg.mono_of[m]: Fraction(v, scale) for m, v in poly}) for k, poly in rows[j])

@@ -28,16 +28,13 @@ from chowkunneth.equivariant import (
 )
 from chowkunneth.errors import ChowKunnethError
 from chowkunneth.kunneth import (
-    algebraic_projectors,
-    coevaluation_projector,
     full_projectors,
     gram_schmidt_orthogonalize,
-    hypersurface_projectors,
     product_projectors,
     report_passes,
     verify_ck,
 )
-from ring_oracles import closed_form_hypersurface_projectors
+from ring_oracles import closed_form_hypersurface_projectors, diagonal_component
 from schubert_oracles import lr_multiply
 
 
@@ -107,11 +104,11 @@ def test_criterion_2_closed_form_hypersurface_projectors():
                         want = closed_form_hypersurface_projectors(n, d, r)
                     except ChowKunnethError as exc:
                         with pytest.raises(type(exc)) as got:
-                            hypersurface_projectors(n, d, r)
+                            full_projectors(spaces.hypersurface_model(n, d, r))
                         assert type(got.value) is type(exc), (n, d, r)
                         assert str(got.value) == str(exc), (n, d, r)
                         continue
-                    P = hypersurface_projectors(n, d, r)
+                    P = full_projectors(spaces.hypersurface_model(n, d, r))
                     assert P == want, (n, d, r)
                     built += 1
                     dim = n - 1
@@ -129,7 +126,7 @@ def test_criterion_3_product_cross_validation():
         P1, P2 = spaces.projective_space(1), spaces.projective_space(2)
         T = spaces.product_space(P1, P2)
         via_product = product_projectors(full_projectors(P1), full_projectors(P2), T)
-        direct = algebraic_projectors(T)
+        direct = full_projectors(T)
         indices = sorted(set(via_product.indices()) | set(direct.indices()))
         for i in indices:
             for label, _ in T.basis:
@@ -181,12 +178,12 @@ def test_criterion_5_gram_schmidt_on_synthetic_families():
         G = spaces.grassmannian(2, 4)
         Q = spaces.hypersurface_model(3, 2, 1)
         E = spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2)
-        u0, u1, u2 = (coevaluation_projector(P2, t) for t in (0, 2, 4))
+        u0, u1, u2 = (diagonal_component(P2, t) for t in (0, 2, 4))
         s2, s11 = G.basis_class("s[2]"), G.basis_class("s[1,1]")
         qh, qm = Q.basis_class("h"), Q.basis_class("m1")
         m1, m2 = E.basis_class("m1"), E.basis_class("m2")
         families = [
-            [coevaluation_projector(P1, 0), diagonal(P1)],
+            [diagonal_component(P1, 0), diagonal(P1)],
             [u0 + u1, u1 + u2],
             [rank_one(G, s2, s2), rank_one(G, s11, s2 + s11)],
             [rank_one(Q, qh, qh).scale(Fraction(1, 2)), rank_one(Q, qm, qh + qm)],

@@ -20,7 +20,8 @@ from chowkunneth import cli, spaces
 from chowkunneth.equivariant import stabilization_check, torus_group
 from chowkunneth.errors import NonLefschetzRange
 from chowkunneth.graded_ring import CHECK_NAMES, _integer_table, run_ring_checks
-from chowkunneth.kunneth import ProjectorSet, failing_checks, full_projectors, verify_ck
+from chowkunneth.kunneth import ProjectorSet, full_projectors, verify_ck
+from ring_oracles import failing_checks
 
 P2 = {"kind": "projective_space", "n": 2}
 P3 = {"kind": "projective_space", "n": 3}

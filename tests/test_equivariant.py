@@ -35,6 +35,7 @@ from chowkunneth.kunneth import (
     verify_ck,
 )
 from chowkunneth.serialize import family_document, family_from_document
+from ring_oracles import diagonal_component, fraction_partners
 
 
 # -- groups -------------------------------------------------------------------
@@ -152,7 +153,8 @@ def test_trivial_model_zero_bound_is_the_base():
     one = M.bg.unit_mono
     assert M.bg.monomials() == (one,)
     for j in range(len(X.basis)):
-        assert M.pairing_partners(j) == tuple((k, {one: v}) for k, v in X.pairing_partners(j))
+        assert fraction_partners(M, j) == tuple(
+            (k, {one: v}) for k, v in fraction_partners(X, j))
 
 
 def test_model_bound_validation():
@@ -313,13 +315,13 @@ def test_weighted_lift_restricts_to_input():
 
 
 def test_weighted_lift_rejects_nonstandard_sets():
-    from chowkunneth.kunneth import ProjectorSet, coevaluation_projector
+    from chowkunneth.kunneth import ProjectorSet
 
     M = weighted_line()
     X = M.base
     swapped = ProjectorSet(
         X,
-        {0: coevaluation_projector(X, 2), 2: coevaluation_projector(X, 0)},
+        {0: diagonal_component(X, 2), 2: diagonal_component(X, 0)},
         complete=True,
     )
     with pytest.raises(UnsupportedAction):
@@ -545,7 +547,7 @@ def test_model_pairing_partners_are_the_nonzero_pairings():
         table = oracle_partner_table(M)
         for j in range(n):
             want = [(k, M.pair_poly(j, k)) for k in range(n) if M.pair_poly(j, k)]
-            assert list(M.pairing_partners(j)) == want == table[j], (M, j)
+            assert list(fraction_partners(M, j)) == want == table[j], (M, j)
 
 
 def test_partner_table_skips_pairs_outside_the_parameter_range(monkeypatch):
@@ -568,7 +570,7 @@ def test_partner_table_skips_pairs_outside_the_parameter_range(monkeypatch):
     )
     for M, expected in cases:
         calls.clear()
-        M.pairing_partners(0)
+        M._integer_partners()
         degree = [d for _, d in M.base.basis]
         assert len(calls) == expected, M
         assert all(0 <= degree[j] + degree[k] - 2 * M.dim <= M.N for j, k in calls), M

@@ -32,8 +32,10 @@ listed in `STDERR` with the exact text it writes (the `error:` line of
 an exit-2 case), and every other case must write nothing there. The
 `build-rejects-*` texts were recorded from the code before the
 parameter-ring size guard; `lift-rejects-oversized_torus`, the guard's
-case, from the first code that had it. Its digest (exit 2, empty
-stdout, no document) is the one the two `build-rejects-*` cases share.
+case, from the first code that had it, and likewise
+`build-rejects-oversized_projective_space` from the first code with the
+ring size guard. Their digest (exit 2, empty stdout, no document) is
+the one the other two `build-rejects-*` cases share.
 
 To re-record after an intended change of output, run this file as a
 script: it prints the digest table and the standard-error table.
@@ -220,6 +222,10 @@ def corpus(workdir):
     # limit, and quick to build should the guard ever stop refusing it.
     add("lift-rejects-oversized_torus", "lift", "--space", json.dumps(P2),
         "--bound", "2", "--rank", "1000")
+    # Rank 1,001, just past the ring size guard's limit: P^1000 builds in
+    # about a second should the guard ever stop refusing it.
+    add("build-rejects-oversized_projective_space", "build", "--space",
+        json.dumps({"kind": "projective_space", "n": 1000}))
 
     tampered_set = d / "tampered-set.json"
     tampered_family = d / "tampered-family.json"
@@ -305,6 +311,7 @@ GOLDEN = {
     'build-rejects-point_pushed_to_zero': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
     'build-rejects-line_with_doubled_point': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
     'lift-rejects-oversized_torus': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
+    'build-rejects-oversized_projective_space': '5362fb632b157f283b9135804a517da6491d939d8635435911a91f389c9e4aff',
     'verify-tampered-set': '3fb89bf1f24d2c5576d016f76f64cb290760604b1537a168f231c8850426f36c',
     'verify-tampered-family': 'fa64897a00f7f1c242e52a11ef7f4dab619b592363223d56f3b804b3f9bbcd5c',
     'restrict-tampered-family': '0553556f486b1d8cece9354f418b552aff43a4914a27d64ea18cd8744c5a6f97',
@@ -323,6 +330,8 @@ STDERR = {
         'error: the parameter ring of multiplicative_torus of rank 1000 truncated '
         'at N = 2 would hold at least 1001 monomials of 1000 exponents each, past '
         'the limit of 1000000 exponents\n',
+    'build-rejects-oversized_projective_space':
+        'error: P^1000 would have rank 1001, past the limit of 1000\n',
 }
 
 

@@ -10,8 +10,6 @@ from chowkunneth.correspondences import (
     act,
     compose,
     diagonal,
-    from_pair,
-    transpose,
     zero_correspondence,
 )
 from chowkunneth.errors import (
@@ -22,16 +20,13 @@ from chowkunneth.errors import (
 from chowkunneth.graded_ring import tensor_ring
 from chowkunneth.kunneth import (
     ProjectorSet,
-    algebraic_projectors,
-    coevaluation_projector,
-    failing_checks,
     full_projectors,
     gram_schmidt_orthogonalize,
-    hypersurface_projectors,
     product_projectors,
     report_passes,
     verify_ck,
 )
+from ring_oracles import diagonal_component, failing_checks, pure_tensor, transpose
 
 
 def cubic_curve():
@@ -50,22 +45,22 @@ def rank_one(ring, w, v):
 # -- single-degree projectors ---------------------------------------------------
 
 
-def test_coevaluation_projectors_on_plane_pinned():
-    P2 = spaces.projective_space(2)
-    assert coevaluation_projector(P2, 0).label_terms() == [
+def test_members_on_plane_pinned():
+    P = full_projectors(spaces.projective_space(2))
+    assert P.member(0).label_terms() == [
         ("h^2", "1", Fraction(1))
     ]
-    assert coevaluation_projector(P2, 2).label_terms() == [
+    assert P.member(2).label_terms() == [
         ("h", "h", Fraction(1))
     ]
-    assert coevaluation_projector(P2, 4).label_terms() == [
+    assert P.member(4).label_terms() == [
         ("1", "h^2", Fraction(1))
     ]
 
 
-def test_coevaluation_projector_graded_action():
+def test_member_graded_action():
     G = spaces.grassmannian(2, 4)
-    pi4 = coevaluation_projector(G, 4)
+    pi4 = full_projectors(G).member(4)
     assert pi4.label_terms() == [
         ("s[2]", "s[2]", Fraction(1)),
         ("s[1,1]", "s[1,1]", Fraction(1)),
@@ -101,7 +96,7 @@ def test_full_projectors_middle_member_always_stored():
     P2 = spaces.projective_space(2)
     P = full_projectors(P2)
     assert 2 in P.projectors
-    assert P.member(2) == coevaluation_projector(P2, 2)
+    assert P.member(2) == diagonal_component(P2, 2)
     P1 = full_projectors(spaces.projective_space(1))
     assert 1 in P1.projectors and P1.member(1).is_zero()
 
@@ -133,7 +128,7 @@ def test_full_projectors_verify_on_corpus():
 
 
 def test_full_projectors_middle_member_is_what_the_others_leave():
-    # The members away from the middle are the coevaluation projectors;
+    # The members away from the middle are the diagonal's components;
     # the middle one is the diagonal minus all of them.
     for X in (spaces.projective_space(2), spaces.projective_space(3), cubic_curve(),
               spaces.hypersurface_model(3, 3, 7), spaces.plane_curve_family(1)):
@@ -141,46 +136,17 @@ def test_full_projectors_middle_member_is_what_the_others_leave():
         rest = diagonal(X)
         for i in P.indices():
             if i != X.dim:
-                assert P.member(i) == coevaluation_projector(X, i), (X, i)
+                assert P.member(i) == diagonal_component(X, i), (X, i)
                 rest = rest - P.member(i)
         assert P.member(X.dim) == rest, X
-
-
-def test_algebraic_projectors_default_cutoff_completes_even_rings():
-    G = spaces.grassmannian(2, 4)
-    P = algebraic_projectors(G)
-    assert P.indices() == (0, 2, 4, 6, 8)
-    assert P.complete
-    assert P.member(4).label_terms() == [
-        ("s[2]", "s[2]", Fraction(1)),
-        ("s[1,1]", "s[1,1]", Fraction(1)),
-    ]
-    assert report_passes(verify_ck(P))
-
-
-def test_algebraic_projectors_partial_request():
-    P3 = spaces.projective_space(3)
-    P = algebraic_projectors(P3, algebraic_degrees=[0])
-    assert P.indices() == (0, 6)
-    assert not P.complete
-    rem = diagonal(P3) - P.member(0) - P.member(6)
-    assert rem == coevaluation_projector(P3, 2) + coevaluation_projector(P3, 4)
-
-
-def test_algebraic_projectors_odd_rank_obstruction():
-    E = cubic_curve()
-    with pytest.raises(OddRankObstruction):
-        algebraic_projectors(E)  # default cutoff reaches the odd middle
-    P = algebraic_projectors(E, m=0)  # below the odd degree: allowed
-    assert P.indices() == (0, 2) and not P.complete
 
 
 def test_projector_set_validation():
     P2 = spaces.projective_space(2)
     with pytest.raises(ValueError):
-        ProjectorSet(P2, {7: coevaluation_projector(P2, 0)})
+        ProjectorSet(P2, {7: diagonal_component(P2, 0)})
     with pytest.raises(ValueError):
-        ProjectorSet(P2, {0: from_pair(P2.point(), P2.basis_class("h"))})
+        ProjectorSet(P2, {0: pure_tensor(P2.point(), P2.basis_class("h"))})
 
 
 def test_cubic_surface_middle_projector_action():
@@ -194,17 +160,11 @@ def test_cubic_surface_middle_projector_action():
         assert act(rem, v) == want
 
 
-# -- closed-form hypersurface sets ------------------------------------------------------
+# -- hypersurface sets ------------------------------------------------------------------
 
 
-def test_hypersurface_projectors_match_generic_construction():
-    for n, d, r in [(3, 1, 0), (3, 2, 1), (3, 3, 7), (4, 2, 0)]:
-        X = spaces.hypersurface_model(n, d, r)
-        assert hypersurface_projectors(n, d, r) == full_projectors(X), (n, d, r)
-
-
-def test_hypersurface_projectors_closed_form_pinned():
-    P = hypersurface_projectors(3, 3, 7)
+def test_hypersurface_set_closed_form_pinned():
+    P = full_projectors(spaces.hypersurface_model(3, 3, 7))
     X = P.ring
     # degree-0 projector: (1/3) H^2 x 1, with H^2 = 3 * point
     assert P.member(0).label_terms() == [("1*", "1", Fraction(1))]
@@ -216,7 +176,7 @@ def test_hypersurface_projectors_closed_form_pinned():
 
 def test_hypersurface_remainder_orthogonal_and_idempotent():
     for n, d, r in [(3, 2, 1), (3, 3, 7), (4, 2, 0)]:
-        P = hypersurface_projectors(n, d, r)
+        P = full_projectors(spaces.hypersurface_model(n, d, r))
         mid = P.ring.dim
         rem = P.member(mid)
         assert compose(rem, rem) == rem, (n, d, r)
@@ -226,7 +186,7 @@ def test_hypersurface_remainder_orthogonal_and_idempotent():
                 assert compose(P.member(i), rem).is_zero()
 
 
-def test_hypersurface_projectors_make_no_composition(monkeypatch):
+def test_hypersurface_sets_make_no_composition(monkeypatch):
     from chowkunneth import kunneth
 
     calls = []
@@ -238,12 +198,12 @@ def test_hypersurface_projectors_make_no_composition(monkeypatch):
 
     monkeypatch.setattr(kunneth, "compose", counted)
     for n, d, r in [(3, 3, 7), (4, 3, 10), (4, 2, 0), (5, 2, 1)]:
-        hypersurface_projectors(n, d, r)
+        full_projectors(spaces.hypersurface_model(n, d, r))
     assert calls == []
 
 
 def test_quadric_threefold_middle_is_zero_but_stored():
-    P = hypersurface_projectors(4, 2, 0)
+    P = full_projectors(spaces.hypersurface_model(4, 2, 0))
     assert 3 in P.projectors and P.member(3).is_zero()
     assert P.complete and report_passes(verify_ck(P))
 
@@ -253,7 +213,7 @@ def test_quadric_threefold_middle_is_zero_but_stored():
 
 def test_product_projectors_require_complete_factors():
     P1, P2 = spaces.projective_space(1), spaces.projective_space(2)
-    partial = algebraic_projectors(P2, algebraic_degrees=[0])
+    partial = ProjectorSet(P2, {p: diagonal_component(P2, p) for p in (0, 4)})
     with pytest.raises(IncompleteInput):
         product_projectors(partial, full_projectors(P1))
     with pytest.raises(IncompleteInput):
@@ -286,7 +246,7 @@ def test_product_agrees_with_direct_construction():
     P1, P2 = spaces.projective_space(1), spaces.projective_space(2)
     T = spaces.product_space(P1, P2)
     PP = product_projectors(full_projectors(P1), full_projectors(P2), T)
-    direct = algebraic_projectors(T)
+    direct = full_projectors(T)
     assert report_passes(verify_ck(PP))
     assert report_passes(verify_ck(direct))
     for i in direct.indices():
@@ -302,10 +262,10 @@ def test_product_agrees_with_direct_construction():
 def synthetic_families():
     """Non-orthogonal idempotent families on rings of dimension <= 4."""
     P1 = spaces.projective_space(1)
-    fam1 = [coevaluation_projector(P1, 0), diagonal(P1)]
+    fam1 = [diagonal_component(P1, 0), diagonal(P1)]
 
     P2 = spaces.projective_space(2)
-    u0, u1, u2 = (coevaluation_projector(P2, t) for t in (0, 2, 4))
+    u0, u1, u2 = (diagonal_component(P2, t) for t in (0, 2, 4))
     fam2 = [u0 + u1, u1 + u2]
 
     G = spaces.grassmannian(2, 4)
@@ -359,7 +319,7 @@ def test_orthogonalization_fixes_orthogonal_families():
         P = full_projectors(X)
         members = [P.member(i) for i in P.indices()]
         assert gram_schmidt_orthogonalize(members) == members
-    single = [coevaluation_projector(spaces.projective_space(2), 2)]
+    single = [diagonal_component(spaces.projective_space(2), 2)]
     assert gram_schmidt_orthogonalize(single) == single
     assert gram_schmidt_orthogonalize([]) == []
 
@@ -398,18 +358,14 @@ def oracle_coevaluation(X, p):
     return CorrespondenceClass(X, X, 0, terms)
 
 
-def oracle_algebraic(X, m=None, algebraic_degrees=None):
+def oracle_algebraic(X, m):
     top = 2 * X.dim
-    m = X.dim if m is None else m
     for t in X.degrees():
         if t % 2 and t <= m and X.rank(t) > 0:
             raise OddRankObstruction(
                 f"degree {t} has rank {X.rank(t)} but lies below the cutoff {m}"
             )
-    if algebraic_degrees is None:
-        wanted = [t for t in X.degrees() if t % 2 == 0 and t <= m]
-    else:
-        wanted = [t for t in algebraic_degrees if t <= m]
+    wanted = [t for t in X.degrees() if t % 2 == 0 and t <= m]
     projs = {}
     for t in sorted(wanted):
         if t in projs or X.rank(t) == 0:
@@ -446,12 +402,13 @@ def outcome(build, *args, **kwargs):
 
 
 def assert_construction_matches_oracle(name, X):
-    for p in range(2 * X.dim + 1):
-        assert coevaluation_projector(X, p) == oracle_coevaluation(X, p), (name, p)
-    assert outcome(full_projectors, X) == outcome(oracle_full, X), name
-    for kwargs in ({}, {"m": X.dim - 1}, {"algebraic_degrees": [0]}):
-        got = outcome(algebraic_projectors, X, **kwargs)
-        assert got == outcome(oracle_algebraic, X, **kwargs), (name, kwargs)
+    got = outcome(full_projectors, X)
+    assert got == outcome(oracle_full, X), name
+    if isinstance(got, ProjectorSet):
+        # every degree's projector, the zero ones off the members
+        for p in range(2 * X.dim + 1):
+            member = got.member(p) if p in got.projectors else zero_correspondence(X, X)
+            assert member == oracle_coevaluation(X, p), (name, p)
 
 
 def oracle_rings():
@@ -566,7 +523,7 @@ def test_missing_member_fails_completeness_only():
 
 def test_orthogonality_failure_lists_ordered_pair():
     P2 = spaces.projective_space(2)
-    pi0 = coevaluation_projector(P2, 0)
+    pi0 = diagonal_component(P2, 0)
     bad = ProjectorSet(P2, {0: pi0, 2: pi0})
     report = verify_ck(bad)
     failing = [e for e in report if not e["pass"] and e["check"] == "orthogonality"]
@@ -577,7 +534,7 @@ def test_orthogonality_failure_residual_rows():
     # Two copies of the degree-0 projector: each composes to itself, so
     # both ordered pairs fail with that member as residual.
     P2 = spaces.projective_space(2)
-    pi0 = coevaluation_projector(P2, 0)
+    pi0 = diagonal_component(P2, 0)
     report = verify_ck(ProjectorSet(P2, {0: pi0, 2: pi0}))
     assert failing_checks(report) == ["orthogonality", "graded_action"]
     failing = [e for e in report if e["check"] == "orthogonality"]

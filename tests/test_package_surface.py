@@ -132,7 +132,9 @@ def test_star_import_and_dir_list_the_public_names():
 def test_unknown_name_raises_attribute_error():
     # The names after the first were public until they were deleted.
     for name in ("no_such_name", "MotiveObject", "remainder_projector",
-                 "PreconditionViolated", "PairingMatrix", "tensor_class"):
+                 "PreconditionViolated", "PairingMatrix", "tensor_class",
+                 "algebraic_projectors", "coevaluation_projector", "hypersurface_projectors",
+                 "failing_checks", "from_pair", "transpose"):
         with pytest.raises(AttributeError, match=f"'chowkunneth' has no attribute '{name}'"):
             getattr(chowkunneth, name)
         assert not hasattr(chowkunneth, name)
@@ -153,8 +155,15 @@ def _names_used(node):
     return ()
 
 
-def _unused_public_names(public, uses, named, home):
-    """The public names with no use and not in `named`. `uses` holds
+# Public names that nothing calls yet, each with the roadmap item that
+# gives it its caller. An excepted name's own uses count, so the helpers
+# it alone calls (`exterior_product`) are not reported with it, and the
+# guard fails once it has a use, so no exception outlives its reason.
+AWAITING_A_CALLER = {"product_projectors": "ROADMAP item 2"}
+
+
+def _unused_public_names(public, uses, excepted, home):
+    """The public names with no use and not in `excepted`. `uses` holds
     (module, top-level definition or None, name used); `home(name)` is
     the module that defines a public name. A use inside the definition
     of the name itself, or of a public name that is itself unused, does
@@ -165,7 +174,7 @@ def _unused_public_names(public, uses, named, home):
         dead = {(home(name), name) for name in unused}
         used = {name for module, owner, name in uses
                 if (module, owner) not in dead and (module, owner) != (home(name), name)}
-        grown = public - used - named
+        grown = public - used - excepted
         if grown == unused:
             return unused
         unused = grown
@@ -173,7 +182,8 @@ def _unused_public_names(public, uses, named, home):
 
 def test_every_public_name_has_a_use_outside_the_tests():
     """Each public name is used by a package module other than
-    `__init__` or by the benchmark, or the README names it in backticks."""
+    `__init__` or by the benchmark, save the names of
+    `AWAITING_A_CALLER`, which must still have no use."""
     modules = [p for p in sorted((ROOT / "src" / "chowkunneth").glob("*.py"))
                if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
     uses = set()  # (module, top-level definition or None, name used)
@@ -182,30 +192,33 @@ def test_every_public_name_has_a_use_outside_the_tests():
             owner = getattr(top, "name", None)
             for node in ast.walk(top):
                 uses.update((path.stem, owner, name) for name in _names_used(node))
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    named = {part for span in re.findall(r"`([^`\n]+)`", readme)
-             for part in re.match(r"[\w.]*", span).group().split(".")}
 
     def home(name):
         return chowkunneth._HOME_OF.get(name, "").rpartition(".")[2]
 
     public = {name for name in chowkunneth.__all__ if not name.startswith("__")}
-    unused = _unused_public_names(public, uses, named, home)
+    excepted = set(AWAITING_A_CALLER)
+    unused = _unused_public_names(public, uses, excepted, home)
     assert not unused, "no use outside the tests: " + ", ".join(sorted(unused))
+    called = excepted - _unused_public_names(public, uses, set(), home)
+    assert not called, "has a use now, drop its exception: " + ", ".join(sorted(called))
 
 
 def test_the_surface_guard_finds_names_only_unused_names_use():
     # Motive is a class that only refers to itself, twist a function that
     # only Motive calls, unit a function that only calls itself: all
-    # three are unused. Diagonal is used by another module, point only
-    # by the README.
+    # three are unused. Diagonal is used by another module; point has no
+    # use, whatever a document says of it.
     uses = {("m", "Motive", "Motive"), ("m", "Motive", "twist"), ("m", "unit", "unit"),
             ("k", "build", "diagonal"), ("k", None, "build")}
     public = {"Motive", "twist", "unit", "diagonal", "point"}
-    found = _unused_public_names(public, uses, {"point"}, lambda name: "m")
-    assert found == {"Motive", "twist", "unit"}
+    found = _unused_public_names(public, uses, set(), lambda name: "m")
+    assert found == {"Motive", "twist", "unit", "point"}
+    # an excepted name is not reported, and the names it uses count as used
+    assert _unused_public_names(public, uses, {"Motive"}, lambda name: "m") == {"unit", "point"}
     uses.add(("k", "build", "twist"))
-    assert _unused_public_names(public, uses, {"point"}, lambda name: "m") == {"Motive", "unit"}
+    assert _unused_public_names(public, uses, set(), lambda name: "m") == {
+        "Motive", "unit", "point"}
     nodes = ast.parse("import a.b as c\nx.motive_of('k.diagonal', 'not a name')").body
     assert {n for top in nodes for node in ast.walk(top) for n in _names_used(node)} >= {
         "b", "x", "motive_of", "k", "diagonal"}

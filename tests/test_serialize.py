@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chowkunneth import serialize, spaces
-from chowkunneth.correspondences import diagonal, from_pair
+from chowkunneth.correspondences import diagonal
 from chowkunneth.equivariant import (
     equivariant_projective_torus,
     equivariant_trivial_action,
@@ -36,6 +36,7 @@ from chowkunneth.serialize import (
     space_document,
     write_document,
 )
+from ring_oracles import pure_tensor
 
 
 # -- rational coefficients ------------------------------------------------------
@@ -199,7 +200,7 @@ def test_correspondence_round_trip():
 
 def test_correspondence_between_different_rings():
     P1, P2 = spaces.projective_space(1), spaces.projective_space(2)
-    f = from_pair(P1.point(), P2.basis_class("h"))
+    f = pure_tensor(P1.point(), P2.basis_class("h"))
     back = correspondence_from_document(correspondence_document(f))
     assert back == f
     assert back.source is P1 and back.target is P2

@@ -1,17 +1,28 @@
-"""The size guard of parameter rings.
+"""The size guards of parameter rings and of rings.
 
 `bg_ring` counts a group's monomials within the bound before it lists a
 single generator (`GroupSpec.monomial_count`), and refuses a ring that
 would hold more than `MAX_PARAMETER_EXPONENTS` exponents, one per kept
 generator in each monomial (GL(r) keeps c_1 .. c_min(r, N/2)), with
 `SizeLimitExceeded`: `error:` and exit 2 from `lift`, `stabilize` and
-every command that reads a model document. The refusals run with the enumeration replaced by one that
-raises, so a guard that stops guarding fails at once instead of
-building a huge ring.
+every command that reads a model document. The refusals run with the
+enumeration replaced by one that raises, so a guard that stops guarding
+fails at once instead of building a huge ring.
+
+Each builder of `spaces` predicts its ring's rank before it allocates
+any of it, and refuses a rank past `MAX_RING_RANK` the same way. Those
+refusals run in a child process with its address space capped and a
+timeout, so a guard that stops guarding fails the test instead of
+exhausting the machine.
 """
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +171,130 @@ def test_model_documents_refuse_huge_rings(no_enumeration, tmp_path, capsys, com
     code, out, err = run(capsys, command, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: the parameter ring of multiplicative_torus")
+
+
+# -- rings ---------------------------------------------------------------------------
+
+
+def test_the_limit_admits_the_rings_in_use():
+    assert spaces.MAX_RING_RANK == 1000
+    assert comb(12, 6) <= spaces.MAX_RING_RANK  # G(6,12), rank 924
+
+
+@pytest.fixture
+def predictions(monkeypatch):
+    """Every (rank, exact) a builder predicts, on an empty ring cache."""
+    records = []
+    inner = spaces._require_rank
+
+    def recorded(what, rank, exact=True):
+        records.append((rank, exact))
+        inner(what, rank, exact)
+
+    monkeypatch.setattr(spaces, "_require_rank", recorded)
+    monkeypatch.setattr(spaces, "_CACHE", {})
+    return records
+
+
+def _prediction_cases():
+    from test_golden_outputs import ExE, SPACES
+
+    point = {"kind": "projective_space", "n": 0}
+    return {
+        **SPACES,
+        "ExE": ExE,
+        "G(4,8)": {"kind": "grassmannian", "k": 4, "n": 8},
+        "curves(2), 4 primitives": {"kind": "plane_curve_family", "d": 2, "middle_rank": 4},
+        "P3 blown up at a point": {
+            "kind": "blowup", "base": {"kind": "projective_space", "n": 3}, "center": point,
+            "codim": 3, "center_pushforward_expr": {"1": {"h^3": "1"}},
+            "normal_chern": {"1": {}, "2": {}, "3": {}},
+        },
+        "a codimension-1 blow-up": {
+            "kind": "blowup", "base": {"kind": "projective_space", "n": 1}, "center": point,
+            "codim": 1, "center_pushforward_expr": {"1": {"h": "1"}}, "normal_chern": {},
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_prediction_cases()))
+def test_predicted_rank_is_the_built_rank(predictions, name):
+    """The last prediction is the ring's own rank; every other one is
+    the exact rank of a ring built on the way (a factor, an ambient, a
+    base or a center), or, for a plane curve family, its own again."""
+    ring = spaces.build_space(_prediction_cases()[name])
+    assert predictions[-1] == (len(ring.basis), True), name
+    built = {len(r.basis) for r in spaces._CACHE.values()}
+    assert all(exact and rank in built for rank, exact in predictions), name
+
+
+# Runs `cli.main` on its arguments in a child process and prints its exit
+# code, its standard error and the seconds it took, as JSON.
+REFUSAL_PROBE = """
+import io, json, sys, time
+from contextlib import redirect_stderr
+from chowkunneth import cli
+err = io.StringIO()
+start = time.perf_counter()
+with redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "err": err.getvalue(),
+                  "seconds": time.perf_counter() - start}))
+"""
+
+ADDRESS_SPACE = 1 << 30
+
+
+def _capped():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def refused(tmp_path, *argv):
+    src = str(Path(spaces.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", REFUSAL_PROBE, *argv], cwd=tmp_path, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), preexec_fn=_capped, timeout=60,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def projective(n):
+    return {"kind": "projective_space", "n": n}
+
+
+@pytest.mark.parametrize("spec, message", [
+    (projective(10**11), "P^100000000000 would have rank 100000000001, "),
+    (projective(10**4299), "would have rank more than 10^30, "),
+    ({"kind": "grassmannian", "k": 3, "n": 100_000},
+     "G(3,100000) would have rank at least 100000, "),
+    ({"kind": "grassmannian", "k": 8, "n": 16}, "G(8,16) would have rank 12870, "),
+    ({"kind": "grassmannian", "k": 5 * 10**10, "n": 10**11},
+     "G(50000000000,100000000000) would have rank at least 100000000000, "),
+    ({"kind": "plane_curve_family", "d": 100_000},
+     "the plane curve family of degree 100000 would have rank 15000450000, "),
+    ({"kind": "product", "factors": [projective(3000), projective(3000)]},
+     "P^3000 would have rank 3001, "),
+    ({"kind": "product", "factors": [projective(1)] * 10},
+     "a product of 10 factors would have rank 1024, "),
+    ({"kind": "ci_model", "ambient": projective(3), "fundamental_class_expr": {"h": "3"},
+      "middle_rank": 10**8}, "the ci_model would have rank 100000003, "),
+], ids=["P^1e11", "P^1e4299", "G(3,1e5)", "G(8,16)", "G(5e10,1e11)", "curves(1e5)",
+        "P^3000xP^3000", "(P^1)^10", "ci_model 1e8 primitives"])
+def test_oversized_descriptions_are_refused_at_once(tmp_path, spec, message):
+    got = refused(tmp_path, "build", "--space", json.dumps(spec))
+    assert got["code"] == 2, got
+    assert got["err"].startswith("error: ") and got["err"].count("\n") == 1, got
+    assert message + "past the limit of 1000\n" in got["err"], got
+    assert got["seconds"] < 1, got
+
+
+def test_a_family_over_a_huge_base_is_refused_at_once(tmp_path):
+    path = tmp_path / "family.json"
+    doc = {**FAMILY, "model": {**FAMILY["model"], "base": projective(10**30)}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got = refused(tmp_path, "verify", str(path))
+    assert got["code"] == 2 and got["seconds"] < 1, got
+    assert got["err"] == (f"error: P^{10**30} would have rank more than 10^30, "
+                          "past the limit of 1000\n")

@@ -382,7 +382,8 @@ def test_blowup_of_line_in_space():
     X = blowup_line_in_space()
     assert X.dim == 3
     assert X.betti() == {0: 1, 2: 2, 4: 2, 6: 1}
-    assert all(ok for _, ok, _ in X.check_report())
+    assert all(ok for _, ok, _ in graded_ring.run_ring_checks(
+        X.dim, X.basis, X._table, X.integration))
 
 
 def test_blowup_rank_formula():
