@@ -48,6 +48,9 @@ def _inline_json(text, what):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{what} is not well-formed JSON: {exc}")
+    except ValueError as exc:
+        # an integer literal past the interpreter's digit limit
+        raise InvalidSpec(f"{what} is not readable as JSON: {exc}")
     except RecursionError:
         raise InvalidSpec(f"{what} is nested too deeply to read")
 

@@ -28,7 +28,8 @@ class CorrespondenceClass:
     in integer numerators: the rows by source class (`_by_source`),
     each target class and code packed into one int j * `_limit` + code,
     and the target factor contracted with the pairing (`_contraction`),
-    by middle class. The joins add into int keys and split each once.
+    by middle class, a class's row made only once a composition asks
+    for it. The joins add into int keys and split each once.
     """
 
     __slots__ = ("source", "target", "shift", "terms", "_rows", "_contracted")
@@ -120,28 +121,43 @@ class CorrespondenceClass:
             self._rows = scale, rows
         return self._rows
 
-    def _contraction(self):
-        """(L * Lp, {k: [(code, i, a)]}): the target factor paired with
-        e_k through the target's partner table, scaled by its Lp, one
-        nonzero entry per (i, code)."""
-        if self._contracted is None:
-            limit = self._limit
-            scale_p, partners = self.target._integer_partners()
-            scale, rows = self._by_source()
-            sums = {}
-            for i, row in rows.items():
-                for m1, key, c in row:
-                    for k, poly in partners[key // limit]:
-                        left = sums.setdefault(k, {})
-                        for mp, vp in poly:
-                            m = m1 + mp
-                            if m < limit:
-                                left[i, m] = left.get((i, m), 0) + c * vp
-            self._contracted = scale * scale_p, {
-                k: entries for k, left in sums.items()
-                if (entries := [(m, i, a) for (i, m), a in left.items() if a])
-            }
-        return self._contracted
+    def _contraction(self, wanted):
+        """(L * Lp, {k: {(i, code): a}}, skipped): the target factor
+        paired with e_k through the target's partner table, scaled by
+        its Lp, for the middle classes k in `wanted` that it reaches
+        (the sources of the class it is composed with). Rows are made
+        once and kept; entries that cancel to 0 stay, and the join's
+        decoding drops them. `skipped` holds the classes it reached but
+        was not asked for: a later call that wants one of them makes its
+        row then, and a call that wants none of them costs one test."""
+        view = self._contracted
+        if view is not None:
+            skipped = view[2]
+            if not skipped or skipped.isdisjoint(wanted):
+                return view
+            wanted = skipped.intersection(wanted)
+            skipped -= wanted
+        limit = self._limit
+        scale_p, partners = self.target._integer_partners()
+        scale, rows = self._by_source()
+        sums, skipped = {k: {} for k in wanted}, set()
+        for i, row in rows.items():
+            for m1, key, c in row:
+                for k, poly in partners[key // limit]:
+                    if k not in sums:
+                        skipped.add(k)
+                        continue
+                    left = sums[k]
+                    for mp, vp in poly:
+                        m = m1 + mp
+                        if m < limit:
+                            left[i, m] = left.get((i, m), 0) + c * vp
+        made = {k: left for k, left in sums.items() if left}
+        if view is None:
+            view = self._contracted = scale * scale_p, made, skipped
+        else:
+            view[1].update(made)
+        return view
 
     def __add__(self, other):
         self._compat(other)
@@ -215,23 +231,23 @@ def _act(gamma, alpha):
 
 
 def _compose(f, g):
-    """The composition join, f applied first: f's contraction joined
-    with g's rows by source on the middle classes both have, each sum
-    kept under one int key i * (W * |target basis|) + l * W + code and
-    decoded once. The result is valid by construction."""
-    limit = f._limit
-    scale_f, contracted = f._contraction()
+    """The composition join, f applied first: f's contraction, asked
+    for g's sources, joined with g's rows by source on the middle
+    classes both have, each sum kept under one int key
+    i * (W * |target basis|) + l * W + code and decoded once. The
+    result is valid by construction."""
     scale_g, rows = g._by_source()
-    shared = contracted.keys() & rows.keys()
-    if not shared:
+    scale_f, contracted, _ = f._contraction(rows)
+    if contracted.keys().isdisjoint(rows):
         return f._trusted(f.source, g.target, f.shift + g.shift, {})
+    limit = f._limit
     # the partner table has one row per target basis class
     stride = limit * len(g.target._integer_partners()[1])
     out = {}
-    for k in shared:
-        left = contracted[k]
+    for k in contracted.keys() & rows.keys():
+        left = contracted[k].items()
         for m2, tail, c in rows[k]:
-            for m1, i, a in left:
+            for (i, m1), a in left:
                 if m1 + m2 < limit:
                     key = i * stride + m1 + tail
                     out[key] = out.get(key, 0) + a * c

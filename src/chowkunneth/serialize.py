@@ -131,6 +131,9 @@ def read_document(path):
         raise InvalidSpec(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"{path} is not well-formed JSON: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal past the interpreter's digit limit
+        raise InvalidSpec(f"{path} is not readable as JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidSpec(f"{path} is nested too deeply to read") from exc
 

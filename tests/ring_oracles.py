@@ -14,8 +14,11 @@ it read the table off the restriction of each ambient class;
 `dual_basis` did before it read them off the diagonal; and
 `closed_form_hypersurface_projectors` is the (1/d) H^(n-1-r) x H^r set
 a hypersurface model's decomposition was built as before it became
-`full_projectors` of the model. All of them now serve only to check the
-faster or shorter paths.
+`full_projectors` of the model; and `eager_compose` joins over
+`eager_contraction`, which pairs a correspondence's target factor with
+every middle class it reaches, as `compose` did before it contracted
+only the classes a composition asks for. All of them now serve only to
+check the faster or shorter paths.
 
 The helpers at the end build what the tests need and the engine does
 not: a pure tensor a x b, one component of the diagonal, the transpose
@@ -312,6 +315,46 @@ def closed_form_hypersurface_projectors(n, d, middle_rank):
         projs[2 * r] = pure_tensor(powers[dim - r], powers[r]).scale(Fraction(1, d))
     projs[dim] = diagonal_component(X, dim)
     return ProjectorSet(X, projs, complete=True, remainder_indices={dim})
+
+
+def eager_contraction(f):
+    """(L * Lp, {k: [(code, i, a)]}): f's target factor paired with
+    every middle class e_k its targets pair with, through the target's
+    integer partner table scaled by its Lp, one nonzero entry per
+    (i, code)."""
+    limit = f._limit
+    scale_p, partners = f.target._integer_partners()
+    scale, rows = f._by_source()
+    sums = {}
+    for i, row in rows.items():
+        for m1, key, c in row:
+            for k, poly in partners[key // limit]:
+                left = sums.setdefault(k, {})
+                for mp, vp in poly:
+                    m = m1 + mp
+                    if m < limit:
+                        left[i, m] = left.get((i, m), 0) + c * vp
+    return scale * scale_p, {k: entries for k, left in sums.items()
+                             if (entries := [(m, i, a) for (i, m), a in left.items() if a])}
+
+
+def eager_compose(f, g):
+    """The composition with f applied first, ordinary or lifted: the
+    whole `eager_contraction(f)` joined with g's rows by source on the
+    middle classes both have."""
+    limit = f._limit
+    scale_f, contracted = eager_contraction(f)
+    scale_g, rows = g._by_source()
+    stride = limit * len(g.target._integer_partners()[1])
+    out = {}
+    for k in contracted.keys() & rows.keys():
+        for m2, tail, c in rows[k]:
+            for m1, i, a in contracted[k]:
+                if m1 + m2 < limit:
+                    key = i * stride + m1 + tail
+                    out[key] = out.get(key, 0) + a * c
+    terms = f._decoded(out, stride, scale_f * scale_g)
+    return f._trusted(f.source, g.target, f.shift + g.shift, terms)
 
 
 # -- helpers -------------------------------------------------------------------

@@ -284,10 +284,14 @@ def test_verify_lifted_family_prints_class_residuals(capsys, tmp_path):
 NON_UTF8 = b"\xff\xfe{}"
 DEEP_LIST = "[" * 100_000 + "]" * 100_000
 DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
+# n = 10^5000: 5,001 digits, past json's 4,300-digit limit for integers
+HUGE_INTEGER = '{"kind": "projective_space", "n": 1' + "0" * 5000 + "}"
 
 
-@pytest.mark.parametrize("content", [NON_UTF8, DEEP_LIST.encode(), DEEP_OBJECT.encode()],
-                         ids=["non-UTF-8", "list nested 100000 deep", "object nested 100000 deep"])
+@pytest.mark.parametrize("content", [NON_UTF8, DEEP_LIST.encode(), DEEP_OBJECT.encode(),
+                                     HUGE_INTEGER.encode()],
+                         ids=["non-UTF-8", "list nested 100000 deep", "object nested 100000 deep",
+                              "integer of 5001 digits"])
 @pytest.mark.parametrize("argv", [
     ["verify", "DOC"],
     ["build", "--space", "DOC"],
@@ -310,6 +314,18 @@ def test_deeply_nested_inline_json_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "act", str(delta), "--argument", DEEP_OBJECT)
     assert code == 2
     assert err == "error: --argument is nested too deeply to read\n"
+
+
+def test_huge_integer_literal_exits_2(capsys, tmp_path):
+    code, text, err = run(capsys, "build", "--space", HUGE_INTEGER)
+    assert code == 2 and text == ""
+    assert err.startswith("error: inline description is not readable as JSON: ")
+    assert "4300" in err and "\n" == err[-1] and err.count("\n") == 1
+    doc = tmp_path / "huge.json"
+    doc.write_text(HUGE_INTEGER, encoding="utf-8")
+    code, text, err = run(capsys, "build", "--space", str(doc))
+    assert code == 2 and text == ""
+    assert err.startswith(f"error: {doc} is not readable as JSON: ")
 
 
 @pytest.mark.parametrize(
