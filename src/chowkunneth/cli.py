@@ -66,18 +66,19 @@ def _spec_arg(text):
 
 
 def _int_csv(text, flag):
-    out = []
-    for part in str(text).split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise InvalidSpec(f"{flag}: expected comma-separated integers, got {text!r}")
-    if not out:
-        raise InvalidSpec(f"{flag}: expected at least one integer")
-    return out
+    """The integers of a comma-separated flag value; an empty item is
+    refused, like any other that is not an integer."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InvalidSpec(f"{flag}: expected comma-separated integers, got {text!r}")
+
+
+def _flags(args, *names):
+    """The named flags as given, `--name value` each, leaving out those
+    not given: the prefix of the errors of what they describe."""
+    return " ".join(f"--{name} {getattr(args, name)}" for name in names
+                    if getattr(args, name) is not None)
 
 
 def _residual_text(entry):
@@ -134,20 +135,6 @@ def _finish(args, checks, doc=None):
     _print_checks(checks)
     _write_out(args, report if doc is None else doc)
     return 0 if report["pass"] else 1
-
-
-def _group_from_flags(args):
-    from .equivariant import GroupSpec
-
-    if args.rank < 1:
-        raise InvalidSpec("--rank must be a positive integer")
-    return GroupSpec(args.group, args.rank)
-
-
-def _even_bound(value, flag):
-    if value < 0 or value % 2:
-        raise InvalidSpec(f"{flag} must be an even integer >= 0")
-    return value
 
 
 def _load_projector_file(path):
@@ -287,6 +274,8 @@ def _cmd_act(args):
             if raw not in source.label_index:
                 raise InvalidSpec(f"--argument: unknown source class {raw!r}")
             vec = source.basis_class(raw)
+    except InvalidSpec:
+        raise
     except ValueError as exc:
         raise InvalidSpec(f"--argument: {exc}")
     image = act(corr, vec)
@@ -301,18 +290,6 @@ def _cmd_act(args):
     return 0
 
 
-def _make_model(args, base):
-    from . import serialize
-    from .equivariant import equivariant_trivial_action
-
-    group = _group_from_flags(args)
-    _even_bound(args.bound, "--bound")
-    if args.weights is not None:
-        weights = _int_csv(args.weights, "--weights")
-        return serialize.weighted_model(base, group, weights, args.bound, "--weights")
-    return equivariant_trivial_action(base, group, args.bound)
-
-
 def _cmd_lift(args):
     from . import serialize
     from .equivariant import lift_projectors, verify_equivariant
@@ -325,7 +302,11 @@ def _cmd_lift(args):
         P = full_projectors(build_space(_spec_arg(args.space)))
     else:
         P = _load_projector_file(args.input)
-    model = _make_model(args, P.ring)
+    spec = {"base": serialize.space_document(P.ring),
+            "group": {"kind": args.group, "rank": args.rank}, "N": args.bound}
+    if args.weights is not None:
+        spec["weights"] = _int_csv(args.weights, "--weights")
+    model = serialize.model_from_document(spec, _flags(args, "group", "rank", "bound", "weights"))
     family = lift_projectors(P, model.group, model.N, model=model)
     doc = serialize.family_document(family)
     print(
@@ -338,18 +319,16 @@ def _cmd_lift(args):
 
 
 def _cmd_stabilize(args):
-    from .equivariant import stabilization_check
+    from .equivariant import GroupSpec, stabilization_check
     from .kunneth import full_projectors
+    from .serialize import _prefixed
     from .spaces import build_space
 
     ring = build_space(_spec_arg(args.space))
     P = full_projectors(ring)
-    group = _group_from_flags(args)
-    _even_bound(args.n1, "--n1")
-    _even_bound(args.n2, "--n2")
-    if not 0 <= args.degrees <= args.n1 <= args.n2:
-        raise InvalidSpec("bounds must satisfy 0 <= degrees <= n1 <= n2")
-    ok = stabilization_check(ring, group, P, args.degrees, args.n1, args.n2)
+    with _prefixed(_flags(args, "group", "rank", "degrees", "n1", "n2")):
+        group = GroupSpec(args.group, args.rank)
+        ok = stabilization_check(ring, group, P, args.degrees, args.n1, args.n2)
     return _finish(args, [
         {"check": "stabilization", "indices": [args.degrees, args.n1, args.n2], "pass": ok}
     ])

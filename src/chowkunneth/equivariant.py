@@ -14,9 +14,10 @@ are exact degreewise up to the bound.
 from fractions import Fraction
 
 from .correspondences import CorrespondenceClass, _act, _compose, diagonal
-from .errors import RingMismatch, SizeLimitExceeded, UnsupportedAction
+from .errors import InvalidSpec, RingMismatch, SizeLimitExceeded, UnsupportedAction
 from .kunneth import ProjectorSet, _action_rows, _components, _report, report_passes
 from .linalg import _integer_scaled
+from .serialize import _require_int
 
 
 # -- groups and parameter rings ---------------------------------------------
@@ -24,7 +25,8 @@ from .linalg import _integer_scaled
 
 class GroupSpec:
     """A multiplicative torus of a given rank, or a general linear
-    group of a given size."""
+    group of a given size: the 'kind' and 'rank' of a group document,
+    checked here."""
 
     __slots__ = ("kind", "size")
 
@@ -32,12 +34,9 @@ class GroupSpec:
 
     def __init__(self, kind, size):
         if kind not in self.KINDS:
-            raise ValueError(f"unknown group kind {kind!r}")
-        size = int(size)
-        if size < 1:
-            raise ValueError("group size must be >= 1")
+            raise InvalidSpec(f"'kind': unknown group kind {kind!r}")
         self.kind = kind
-        self.size = size
+        self.size = _require_int(size, "'rank': the group rank", 1)
 
     def generators(self):
         """Parameter generators as (name, degree) pairs."""
@@ -167,9 +166,9 @@ class TruncatedPolyRing:
 
 
 def _truncation_bound(N):
-    N = int(N)
-    if N < 0 or N % 2:
-        raise ValueError("the truncation bound must be an even integer >= 0")
+    """N, checked to be an even int >= 0."""
+    if _require_int(N, "'N': the truncation bound", 0) % 2:
+        raise InvalidSpec(f"'N': the truncation bound must be an even integer >= 0, got {N}")
     return N
 
 
@@ -215,17 +214,26 @@ class EquivariantModel:
     Intersection Theory, 3.2): the pushforward of h^(m-1+s) is s_s t^s,
     with s_0, s_1, ... the coefficients of 1 / product(1 + w_i x), and
     the diagonal is the divided difference of product(h + w_i t).
+
+    Library calls, documents and flags all build a model here, so its
+    input rules are checked once: the group's by `GroupSpec`, the
+    bound's by `bg_ring`, and the weighted contract (a nonempty list of
+    ints, a rank-1 torus, the base P^(m-1)) by the constructor. A broken
+    rule raises InvalidSpec naming the document field.
     """
 
     __slots__ = ("base", "group", "N", "weights", "bg", "_chern", "_segre", "_scaled",
                  "_diagonal")
 
     def __init__(self, base, group, N, weights=None):
+        if weights is not None:
+            _check_weighted(base, group, weights)
+            weights = tuple(weights)
         self.bg = bg_ring(group, N)
         self.base = base
         self.group = group
         self.N = self.bg.bound
-        self.weights = None if weights is None else tuple(int(w) for w in weights)
+        self.weights = weights
         self._chern = self._segre = self._scaled = self._diagonal = None
         if self.weights is not None:
             e = [1]
@@ -319,6 +327,24 @@ class EquivariantModel:
         )
 
 
+def _check_weighted(base, group, weights):
+    """The weighted contract: a nonempty list of int weights w_1..w_m,
+    acting through a rank-1 multiplicative torus on the base P^(m-1)."""
+    from .spaces import projective_space
+
+    if not isinstance(weights, (list, tuple)) or not weights:
+        raise InvalidSpec(f"'weights' must be a nonempty list of integers, got {weights!r}")
+    for w in weights:
+        _require_int(w, "'weights': each weight")
+    if group != GroupSpec("multiplicative_torus", 1):
+        raise InvalidSpec(f"'weights': a weighted model needs a rank-1 multiplicative torus, "
+                          f"got {group.kind} of rank {group.size}")
+    m = len(weights)
+    if base.dim != m - 1 or base != projective_space(m - 1):
+        raise InvalidSpec(f"'weights': {m} weights act on P^{m - 1}, not on the given base "
+                          f"of dimension {base.dim}")
+
+
 def equivariant_trivial_action(X, G, N):
     """The model of an action whose basis classes are all invariant:
     base classes and parameters never mix."""
@@ -333,10 +359,9 @@ def equivariant_projective_torus(weights, N):
     product(h + weight_i * t) = 0."""
     from .spaces import projective_space
 
-    weights = tuple(int(w) for w in weights)
-    if not weights:
-        raise ValueError("at least one weight is required")
-    base = projective_space(len(weights) - 1)
+    weights = tuple(weights)
+    # the model refuses an empty list before it reads the base
+    base = projective_space(max(len(weights) - 1, 0))
     return EquivariantModel(base, torus_group(1), N, weights=weights)
 
 
@@ -568,7 +593,8 @@ def stabilization_check(X, G, P, D, N1, N2):
     if P.ring != X:
         raise RingMismatch("projector set does not live over the given ring")
     if not 0 <= D <= N1 <= N2:
-        raise ValueError("bounds must satisfy 0 <= D <= N1 <= N2")
+        raise InvalidSpec(f"the bounds must satisfy 0 <= D <= N1 <= N2, got D = {D}, "
+                          f"N1 = {N1}, N2 = {N2}")
     F1 = lift_projectors(P, G, N1)
     F2 = lift_projectors(P, G, N2)
     return (

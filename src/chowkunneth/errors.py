@@ -39,8 +39,13 @@ class UnsupportedAction(ChowKunnethError):
     model machinery does not cover."""
 
 
-class InvalidSpec(ChowKunnethError):
-    """A serialized space/group/correspondence description is malformed."""
+class InvalidSpec(ChowKunnethError, ValueError):
+    """An input breaks a rule of what it describes: a space, group,
+    model, bound, correspondence or projector set, whether it came from
+    a document, a command-line flag or a library call. Each rule is
+    checked in one place, the constructor or reader that owns it, and
+    the message names the field or flag and the offending value. A
+    `ValueError` too, so library callers may catch either."""
 
 
 class SizeLimitExceeded(ChowKunnethError):

@@ -38,14 +38,14 @@ class _IntegerTable(dict):
     denominator = 1
 
 
-def _integer_table(structure, keep_zeros=False):
+def _integer_table(structure):
     """A rational table on integer numerators over their lcm, in its
-    order, without zero entries and empty products unless `keep_zeros`."""
+    order, without zero entries and empty products."""
     table = _IntegerTable()
     table.denominator, nums = _integer_scaled(c for p in structure.values() for c in p.values())
     for ij, p in structure.items():
-        row = {k: n for k, n in zip(p, nums) if n or keep_zeros}
-        if row or keep_zeros:
+        row = {k: n for k, n in zip(p, nums) if n}
+        if row:
             table[ij] = row
     return table
 
@@ -387,10 +387,11 @@ def run_ring_checks(dim, basis, structure, integration):
     runs): the table `pairing` {(i, j): integral of e_i * e_j} of every
     nonzero integral, in both orientations, and the block inverses,
     `inverses[p]` inverting the block of degrees p <= 2*dim - p. Any
-    `structure` but an `_IntegerTable` is put on one, zero entries kept.
+    `structure` but an `_IntegerTable` is put on one as the constructor
+    puts it, zero entries dropped, so both give one verdict.
     """
     if not isinstance(structure, _IntegerTable):
-        structure = _integer_table(structure, keep_zeros=True)
+        structure = _integer_table(structure)
     r = SimpleNamespace(
         top=2 * dim, labels=[b[0] for b in basis], deg=[b[1] for b in basis],
         table=structure, integration=integration, pairing={}, inverses={},

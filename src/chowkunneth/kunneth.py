@@ -34,12 +34,10 @@ class ProjectorSet:
 
     `complete` is a claim (sum equals the diagonal) recorded by the
     constructor, not inferred; `remainder_indices` marks the members
-    that complete the others to the diagonal, and must name members;
-    `report` holds the latest verification result, None until the set
-    is verified.
+    that complete the others to the diagonal, and must name members.
     """
 
-    __slots__ = ("ring", "projectors", "complete", "remainder_indices", "report")
+    __slots__ = ("ring", "projectors", "complete", "remainder_indices")
 
     def __init__(self, ring, projectors, complete=False, remainder_indices=()):
         self.ring = ring
@@ -65,7 +63,6 @@ class ProjectorSet:
         stray = sorted(self.remainder_indices - set(projs))
         if stray:
             raise ValueError(f"remainder index {stray[0]} is not a member index")
-        self.report = None
 
     def indices(self):
         return tuple(sorted(self.projectors))
@@ -249,7 +246,6 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
             if residual:
                 entry["residual_class"] = residual
             entries.append(entry)
-    P.report = entries
     return entries
 
 

@@ -18,6 +18,7 @@ member terms carry a parameter-monomial label before the coefficient.
 """
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring
 
@@ -36,7 +37,6 @@ __all__ = [
     "group_from_document",
     "model_document",
     "model_from_document",
-    "weighted_model",
     "family_document",
     "family_from_document",
     "dumps",
@@ -146,10 +146,24 @@ def _require(doc, field, where):
     return doc[field]
 
 
-def _require_index(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidSpec(f"{where}: expected an integer index, got {value!r}")
+def _require_int(value, where, minimum=None):
+    """`value`, checked to be an int (not a bool) of at least `minimum`;
+    `where` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidSpec(f"{where} must be an integer{bound}, got {value!r}")
     return value
+
+
+@contextmanager
+def _prefixed(where):
+    """Raise a ValueError from the block, an InvalidSpec included, as an
+    InvalidSpec whose message starts with `where`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InvalidSpec(f"{where}: {exc}") from exc
 
 
 # -- spaces --------------------------------------------------------------------
@@ -199,10 +213,8 @@ def _read_terms(raw_terms, where, columns, make, parsed):
             if type(raw) is str:
                 parsed[raw] = c
         terms[key] = terms[key] + c if key in terms else c
-    try:
+    with _prefixed(where):
         return make(terms)
-    except ValueError as exc:
-        raise InvalidSpec(f"{where}: {exc}") from exc
 
 
 def _columns(source, target):
@@ -230,7 +242,7 @@ def correspondence_from_document(doc, where="correspondence"):
 
     source = load_space(_require(doc, "source", where))
     target = load_space(_require(doc, "target", where))
-    shift = _require_index(_require(doc, "degree_shift", where), where)
+    shift = _require_int(_require(doc, "degree_shift", where), f"{where}: 'degree_shift'")
     return _read_terms(
         _require(doc, "terms", where), where, _columns(source, target),
         lambda terms: CorrespondenceClass(source, target, shift, terms), {},
@@ -257,7 +269,7 @@ def _set_from_document(doc, where, make_set, ring, columns, make_member):
         raise InvalidSpec(f"{where}: 'projectors' must be a list")
     members, parsed = {}, {}
     for entry in raw:
-        i = _require_index(_require(entry, "index", where), f"{where}: 'index'")
+        i = _require_int(_require(entry, "index", where), f"{where}: 'index'")
         if i in members:
             raise InvalidSpec(f"{where}: duplicate projector index {i}")
         members[i] = _read_terms(
@@ -265,17 +277,15 @@ def _set_from_document(doc, where, make_set, ring, columns, make_member):
             columns, make_member, parsed,
         )
     remainder = doc.get("remainder_indices", [])
-    if not isinstance(remainder, list) or not all(
-        isinstance(r, int) and not isinstance(r, bool) for r in remainder
-    ):
-        raise InvalidSpec(f"{where}: 'remainder_indices' must be a list of integers")
+    if not isinstance(remainder, list):
+        raise InvalidSpec(f"{where}: 'remainder_indices' must be a list, got {remainder!r}")
+    for r in remainder:
+        _require_int(r, f"{where}: each of 'remainder_indices'")
     complete = doc.get("complete", False)
     if not isinstance(complete, bool):
         raise InvalidSpec(f"{where}: 'complete' must be true or false")
-    try:
+    with _prefixed(where):
         return make_set(ring, members, complete=complete, remainder_indices=remainder)
-    except ValueError as exc:
-        raise InvalidSpec(f"{where}: {exc}") from exc
 
 
 def projector_set_document(P):
@@ -303,13 +313,9 @@ def group_document(G):
 def group_from_document(doc, where="group"):
     from .equivariant import GroupSpec
 
-    kind = _require(doc, "kind", where)
-    rank = _require(doc, "rank", where)
-    if kind not in GroupSpec.KINDS:
-        raise InvalidSpec(f"{where}: unknown group kind {kind!r}")
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-        raise InvalidSpec(f"{where}: 'rank' must be a positive integer")
-    return GroupSpec(kind, rank)
+    kind, rank = _require(doc, "kind", where), _require(doc, "rank", where)
+    with _prefixed(where):
+        return GroupSpec(kind, rank)
 
 
 def model_document(model):
@@ -323,38 +329,16 @@ def model_document(model):
     return doc
 
 
-def weighted_model(base, group, weights, N, where):
-    """The weighted model of the given weights at bound N, checked to
-    act through a rank-1 multiplicative torus on the given base."""
-    from .equivariant import GroupSpec, equivariant_projective_torus
-
-    if group != GroupSpec("multiplicative_torus", 1):
-        raise InvalidSpec(f"{where}: weighted models require a rank-1 multiplicative torus")
-    model = equivariant_projective_torus(weights, N)
-    if model.base != base:
-        raise InvalidSpec(
-            f"{where}: {len(weights)} weights act on a projective space of "
-            f"dimension {len(weights) - 1}, not on the given base"
-        )
-    return model
-
-
 def model_from_document(doc, where="equivariant model"):
-    from .equivariant import equivariant_trivial_action
+    """The model of {base, group, N, weights?}; `EquivariantModel`
+    checks the bound and the weighted contract."""
+    from .equivariant import EquivariantModel
 
     base = load_space(_require(doc, "base", where))
     group = group_from_document(_require(doc, "group", where), f"{where}: group")
     N = _require(doc, "N", where)
-    if isinstance(N, bool) or not isinstance(N, int) or N < 0 or N % 2:
-        raise InvalidSpec(f"{where}: 'N' must be an even integer >= 0")
-    weights = doc.get("weights")
-    if weights is None:
-        return equivariant_trivial_action(base, group, N)
-    if not isinstance(weights, list) or not weights or not all(
-        isinstance(w, int) and not isinstance(w, bool) for w in weights
-    ):
-        raise InvalidSpec(f"{where}: 'weights' must be a nonempty list of integers")
-    return weighted_model(base, group, weights, N, where)
+    with _prefixed(where):
+        return EquivariantModel(base, group, N, doc.get("weights"))
 
 
 def family_document(F):

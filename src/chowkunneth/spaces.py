@@ -27,7 +27,7 @@ from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
 from .graded_ring import (
     ClassVector, GradedBasisRing, RingMap, _combine, _IntegerTable, _product, tensor_ring,
 )
-from .serialize import parse_fraction
+from .serialize import _prefixed, _require_int, parse_fraction
 
 _CACHE = {}
 
@@ -82,15 +82,8 @@ def _require_field(spec, field):
     return spec[field]
 
 
-def _require_int(spec, field, minimum=None):
-    if field not in spec:
-        raise InvalidSpec(f"{spec.get('kind')}: missing field {field!r}")
-    v = spec[field]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InvalidSpec(f"{spec.get('kind')}: field {field!r} must be an integer")
-    if minimum is not None and v < minimum:
-        raise InvalidSpec(f"{spec.get('kind')}: field {field!r} must be >= {minimum}")
-    return v
+def _int_field(spec, field, minimum):
+    return _require_int(_require_field(spec, field), f"{spec['kind']}: field {field!r}", minimum)
 
 
 def _exact_strings(raw, where):
@@ -116,10 +109,8 @@ def _label_class(ring, raw, where, degree=None, allow_empty=False):
     if unknown:
         raise InvalidSpec(f"{where}: unknown basis labels {unknown}")
     coeffs = {label: parse_fraction(val, f"{where}[{label!r}]") for label, val in raw.items()}
-    try:
+    with _prefixed(where):
         return ring.from_label_dict(coeffs, degree=degree)
-    except ValueError as exc:
-        raise InvalidSpec(f"{where}: {exc}") from exc
 
 
 # -- projective space ---------------------------------------------------------
@@ -130,7 +121,7 @@ def projective_space(n):
 
 
 def _build_projective(spec):
-    n = _require_int(spec, "n", minimum=0)
+    n = _int_field(spec, "n", 0)
     _require_rank(f"P^{n}", n + 1)
     basis = [("1", 0)]
     for k in range(1, n + 1):
@@ -149,8 +140,8 @@ def grassmannian(k, n):
 def _build_grassmannian(spec):
     from . import schubert
 
-    k = _require_int(spec, "k", minimum=1)
-    n = _require_int(spec, "n", minimum=2)
+    k = _int_field(spec, "k", 1)
+    n = _int_field(spec, "n", 2)
     if not 0 < k < n:
         raise InvalidSpec("grassmannian requires 0 < k < n")
     small = n <= MAX_RING_RANK  # else C(n, k) >= n is past the limit already
@@ -246,7 +237,7 @@ def _build_ci_model(spec, space=None):
     if d < 1:
         raise InvalidSpec("ci_model requires ambient dimension > codimension")
     top = 2 * d
-    k_prim = _require_int(spec, "middle_rank", minimum=0)
+    k_prim = _int_field(spec, "middle_rank", 0)
     # the ambient classes through degree d, the duals of those below it,
     # and the primitives
     _require_rank("the ci_model", sum(amb.rank(t) for t in range(d + 1))
@@ -393,7 +384,7 @@ def _build_blowup(spec):
     off the base and center structure tables."""
     base = build_space(_require_field(spec, "base"))
     center = build_space(_require_field(spec, "center"))
-    c = _require_int(spec, "codim", minimum=1)
+    c = _int_field(spec, "codim", 1)
     if any(deg % 2 for _, deg in base.basis) or any(deg % 2 for _, deg in center.basis):
         raise InvalidSpec("blowup requires base and center with even cohomology only")
     d = base.dim
@@ -529,8 +520,8 @@ def plane_curve_family(d, middle_rank=0):
 
 
 def _build_plane_curve_family(spec):
-    d = _require_int(spec, "d", minimum=1)
-    middle_rank = _require_int(spec, "middle_rank", minimum=0) if "middle_rank" in spec else 0
+    d = _int_field(spec, "d", 1)
+    middle_rank = _int_field(spec, "middle_rank", 0) if "middle_rank" in spec else 0
     n_param = d * (d + 3) // 2
     # P^2 x P^N holds three classes in each degree but the first two, so
     # the ci_model's classes through its middle and their duals are 3N

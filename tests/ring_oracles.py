@@ -167,7 +167,7 @@ def pairwise_ci_model(spec):
     if d < 1:
         raise InvalidSpec("ci_model requires ambient dimension > codimension")
     top = 2 * d
-    k_prim = spaces._require_int(spec, "middle_rank", minimum=0)
+    k_prim = spaces._int_field(spec, "middle_rank", 0)
 
     amb_deg = [t for _, t in amb.basis]
     xi_value = {k: sum(c * amb.pair_basis(k, x) for x, c in xi.coeffs.items())

@@ -19,7 +19,12 @@ import pytest
 from chowkunneth import cli, spaces
 from chowkunneth.equivariant import stabilization_check, torus_group
 from chowkunneth.errors import NonLefschetzRange
-from chowkunneth.graded_ring import CHECK_NAMES, _integer_table, run_ring_checks
+from chowkunneth.graded_ring import (
+    CHECK_NAMES,
+    GradedBasisRing,
+    _integer_table,
+    run_ring_checks,
+)
 from chowkunneth.kunneth import ProjectorSet, full_projectors, verify_ck
 from ring_oracles import failing_checks
 
@@ -143,3 +148,15 @@ def test_raw_controls_fail_alike_on_integer_tables(name):
     integer = list(run_ring_checks(dim, basis, _integer_table(fraction), integration))
     assert rational == integer
     assert rational[-1][:2] == (name, False)
+
+
+def test_a_table_with_an_explicit_zero_gets_one_verdict():
+    """1·h = h + 0·h^2 on P^2: the raw checks pass all seven axioms, and
+    the ring built from the same table is P^2."""
+    basis = (("1", 0), ("h", 2), ("h^2", 4))
+    structure = {(0, 0): {0: 1}, (0, 1): {1: 1, 2: 0}, (0, 2): {2: 1},
+                 (1, 0): {1: 1}, (1, 1): {2: 1}, (2, 0): {2: 1}}
+    integration = {2: Fraction(1)}
+    verdicts = list(run_ring_checks(2, basis, structure, integration))
+    assert [(name, ok) for name, ok, _ in verdicts] == [(name, True) for name in CHECK_NAMES]
+    assert GradedBasisRing(2, basis, structure, integration) == spaces.projective_space(2)

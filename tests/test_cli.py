@@ -467,20 +467,99 @@ def test_lift_argument_validation(capsys, tmp_path):
     assert code == 2
 
 
-def test_weighted_model_checks_match_the_document_reader(capsys):
-    # --weights and a model document go through the same two checks
-    torus = {"kind": "multiplicative_torus", "rank": 1}
-    cases = (
-        (P1, "general_linear", {"kind": "general_linear", "rank": 1}),
-        (P2, "multiplicative_torus", torus),
-    )
-    for space, group_flag, group in cases:
-        code, _, err = run(capsys, "lift", "--space", space, "--weights", "0,1",
-                           "--group", group_flag, "--bound", "4")
-        doc = {"base": json.loads(space), "group": group, "N": 4, "weights": [0, 1]}
+@pytest.mark.parametrize("flag, value, argv", [
+    ("--weights", "0,,1,", ["lift", "--space", P1, "--bound", "4"]),
+    ("--degrees", ",3,,", ["formulas", "fano", "--n", "4", "--r", "1"]),
+], ids=["lift weights", "fano degrees"])
+def test_empty_list_items_exit_2(capsys, flag, value, argv):
+    code, text, err = run(capsys, *argv, flag, value)
+    assert (code, text) == (2, "")
+    assert err == f"error: {flag}: expected comma-separated integers, got {value!r}\n"
+
+
+# One malformed model per row: the case, its base, group kind and rank, N,
+# weights (None: no weights), the field the engine's message names, and the
+# text that names the flag in the one error line of `lift`. The flags that
+# parse reach the engine and name themselves with their values; the others
+# are refused by the argument parser or the --weights reader.
+MODEL_CORPUS = [
+    ("odd N", P1, "multiplicative_torus", 1, 3, None, "'N'", "--bound 3"),
+    ("negative N", P1, "multiplicative_torus", 1, -2, None, "'N'", "--bound -2"),
+    ("bool N", P1, "multiplicative_torus", 1, True, None, "'N'",
+     "argument --bound: invalid int value: 'true'"),
+    ("string N", P1, "multiplicative_torus", 1, "4", None, "'N'",
+     "argument --bound: invalid int value: '\"4\"'"),
+    ("rank 0", P1, "multiplicative_torus", 0, 4, None, "'rank'", "--rank 0"),
+    ("bool rank", P1, "general_linear", True, 4, None, "'rank'",
+     "argument --rank: invalid int value: 'true'"),
+    ("unknown kind", P1, "special_orthogonal", 2, 4, None, "'kind'",
+     "argument --group: invalid choice: 'special_orthogonal'"),
+    ("empty weights", P1, "multiplicative_torus", 1, 4, [], "'weights'",
+     "--weights: expected comma-separated integers, got ''"),
+    ("string weight", P1, "multiplicative_torus", 1, 4, [0, "1"], "'weights'",
+     "--weights: expected comma-separated integers, got '0,\"1\"'"),
+    ("bool weight", P1, "multiplicative_torus", 1, 4, [0, True], "'weights'",
+     "--weights: expected comma-separated integers, got '0,true'"),
+    ("fractional weight", P1, "multiplicative_torus", 1, 4, [0, 1.5], "'weights'",
+     "--weights: expected comma-separated integers, got '0,1.5'"),
+    ("weights with GL(1)", P1, "general_linear", 1, 4, [0, 1], "'weights'",
+     "--group general_linear --rank 1 --bound 4 --weights 0,1"),
+    ("weights with a rank-2 torus", P1, "multiplicative_torus", 2, 4, [0, 1], "'weights'",
+     "--rank 2 --bound 4 --weights 0,1"),
+    ("two weights on P^2", P2, "multiplicative_torus", 1, 4, [0, 1], "'weights'",
+     "--weights 0,1"),
+    # this model once built, its pairing one-exponent monomials in a
+    # two-generator parameter ring
+    ("two weights on G(2,4) under GL(3)", '{"kind": "grassmannian", "k": 2, "n": 4}',
+     "general_linear", 3, 4, [1, 2], "'weights'", "--rank 3 --bound 4 --weights 1,2"),
+]
+
+
+def _flag_text(value):
+    """A value as flag text: an int as itself, anything else as JSON,
+    which no integer flag parses."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    return str(value) if is_int else json.dumps(value)
+
+
+def test_weighted_model_checks_match_the_document_reader(capsys, tmp_path):
+    from chowkunneth.equivariant import EquivariantModel, GroupSpec
+
+    family = tmp_path / "family.json"
+    assert run(capsys, "lift", "--space", P1, "--bound", "4", "--out", str(family))[0] == 0
+    good = read(family)
+    for case, space, kind, rank, N, weights, field, named in MODEL_CORPUS:
+        base = spaces.build_space(json.loads(space))
         with pytest.raises(InvalidSpec) as exc:
-            serialize.model_from_document(doc, where="--weights")
-        assert code == 2 and err == f"error: {exc.value}\n"
+            EquivariantModel(base, GroupSpec(kind, rank), N, weights)
+        message = str(exc.value)
+        assert message.startswith(field), case
+
+        # a family document: one error line, ending in the engine's message
+        model = {"base": json.loads(space), "group": {"kind": kind, "rank": rank}, "N": N}
+        if weights is not None:
+            model["weights"] = weights
+        doc = tmp_path / f"{case}.json"
+        doc.write_text(json.dumps({**good, "model": model}), encoding="utf-8")
+        code, text, err = run(capsys, "verify", str(doc))
+        assert (code, text) == (2, ""), case
+        assert err.startswith(f"error: {doc}: model: ") and err.endswith(f": {message}\n"), case
+        assert err.count("\n") == 1, case
+
+        # the `lift` flags: one error line naming the flag
+        argv = ["lift", "--space", space, "--group", kind, "--rank", _flag_text(rank),
+                "--bound", _flag_text(N)]
+        if weights is not None:
+            argv += ["--weights", ",".join(_flag_text(w) for w in weights)]
+        try:
+            code, text, err = run(capsys, *argv)
+        except SystemExit as parser_exit:
+            code, (text, err) = parser_exit.code, capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert (code, text) == (2, "") and len(errors) == 1, (case, err)
+        assert named in errors[0], (case, err)
+        if ":" not in named:  # the flags reached the engine
+            assert err == f"{errors[0]}\n" and errors[0].endswith(f": {message}"), (case, err)
 
 
 def test_stabilize_pass(capsys, tmp_path):

@@ -490,11 +490,11 @@ def test_report_schema_and_order():
             assert entry["basis_class"] in ("1", "h")
 
 
-def test_report_stored_on_set():
+def test_report_is_returned_not_stored():
     P = full_projectors(spaces.projective_space(2))
-    assert P.report is None
     report = verify_ck(P)
-    assert P.report is report
+    assert report == verify_ck(P) and report is not verify_ck(P)
+    assert not hasattr(P, "report")
 
 
 def test_scaled_member_fails_idempotence():

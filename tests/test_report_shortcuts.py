@@ -124,7 +124,6 @@ def subtraction_report(P, compose_pair, delta, action_rows, *, orthogonality_fro
             if rows:
                 entry["residual_class"] = rows
             entries.append(entry)
-    P.report = entries
     return entries
 
 
@@ -205,7 +204,7 @@ def test_ordinary_reports_match_the_subtractions(name, monkeypatch):
     sets = [P, *tampered_sets(P, rng, lambda: random_ordinary(X, X, rng, 8, 0))]
     failed = compare(sets, verify_ck, monkeypatch)
     assert {"idempotence", "completeness", "graded_action"} <= failed
-    assert fails_off_degree(sets[-1].report, X)
+    assert fails_off_degree(verify_ck(sets[-1]), X)
 
 
 LIFTED = [(name, N) for name, (_, n) in lifted_models().items() for N in (2, 4 * n)]
@@ -219,7 +218,7 @@ def test_lifted_reports_match_the_subtractions(name, N, monkeypatch):
     sets = [F, *tampered_sets(F, rng, lambda: random_lifted(M, rng, 8, 0))]
     failed = compare(sets, verify_equivariant, monkeypatch)
     assert {"idempotence", "completeness", "graded_action"} <= failed
-    assert fails_off_degree(sets[-1].report, M.base)
+    assert fails_off_degree(verify_equivariant(sets[-1]), M.base)
 
 
 def one_term(S, key, c):
@@ -287,7 +286,7 @@ def test_each_shortcut_decides_a_check_the_other_passes(monkeypatch):
         controls.append(type(S)(S.ring, {**projs, 2: projs[2] + projs[0]}, complete=True))
         compare(controls, verify, monkeypatch)
         for T in controls:
-            assert "completeness" in failing_checks(T.report)
+            assert "completeness" in failing_checks(verify(T))
     assert extra_keys == 2
 
 
