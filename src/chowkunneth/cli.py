@@ -41,27 +41,13 @@ _GROUP_KINDS = ("multiplicative_torus", "general_linear")
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _inline_json(text, what):
-    import json
-
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{what} is not well-formed JSON: {exc}")
-    except ValueError as exc:
-        # an integer literal past the interpreter's digit limit
-        raise InvalidSpec(f"{what} is not readable as JSON: {exc}")
-    except RecursionError:
-        raise InvalidSpec(f"{what} is nested too deeply to read")
-
-
 def _spec_arg(text):
     """A space description: inline JSON object or a file path."""
+    from .serialize import _parse_json, read_document
+
     stripped = text.strip()
     if stripped.startswith("{"):
-        return _inline_json(stripped, "inline description")
-    from .serialize import read_document
-
+        return _parse_json(stripped, "inline description")
     return read_document(text)
 
 
@@ -255,35 +241,13 @@ def _cmd_act(args):
     corr = serialize.correspondence_from_document(
         serialize.read_document(args.correspondence), where=args.correspondence
     )
-    source = corr.source
     raw = args.argument.strip()
-    try:
-        if raw.startswith("{"):
-            coeffs = _inline_json(raw, "--argument")
-            if not isinstance(coeffs, dict) or not coeffs:
-                raise InvalidSpec("--argument must be a nonempty label -> coefficient object")
-            vec = None
-            for label, c in coeffs.items():
-                if label not in source.label_index:
-                    raise InvalidSpec(f"--argument: unknown source class {label!r}")
-                part = source.basis_class(label).scale(
-                    serialize.parse_fraction(c, f"--argument[{label}]")
-                )
-                vec = part if vec is None else vec + part
-        else:
-            if raw not in source.label_index:
-                raise InvalidSpec(f"--argument: unknown source class {raw!r}")
-            vec = source.basis_class(raw)
-    except InvalidSpec:
-        raise
-    except ValueError as exc:
-        raise InvalidSpec(f"--argument: {exc}")
+    coeffs = serialize._parse_json(raw, "--argument") if raw.startswith("{") else {raw: 1}
+    with serialize._prefixed("--argument"):
+        vec = corr.source.from_label_dict(coeffs)
     image = act(corr, vec)
-    items = sorted(image.label_dict().items())
-    doc = {
-        "degree": image.degree,
-        "class": [[label, serialize.fraction_str(c)] for label, c in items],
-    }
+    items = [[label, serialize.fraction_str(c)] for label, c in sorted(image.label_dict().items())]
+    doc = {"degree": image.degree, "class": items}
     text = " + ".join(f"({c}) {label}" for label, c in items) or "0"
     print(f"image in degree {image.degree}: {text}")
     _write_out(args, doc)

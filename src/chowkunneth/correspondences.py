@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import RingMismatch
 from .graded_ring import ClassVector
 from .linalg import _integer_scaled
+from .serialize import _require_int, _shown, parse_fraction
 
 
 class CorrespondenceClass:
@@ -39,10 +40,10 @@ class CorrespondenceClass:
     def __init__(self, source, target, shift, terms):
         self.source = source
         self.target = target
-        self.shift = int(shift)
+        self.shift = _require_int(shift, "'degree_shift'")
         clean = {}
         for key, c in terms.items():
-            c = c if type(c) is Fraction else Fraction(c)
+            c = c if type(c) is Fraction else parse_fraction(c)
             if c and (key := self._checked(key)) is not None:
                 clean[key] = c
         self.terms = clean
@@ -53,7 +54,8 @@ class CorrespondenceClass:
         i, j = key
         (si, di), (sj, dj) = self.source.basis[i], self.target.basis[j]
         if di + dj != self.degree:
-            raise ValueError(f"term {si} x {sj} has degree {di + dj}, expected {self.degree}")
+            raise ValueError(
+                f"term {si} x {sj} has degree {di + dj}, expected {_shown(self.degree)}")
         return i, j
 
     @classmethod
@@ -173,7 +175,7 @@ class CorrespondenceClass:
         return self + (-other)
 
     def scale(self, r):
-        r = Fraction(r)
+        r = r if type(r) is Fraction else parse_fraction(r, "scalar")
         return self._with_terms({k: r * c for k, c in self.terms.items()})
 
     def label_terms(self):

@@ -17,7 +17,7 @@ from .correspondences import CorrespondenceClass, _act, _compose, diagonal
 from .errors import InvalidSpec, RingMismatch, SizeLimitExceeded, UnsupportedAction
 from .kunneth import ProjectorSet, _action_rows, _components, _report, report_passes
 from .linalg import _integer_scaled
-from .serialize import _require_int
+from .serialize import _require_int, _shown, fraction_str
 
 
 # -- groups and parameter rings ---------------------------------------------
@@ -34,7 +34,7 @@ class GroupSpec:
 
     def __init__(self, kind, size):
         if kind not in self.KINDS:
-            raise InvalidSpec(f"'kind': unknown group kind {kind!r}")
+            raise InvalidSpec(f"'kind': unknown group kind {_shown(kind)}")
         self.kind = kind
         self.size = _require_int(size, "'rank': the group rank", 1)
 
@@ -168,7 +168,8 @@ class TruncatedPolyRing:
 def _truncation_bound(N):
     """N, checked to be an even int >= 0."""
     if _require_int(N, "'N': the truncation bound", 0) % 2:
-        raise InvalidSpec(f"'N': the truncation bound must be an even integer >= 0, got {N}")
+        raise InvalidSpec(
+            f"'N': the truncation bound must be an even integer >= 0, got {_shown(N)}")
     return N
 
 
@@ -189,10 +190,11 @@ def bg_ring(G, N):
     cap = MAX_PARAMETER_EXPONENTS // max(kept, 1)
     count = G.monomial_count(N, cap)
     if count > cap:
+        least = _shown(count) if count > 10**30 else f"at least {count}"
         raise SizeLimitExceeded(
-            f"the parameter ring of {G.kind} of rank {G.size} truncated at N = {N} "
-            f"would hold at least {count} monomials of {kept} exponents each, past "
-            f"the limit of {MAX_PARAMETER_EXPONENTS} exponents"
+            f"the parameter ring of {G.kind} of rank {_shown(G.size)} truncated at N = "
+            f"{_shown(N)} would hold {least} monomials of {_shown(kept)} exponents each, "
+            f"past the limit of {MAX_PARAMETER_EXPONENTS} exponents"
         )
     gens = G.generators() if kept == G.size else [(f"c{i}", 2 * i) for i in range(1, kept + 1)]
     return TruncatedPolyRing(gens, N)
@@ -399,7 +401,7 @@ class EquivariantCorrespondence(CorrespondenceClass):
         if total != self.degree:
             raise ValueError(
                 f"term ({base.basis[i][0]}, {base.basis[j][0]}, "
-                f"{bg.mono_label(mono)}) has degree {total}, expected {self.degree}"
+                f"{bg.mono_label(mono)}) has degree {total}, expected {_shown(self.degree)}"
             )
         return i, j, mono
 
@@ -561,7 +563,7 @@ def verify_equivariant(F):
             return []
         for key, c in expected.items():
             residual[key] = residual.get(key, 0) - c
-        return [[base.basis[j][0], bg.mono_label(m), str(c)]
+        return [[base.basis[j][0], bg.mono_label(m), fraction_str(c)]
                 for (j, m), c in sorted(residual.items()) if c]
 
     return _report(F, EquivariantCorrespondence.compose, model.diagonal,

@@ -19,13 +19,14 @@ from types import SimpleNamespace
 
 from . import linalg
 from .linalg import _integer_scaled
-from .errors import DegeneratePairing, RingAxiomError, RingMismatch
+from .errors import DegeneratePairing, InvalidSpec, RingAxiomError, RingMismatch
+from .serialize import parse_fraction
 
 
 def _coerce_coeffs(coeffs):
     out = {}
     for k, v in coeffs.items():
-        f = v if type(v) is Fraction else Fraction(v)
+        f = v if type(v) is Fraction else parse_fraction(v)
         if f:
             out[k] = f
     return out
@@ -134,7 +135,7 @@ class ClassVector:
         return self + (-other)
 
     def scale(self, r):
-        r = Fraction(r)
+        r = r if type(r) is Fraction else parse_fraction(r, "scalar")
         return ClassVector(self.ring, self.degree, {i: r * c for i, c in self.coeffs.items()})
 
     def __mul__(self, other):
@@ -544,21 +545,23 @@ class GradedBasisRing:
         return ClassVector(self, 0, {i: Fraction(1)})
 
     def from_label_dict(self, coeffs, degree=None):
-        """Build a class from {label: coefficient}; degree inferred when
-        omitted (all labels must share one degree)."""
-        idx = {}
-        degs = set()
-        for label, c in coeffs.items():
-            if label not in self.label_index:
-                raise KeyError(f"unknown basis label {label!r}")
-            i = self.label_index[label]
-            if Fraction(c) != 0:
-                idx[i] = Fraction(c)
-                degs.add(self.basis[i][1])
-        if degree is None:
-            if len(degs) > 1:
-                raise ValueError("class is not homogeneous")
-            degree = degs.pop() if degs else 0
+        """The class of {label: coefficient}, each coefficient an exact
+        rational (`parse_fraction`). Every label named, zero coefficients
+        included, must have degree `degree`, or when it is omitted the
+        one degree the labels share; only an empty object needs `degree`."""
+        if not isinstance(coeffs, dict) or not (coeffs or degree is not None):
+            raise InvalidSpec("expected a nonempty object of label -> coefficient")
+        unknown = sorted(str(label) for label in coeffs if label not in self.label_index)
+        if unknown:
+            raise InvalidSpec(f"unknown basis labels {unknown}")
+        idx = {self.label_index[label]: parse_fraction(c, f"coefficient of {label!r}")
+               for label, c in coeffs.items()}
+        degrees = {self.basis[i][1] for i in idx}
+        if degree is None and len(degrees) == 1:
+            (degree,) = degrees
+        if degrees - {degree}:
+            raise InvalidSpec("class is not homogeneous" if degree is None
+                              else f"expected classes of degree {degree}")
         return ClassVector(self, degree, idx)
 
     # -- ring operations ---------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import (
     RingMismatch,
 )
 from .graded_ring import tensor_ring
+from .serialize import fraction_str
 
 
 class ProjectorSet:
@@ -185,7 +186,7 @@ def _entry(check, indices, residual):
              "pass": residual is None or residual.is_zero()}
     if not entry["pass"]:
         entry["residual_class"] = [
-            [*labels, str(c)] for *labels, c in residual.label_terms()
+            [*labels, fraction_str(c)] for *labels, c in residual.label_terms()
         ]
     return entry
 
@@ -297,7 +298,7 @@ def verify_ck(P):
         if image.coeffs == (e.coeffs if on_degree else {}):
             return []
         residual = image - e if on_degree else image
-        return [[lab, str(c)] for lab, c in sorted(residual.label_dict().items())]
+        return [[lab, fraction_str(c)] for lab, c in sorted(residual.label_dict().items())]
 
     return _report(P, compose, lambda: diagonal(X), _action_rows(P, X, residual_rows))
 

@@ -18,11 +18,12 @@ member terms carry a parameter-monomial label before the coefficient.
 """
 
 import json
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, SizeLimitExceeded
 
 __all__ = [
     "fraction_str",
@@ -49,23 +50,32 @@ __all__ = [
 
 
 def fraction_str(value):
-    """Canonical lowest-terms string form: "p/q", or "p" when q = 1."""
-    return str(Fraction(value))
+    """Canonical lowest-terms string form: "p/q", or "p" when q = 1; the
+    one writer of a coefficient. One whose numerator or denominator is
+    past Python's limit for printing an int (4300 digits) raises
+    SizeLimitExceeded."""
+    try:
+        return str(value if type(value) is Fraction else Fraction(value))
+    except ValueError as exc:
+        raise SizeLimitExceeded(
+            f"a coefficient of more than {sys.get_int_max_str_digits()} digits cannot be written"
+        ) from exc
 
 
 def parse_fraction(value, where="coefficient"):
-    """An exact rational from a document or a helper argument: an
+    """An exact rational from a document or a library argument: an
     integer, a Fraction or a rational string such as "7/3". Floats and
     booleans are rejected, so no coefficient ever passes through binary
     floating point. A string of decimal digits, with at most one leading
     "-", is read by `int`, which gives what `Fraction` would."""
     if isinstance(value, bool) or not isinstance(value, (str, int, Fraction)):
         raise InvalidSpec(f"{where}: expected an exact rational string, got {value!r}")
-    text = str(value)
+    if not isinstance(value, str):
+        return Fraction(value)
     try:
-        if (text[1:] if text[:1] == "-" else text).isdecimal():
-            return Fraction(int(text))
-        return Fraction(text)
+        if (value[1:] if value[:1] == "-" else value).isdecimal():
+            return Fraction(int(value))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidSpec(f"{where}: bad rational {value!r}") from exc
 
@@ -124,18 +134,27 @@ def write_document(path, doc):
 def read_document(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise InvalidSpec(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidSpec(f"{path} is not UTF-8 text: {exc}") from exc
+    return _parse_json(text, path)
+
+
+def _parse_json(text, what):
+    """The JSON value of `text`, the one reader of JSON text: a
+    document's or an inline command-line argument's, which `what` names
+    in the error."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{path} is not well-formed JSON: {exc}") from exc
+        raise InvalidSpec(f"{what} is not well-formed JSON: {exc}") from exc
     except ValueError as exc:
         # an integer literal past the interpreter's digit limit
-        raise InvalidSpec(f"{path} is not readable as JSON: {exc}") from exc
+        raise InvalidSpec(f"{what} is not readable as JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InvalidSpec(f"{path} is nested too deeply to read") from exc
+        raise InvalidSpec(f"{what} is nested too deeply to read") from exc
 
 
 def _require(doc, field, where):
@@ -146,13 +165,22 @@ def _require(doc, field, where):
     return doc[field]
 
 
+def _shown(value):
+    """`value` as an error message names it: its repr, or for an int of
+    more than 30 digits only that bound, since Python prints no int of
+    over 4300 digits."""
+    if isinstance(value, int) and not -10**30 <= value <= 10**30:
+        return "more than 10^30" if value > 0 else "less than -10^30"
+    return repr(value)
+
+
 def _require_int(value, where, minimum=None):
     """`value`, checked to be an int (not a bool) of at least `minimum`;
     `where` names it in the error."""
     if isinstance(value, bool) or not isinstance(value, int) or (
             minimum is not None and value < minimum):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise InvalidSpec(f"{where} must be an integer{bound}, got {value!r}")
+        raise InvalidSpec(f"{where} must be an integer{bound}, got {_shown(value)}")
     return value
 
 
@@ -225,7 +253,7 @@ def _columns(source, target):
 
 
 def _label_rows(f):
-    return [[*labels, str(c)] for *labels, c in f.label_terms()]
+    return [[*labels, fraction_str(c)] for *labels, c in f.label_terms()]
 
 
 def correspondence_document(f):
@@ -242,7 +270,7 @@ def correspondence_from_document(doc, where="correspondence"):
 
     source = load_space(_require(doc, "source", where))
     target = load_space(_require(doc, "target", where))
-    shift = _require_int(_require(doc, "degree_shift", where), f"{where}: 'degree_shift'")
+    shift = _require(doc, "degree_shift", where)
     return _read_terms(
         _require(doc, "terms", where), where, _columns(source, target),
         lambda terms: CorrespondenceClass(source, target, shift, terms), {},

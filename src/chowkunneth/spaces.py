@@ -27,7 +27,7 @@ from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
 from .graded_ring import (
     ClassVector, GradedBasisRing, RingMap, _combine, _IntegerTable, _product, tensor_ring,
 )
-from .serialize import _prefixed, _require_int, parse_fraction
+from .serialize import _prefixed, _require, _require_int, _shown, parse_fraction
 
 _CACHE = {}
 
@@ -40,26 +40,28 @@ MAX_RING_RANK = 1000
 def _require_rank(what, rank, exact=True):
     """Refuse `what` with SizeLimitExceeded if `rank`, the rank its
     builder predicts before allocating any of it (a lower bound unless
-    `exact`), is past MAX_RING_RANK. The message names a rank past 10^30
-    by that bound alone: Python prints no int of over 4300 digits."""
+    `exact`), is past MAX_RING_RANK. The message shows the rank by
+    `_shown`; the fields that `what` prints passed `build_space`'s JSON
+    check, so none of them is an int too long to print."""
     if rank > MAX_RING_RANK:
-        shown = "more than 10^30" if rank > 10**30 else rank if exact else f"at least {rank}"
+        shown = _shown(rank) if exact or rank > 10**30 else f"at least {rank}"
         raise SizeLimitExceeded(
             f"{what} would have rank {shown}, past the limit of {MAX_RING_RANK}"
         )
 
 
 def canonical_spec_key(spec):
-    return json.dumps(spec, sort_keys=True, ensure_ascii=False)
+    """The cache key of a space description, which must be JSON data."""
+    try:
+        return json.dumps(spec, sort_keys=True, ensure_ascii=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"space description must be JSON data: {exc}") from exc
 
 
 def build_space(spec):
     """Build (with caching) the ring described by a space description."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidSpec("space description must be an object with a 'kind' field")
-    key = canonical_spec_key(spec)
-    if key in _CACHE:
-        return _CACHE[key]
     kind = spec["kind"]
     builders = {
         "projective_space": _build_projective,
@@ -69,26 +71,34 @@ def build_space(spec):
         "blowup": _build_blowup,
         "plane_curve_family": _build_plane_curve_family,
     }
-    if not isinstance(kind, str) or kind not in builders:
-        raise InvalidSpec(f"unknown space kind {kind!r}")
-    ring = builders[kind](spec)
-    _CACHE[key] = ring
-    return ring
-
-
-def _require_field(spec, field):
-    if field not in spec:
-        raise InvalidSpec(f"{spec.get('kind')}: missing field {field!r}")
-    return spec[field]
+    try:
+        key = canonical_spec_key(spec)
+        if key not in _CACHE:
+            if not isinstance(kind, str) or kind not in builders:
+                raise InvalidSpec(f"unknown space kind {kind!r}")
+            _CACHE[key] = builders[kind](spec)
+        return _CACHE[key]
+    except RecursionError as exc:  # the innermost build turns it into InvalidSpec
+        raise InvalidSpec("space description is nested too deeply to build") from exc
 
 
 def _int_field(spec, field, minimum):
-    return _require_int(_require_field(spec, field), f"{spec['kind']}: field {field!r}", minimum)
+    kind = spec["kind"]
+    return _require_int(_require(spec, field, kind), f"{kind}: field {field!r}", minimum)
 
 
-def _exact_strings(raw, where):
-    """A helper's {label: coefficient} with canonical rational strings."""
-    return {str(l): str(parse_fraction(v, f"{where}[{l!r}]")) for l, v in raw.items()}
+def _exact(value):
+    """A helper's coefficients, in the same nesting of objects (with
+    string keys) and lists, each exact rational in canonical form; the
+    builder refuses whatever else they hold."""
+    if isinstance(value, dict):
+        return {str(k): _exact(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    try:
+        return str(parse_fraction(value))
+    except InvalidSpec:
+        return value
 
 
 def _space_of(value, what):
@@ -101,23 +111,11 @@ def _space_of(value, what):
     return value
 
 
-def _label_class(ring, raw, where, degree=None, allow_empty=False):
-    """The class of `ring` given by a {label: coefficient} object."""
-    if not isinstance(raw, dict) or (not raw and not allow_empty):
-        raise InvalidSpec(f"{where}: expected a nonempty object of label -> coefficient")
-    unknown = sorted(label for label in raw if label not in ring.label_index)
-    if unknown:
-        raise InvalidSpec(f"{where}: unknown basis labels {unknown}")
-    coeffs = {label: parse_fraction(val, f"{where}[{label!r}]") for label, val in raw.items()}
-    with _prefixed(where):
-        return ring.from_label_dict(coeffs, degree=degree)
-
-
 # -- projective space ---------------------------------------------------------
 
 
 def projective_space(n):
-    return build_space({"kind": "projective_space", "n": int(n)})
+    return build_space({"kind": "projective_space", "n": n})
 
 
 def _build_projective(spec):
@@ -134,7 +132,7 @@ def _build_projective(spec):
 
 
 def grassmannian(k, n):
-    return build_space({"kind": "grassmannian", "k": int(k), "n": int(n)})
+    return build_space({"kind": "grassmannian", "k": k, "n": n})
 
 
 def _build_grassmannian(spec):
@@ -181,26 +179,20 @@ def ci_model(ambient, xi, middle_rank, middle_pairing=None):
     """Ring of a complete intersection cut out of `ambient` by a class
     with fundamental class `xi`, with `middle_rank` abstract primitive
     middle classes (see the builder for the full contract)."""
-    if isinstance(xi, ClassVector):
-        xi_raw = {xi.ring.basis[i][0]: str(c) for i, c in sorted(xi.coeffs.items())}
-    else:
-        xi_raw = _exact_strings(xi, "xi")
     spec = {
         "kind": "ci_model",
         "ambient": _space_of(ambient, "ci_model ambient"),
-        "fundamental_class_expr": xi_raw,
-        "middle_rank": int(middle_rank),
+        "fundamental_class_expr": _exact(xi.label_dict() if isinstance(xi, ClassVector) else xi),
+        "middle_rank": middle_rank,
     }
     if middle_pairing is not None:
-        spec["middle_pairing"] = [
-            [str(parse_fraction(v, "middle_pairing")) for v in row] for row in middle_pairing
-        ]
+        spec["middle_pairing"] = _exact(middle_pairing)
     return build_space(spec)
 
 
 def hypersurface_model(n, d, middle_rank):
     """Degree-d hypersurface in P^n as a ci_model."""
-    return ci_model({"kind": "projective_space", "n": int(n)}, {"h": int(d)}, middle_rank)
+    return ci_model({"kind": "projective_space", "n": n}, {"h": d}, middle_rank)
 
 
 def _default_middle_pairing(rank, odd):
@@ -222,12 +214,11 @@ def _default_middle_pairing(rank, odd):
 def _build_ci_model(spec, space=None):
     """The ci_model ring of `spec`, described by `space` when given
     (a plane curve family is a ci_model under its own description)."""
-    amb = build_space(_require_field(spec, "ambient"))
+    amb = build_space(_require(spec, "ambient", "ci_model"))
     if any(deg % 2 for _, deg in amb.basis):
         raise InvalidSpec("ci_model ambient must have even cohomology only")
-    xi = _label_class(
-        amb, _require_field(spec, "fundamental_class_expr"), "ci_model fundamental_class_expr"
-    )
+    with _prefixed("ci_model fundamental_class_expr"):
+        xi = amb.from_label_dict(_require(spec, "fundamental_class_expr", "ci_model"))
     if xi.is_zero() or xi.degree % 2 or xi.degree == 0:
         raise InvalidSpec(
             "ci_model fundamental_class_expr must be homogeneous of positive even degree"
@@ -365,15 +356,9 @@ def blowup(base, center, codim, pushforward, normal_chern=None):
         "kind": "blowup",
         "base": _space_of(base, "blowup base"),
         "center": _space_of(center, "blowup center"),
-        "codim": int(codim),
-        "center_pushforward_expr": {
-            str(z): _exact_strings(img, f"pushforward[{z!r}]")
-            for z, img in pushforward.items()
-        },
-        "normal_chern": {
-            str(j): _exact_strings(cls, f"normal_chern[{j!r}]")
-            for j, cls in (normal_chern or {}).items()
-        },
+        "codim": codim,
+        "center_pushforward_expr": _exact(pushforward),
+        "normal_chern": _exact(normal_chern or {}),
     }
     return build_space(spec)
 
@@ -382,8 +367,8 @@ def _build_blowup(spec):
     """The blow-up ring h(X) + h(Z)(-1) + ... + h(Z)(-(c-1)) (Manin,
     1968), with Keel's products (Fulton, Intersection Theory, 6.7), read
     off the base and center structure tables."""
-    base = build_space(_require_field(spec, "base"))
-    center = build_space(_require_field(spec, "center"))
+    base = build_space(_require(spec, "base", "blowup"))
+    center = build_space(_require(spec, "center", "blowup"))
     c = _int_field(spec, "codim", 1)
     if any(deg % 2 for _, deg in base.basis) or any(deg % 2 for _, deg in center.basis):
         raise InvalidSpec("blowup requires base and center with even cohomology only")
@@ -403,8 +388,9 @@ def _build_blowup(spec):
     for zl, zdeg in center.basis:
         if zl not in raw_push:
             raise InvalidSpec(f"blowup: pushforward missing center class {zl!r}")
-        img = _label_class(base, raw_push[zl], f"pushforward of {zl!r}")
-        if not img.is_zero() and img.degree != zdeg + 2 * c:
+        with _prefixed(f"pushforward of {zl!r}"):
+            img = base.from_label_dict(raw_push[zl])
+        if img.degree != zdeg + 2 * c:
             raise InvalidSpec(
                 f"blowup: pushforward of {zl!r} must have degree {zdeg + 2 * c}"
             )
@@ -424,8 +410,8 @@ def _build_blowup(spec):
     for j in range(1, c + 1):
         rawj = raw_chern.get(str(j), raw_chern.get(j))
         if rawj is not None:
-            chern[j] = _label_class(center, rawj, f"normal_chern c_{j}", 2 * j,
-                                    allow_empty=True).coeffs
+            with _prefixed(f"normal_chern c_{j}"):
+                chern[j] = center.from_label_dict(rawj, 2 * j).coeffs
         elif j < c or c >= 3:
             raise InvalidSpec(f"blowup: normal_chern missing c_{j}")
 
@@ -514,9 +500,7 @@ def _build_blowup(spec):
 
 
 def plane_curve_family(d, middle_rank=0):
-    return build_space(
-        {"kind": "plane_curve_family", "d": int(d), "middle_rank": int(middle_rank)}
-    )
+    return build_space({"kind": "plane_curve_family", "d": d, "middle_rank": middle_rank})
 
 
 def _build_plane_curve_family(spec):

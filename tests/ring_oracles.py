@@ -33,6 +33,7 @@ from chowkunneth.correspondences import CorrespondenceClass, diagonal
 from chowkunneth.errors import DegeneratePairing, InvalidSpec, NonLefschetzRange
 from chowkunneth.graded_ring import ClassVector, GradedBasisRing, RingMap
 from chowkunneth.kunneth import ProjectorSet
+from chowkunneth.serialize import _prefixed, _require
 
 
 def gauss_jordan(rows, ncols):
@@ -152,13 +153,11 @@ def pairwise_ci_model(spec):
     every product of two basis classes is found by the kinds of its
     factors (restricted ambient, primitive or dual), each restricted
     ambient product twisted by xi above the middle."""
-    amb = spaces.build_space(spaces._require_field(spec, "ambient"))
+    amb = spaces.build_space(_require(spec, "ambient", "ci_model"))
     if any(deg % 2 for _, deg in amb.basis):
         raise InvalidSpec("ci_model ambient must have even cohomology only")
-    xi = spaces._label_class(
-        amb, spaces._require_field(spec, "fundamental_class_expr"),
-        "ci_model fundamental_class_expr",
-    )
+    with _prefixed("ci_model fundamental_class_expr"):
+        xi = amb.from_label_dict(_require(spec, "fundamental_class_expr", "ci_model"))
     if xi.is_zero() or xi.degree % 2 or xi.degree == 0:
         raise InvalidSpec(
             "ci_model fundamental_class_expr must be homogeneous of positive even degree"

@@ -397,6 +397,40 @@ def test_act_unknown_label_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+ACT_ARGUMENTS = {
+    "mixed degrees, one coefficient zero": '{"h": 1, "h^2": 0}',
+    "unknown label": "zz",
+    "unknown label in an object": '{"h": 1, "zz": "2"}',
+    "empty object": "{}",
+    "float": '{"h": 0.5}',
+    "bool": '{"h": true}',
+    "division by zero": '{"h": "1/0"}',
+    "bare float": "0.5",
+    "bare rational string": '"1/0"',
+}
+
+
+@pytest.mark.parametrize("argument", ACT_ARGUMENTS.values(), ids=ACT_ARGUMENTS.keys())
+def test_act_reads_its_argument_as_the_library_does(capsys, tmp_path, argument):
+    """`--argument` is read by `from_label_dict`, a bare label as
+    {label: 1}: each of these exits 2 with the library's message."""
+    delta = tmp_path / "delta.json"
+    run(capsys, "diagonal", "--space", P2, "--out", str(delta))
+    with pytest.raises(InvalidSpec) as exc:
+        spaces.projective_space(2).from_label_dict(
+            json.loads(argument) if argument.startswith("{") else {argument: 1})
+    assert run(capsys, "act", str(delta), "--argument", argument) == (
+        2, "", f"error: --argument: {exc.value}\n")
+
+
+def test_act_zero_coefficients_give_the_degree(capsys, tmp_path):
+    delta = tmp_path / "delta.json"
+    run(capsys, "diagonal", "--space", P2, "--out", str(delta))
+    for argument, degree in (('{"h": "0"}', 2), ('{"h^2": 0}', 4), ('{"1": "0"}', 0)):
+        assert run(capsys, "act", str(delta), "--argument", argument) == (
+            0, f"image in degree {degree}: 0\n", "")
+
+
 # -- lift / stabilize --------------------------------------------------------------------
 
 

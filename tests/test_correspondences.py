@@ -22,7 +22,7 @@ from chowkunneth.equivariant import (
     torus_group,
     unit_lift,
 )
-from chowkunneth.errors import RingMismatch
+from chowkunneth.errors import InvalidSpec, RingMismatch
 from chowkunneth.graded_ring import ClassVector
 import ring_oracles
 from ring_oracles import pure_tensor, transpose
@@ -101,6 +101,18 @@ def test_terms_must_be_homogeneous():
     P1 = spaces.projective_space(1)
     with pytest.raises(ValueError):
         CorrespondenceClass(P1, P1, 0, {(0, 0): 1})  # 1 x 1 has degree 0, not 2
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True])
+def test_correspondences_refuse_floats_and_bools(value):
+    P2 = spaces.projective_space(2)
+    with pytest.raises(InvalidSpec, match=f"expected an exact rational string, got {value}$"):
+        CorrespondenceClass(P2, P2, 0, {(0, 2): value})
+    with pytest.raises(InvalidSpec, match=f"expected an exact rational string, got {value}$"):
+        diagonal(P2).scale(value)
+    assert CorrespondenceClass(P2, P2, 0, {(0, 2): "1/2"}).terms == {(0, 2): Fraction(1, 2)}
+    with pytest.raises(InvalidSpec, match=f"^'degree_shift' must be an integer, got {value}$"):
+        CorrespondenceClass(P2, P2, value, {})
 
 
 def test_pure_tensor_infers_shift():

@@ -26,7 +26,9 @@ from chowkunneth.equivariant import (
     unit_lift,
     verify_equivariant,
 )
-from chowkunneth.errors import RingMismatch, UnsupportedAction
+from chowkunneth.errors import (
+    InvalidSpec, RingMismatch, SizeLimitExceeded, UnsupportedAction,
+)
 from chowkunneth.graded_ring import RingMap
 from chowkunneth.kunneth import (
     ProjectorSet,
@@ -161,6 +163,31 @@ def test_model_bound_validation():
     X = spaces.projective_space(1)
     with pytest.raises(ValueError, match="the truncation bound must be an even integer >= 0"):
         EquivariantModel(X, torus_group(1), 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GroupSpec("general_linear", -10**5000), InvalidSpec,
+     "'rank': the group rank must be an integer >= 1, got less than -10^30"),
+    (lambda: GroupSpec(10**5000, 1), InvalidSpec, "'kind': unknown group kind more than 10^30"),
+    (lambda: EquivariantModel(spaces.projective_space(1), torus_group(1), -10**5000),
+     InvalidSpec, "'N': the truncation bound must be an integer >= 0, got less than -10^30"),
+    (lambda: EquivariantModel(spaces.projective_space(1), torus_group(1), 10**5000 + 1),
+     InvalidSpec, "'N': the truncation bound must be an even integer >= 0, got more than 10^30"),
+    (lambda: EquivariantModel(spaces.projective_space(1), torus_group(1), 10**5000),
+     SizeLimitExceeded, "the parameter ring of multiplicative_torus of rank 1 truncated at "
+     "N = more than 10^30 would hold more than 10^30 monomials of 1 exponents each, past "
+     "the limit of 1000000 exponents"),
+    (lambda: EquivariantModel(spaces.projective_space(1), torus_group(10**5000), 2),
+     SizeLimitExceeded, "the parameter ring of multiplicative_torus of rank more than 10^30 "
+     "truncated at N = 2 would hold more than 10^30 monomials of more than 10^30 exponents "
+     "each, past the limit of 1000000 exponents"),
+], ids=["GL rank", "group kind", "negative bound", "odd bound", "even bound", "torus rank"])
+def test_ints_too_long_to_print_are_named_by_a_bound(call, error, message):
+    """Python prints no int of over 4300 digits; each of these once
+    ended in its ValueError instead of the engine's error."""
+    with pytest.raises(error) as got:
+        call()
+    assert str(got.value) == message
 
 
 def test_trivial_model_diagonal_has_unit_parameters():

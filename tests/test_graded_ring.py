@@ -11,6 +11,7 @@ import pytest
 from chowkunneth import graded_ring, spaces
 from chowkunneth.errors import (
     DegeneratePairing,
+    InvalidSpec,
     NotRingMap,
     RingAxiomError,
     RingMismatch,
@@ -222,8 +223,34 @@ def test_from_label_dict_requires_homogeneity():
     assert v.degree == 2 and v.label_dict() == {"h": Fraction(2, 3)}
     with pytest.raises(ValueError):
         ring.from_label_dict({"1": 1, "h": 1})
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidSpec, match=r"^unknown basis labels \['nope'\]$"):
         ring.from_label_dict({"nope": 1})
+
+
+def test_zero_coefficients_count_toward_the_degree():
+    ring = plane_ring()
+    assert ring.from_label_dict({"h": "0"}) == ring.zero(2)
+    assert ring.from_label_dict({}, degree=4) == ring.zero(4)
+    with pytest.raises(InvalidSpec, match="^class is not homogeneous$"):
+        ring.from_label_dict({"h": 1, "h^2": 0})
+    with pytest.raises(InvalidSpec, match="^expected classes of degree 4$"):
+        ring.from_label_dict({"h^2": 1, "h": 0}, degree=4)
+    for empty in ({}, [], "h"):
+        with pytest.raises(InvalidSpec, match="^expected a nonempty object of label"):
+            ring.from_label_dict(empty)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, True])
+def test_library_classes_refuse_floats_and_bools(value):
+    """As documents do: `from_label_dict({"h": 0.1})` once built
+    (3602879701896397/36028797018963968)*h."""
+    ring = plane_ring()
+    h = ring.basis_class("h")
+    for call in (lambda: ring.from_label_dict({"h": value}),
+                 lambda: ClassVector(ring, 2, {1: value}),
+                 lambda: h.scale(value), lambda: value * h):
+        with pytest.raises(InvalidSpec, match=f"expected an exact rational string, got {value}$"):
+            call()
 
 
 def test_class_degree_mismatch_and_ring_mismatch():

@@ -1,8 +1,10 @@
 """Exact JSON round trips for every document shape."""
 
+import ast
 import collections
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -472,3 +474,42 @@ def test_member_rows_are_checked_alike_in_sets_and_families():
         bad["projectors"].append({"index": 99, "terms": []})
         with pytest.raises(InvalidSpec, match=r"index 99 outside \[0, 2\]"):
             read(bad)
+
+
+# -- the one JSON reader ---------------------------------------------------------------
+
+
+def json_parse_calls(source):
+    """(line, call) for each parse of JSON text: a call of `load` or
+    `loads` of the `json` module, by attribute or imported by name."""
+    names = {f"json.{name}" for name in ("load", "loads")}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in ("load", "loads")}
+    return [(node.lineno, ast.unparse(node.func)) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in names]
+
+
+def test_only_serialize_parses_json_text():
+    """Documents and inline command-line arguments are read by one
+    function of `serialize`, which names the input in its errors."""
+    found = [(path.name, *call)
+             for path in sorted(Path(serialize.__file__).parent.glob("*.py"))
+             if path.name != "serialize.py"
+             for call in json_parse_calls(path.read_text(encoding="utf-8"))]
+    assert not found
+
+
+def test_the_json_guard_finds_every_parse():
+    source = (
+        "import json\n"
+        "from json import loads as read, dumps\n"
+        "def f(text, handle):\n"
+        "    json.loads(text)\n"
+        "    json.load(handle)\n"
+        "    read(text)\n"
+        "    json.dumps(text)\n"
+        "    dumps(text)\n"
+    )
+    assert json_parse_calls(source) == [(4, "json.loads"), (5, "json.load"), (6, "read")]

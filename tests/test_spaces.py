@@ -1,6 +1,8 @@
 """Space constructors: shapes, products, sections, blow-ups, formulas."""
 
+import inspect
 import json
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -594,6 +596,148 @@ def test_helper_coefficients_are_exact():
     with pytest.raises(InvalidSpec):
         spaces.blowup(P3, spaces.projective_space(1), 2,
                       {"1": {"h^2": 1}, "h": {"h^3": 1}}, normal_chern={1: {"h": 2.0}})
+
+
+# -- one reader per input ---------------------------------------------------------------
+
+
+def _helper_table():
+    """{helper: (call, its valid arguments, the description the call
+    writes, the fields that hold coefficients)}. The description of a
+    call is written by hand, not read off the helper."""
+    P3, P1 = {"kind": "projective_space", "n": 3}, {"kind": "projective_space", "n": 1}
+    return {
+        "projective_space": (
+            spaces.projective_space, {"n": 2},
+            lambda n: {"kind": "projective_space", "n": n}, ()),
+        "grassmannian": (
+            spaces.grassmannian, {"k": 2, "n": 4},
+            lambda k, n: {"kind": "grassmannian", "k": k, "n": n}, ()),
+        "plane_curve_family": (
+            spaces.plane_curve_family, {"d": 2, "middle_rank": 0},
+            lambda d, middle_rank: {"kind": "plane_curve_family", "d": d,
+                                    "middle_rank": middle_rank}, ()),
+        "hypersurface_model": (
+            spaces.hypersurface_model, {"n": 3, "d": 2, "middle_rank": 0},
+            lambda n, d, middle_rank: {
+                "kind": "ci_model", "ambient": {"kind": "projective_space", "n": n},
+                "fundamental_class_expr": {"h": d}, "middle_rank": middle_rank}, ("d",)),
+        "ci_model": (
+            lambda xi, middle_rank, pairing: spaces.ci_model(
+                spaces.projective_space(3), {"h": xi}, middle_rank, [[pairing]]),
+            {"xi": 2, "middle_rank": 1, "pairing": 1},
+            lambda xi, middle_rank, pairing: {
+                "kind": "ci_model", "ambient": P3, "fundamental_class_expr": {"h": xi},
+                "middle_rank": middle_rank, "middle_pairing": [[pairing]]},
+            ("xi", "pairing")),
+        "blowup": (
+            lambda codim, push, chern: spaces.blowup(
+                spaces.projective_space(3), spaces.projective_space(1), codim,
+                {"1": {"h^2": push}, "h": {"h^3": 1}}, {1: {"h": chern}}),
+            {"codim": 2, "push": 1, "chern": 2},
+            lambda codim, push, chern: {
+                "kind": "blowup", "base": P3, "center": P1, "codim": codim,
+                "center_pushforward_expr": {"1": {"h^2": push}, "h": {"h^3": 1}},
+                "normal_chern": {"1": {"h": chern}}},
+            ("push", "chern")),
+    }
+
+
+def _outcome(call):
+    """The ring a call builds, or the type and text of its error."""
+    try:
+        return call()
+    except ChowKunnethError as exc:
+        return type(exc), str(exc)
+
+
+def _cli_outcome(capsys, spec):
+    code = cli.main(["build", "--space", json.dumps(spec)])
+    return code, capsys.readouterr().err
+
+
+PARITY_VALUES = {"float": 2.5, "bool": True, "numeric string": "2", "negative": -1}
+
+
+@pytest.mark.parametrize("value", PARITY_VALUES.values(), ids=PARITY_VALUES.keys())
+@pytest.mark.parametrize("helper", sorted(_helper_table()))
+def test_helpers_documents_and_the_cli_share_one_reader(capsys, helper, value):
+    """Each field of each helper given a float, a bool, a numeric string
+    or a negative: the helper, `build_space` on the description and
+    `build --space` end alike, in the same InvalidSpec message (exit 2,
+    one `error:` line) or in equal rings. An int field refuses all four;
+    a coefficient field refuses a float and a bool."""
+    call, good, describe, coefficients = _helper_table()[helper]
+    for field in good:
+        args = {**good, field: value}
+        spec = describe(**args)
+        got = _outcome(lambda: call(**args))
+        want = _outcome(lambda: spaces.build_space(spec))
+        code, err = _cli_outcome(capsys, spec)
+        refused = field not in coefficients or isinstance(value, (bool, float))
+        if refused:
+            assert got[0] is InvalidSpec, (helper, field, got)
+        if isinstance(want, tuple):
+            assert got == want and (code, err) == (2, f"error: {want[1]}\n"), (helper, field)
+        else:
+            assert got == want and code == 0 and err == "", (helper, field)
+
+
+@pytest.mark.parametrize("helper", sorted(_helper_table()))
+def test_a_missing_field_is_named_alike_by_the_library_and_the_cli(capsys, helper):
+    _, good, describe, _ = _helper_table()[helper]
+    full = describe(**good)
+    assert spaces.build_space(full).space == full
+    for field in set(full) - {"kind"}:
+        spec = {k: v for k, v in full.items() if k != field}
+        want = _outcome(lambda: spaces.build_space(spec))
+        code, err = _cli_outcome(capsys, spec)
+        if (helper, field) in (("plane_curve_family", "middle_rank"),
+                               ("ci_model", "middle_pairing")):
+            assert code == 0 and not isinstance(want, tuple), (helper, field)
+            continue
+        assert want[0] is InvalidSpec and (code, err) == (2, f"error: {want[1]}\n"), field
+    assert "plane_curve_family: missing field 'd'" in _outcome(
+        lambda: spaces.build_space({"kind": "plane_curve_family"}))
+
+
+def test_a_description_must_be_json_data():
+    for spec in ({"kind": "projective_space", "n": Fraction(2)},
+                 {"kind": "projective_space", "n": 10**5000},
+                 {"kind": "projective_space", "n": -10**5000},
+                 {"kind": "product", "factors": [{"kind": "projective_space", "n": 1}, {1, 2}]}):
+        with pytest.raises(InvalidSpec, match="^space description must be JSON data: "):
+            spaces.build_space(spec)
+    for call in (lambda: spaces.projective_space(Fraction(2)),
+                 lambda: spaces.grassmannian(2, 10**5000)):
+        with pytest.raises(InvalidSpec, match="^space description must be JSON data: "):
+            call()
+
+
+def test_a_description_nested_too_deeply_is_malformed_input(capsys, monkeypatch):
+    """Products nested ever deeper, each built afresh under a recursion
+    limit 150 frames above the test's: each builds or ends in one
+    `error:` line. The nesting runs out inside a builder or inside the
+    cache key; once a builder's RecursionError ended `build` in a
+    traceback."""
+    monkeypatch.setattr(spaces, "_CACHE", {})
+    spec, refused = {"kind": "projective_space", "n": 1}, 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        for _ in range(200):
+            spec = {"kind": "product", "factors": [spec]}
+            spaces._CACHE.clear()
+            code, err = cli.main(["build", "--space", json.dumps(spec)]), capsys.readouterr().err
+            if code:
+                assert (code, err) == (2, "error: space description is nested too deeply "
+                                          "to build\n")
+                refused += 1
+                if refused == 20:
+                    break
+    finally:
+        sys.setrecursionlimit(limit)
+    assert refused == 20
 
 
 # -- the universal family ------------------------------------------------------------
