@@ -10,10 +10,10 @@ compose and act for lifted correspondences.
 
 from fractions import Fraction
 
-from .errors import RingMismatch
+from .errors import RingMismatch, _require_int, _shown
 from .graded_ring import ClassVector
 from .linalg import _integer_scaled
-from .serialize import _require_int, _shown, parse_fraction
+from .serialize import parse_fraction
 
 
 class CorrespondenceClass:

@@ -14,10 +14,12 @@ are exact degreewise up to the bound.
 from fractions import Fraction
 
 from .correspondences import CorrespondenceClass, _act, _compose, diagonal
-from .errors import InvalidSpec, RingMismatch, SizeLimitExceeded, UnsupportedAction
+from .errors import (
+    InvalidSpec, RingMismatch, SizeLimitExceeded, UnsupportedAction, _require_int, _shown,
+)
 from .kunneth import ProjectorSet, _action_rows, _components, _report, report_passes
 from .linalg import _integer_scaled
-from .serialize import _require_int, _shown, fraction_str
+from .serialize import fraction_str
 
 
 # -- groups and parameter rings ---------------------------------------------
@@ -535,10 +537,11 @@ def lift_projectors(P, G, N, model=None):
 def verify_equivariant(F):
     """Exact verification of a lifted family inside its truncation:
     the report of `verify_ck`, with composition, action and the
-    diagonal taken in the model. Graded-action residual rows carry the
-    parameter monomial, listed by (basis index, monomial), and are built
-    only for an image that is not e at the unit monomial on the member's
-    degree and zero elsewhere.
+    diagonal taken in the model. Graded-action entries are decided by
+    the join of `_action_rows`, which reads the model's integer partner
+    table: e is expected at the unit monomial on the member's degree and
+    zero elsewhere. `act` builds only a failing entry's residual rows,
+    which carry the parameter monomial, by (basis index, monomial).
 
     Idempotence composes each member with itself. Orthogonality composes
     only the pairs with a member that fails a graded-action entry; a
@@ -556,13 +559,10 @@ def verify_equivariant(F):
     base, bg = model.base, model.bg
     unit = bg.unit_mono
 
-    def residual_rows(p, e, on_degree):
-        residual = p.act(e)
-        expected = {(k, unit): c for k, c in e.coeffs.items()} if on_degree else {}
-        if residual == expected:
-            return []
-        for key, c in expected.items():
-            residual[key] = residual.get(key, 0) - c
+    def residual_rows(p, k, on_degree):
+        residual = p.act(base.basis_vector(k))
+        if on_degree:
+            residual[k, unit] = residual.get((k, unit), 0) - 1
         return [[base.basis[j][0], bg.mono_label(m), fraction_str(c)]
                 for (j, m), c in sorted(residual.items()) if c]
 

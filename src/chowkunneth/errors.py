@@ -3,7 +3,8 @@
 Every failure mode that callers are expected to branch on gets its own
 class; anything else surfaces as a plain ValueError/TypeError from the
 offending operation. A ring construction that fails a named check
-raises a `RingAxiomError` carrying that name.
+raises a `RingAxiomError` carrying that name. The int check and the
+value formatter live here so that the formulas can load them alone.
 """
 
 
@@ -82,3 +83,22 @@ class NonLefschetzRange(RingAxiomError):
 
     def __init__(self, message):
         super().__init__(self.check, message)
+
+
+def _shown(value):
+    """`value` as an error message names it: its repr, or for an int of
+    more than 30 digits only that bound, since Python prints no int of
+    over 4300 digits."""
+    if isinstance(value, int) and not -10**30 <= value <= 10**30:
+        return "more than 10^30" if value > 0 else "less than -10^30"
+    return repr(value)
+
+
+def _require_int(value, where, minimum=None):
+    """`value`, checked to be an int (not a bool) of at least `minimum`;
+    `where` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, int) or (
+            minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidSpec(f"{where} must be an integer{bound}, got {_shown(value)}")
+    return value

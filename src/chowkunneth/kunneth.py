@@ -18,10 +18,7 @@ from .correspondences import (
     zero_correspondence,
 )
 from .errors import (
-    IncompleteInput,
-    NotIdempotent,
-    OddRankObstruction,
-    RingMismatch,
+    IncompleteInput, InvalidSpec, NotIdempotent, OddRankObstruction, RingMismatch, _require_int,
 )
 from .graded_ring import tensor_ring
 from .serialize import fraction_str
@@ -36,6 +33,8 @@ class ProjectorSet:
     `complete` is a claim (sum equals the diagonal) recorded by the
     constructor, not inferred; `remainder_indices` marks the members
     that complete the others to the diagonal, and must name members.
+    The constructor checks them for library calls and documents alike:
+    each index by `_index`, `complete` a bool, each remainder an int.
     """
 
     __slots__ = ("ring", "projectors", "complete", "remainder_indices")
@@ -43,27 +42,34 @@ class ProjectorSet:
     def __init__(self, ring, projectors, complete=False, remainder_indices=()):
         self.ring = ring
         top = 2 * ring.dim
+        for i in projectors:
+            self._index(i, top)
         projs = {}
         for i in sorted(projectors):
             p = projectors[i]
-            i = int(i)
-            if not 0 <= i <= top:
-                raise ValueError(f"index {i} outside [0, {top}]")
             if p.source != ring or p.target != ring:
                 raise RingMismatch(
                     "projector members must be self-correspondences of the set's ring"
                 )
             if p.shift != 0:
-                raise ValueError(
-                    f"member at index {i} has degree shift {p.shift}, expected 0"
-                )
+                raise InvalidSpec(f"member at index {i} has degree shift {p.shift}, expected 0")
             projs[i] = p
         self.projectors = projs
-        self.complete = bool(complete)
-        self.remainder_indices = frozenset(int(i) for i in remainder_indices)
+        self.remainder_indices = frozenset(
+            _require_int(i, "each of 'remainder_indices'") for i in remainder_indices)
+        if not isinstance(complete, bool):
+            raise InvalidSpec("'complete' must be true or false")
+        self.complete = complete
         stray = sorted(self.remainder_indices - set(projs))
         if stray:
-            raise ValueError(f"remainder index {stray[0]} is not a member index")
+            raise InvalidSpec(f"remainder index {stray[0]} is not a member index")
+
+    @staticmethod
+    def _index(i, top):
+        """`i`, checked to be a member index: an int in [0, top]."""
+        if not 0 <= _require_int(i, "'index'") <= top:
+            raise InvalidSpec(f"index {i} outside [0, {top}]")
+        return i
 
     def indices(self):
         return tuple(sorted(self.projectors))
@@ -196,8 +202,8 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
     which supply the composition of two members (`compose_pair(f, g)`
     applies f first), the diagonal (`delta()`, called only when the set
     claims completeness) and `action_rows(i, p)`: (basis label,
-    residual rows) per basis class, with no rows where member p at
-    index i acts correctly. Every member's rows are gathered first; the
+    residual rows) per basis class, None where member p at index i
+    passes; rows decide no verdict. Every member's rows come first; the
     entries follow in report order. A residual is built only for a
     failed check: idempotence compares terms, and completeness holds at
     once when the members' supports are disjoint and their union is the
@@ -205,12 +211,10 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
     it sums every member's terms, less the diagonal's, in one dict.
 
     Orthogonality composes every ordered pair unless
-    `orthogonality_from_action` is set. Then two members that both pass
-    every graded-action entry are orthogonal without a composition, and
-    only the pairs with a failing member compose. That is exact when the
-    action matrix A_γ determines γ: A_{f∘g} = A_f A_g, so two passing
-    members have A_{p_i∘p_j} = E_i E_j = 0 for the degree projections
-    E_i, E_j (`verify_equivariant` proves it for a truncated model)."""
+    `orthogonality_from_action` is set. Then only the pairs with a member
+    that fails a graded-action entry compose: that is exact when the
+    action determines a member, as `verify_equivariant` proves for a
+    truncated model."""
     members = P.projectors
     idx = P.indices()
     rows = {i: list(action_rows(i, members[i])) for i in idx}
@@ -220,7 +224,8 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
         square = compose_pair(p, p)
         entries.append(_entry("idempotence", (i,),
                               None if square.terms == p.terms else square - p))
-    passing = {i for i in idx if orthogonality_from_action and not any(r for _, r in rows[i])}
+    passing = {i for i in idx
+               if orthogonality_from_action and all(r is None for _, r in rows[i])}
     entries.extend(
         _entry("orthogonality", (i, j), None if i in passing and j in passing
                else compose_pair(members[i], members[j]))
@@ -243,40 +248,48 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
     for i in idx:
         for label, residual in rows[i]:
             entry = {"check": "graded_action", "indices": [i],
-                     "basis_class": label, "pass": not residual}
-            if residual:
+                     "basis_class": label, "pass": residual is None}
+            if residual is not None:
                 entry["residual_class"] = residual
             entries.append(entry)
     return entries
 
 
 def _action_rows(P, base, residual_rows):
-    """`action_rows` for `_report` over the basis of `base`, where
-    `residual_rows(p, e, on_degree)` gives the rows of member p's action
-    on e, less e on the member's degree. A class off the member's degree
-    that pairs with none of its sources is carried to zero: it has no
-    rows and is not acted on. The classes a member reaches are gathered
-    once, from its sources' partner rows: the partner table's support is
-    symmetric, so k is among the partners of a source exactly when a
-    source is among the partners of k. Each partner row's classes are
-    gathered once per report, and each basis vector is made when a
-    member first acts on it."""
-    partners = P.ring._integer_partners()[1]
-    reached, vectors = {}, {}
+    """`action_rows` for `_report` over the basis of `base`: member p at
+    index i passes or fails every class by one join in integer
+    numerators, and `residual_rows(p, k, on_degree)` acts on a failing
+    class k only. The join meets each source s of p's rows with the
+    classes k of its partner row: the image of e_k gains ∫e_k·e_s =
+    (-1)^(deg s·deg k) ∫e_s·e_k times the row, under the int k S + j W
+    + code, W the `_limit` and S = W |basis|. Over the scale L of the
+    rows and the table, the image of e_k must be L e_k at code 0 (the
+    unit's) on the member's degree and zero elsewhere."""
+    scale_p, partners = P.ring._integer_partners()
+    degrees = [d for _, d in base.basis]
 
     def action_rows(i, p):
-        reach = set()
-        for s in p._by_source()[1]:
-            if s not in reached:
-                reached[s] = {k for k, _ in partners[s]}
-            reach |= reached[s]
+        limit = p._limit
+        stride = limit * len(degrees)
+        scale_g, rows = p._by_source()
+        images = {}
+        for s, row in rows.items():
+            odd = degrees[s] % 2
+            for k, poly in partners[s]:
+                at = k * stride
+                sign = -1 if odd and degrees[k] % 2 else 1
+                for mp, vp in poly:
+                    v = sign * vp
+                    for m2, key, c in row:
+                        if mp + m2 < limit:
+                            key += at + mp
+                            images[key] = images.get(key, 0) + v * c
+        unit = scale_g * scale_p
+        expected = {k * (stride + limit): unit for k, d in enumerate(degrees) if d == i}
+        wrong = {key: v for key, v in images.items() if v}.items() ^ expected.items()
+        failing = {key // stride for key, _ in wrong}
         for k, (label, degree) in enumerate(base.basis):
-            if degree == i or k in reach:
-                if k not in vectors:
-                    vectors[k] = base.basis_vector(k)
-                yield label, residual_rows(p, vectors[k], degree == i)
-            else:
-                yield label, []
+            yield label, residual_rows(p, k, degree == i) if k in failing else None
 
     return action_rows
 
@@ -287,17 +300,16 @@ def verify_ck(P):
     (one `compose` each), completeness (only when the set claims it),
     and the graded action of each member on every basis class. Returns
     the report (a list of entries {check, indices, pass,
-    residual_class?}) and stores it on the set. Graded-action residuals
-    are classes, listed by label, built only for an image that is not
-    the expected one (e on the member's degree, zero elsewhere); classes
-    a member cannot reach are not acted on."""
+    residual_class?}) and stores it on the set. Graded-action entries
+    are decided in integer numerators from one join per member
+    (`_action_rows`); `act` builds the residual of a failing entry
+    only, a class listed by label: the image less e on the member's
+    degree, the image elsewhere."""
     X = P.ring
 
-    def residual_rows(p, e, on_degree):
-        image = act(p, e)
-        if image.coeffs == (e.coeffs if on_degree else {}):
-            return []
-        residual = image - e if on_degree else image
+    def residual_rows(p, k, on_degree):
+        e = X.basis_vector(k)
+        residual = act(p, e) - e if on_degree else act(p, e)
         return [[lab, fraction_str(c)] for lab, c in sorted(residual.label_dict().items())]
 
     return _report(P, compose, lambda: diagonal(X), _action_rows(P, X, residual_rows))

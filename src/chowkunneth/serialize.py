@@ -165,25 +165,6 @@ def _require(doc, field, where):
     return doc[field]
 
 
-def _shown(value):
-    """`value` as an error message names it: its repr, or for an int of
-    more than 30 digits only that bound, since Python prints no int of
-    over 4300 digits."""
-    if isinstance(value, int) and not -10**30 <= value <= 10**30:
-        return "more than 10^30" if value > 0 else "less than -10^30"
-    return repr(value)
-
-
-def _require_int(value, where, minimum=None):
-    """`value`, checked to be an int (not a bool) of at least `minimum`;
-    `where` names it in the error."""
-    if isinstance(value, bool) or not isinstance(value, int) or (
-            minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise InvalidSpec(f"{where} must be an integer{bound}, got {_shown(value)}")
-    return value
-
-
 @contextmanager
 def _prefixed(where):
     """Raise a ValueError from the block, an InvalidSpec included, as an
@@ -292,12 +273,16 @@ def _set_document(head, head_doc, P):
 
 
 def _set_from_document(doc, where, make_set, ring, columns, make_member):
+    """The set or family of a document. `make_set` checks every field;
+    its index check runs as each member is read, so duplicates are ints."""
     raw = _require(doc, "projectors", where)
     if not isinstance(raw, list):
         raise InvalidSpec(f"{where}: 'projectors' must be a list")
     members, parsed = {}, {}
     for entry in raw:
-        i = _require_int(_require(entry, "index", where), f"{where}: 'index'")
+        i = _require(entry, "index", where)
+        with _prefixed(where):
+            make_set._index(i, 2 * ring.dim)
         if i in members:
             raise InvalidSpec(f"{where}: duplicate projector index {i}")
         members[i] = _read_terms(
@@ -307,13 +292,9 @@ def _set_from_document(doc, where, make_set, ring, columns, make_member):
     remainder = doc.get("remainder_indices", [])
     if not isinstance(remainder, list):
         raise InvalidSpec(f"{where}: 'remainder_indices' must be a list, got {remainder!r}")
-    for r in remainder:
-        _require_int(r, f"{where}: each of 'remainder_indices'")
-    complete = doc.get("complete", False)
-    if not isinstance(complete, bool):
-        raise InvalidSpec(f"{where}: 'complete' must be true or false")
     with _prefixed(where):
-        return make_set(ring, members, complete=complete, remainder_indices=remainder)
+        return make_set(ring, members, complete=doc.get("complete", False),
+                        remainder_indices=remainder)
 
 
 def projector_set_document(P):

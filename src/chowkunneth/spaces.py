@@ -22,12 +22,13 @@ from math import comb, prod
 from . import linalg
 from .errors import (
     DegeneratePairing, InvalidSpec, NonLefschetzRange, NotRingMap, SizeLimitExceeded,
+    _require_int, _shown,
 )
 from .formulas import barth_range, fano_delta, fano_delta_notes, rep_variety_dim
 from .graded_ring import (
     ClassVector, GradedBasisRing, RingMap, _combine, _IntegerTable, _product, tensor_ring,
 )
-from .serialize import _prefixed, _require, _require_int, _shown, parse_fraction
+from .serialize import _prefixed, _require, parse_fraction
 
 _CACHE = {}
 

@@ -720,7 +720,7 @@ def fraction_verify_equivariant(F):
             if degree == i:
                 residual[k, bg.unit_mono] = residual.get((k, bg.unit_mono), 0) - 1
             yield label, [[base.basis[j][0], bg.mono_label(m), str(c)]
-                          for (j, m), c in sorted(residual.items()) if c]
+                          for (j, m), c in sorted(residual.items()) if c] or None
 
     return _report(F, fraction_compose, F.model.diagonal, action_rows)
 
@@ -728,13 +728,13 @@ def fraction_verify_equivariant(F):
 def test_joins_build_their_results_without_revalidation(monkeypatch):
     """A join's result is valid by construction: over a report on
     `plane_curve_family(4)` and one on a weighted P8 lift, `compose`
-    and `act` call neither correspondence class's constructor nor
-    `ClassVector`'s, and the report builds no correspondence with one:
-    the diagonal of the completeness check is built once from the
-    pairing block inverses or the model's closed form. The only
-    validated classes are the basis vectors the actions start from.
-    The ordinary report composes every ordered pair; the lifted one
-    composes each member with itself and also acts."""
+    calls neither correspondence class's constructor nor `ClassVector`'s,
+    and a passing report builds no validated class at all: the diagonal
+    of the completeness check is built once from the pairing block
+    inverses or the model's closed form, and the graded-action join
+    decides every entry without a basis vector or an action. The
+    ordinary report composes every ordered pair; the lifted one
+    composes each member with itself."""
     P = full_projectors(spaces.plane_curve_family(4))
     M = equivariant_projective_torus((3, -2, 0, 1, 1, 5, -4, 2, 7), 32)
     F = lift_projectors(full_projectors(M.base), M.group, 32, model=M)
@@ -764,10 +764,9 @@ def test_joins_build_their_results_without_revalidation(monkeypatch):
         built.clear()
         from_joins.clear()
         assert report_passes(verify(S))
-        assert len(from_joins) > joins
+        assert len(from_joins) == joins
         assert sum(from_joins) == 0
-        assert set(built) <= {ClassVector}
-    assert built
+        assert built == []
 
 
 # -- ordinary composition and action, term by term ----------------------------------
@@ -815,7 +814,7 @@ def oracle_verify_ck(P):
         for k, (label, degree) in enumerate(X.basis):
             e = X.basis_vector(k)
             residual = oracle_act(p, e) - e if degree == i else oracle_act(p, e)
-            yield label, [[lab, str(c)] for lab, c in sorted(residual.label_dict().items())]
+            yield label, [[lab, str(c)] for lab, c in sorted(residual.label_dict().items())] or None
 
     return _report(P, oracle_compose, lambda: diagonal(X), action_rows)
 
@@ -965,10 +964,16 @@ def test_tampering_after_verification_is_reported():
     assert not report_passes(report) and report == fraction_verify_equivariant(tampered)
 
 
-def test_plane_curve_family_8_report_acts_once_per_class(monkeypatch):
-    """|I|^2 compositions, and one action per basis class: a full set's
-    member of degree i only reaches the classes of degree i (6,204
-    actions when every member acted on every class)."""
+def graded_action_failures_count(report):
+    return sum(e["check"] == "graded_action" and not e["pass"] for e in report)
+
+
+def test_plane_curve_family_8_report_acts_only_on_failing_entries(monkeypatch):
+    """|I|^2 compositions, and no action on a passing set: the join
+    decides all 132 x |I| graded-action entries (6,204 actions when every
+    member acted on every class). A set whose member 2 is scaled by 3
+    fails on each class of degree 2 and acts once per failing entry,
+    with the same compositions."""
     P = full_projectors(spaces.plane_curve_family(8))
     calls = {"compose": 0, "act": 0}
 
@@ -982,7 +987,14 @@ def test_plane_curve_family_8_report_acts_once_per_class(monkeypatch):
     monkeypatch.setattr(kunneth, "act", counted("act", act))
     assert report_passes(verify_ck(P))
     assert len(P.ring.basis) == 132
-    assert calls == {"compose": len(P.indices()) ** 2, "act": 132}
+    assert calls == {"compose": len(P.indices()) ** 2, "act": 0}
+    tampered = ProjectorSet(P.ring, {**P.projectors, 2: P.member(2).scale(3)}, complete=True)
+    calls.update(compose=0, act=0)
+    report = verify_ck(tampered)
+    failing = graded_action_failures_count(report)
+    assert failing == P.ring.rank(2) > 0
+    assert calls == {"compose": len(P.indices()) ** 2, "act": failing}
+    assert report == oracle_verify_ck(tampered)
 
 
 def counted_lifted_joins(monkeypatch):
@@ -1001,20 +1013,28 @@ def weighted_p8_family():
     return lift_projectors(full_projectors(M.base), M.group, 32, model=M)
 
 
-def test_weighted_p8_report_acts_once_per_reached_class(monkeypatch):
+def test_weighted_p8_report_acts_only_on_failing_entries(monkeypatch):
     """The lifted twin: one composition per member, its square, since
     orthogonality of members that pass the graded action is read off
-    their actions; and one action per class a member reaches. On P8
-    with weights at N = 32 the member of degree 2m has the sources h^a,
-    a <= 8 - m, and h^a pairs with h^k only in parameter degree
-    2(a + k - 8) >= 0, so the member reaches no class below its degree;
-    with these weights it reaches every class from its degree up:
-    9 + 8 + ... + 1 = 45 actions of 81."""
+    their actions, and no action at all: the join decides all 81
+    entries. When member 4 gains h^3 x h^5 at the unit monomial the
+    report composes the 2(|I| - 1) ordered pairs with member 4 as well,
+    and acts once per failing entry."""
     F = weighted_p8_family()
     calls = counted_lifted_joins(monkeypatch)
     assert report_passes(verify_equivariant(F))
     assert len(F.indices()) == len(F.model.base.basis) == 9
-    assert calls == {"compose": 9, "act": sum(9 - m for m in range(9))}
+    assert calls == {"compose": 9, "act": 0}
+    M = F.model
+    h3, h5 = M.base.label_index["h^3"], M.base.label_index["h^5"]
+    extra = EquivariantCorrespondence(M, 0, {(h3, h5, M.bg.unit_mono): 2})
+    tampered = EquivariantProjectorFamily(M, {**F.projectors, 4: F.member(4) + extra},
+                                          complete=True)
+    calls.update(compose=0, act=0)
+    report = verify_equivariant(tampered)
+    failing = graded_action_failures_count(report)
+    assert failing > 0
+    assert calls == {"compose": 9 + 2 * 8, "act": failing}
 
 
 def test_weighted_p8_report_composes_the_pairs_of_a_failing_member(monkeypatch):
