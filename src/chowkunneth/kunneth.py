@@ -299,12 +299,11 @@ def verify_ck(P):
     idempotence of each member, orthogonality of every ordered pair
     (one `compose` each), completeness (only when the set claims it),
     and the graded action of each member on every basis class. Returns
-    the report (a list of entries {check, indices, pass,
-    residual_class?}) and stores it on the set. Graded-action entries
-    are decided in integer numerators from one join per member
-    (`_action_rows`); `act` builds the residual of a failing entry
-    only, a class listed by label: the image less e on the member's
-    degree, the image elsewhere."""
+    the report, a list of entries {check, indices, pass,
+    residual_class?}. Graded-action entries are decided in integer
+    numerators from one join per member (`_action_rows`); `act` builds
+    the residual of a failing entry only, a class listed by label: the
+    image less e on the member's degree, the image elsewhere."""
     X = P.ring
 
     def residual_rows(p, k, on_degree):

@@ -746,6 +746,46 @@ def test_malformed_set_claims_exit_2(capsys, tmp_path, command, case):
     assert "Traceback" not in err
 
 
+# (index of member 0, complete, remainder_indices) of the set of P1, whose
+# members sit at indices 0, 1 and 2, and the one message its constructor,
+# its document and `verify FILE` give for it.
+SET_INPUTS = {
+    "index a float": ((0.5, False, []), "'index' must be an integer, got 0.5"),
+    "index a bool": ((True, False, []), "'index' must be an integer, got True"),
+    "index a string": (("0", False, []), "'index' must be an integer, got '0'"),
+    "index out of range": ((5, False, []), "index 5 outside [0, 2]"),
+    "complete a string": ((0, "no", []), "'complete' must be true or false"),
+    "complete an integer": ((0, 1, []), "'complete' must be true or false"),
+    "remainder a float": ((0, False, [2.7]),
+                          "each of 'remainder_indices' must be an integer, got 2.7"),
+    "remainder a bool": ((0, False, [True]),
+                         "each of 'remainder_indices' must be an integer, got True"),
+    "remainder not a member": ((0, False, [3]), "remainder index 3 is not a member index"),
+}
+
+
+@pytest.mark.parametrize("case", SET_INPUTS.values(), ids=SET_INPUTS.keys())
+def test_set_inputs_give_one_message_everywhere(capsys, tmp_path, case):
+    """`ProjectorSet` checks its inputs, and the document reader passes
+    them through: a library call, a document and `verify FILE` (exit 2)
+    give one InvalidSpec message."""
+    (index, complete, remainder), message = case
+    P = full_projectors(spaces.projective_space(1))
+    with pytest.raises(InvalidSpec) as raised:
+        ProjectorSet(P.ring, {index if i == 0 else i: p for i, p in P.projectors.items()},
+                     complete=complete, remainder_indices=remainder)
+    assert str(raised.value) == message
+    doc = serialize.projector_set_document(P)
+    doc["projectors"][0]["index"] = index
+    doc.update(complete=complete, remainder_indices=remainder)
+    with pytest.raises(InvalidSpec) as raised:
+        serialize.projector_set_from_document(doc)
+    assert str(raised.value) == f"projector set: {message}"
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "verify", str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
 # -- formulas ----------------------------------------------------------------------------------
 
 

@@ -6,9 +6,8 @@ with those of p, and builds the residual p∘p − p only when they differ;
 it passes completeness without arithmetic when the members' supports
 are disjoint and their union is the diagonal's terms, and otherwise
 sums every member's terms, less the diagonal's, in one dict. The
-graded-action check gathers the classes a member reaches once, from
-its sources' partner rows, and compares each image with the expected
-class, building residual rows only when they differ.
+graded-action check decides every entry from one integer join per
+member and acts only on a failing class, to build its residual rows.
 The loop these replaced, which subtracted p from every p∘p, added the
 members one by one to −Δ, scanned each class's partner row for one of
 the member's sources and subtracted e from every image on the member's
@@ -20,11 +19,15 @@ action, several of them, or none. `subtraction_report` composes every
 ordered pair of members, as the ordinary report still does.
 
 A lifted report decides the orthogonality of two members that both
-pass their graded action without composing them. The last section
+pass their graded action without composing them. A later section
 pins each step of the argument for that, and holds the lifted report
 against `fraction_verify_equivariant`, which composes every pair, on
 seeded tampered families whose failing members carry orthogonality
 residuals.
+
+The last section holds the join's verdicts against a term-loop action
+on every basis class, on sets with odd classes and with a partner table
+whose scale is not 1, and on tampered copies of each.
 """
 
 import random
@@ -33,7 +36,7 @@ from fractions import Fraction
 import pytest
 
 from chowkunneth import equivariant, kunneth, spaces
-from chowkunneth.correspondences import CorrespondenceClass, act, diagonal
+from chowkunneth.correspondences import CorrespondenceClass, act, compose, diagonal
 from chowkunneth.equivariant import (
     EquivariantCorrespondence,
     EquivariantProjectorFamily,
@@ -45,6 +48,8 @@ from chowkunneth.equivariant import (
     verify_equivariant,
 )
 from chowkunneth.kunneth import (
+    ProjectorSet,
+    _components,
     _entry,
     full_projectors,
     report_passes,
@@ -55,10 +60,13 @@ from chowkunneth.serialize import model_document, model_from_document
 from ring_oracles import failing_checks
 from test_acceptance import corpus_rings
 from test_table_oracles import (
+    fraction_act,
     fraction_verify_equivariant,
     lifted_models,
     mixed_coefficient,
     mono_product,
+    oracle_act,
+    oracle_verify_ck,
     random_classes,
     random_lifted,
     random_ordinary,
@@ -503,3 +511,158 @@ def test_composite_acts_as_the_second_after_the_first(name):
             assert got == {key: c for key, c in want.items() if c}
             nonzero += bool(got)
     assert nonzero
+
+
+# -- the graded action decided by one join per member --------------------------------
+#
+# `kunneth._action_rows` passes or fails every (member, class) entry from
+# one integer join of the member's rows with the partner table, which
+# carries the graded sign ∫e_k·e_s = (-1)^(deg s·deg k) ∫e_s·e_k, and acts
+# only on a failing class to build its residual. Its verdicts are read here
+# with a `residual_rows` that never acts, and held against the term loops
+# `oracle_act` and `fraction_act`, one action per basis class.
+
+
+def plane_cubic(pairing=None):
+    return spaces.ci_model(spaces.projective_space(2), {"h": 3}, 2, pairing)
+
+
+def components_set(X):
+    """The diagonal's components as a complete set, on a ring with odd
+    classes below the middle, which `full_projectors` refuses."""
+    delta = diagonal(X)
+    return ProjectorSet(X, {p: delta._with_terms(t) for p, t in _components(delta, X.basis).items()},
+                        complete=True)
+
+
+def parity_sets():
+    """name -> a passing set or family: every golden-corpus ring,
+    `plane_curve_family(4)`, E x P1 and E x E with odd classes (E a plane
+    cubic), E with a middle pairing of denominator 3 (a partner table
+    whose scale is not 1) times P1, the weighted P8 family, the trivial
+    torus and GL lifts of the benchmark session and trivial lifts of the
+    sets with odd classes."""
+    P1, G = spaces.projective_space(1), spaces.grassmannian
+    third = Fraction(1, 3)
+    sets = {repr(X): full_projectors(X) for X in corpus_rings()}
+    sets["curves(4)"] = full_projectors(spaces.plane_curve_family(4))
+    for name, X in (("E x P1", spaces.product_space(plane_cubic(), P1)),
+                    ("E x E", spaces.product_space(plane_cubic(), plane_cubic())),
+                    ("E(1/3) x P1", spaces.product_space(
+                        plane_cubic([[0, third], [-third, 0]]), P1))):
+        sets[name] = components_set(X)
+        sets[f"{name} T1"] = lift_projectors(sets[name], torus_group(1), 4)
+    M = equivariant_projective_torus((3, -2, 0, 1, 1, 5, -4, 2, 7), 32)
+    sets["weighted P8"] = lift_projectors(full_projectors(M.base), M.group, 32, model=M)
+    for name, X, group in (
+            ("G(3,6)xP1 T2", spaces.product_space(G(3, 6), P1), torus_group(2)),
+            ("G(2,4)xG(2,4) GL2", spaces.product_space(G(2, 4), G(2, 4)),
+             general_linear_group(2))):
+        sets[name] = lift_projectors(full_projectors(X), group, 4)
+    return sets
+
+
+PARITY_SETS = parity_sets()
+
+
+def odd_term(S, rng):
+    """A degree-0 term e_a x e_b with a and b both odd, lifted at the unit
+    monomial for a family, or None when the ring has no odd classes."""
+    lifted = isinstance(S, EquivariantProjectorFamily)
+    base = S.model.base if lifted else S.ring
+    top = 2 * base.dim
+    pairs = [(a, b) for a, (_, da) in enumerate(base.basis)
+             for b, (_, db) in enumerate(base.basis) if da % 2 and db % 2 and da + db == top]
+    if not pairs:
+        return None
+    key = rng.choice(pairs) + ((S.model.bg.unit_mono,) if lifted else ())
+    return one_term(S, key, mixed_coefficient(rng))
+
+
+def parity_tampered(S, rng):
+    """Copies of S, each claiming completeness: a nonzero member scaled
+    by 3, and one plus a term off its degree (`off_degree_term`), and
+    when the ring has odd classes one plus an odd x odd term."""
+    projs = S.projectors
+    i = rng.choice([k for k in S.indices() if not projs[k].is_zero()])
+    changes = [projs[i].scale(3), projs[i] + off_degree_term(S, i, rng)]
+    if (x := odd_term(S, rng)) is not None:
+        changes.append(projs[i] + x)
+    return [type(S)(S.ring, {**projs, i: p}, complete=True) for p in changes]
+
+
+def join_verdicts(S):
+    """{(i, k): pass} for every member i and basis class k, as
+    `_action_rows` decides them; its `residual_rows` never acts."""
+    base = S.model.base if isinstance(S, EquivariantProjectorFamily) else S.ring
+    action_rows = kunneth._action_rows(S, base, lambda p, k, on_degree: [])
+    return {(i, k): rows is None for i in S.indices()
+            for k, (_, rows) in enumerate(action_rows(i, S.member(i)))}
+
+
+def action_verdicts(S):
+    """{(i, k): pass}, each from the term-loop action of member i on
+    e_k: e_k (at the unit monomial) on the member's degree, else zero."""
+    lifted = isinstance(S, EquivariantProjectorFamily)
+    base = S.model.base if lifted else S.ring
+    verdicts = {}
+    for i in S.indices():
+        for k, (_, degree) in enumerate(base.basis):
+            e = base.basis_vector(k)
+            if lifted:
+                unit = S.model.bg.unit_mono
+                passes = fraction_act(S.member(i), e) == ({(k, unit): 1} if degree == i else {})
+            else:
+                passes = oracle_act(S.member(i), e).coeffs == (e.coeffs if degree == i else {})
+            verdicts[i, k] = passes
+    return verdicts
+
+
+@pytest.mark.parametrize("name", list(PARITY_SETS))
+def test_join_verdicts_equal_the_action_verdicts(name):
+    """On each set and its tampered copies, the join passes exactly the
+    (member, class) entries whose term-loop action is the expected
+    class, and the whole report equals the one that acts on every
+    class. Every tampered copy fails some entry."""
+    S = PARITY_SETS[name]
+    rng = random.Random(f"parity {name}")
+    lifted = isinstance(S, EquivariantProjectorFamily)
+    verify, oracle = ((verify_equivariant, fraction_verify_equivariant) if lifted
+                      else (verify_ck, oracle_verify_ck))
+    for k, T in enumerate([S, *parity_tampered(S, rng)]):
+        verdicts = join_verdicts(T)
+        assert verdicts == action_verdicts(T), (name, k)
+        assert all(verdicts.values()) == (k == 0), (name, k)
+        assert verify(T) == oracle(T), (name, k)
+
+
+def test_odd_sets_carry_the_graded_sign():
+    """The parity sets hold what the join must get right: on the rings
+    with odd classes the partner table is antisymmetric on odd pairs, so
+    a join that read ∫e_s·e_k for ∫e_k·e_s would fail their passing
+    sets, and the table of E(1/3) x P1 has the scale 3, not 1."""
+    for name in ("E x P1", "E x E", "E(1/3) x P1"):
+        X = PARITY_SETS[name].ring
+        table = {(j, k): v for j, row in enumerate(X._integer_partners()[1])
+                 for k, poly in row for _, v in poly}
+        odd = [(j, k) for j, k in table if X.basis[j][1] % 2 and X.basis[k][1] % 2]
+        assert odd and all(table[k, j] == -table[j, k] for j, k in odd), name
+    assert PARITY_SETS["E(1/3) x P1"].ring._integer_partners()[0] == 3
+
+
+def test_a_failing_verdict_stays_a_failing_entry():
+    """`_report` takes each graded-action verdict as `action_rows` gives
+    it: None passes the entry, and rows fail it, even empty ones. So a
+    class the join failed is reported as failing whatever its residual
+    turns out to be, and is never masked to a pass."""
+    P = full_projectors(spaces.projective_space(2))
+    verdicts = [None, [], [["h", "1"]]]
+
+    def action_rows(i, p):
+        for (label, _), rows in zip(P.ring.basis, verdicts):
+            yield label, rows
+
+    report = kunneth._report(P, compose, lambda: diagonal(P.ring), action_rows)
+    entries = [e for e in report if e["check"] == "graded_action" and e["indices"] == [0]]
+    assert [(e["pass"], e.get("residual_class")) for e in entries] == [
+        (True, None), (False, []), (False, [["h", "1"]])]

@@ -832,6 +832,25 @@ def test_fano_rejects_bad_degrees():
         spaces.fano_delta(3, (0,), 1)
 
 
+@pytest.mark.parametrize("call, args", [
+    (spaces.fano_delta, (4.9, [3.2], 1.5)),
+    (spaces.fano_delta, (4.0, [3], 1)),
+    (spaces.fano_delta, (4, [3.0], 1)),
+    (spaces.fano_delta, (4, [3], True)),
+    (spaces.fano_delta, (4, [True], 1)),
+    (spaces.fano_delta_notes, (4, [3], 1.0)),
+    (spaces.rep_variety_dim, (True, 2.9)),
+    (spaces.rep_variety_dim, (2, 2.0)),
+    (spaces.barth_range, (6.0, 4)),
+    (spaces.barth_range, (6, True)),
+])
+def test_formulas_refuse_arguments_that_are_not_ints(call, args):
+    """A float or a bool is refused, not truncated: `fano_delta(4.9,
+    [3.2], 1.5)` once returned 1 and `rep_variety_dim(True, 2.9)` 6."""
+    with pytest.raises(InvalidSpec, match="must be an integer"):
+        call(*args)
+
+
 def test_representation_variety_dimension_values():
     assert spaces.rep_variety_dim(2, 2) == 13
     assert spaces.rep_variety_dim(1, 3) == 12

@@ -13,8 +13,9 @@ product classes, with tuple terms and the Koszul sign of the whole
 tuples, is kept here as its oracle. Ordinary and lifted `compose` and
 `act` are one pair of joins over two views each correspondence keeps
 of its terms, in integer numerators with parameter monomials as
-integer codes, built without re-validation; both reports skip the
-classes a member cannot reach. The loops over every term (on
+integer codes, built without re-validation; both reports decide
+the graded action from one integer join per member and act only on a
+failing class. The loops over every term (on
 `Fraction`s and exponent tuples for lifted ones), and the reports that
 act on every class, are kept here as their oracles, and the codes are
 checked against the product of monomials on every pair.
