@@ -510,7 +510,7 @@ def lift_projectors(P, G, N, model=None):
         model = equivariant_trivial_action(P.ring, G, N)
     if model.group != G:
         raise RingMismatch("model was built for a different group")
-    if model.N != int(N):
+    if model.N != _truncation_bound(N):
         raise RingMismatch("model was built for a different truncation bound")
     if P.ring != model.base:
         raise RingMismatch("projector set does not live over the model's base")
@@ -594,7 +594,7 @@ def stabilization_check(X, G, P, D, N1, N2):
     coefficient of parameter degree <= D. Requires D <= N1 <= N2."""
     if P.ring != X:
         raise RingMismatch("projector set does not live over the given ring")
-    if not 0 <= D <= N1 <= N2:
+    if not 0 <= _require_int(D, "D") <= N1 <= N2:
         raise InvalidSpec(f"the bounds must satisfy 0 <= D <= N1 <= N2, got D = {D}, "
                           f"N1 = {N1}, N2 = {N2}")
     F1 = lift_projectors(P, G, N1)

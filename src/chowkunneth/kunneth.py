@@ -41,11 +41,8 @@ class ProjectorSet:
 
     def __init__(self, ring, projectors, complete=False, remainder_indices=()):
         self.ring = ring
-        top = 2 * ring.dim
-        for i in projectors:
-            self._index(i, top)
         projs = {}
-        for i in sorted(projectors):
+        for i in sorted(self._index(i, 2 * ring.dim) for i in projectors):
             p = projectors[i]
             if p.source != ring or p.target != ring:
                 raise RingMismatch(

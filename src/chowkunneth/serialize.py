@@ -264,7 +264,7 @@ def correspondence_from_document(doc, where="correspondence"):
 def _set_document(head, head_doc, P):
     return {
         head: head_doc,
-        "complete": bool(P.complete),
+        "complete": P.complete,
         "remainder_indices": sorted(P.remainder_indices),
         "projectors": [
             {"index": i, "terms": _label_rows(P.projectors[i])} for i in P.indices()

@@ -617,6 +617,16 @@ def test_lift_model_consistency_checks():
                         torus_group(1), 4, model=M)
 
 
+@pytest.mark.parametrize("N", [4.9, 4.0, True])
+def test_lift_refuses_a_bound_that_is_not_an_int(N):
+    """The bound a model is checked against is read as `bg_ring` reads
+    one, not truncated: a model at N = 4 once took N = 4.9."""
+    P = full_projectors(spaces.projective_space(1))
+    M = equivariant_trivial_action(spaces.projective_space(1), torus_group(1), 4)
+    with pytest.raises(InvalidSpec, match="'N': the truncation bound must be an integer"):
+        lift_projectors(P, torus_group(1), N, model=M)
+
+
 def test_lifted_family_validation():
     M = equivariant_trivial_action(spaces.projective_space(1), torus_group(1), 4)
     other = equivariant_trivial_action(spaces.projective_space(2), torus_group(1), 4)
@@ -749,6 +759,8 @@ def test_stabilization_bound_validation():
         stabilization_check(P2, torus_group(1), P, 4, 10, 6)
     with pytest.raises(ValueError):
         stabilization_check(P2, torus_group(1), P, -2, 6, 10)
+    with pytest.raises(InvalidSpec, match="D must be an integer, got 1.5"):
+        stabilization_check(P2, torus_group(1), P, 1.5, 2, 4)
     with pytest.raises(RingMismatch):
         stabilization_check(
             spaces.projective_space(3), torus_group(1), P, 4, 6, 10
