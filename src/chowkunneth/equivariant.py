@@ -274,22 +274,21 @@ class EquivariantModel:
     def _integer_partners(self):
         """(L, rows), built once in the shape of a ring's table: row j
         lists (k, [(code, L * value)]) for every nonzero `pair_poly(j,
-        k)`. A trivial model has the base ring's table. A weighted pair
-        is computed only when its parameter degree deg e_j + deg e_k -
-        2 dim lies in [0, N], outside which it is zero."""
+        k)`. A weighted pair depends only on s = (deg e_j + deg e_k) / 2 -
+        dim: rows share, and no join writes, one cell `pair_poly(dim, s)`
+        per s in [0, N / 2] (e_i = h^i), each in some row, so L is theirs."""
         if self._scaled is None:
             if self.weights is None:
                 self._scaled = self.base._integer_partners()
             else:
-                degree = [d for _, d in self.base.basis]
-                low, high = 2 * self.dim, 2 * self.dim + self.N
-                rows = [[(k, poly) for k, dk in enumerate(degree)
-                         if low <= dj + dk <= high and (poly := self.pair_poly(j, k))]
-                        for j, dj in enumerate(degree)]
-                code = self.bg.code_of
-                scale, nums = _integer_scaled(v for r in rows for _, p in r for v in p.values())
-                self._scaled = scale, [[(k, [(code[m], next(nums)) for m in p]) for k, p in r]
-                                       for r in rows]
+                n, code = self.dim, self.bg.code_of
+                cells = [self.pair_poly(n, s) for s in range(min(n, self.N // 2) + 1)]
+                scale, nums = _integer_scaled(v for c in cells for v in c.values())
+                cells = [[(code[m], next(nums)) for m in c] for c in cells]
+                half = [d // 2 for _, d in self.base.basis]
+                self._scaled = scale, [[(k, cells[s]) for k, dk in enumerate(half)
+                                        if 0 <= (s := dj + dk - n) < len(cells) and cells[s]]
+                                       for dj in half]
         return self._scaled
 
     def diagonal(self):
@@ -500,8 +499,9 @@ def lift_projectors(P, G, N, model=None):
     Every member lifts with unit parameter coefficient. A weighted
     model accepts only the standard decomposition of its base
     projective space, and replaces member 2k by the terms of the
-    model's diagonal with target h^k: these stay exactly idempotent,
-    orthogonal and complete in the truncation. Only the members it does
+    model's diagonal with target h^k, valid and nonzero as they stand:
+    these stay exactly idempotent, orthogonal and complete in the
+    truncation. Only the members it does
     not replace (the zero middle member of an odd-dimensional base) are
     lifted. Any other set raises UnsupportedAction. With no model, the
     trivial-action model is used.
@@ -517,9 +517,8 @@ def lift_projectors(P, G, N, model=None):
     projs = {}
     if model.weights is not None:
         delta = model.diagonal()
-        projs = {
-            i: delta._with_terms(t) for i, t in _components(delta, model.base.basis).items()
-        }
+        projs = {i: EquivariantCorrespondence._trusted(model, model, 0, t)
+                 for i, t in _components(delta, model.base.basis).items()}
         actual = {i: p for i, p in P.projectors.items() if not p.is_zero()}
         if actual != {i: p.restrict() for i, p in projs.items()}:
             raise UnsupportedAction(

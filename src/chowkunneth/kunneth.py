@@ -106,10 +106,10 @@ def _components(delta, basis):
 
 def full_projectors(X):
     """The complete decomposition: one member per component of the
-    diagonal. Odd degrees strictly below the middle must have rank zero
-    (OddRankObstruction otherwise); the middle member, whatever its
-    parity, is always present, even when zero, and is the set's
-    remainder index."""
+    diagonal, its valid, nonzero terms taken as they stand. Odd degrees
+    strictly below the middle must have rank zero (OddRankObstruction
+    otherwise); the middle member, whatever its parity, is always
+    present, even when zero, and is the set's remainder index."""
     d = X.dim
     for t in X.degrees():
         if t % 2 and t < d and X.rank(t) > 0:
@@ -119,7 +119,7 @@ def full_projectors(X):
     delta = diagonal(X)
     groups = _components(delta, X.basis)
     groups.setdefault(d, {})
-    projs = {p: delta._with_terms(terms) for p, terms in groups.items()}
+    projs = {p: delta._trusted(X, X, 0, terms) for p, terms in groups.items()}
     return ProjectorSet(X, projs, complete=True, remainder_indices={d})
 
 
@@ -253,15 +253,15 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
 
 
 def _action_rows(P, base, residual_rows):
-    """`action_rows` for `_report` over the basis of `base`: member p at
-    index i passes or fails every class by one join in integer
-    numerators, and `residual_rows(p, k, on_degree)` acts on a failing
-    class k only. The join meets each source s of p's rows with the
-    classes k of its partner row: the image of e_k gains ∫e_k·e_s =
-    (-1)^(deg s·deg k) ∫e_s·e_k times the row, under the int k S + j W
-    + code, W the `_limit` and S = W |basis|. Over the scale L of the
-    rows and the table, the image of e_k must be L e_k at code 0 (the
-    unit's) on the member's degree and zero elsewhere."""
+    """`action_rows` for `_report` over the basis of `base`: one join in
+    integer numerators decides every class for member p at index i, and
+    `residual_rows(p, k, on_degree)` acts on a failing class k only. The
+    join meets each source s of p's rows with the classes k of its
+    partner row: the image of e_k gains ∫e_k·e_s = (-1)^(deg s·deg k)
+    ∫e_s·e_k times the row, under the int k S + j W + code, W the
+    `_limit` and S = W |basis|. Over the scale L of the rows and the
+    table, the nonzero images must be {k S + k W: L} for e_k on p's degree,
+    one dict comparison; only a failing p sorts out the classes at fault."""
     scale_p, partners = P.ring._integer_partners()
     degrees = [d for _, d in base.basis]
 
@@ -283,10 +283,11 @@ def _action_rows(P, base, residual_rows):
                             images[key] = images.get(key, 0) + v * c
         unit = scale_g * scale_p
         expected = {k * (stride + limit): unit for k, d in enumerate(degrees) if d == i}
-        wrong = {key: v for key, v in images.items() if v}.items() ^ expected.items()
+        nonzero = {key: v for key, v in images.items() if v}
+        wrong = () if nonzero == expected else nonzero.items() ^ expected.items()
         failing = {key // stride for key, _ in wrong}
-        for k, (label, degree) in enumerate(base.basis):
-            yield label, residual_rows(p, k, degree == i) if k in failing else None
+        return [(label, residual_rows(p, k, degree == i) if k in failing else None)
+                for k, (label, degree) in enumerate(base.basis)]
 
     return action_rows
 

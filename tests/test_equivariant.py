@@ -580,8 +580,10 @@ def test_model_pairing_partners_are_the_nonzero_pairings():
 def test_partner_table_skips_pairs_outside_the_parameter_range(monkeypatch):
     # The pairing of e_a and e_k has parameter degree
     # deg e_a + deg e_k - 2 dim; outside [0, N] it is zero or truncated,
-    # so the table must not call pair_poly there. A trivial model reads
-    # the base ring's pairing table and calls pair_poly nowhere.
+    # so the table must not call pair_poly there. Within it a weighted
+    # pairing depends on that degree alone, so the table calls pair_poly
+    # once per degree. A trivial model reads the base ring's pairing
+    # table and calls pair_poly nowhere.
     calls = []
     inner = EquivariantModel.pair_poly
 
@@ -593,7 +595,7 @@ def test_partner_table_skips_pairs_outside_the_parameter_range(monkeypatch):
     X = spaces.product_space(spaces.grassmannian(3, 6), spaces.projective_space(1))
     cases = (
         (equivariant_trivial_action(X, torus_group(2), 4), 0),  # read from the base
-        (equivariant_projective_torus((0, 1, 3, -2), 4), 9),  # of 4^2 pairs
+        (equivariant_projective_torus((0, 1, 3, -2), 4), 3),  # degrees 0, 2, 4
     )
     for M, expected in cases:
         calls.clear()
