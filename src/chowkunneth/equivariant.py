@@ -499,12 +499,11 @@ def lift_projectors(P, G, N, model=None):
     Every member lifts with unit parameter coefficient. A weighted
     model accepts only the standard decomposition of its base
     projective space, and replaces member 2k by the terms of the
-    model's diagonal with target h^k, valid and nonzero as they stand:
-    these stay exactly idempotent, orthogonal and complete in the
-    truncation. Only the members it does
-    not replace (the zero middle member of an odd-dimensional base) are
-    lifted. Any other set raises UnsupportedAction. With no model, the
-    trivial-action model is used.
+    model's diagonal with target h^k, a subset of its valid, nonzero
+    terms taken as they stand: these stay exactly idempotent, orthogonal
+    and complete in the truncation. Only the members it does not replace
+    (the zero middle member of an odd-dimensional base) are lifted; any
+    other set raises UnsupportedAction. No model means the trivial one.
     """
     if model is None:
         model = equivariant_trivial_action(P.ring, G, N)

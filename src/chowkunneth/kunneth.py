@@ -256,14 +256,15 @@ def _action_rows(P, base, residual_rows):
     """`action_rows` for `_report` over the basis of `base`: one join in
     integer numerators decides every class for member p at index i, and
     `residual_rows(p, k, on_degree)` acts on a failing class k only. The
-    join meets each source s of p's rows with the classes k of its
-    partner row: the image of e_k gains ∫e_k·e_s = (-1)^(deg s·deg k)
-    ∫e_s·e_k times the row, under the int k S + j W + code, W the
-    `_limit` and S = W |basis|. Over the scale L of the rows and the
-    table, the nonzero images must be {k S + k W: L} for e_k on p's degree,
-    one dict comparison; only a failing p sorts out the classes at fault."""
+    join meets each source s of p's rows with its partner row, signed and
+    flattened once per report: the image of e_k gains ∫e_k·e_s =
+    (-1)^(deg s·deg k) ∫e_s·e_k times the row, under the int k S + j W +
+    code, W the `_limit` and S = W |basis|. Over the scale L of rows and
+    table, the nonzero images must be {k S + k W: L} on p's degree: one
+    dict comparison; only a failing p sorts out the classes at fault."""
     scale_p, partners = P.ring._integer_partners()
     degrees = [d for _, d in base.basis]
+    signed = {}
 
     def action_rows(i, p):
         limit = p._limit
@@ -271,16 +272,15 @@ def _action_rows(P, base, residual_rows):
         scale_g, rows = p._by_source()
         images = {}
         for s, row in rows.items():
-            odd = degrees[s] % 2
-            for k, poly in partners[s]:
-                at = k * stride
-                sign = -1 if odd and degrees[k] % 2 else 1
-                for mp, vp in poly:
-                    v = sign * vp
-                    for m2, key, c in row:
-                        if mp + m2 < limit:
-                            key += at + mp
-                            images[key] = images.get(key, 0) + v * c
+            if (flat := signed.get((s, limit))) is None:
+                flat = signed[s, limit] = [
+                    (k * stride + mp, mp, -v if degrees[s] % 2 and degrees[k] % 2 else v)
+                    for k, poly in partners[s] for mp, v in poly]
+            for m2, key, c in row:
+                for at, mp, v in flat:
+                    if mp + m2 < limit:
+                        at += key
+                        images[at] = images.get(at, 0) + v * c
         unit = scale_g * scale_p
         expected = {k * (stride + limit): unit for k, d in enumerate(degrees) if d == i}
         nonzero = {key: v for key, v in images.items() if v}
