@@ -275,8 +275,9 @@ class EquivariantModel:
         """(L, rows), built once in the shape of a ring's table: row j
         lists (k, [(code, L * value)]) for every nonzero `pair_poly(j,
         k)`. A weighted pair depends only on s = (deg e_j + deg e_k) / 2 -
-        dim: rows share, and no join writes, one cell `pair_poly(dim, s)`
-        per s in [0, N / 2] (e_i = h^i), each in some row, so L is theirs."""
+        dim, so rows share (and no join writes) one cell `pair_poly(dim,
+        s)` per s in [0, min(dim, N / 2)]; each cell lies in some row, so
+        the cells' lcm is the table's L. A trivial model has the base's."""
         if self._scaled is None:
             if self.weights is None:
                 self._scaled = self.base._integer_partners()

@@ -1,8 +1,10 @@
 """Truncated parameter models, lifted projectors, stabilization."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -32,12 +34,13 @@ from chowkunneth.errors import (
 from chowkunneth.graded_ring import RingMap
 from chowkunneth.kunneth import (
     ProjectorSet,
+    _components,
     full_projectors,
     report_passes,
     verify_ck,
 )
 from chowkunneth.serialize import family_document, family_from_document
-from ring_oracles import diagonal_component, fraction_partners
+from ring_oracles import diagonal_component, failing_checks, fraction_partners
 
 
 # -- groups -------------------------------------------------------------------
@@ -559,7 +562,8 @@ def models_in_this_file():
 
 def oracle_partner_table(M):
     """The model's partner table as it was built before a trivial model
-    read it from the base ring: `pair_poly` over every pair whose
+    read it from the base ring and a weighted one filled it with one
+    cell per parameter degree: `pair_poly` over every pair whose
     parameter degree lies in [0, N]."""
     degree = [d for _, d in M.base.basis]
     low, high = 2 * M.dim, 2 * M.dim + M.N
@@ -575,6 +579,26 @@ def test_model_pairing_partners_are_the_nonzero_pairings():
         for j in range(n):
             want = [(k, M.pair_poly(j, k)) for k in range(n) if M.pair_poly(j, k)]
             assert list(fraction_partners(M, j)) == want == table[j], (M, j)
+
+
+def test_weighted_partner_table_scales_every_cell(monkeypatch):
+    # Weighted pairings are integers, so L = 1 whatever the table reads.
+    # Divided by s + 2, each parameter degree s gets its own denominator:
+    # the table must still be pair_poly's over one lcm of every cell.
+    inner = EquivariantModel.pair_poly
+
+    def divided(self, j, k):
+        s = (self.base.basis[j][1] + self.base.basis[k][1]) // 2 - self.dim
+        return {m: v / (s + 2) for m, v in inner(self, j, k).items()}
+
+    monkeypatch.setattr(EquivariantModel, "pair_poly", divided)
+    for weights, N in oracle_weight_cases():
+        M = equivariant_projective_torus(weights, N)
+        table = oracle_partner_table(M)
+        scale, rows = M._integer_partners()
+        assert [list(fraction_partners(M, j)) for j in range(len(rows))] == table, (weights, N)
+        assert scale == lcm(*(v.denominator for row in table for _, p in row for v in p.values()))
+        assert all(type(v) is int for row in rows for _, poly in row for _, v in poly)
 
 
 def test_partner_table_skips_pairs_outside_the_parameter_range(monkeypatch):
@@ -686,6 +710,35 @@ def test_equivariant_scaled_member_residual_rows():
         ("completeness", [0, 2, 4], [["1", "h", "t", "32"], ["h", "h", "1", "8"]]),
         ("graded_action", [2], [["h", "1", "8"]]),
     ]
+
+
+def test_reports_leave_the_shared_partner_cells_alone():
+    # The rows of a weighted partner table share one cell per parameter
+    # degree; a lift, its report and the report of a tampered family,
+    # which acts on its failing entries, must leave the table as built.
+    M = equivariant_projective_torus((0, 1, 3, -2, 5), 8)
+    table = copy.deepcopy(M._integer_partners())
+    F = lift_projectors(full_projectors(M.base), torus_group(1), 8, model=M)
+    assert report_passes(verify_equivariant(F))
+    projs = dict(F.projectors)
+    projs[2] = projs[2].scale(9)
+    tampered = verify_equivariant(EquivariantProjectorFamily(M, projs, complete=True))
+    assert failing_checks(tampered) == ["idempotence", "completeness", "graded_action"]
+    assert M._integer_partners() == table
+
+
+def test_weighted_lift_members_are_the_filtered_diagonal_components():
+    # lift_projectors takes each component's terms as they stand; they
+    # must be the zero-filtering construction's, with no zero coefficient.
+    for weights, N in oracle_weight_cases():
+        M = equivariant_projective_torus(weights, N)
+        F = lift_projectors(full_projectors(M.base), torus_group(1), N, model=M)
+        delta = M.diagonal()
+        components = _components(delta, M.base.basis)
+        for i in F.indices():
+            member = F.member(i)
+            assert member == delta._with_terms(components.get(i, {})), (weights, N, i)
+            assert all(member.terms.values()), (weights, N, i)
 
 
 def test_equivariant_orthogonality_failure_residual_rows():

@@ -27,6 +27,7 @@ from chowkunneth.kunneth import (
     verify_ck,
 )
 from ring_oracles import diagonal_component, failing_checks, pure_tensor, transpose
+from test_acceptance import corpus_rings
 
 
 def cubic_curve():
@@ -129,12 +130,14 @@ def test_full_projectors_verify_on_corpus():
 
 def test_full_projectors_middle_member_is_what_the_others_leave():
     # The members away from the middle are the diagonal's components;
-    # the middle one is the diagonal minus all of them.
-    for X in (spaces.projective_space(2), spaces.projective_space(3), cubic_curve(),
-              spaces.hypersurface_model(3, 3, 7), spaces.plane_curve_family(1)):
+    # the middle one is the diagonal minus all of them. Each takes its
+    # terms as they stand, so none may hold a zero coefficient.
+    for X in (cubic_curve(), spaces.hypersurface_model(3, 3, 7), spaces.plane_curve_family(1),
+              *corpus_rings()):
         P = full_projectors(X)
         rest = diagonal(X)
         for i in P.indices():
+            assert all(P.member(i).terms.values()), (X, i)
             if i != X.dim:
                 assert P.member(i) == diagonal_component(X, i), (X, i)
                 rest = rest - P.member(i)

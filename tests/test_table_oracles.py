@@ -50,6 +50,7 @@ from chowkunneth.kunneth import (
 )
 from ring_oracles import fraction_partners
 from test_acceptance import corpus_rings
+from test_equivariant import oracle_weight_cases
 
 LADDER_HYPERSURFACES = [(3, 3, 6), (3, 4, 21), (4, 3, 10), (5, 3, 22)]
 
@@ -631,8 +632,10 @@ def random_classes(X, rng, count):
 
 
 def test_integer_partner_view_is_the_partner_table_scaled():
-    for name, (make, n) in lifted_models().items():
-        M = make(4 * n)
+    models = [(name, make(4 * n)) for name, (make, n) in lifted_models().items()]
+    models += [(f"weights {w} N={N}", equivariant_projective_torus(w, N))
+               for w, N in oracle_weight_cases()]
+    for name, M in models:
         scale, rows = M._integer_partners()
         for j, row in enumerate(rows):
             scaled = [(k, {M.bg.mono_of[m]: Fraction(v, scale) for m, v in poly})
