@@ -145,15 +145,12 @@ class CorrespondenceClass:
         sums, skipped = {k: {} for k in wanted}, set()
         for i, row in rows.items():
             for m1, key, c in row:
-                for k, poly in partners[key // limit]:
+                for k, mp, vp in partners[key // limit]:
                     if k not in sums:
                         skipped.add(k)
-                        continue
-                    left = sums[k]
-                    for mp, vp in poly:
-                        m = m1 + mp
-                        if m < limit:
-                            left[i, m] = left.get((i, m), 0) + c * vp
+                    elif (m := m1 + mp) < limit:
+                        left = sums[k]
+                        left[i, m] = left.get((i, m), 0) + c * vp
         made = {k: left for k, left in sums.items() if left}
         if view is None:
             view = self._contracted = scale * scale_p, made, skipped
@@ -219,16 +216,15 @@ def _act(gamma, alpha):
     scale_a, nums = _integer_scaled(alpha.coeffs.values())
     out = {}
     for a, ca in zip(alpha.coeffs, nums):
-        for i, poly in partners[a]:
+        for i, mp, vp in partners[a]:
             row = rows.get(i)
             if row is None:
                 continue
-            for mp, vp in poly:
-                v = ca * vp
-                for m2, key, c in row:
-                    if mp + m2 < limit:
-                        key += mp
-                        out[key] = out.get(key, 0) + v * c
+            v = ca * vp
+            for m2, key, c in row:
+                if mp + m2 < limit:
+                    key += mp
+                    out[key] = out.get(key, 0) + v * c
     return scale_a * scale_g * scale_p, out
 
 

@@ -113,7 +113,8 @@ class TruncatedPolyRing:
 
     def __init__(self, gens, bound):
         bound = _truncation_bound(bound)
-        self.gens = tuple((str(n), int(d)) for n, d in gens)
+        self.gens = tuple((str(n), _require_int(d, "a parameter generator's degree"))
+                          for n, d in gens)
         if any(d < 2 for _, d in self.gens):
             raise ValueError("parameter generators must have degree >= 2")
         self.bound = bound
@@ -273,11 +274,11 @@ class EquivariantModel:
 
     def _integer_partners(self):
         """(L, rows), built once in the shape of a ring's table: row j
-        lists (k, [(code, L * value)]) for every nonzero `pair_poly(j,
-        k)`. A weighted pair depends only on s = (deg e_j + deg e_k) / 2 -
-        dim, so rows share (and no join writes) one cell `pair_poly(dim,
-        s)` per s in [0, min(dim, N / 2)]; each cell lies in some row, so
-        the cells' lcm is the table's L. A trivial model has the base's."""
+        lists (k, code, L * value) for every monomial of every nonzero
+        `pair_poly(j, k)`. A weighted pair depends only on s = (deg e_j +
+        deg e_k) / 2 - dim, so one cell `pair_poly(dim, s)` per s in
+        [0, min(dim, N / 2)] fills every row; each cell lies in some row,
+        so the cells' lcm is the table's L. A trivial model has the base's."""
         if self._scaled is None:
             if self.weights is None:
                 self._scaled = self.base._integer_partners()
@@ -287,9 +288,9 @@ class EquivariantModel:
                 scale, nums = _integer_scaled(v for c in cells for v in c.values())
                 cells = [[(code[m], next(nums)) for m in c] for c in cells]
                 half = [d // 2 for _, d in self.base.basis]
-                self._scaled = scale, [[(k, cells[s]) for k, dk in enumerate(half)
-                                        if 0 <= (s := dj + dk - n) < len(cells) and cells[s]]
-                                       for dj in half]
+                self._scaled = scale, [[(k, m, v) for k, dk in enumerate(half)
+                                        if 0 <= (s := dj + dk - n) < len(cells)
+                                        for m, v in cells[s]] for dj in half]
         return self._scaled
 
     def diagonal(self):

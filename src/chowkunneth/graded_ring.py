@@ -222,6 +222,8 @@ def _basis_shape(r):
         return "duplicate basis labels"
     if any(not isinstance(label, str) or not label for label in r.labels):
         return "basis labels must be nonempty strings"
+    if any(type(d) is not int for d in (r.dim, *r.deg)):
+        return "the dimension and basis degrees must be integers"
     if any(d < 0 or d > r.top for d in r.deg):
         return f"basis degrees must lie in [0, {r.top}]"
     if r.deg.count(0) != 1:
@@ -394,7 +396,7 @@ def run_ring_checks(dim, basis, structure, integration):
     if not isinstance(structure, _IntegerTable):
         structure = _integer_table(structure)
     r = SimpleNamespace(
-        top=2 * dim, labels=[b[0] for b in basis], deg=[b[1] for b in basis],
+        dim=dim, top=2 * dim, labels=[b[0] for b in basis], deg=[b[1] for b in basis],
         table=structure, integration=integration, pairing={}, inverses={},
     )
     for name, check in _CHECKS:
@@ -444,8 +446,8 @@ class GradedBasisRing:
                  "_table", "_structure", "_integrals", "_partners", "_inverses", "_diagonal")
 
     def __init__(self, dim, basis, structure, integration, space=None, parts=None):
-        self.dim = int(dim)
-        self.basis = tuple((str(l), int(d)) for l, d in basis)
+        self.dim = dim
+        self.basis = tuple((l, d) for l, d in basis)
         if not isinstance(structure, _IntegerTable):
             structure = _integer_table(structure)
         self._table = structure
@@ -465,7 +467,7 @@ class GradedBasisRing:
         scale, nums = _integer_scaled(v for _, v in pairs)
         rows = [[] for _ in self.basis]
         for ((i, j), _), v in zip(pairs, nums):
-            rows[i].append((j, [(0, v)]))
+            rows[i].append((j, 0, v))
         self._partners = scale, rows
 
         self.label_index = {l: i for i, (l, _) in enumerate(self.basis)}
@@ -587,7 +589,7 @@ class GradedBasisRing:
 
     def _integer_partners(self):
         """(L, rows): the pairing table in integer numerators over their
-        lcm L; row j lists (k, [(0, L * value)]), 0 the unit's code."""
+        lcm L; row j lists (k, 0, L * value), 0 the unit's code."""
         return self._partners
 
     def _diagonal_terms(self):

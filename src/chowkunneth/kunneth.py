@@ -198,14 +198,15 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
     """The report loop shared by `verify_ck` and `verify_equivariant`,
     which supply the composition of two members (`compose_pair(f, g)`
     applies f first), the diagonal (`delta()`, called only when the set
-    claims completeness) and `action_rows(i, p)`: (basis label,
-    residual rows) per basis class, None where member p at index i
-    passes; rows decide no verdict. Every member's rows come first; the
-    entries follow in report order. A residual is built only for a
-    failed check: idempotence compares terms, and completeness holds at
-    once when the members' supports are disjoint and their union is the
-    diagonal's terms (as for members cut from the diagonal); otherwise
-    it sums every member's terms, less the diagonal's, in one dict.
+    claims completeness) and `action_rows(i, p)`: a list of (basis
+    label, residual rows), one per basis class, None where member p at
+    index i passes; rows decide no verdict. Every member's list comes
+    first, kept as given; the entries follow in report order. A residual
+    is built only for a failed check: idempotence compares terms, and
+    completeness holds at once when the members' supports are disjoint
+    and their union is the diagonal's terms (as for members cut from the
+    diagonal); otherwise it sums every member's terms, less the
+    diagonal's, in one dict.
 
     Orthogonality composes every ordered pair unless
     `orthogonality_from_action` is set. Then only the pairs with a member
@@ -214,7 +215,7 @@ def _report(P, compose_pair, delta, action_rows, *, orthogonality_from_action=Fa
     truncated model."""
     members = P.projectors
     idx = P.indices()
-    rows = {i: list(action_rows(i, members[i])) for i in idx}
+    rows = {i: action_rows(i, members[i]) for i in idx}
     entries = []
     for i in idx:
         p = members[i]
@@ -256,30 +257,29 @@ def _action_rows(P, base, residual_rows):
     """`action_rows` for `_report` over the basis of `base`: one join in
     integer numerators decides every class for member p at index i, and
     `residual_rows(p, k, on_degree)` acts on a failing class k only. The
-    join meets each source s of p's rows with its partner row, signed and
-    flattened once per report: the image of e_k gains ∫e_k·e_s =
-    (-1)^(deg s·deg k) ∫e_s·e_k times the row, under the int k S + j W +
-    code, W the `_limit` and S = W |basis|. Over the scale L of rows and
-    table, the nonzero images must be {k S + k W: L} on p's degree: one
-    dict comparison; only a failing p sorts out the classes at fault."""
+    join meets each source s of p's rows with its partner row: the image
+    of e_k gains ∫e_k·e_s = (-1)^(deg s·deg k) ∫e_s·e_k times the row,
+    under the int k S + j W + code, W the `_limit` and S = W |basis|. A
+    nonzero pairing has deg s + deg k = 2 dim plus an even parameter
+    degree, so the sign is (-1)^(deg s): a row of odd source is negated
+    once. Over the scale L of rows and table, the nonzero images must be
+    {k S + k W: L} on p's degree: one dict comparison; only a failing p
+    sorts out the classes at fault."""
     scale_p, partners = P.ring._integer_partners()
     degrees = [d for _, d in base.basis]
-    signed = {}
+    limit = next((p._limit for p in P.projectors.values()), 1)
+    stride = limit * len(degrees)
 
     def action_rows(i, p):
-        limit = p._limit
-        stride = limit * len(degrees)
         scale_g, rows = p._by_source()
         images = {}
         for s, row in rows.items():
-            if (flat := signed.get((s, limit))) is None:
-                flat = signed[s, limit] = [
-                    (k * stride + mp, mp, -v if degrees[s] % 2 and degrees[k] % 2 else v)
-                    for k, poly in partners[s] for mp, v in poly]
+            if degrees[s] % 2:
+                row = [(m2, key, -c) for m2, key, c in row]
             for m2, key, c in row:
-                for at, mp, v in flat:
+                for k, mp, v in partners[s]:
                     if mp + m2 < limit:
-                        at += key
+                        at = k * stride + mp + key
                         images[at] = images.get(at, 0) + v * c
         unit = scale_g * scale_p
         expected = {k * (stride + limit): unit for k, d in enumerate(degrees) if d == i}

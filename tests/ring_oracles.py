@@ -327,12 +327,11 @@ def eager_contraction(f):
     sums = {}
     for i, row in rows.items():
         for m1, key, c in row:
-            for k, poly in partners[key // limit]:
+            for k, mp, vp in partners[key // limit]:
                 left = sums.setdefault(k, {})
-                for mp, vp in poly:
-                    m = m1 + mp
-                    if m < limit:
-                        left[i, m] = left.get((i, m), 0) + c * vp
+                m = m1 + mp
+                if m < limit:
+                    left[i, m] = left.get((i, m), 0) + c * vp
     return scale * scale_p, {k: entries for k, left in sums.items()
                              if (entries := [(m, i, a) for (i, m), a in left.items() if a])}
 
@@ -401,5 +400,9 @@ def fraction_partners(table, j):
     scale, rows = table._integer_partners()
     bg = getattr(table, "bg", None)
     if bg is None:
-        return tuple((k, Fraction(v, scale)) for k, ((_, v),) in rows[j])
-    return tuple((k, {bg.mono_of[m]: Fraction(v, scale) for m, v in poly}) for k, poly in rows[j])
+        assert all(code == 0 for _, code, _ in rows[j])
+        return tuple((k, Fraction(v, scale)) for k, _, v in rows[j])
+    polys = {}
+    for k, m, v in rows[j]:
+        polys.setdefault(k, {})[bg.mono_of[m]] = Fraction(v, scale)
+    return tuple(polys.items())

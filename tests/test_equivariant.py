@@ -149,6 +149,13 @@ def test_parameter_generators_of_degree_below_two_are_rejected():
         TruncatedPolyRing((("s", 1),), 4)
 
 
+@pytest.mark.parametrize("degree", [2.9, 2.0, True])
+def test_parameter_generator_degrees_must_be_ints(degree):
+    # a float or a bool degree is refused, not truncated to an int
+    with pytest.raises(InvalidSpec, match="a parameter generator's degree must be an integer"):
+        TruncatedPolyRing((("t", degree),), 4)
+
+
 # -- trivial-action models ---------------------------------------------------------
 
 
@@ -499,7 +506,7 @@ def test_integer_segre_numbers_match_the_fraction_recurrence(weights, N):
             got = M.pair_poly(j, k)
             assert got == want and all(type(c) is Fraction for c in got.values()), (j, k)
             if want:
-                pairs.setdefault(j, []).append((k, [(M.bg.code_of[(r,)], int(s[r]))]))
+                pairs.setdefault(j, []).append((k, M.bg.code_of[(r,)], int(s[r])))
     assert M._integer_partners() == (1, [pairs.get(j, []) for j in range(m)])
     terms = {(a, b, (c,)): e[c] for a in range(m) for b in range(m - a)
              if 2 * (c := m - 1 - a - b) <= N and e[c]}
@@ -598,7 +605,7 @@ def test_weighted_partner_table_scales_every_cell(monkeypatch):
         scale, rows = M._integer_partners()
         assert [list(fraction_partners(M, j)) for j in range(len(rows))] == table, (weights, N)
         assert scale == lcm(*(v.denominator for row in table for _, p in row for v in p.values()))
-        assert all(type(v) is int for row in rows for _, poly in row for _, v in poly)
+        assert all(type(v) is int for row in rows for _, _, v in row)
 
 
 def test_partner_table_skips_pairs_outside_the_parameter_range(monkeypatch):
@@ -713,9 +720,10 @@ def test_equivariant_scaled_member_residual_rows():
 
 
 def test_reports_leave_the_shared_partner_cells_alone():
-    # The rows of a weighted partner table share one cell per parameter
-    # degree; a lift, its report and the report of a tampered family,
-    # which acts on its failing entries, must leave the table as built.
+    # One cell per parameter degree fills every row of a weighted partner
+    # table, which the joins of every report read; a lift, its report and
+    # the report of a tampered family, which acts on its failing entries,
+    # must leave the table as built.
     M = equivariant_projective_torus((0, 1, 3, -2, 5), 8)
     table = copy.deepcopy(M._integer_partners())
     F = lift_projectors(full_projectors(M.base), torus_group(1), 8, model=M)

@@ -94,6 +94,25 @@ def test_missing_unit_rejected():
     assert err.value.check == "basis_shape"
 
 
+@pytest.mark.parametrize("dim, basis", [
+    (1, [("1", 0), ("h", 2.2)]),
+    (1.5, [("1", 0), ("h", 2)]),
+    (1, [("1", 0), (1, 2)]),
+    (True, [("1", 0), ("h", 2)]),
+], ids=["degree 2.2", "dim 1.5", "label 1", "dim True"])
+def test_raw_data_of_the_wrong_type_fails_basis_shape_on_both_paths(dim, basis):
+    # P^1's table under a dim, degree or label that is not an int or a
+    # str: the checks and the constructor both refuse it at basis_shape,
+    # where the constructor used to coerce it and build P^1
+    structure, integration = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, {1: 1}
+    assert GradedBasisRing(1, [("1", 0), ("h", 2)], structure, integration).betti() == {0: 1, 2: 1}
+    verdicts = list(run_ring_checks(dim, basis, structure, integration))
+    assert [(name, ok) for name, ok, _ in verdicts] == [("basis_shape", False)]
+    with pytest.raises(RingAxiomError) as err:
+        GradedBasisRing(dim, basis, structure, integration)
+    assert (err.value.check, str(err.value)) == ("basis_shape", verdicts[0][2])
+
+
 def test_grading_violation_rejected():
     basis = [("1", 0), ("h", 2), ("h^2", 4)]
     structure = {

@@ -59,6 +59,8 @@ from chowkunneth.linalg import inverse
 from chowkunneth.serialize import model_document, model_from_document
 from ring_oracles import failing_checks
 from test_acceptance import corpus_rings
+from test_equivariant import oracle_weight_cases
+from test_golden_outputs import SPACES as GOLDEN_SPACES
 from test_table_oracles import (
     fraction_act,
     fraction_verify_equivariant,
@@ -96,7 +98,7 @@ def scan_action_rows(P):
     def action_rows(i, p):
         sources = p._by_source()[1]
         for k, (label, degree) in enumerate(base.basis):
-            if degree != i and not any(s in sources for s, _ in partners[k]):
+            if degree != i and not any(s in sources for s, _, _ in partners[k]):
                 yield label, []
             else:
                 yield label, residual_rows(p, k, degree == i)
@@ -403,10 +405,9 @@ def test_unit_monomial_part_of_the_pairing_is_the_base_pairing(name):
     base_scale, base_rows = M.base._integer_partners()
     assert len(rows) == len(base_rows)
     for row, base_row in zip(rows, base_rows):
-        unit = {k: Fraction(v, scale) for k, poly in row for code, v in poly if code == 0}
-        assert unit == {k: Fraction(v, base_scale) for k, poly in base_row for _, v in poly}
-        assert all(M.bg.mono_degree(M.bg.mono_of[code]) > 0
-                   for _, poly in row for code, _ in poly if code)
+        unit = {k: Fraction(v, scale) for k, code, v in row if code == 0}
+        assert unit == {k: Fraction(v, base_scale) for k, _, v in base_row}
+        assert all(M.bg.mono_degree(M.bg.mono_of[code]) > 0 for _, code, _ in row if code)
 
 
 def poly_product(bg, p, q):
@@ -643,11 +644,35 @@ def test_odd_sets_carry_the_graded_sign():
     sets, and the table of E(1/3) x P1 has the scale 3, not 1."""
     for name in ("E x P1", "E x E", "E(1/3) x P1"):
         X = PARITY_SETS[name].ring
-        table = {(j, k): v for j, row in enumerate(X._integer_partners()[1])
-                 for k, poly in row for _, v in poly}
+        table = {(j, k): v for j, row in enumerate(X._integer_partners()[1]) for k, _, v in row}
         odd = [(j, k) for j, k in table if X.basis[j][1] % 2 and X.basis[k][1] % 2]
         assert odd and all(table[k, j] == -table[j, k] for j, k in odd), name
     assert PARITY_SETS["E(1/3) x P1"].ring._integer_partners()[0] == 3
+
+
+def test_every_pairing_joins_classes_of_equal_degree_parity():
+    """The join negates a row of odd source once, which is exact only if
+    (-1)^(deg s·deg k) = (-1)^(deg s) on every nonzero entry (k, code,
+    v) of row s: deg s + deg k is 2 dim plus the parameter degree of
+    the code, and that is even. Checked on every golden-corpus ring, on
+    every parity set's ring or model and on every model of the weighted
+    and lifted oracles."""
+    tables = [spaces.build_space(spec) for spec in GOLDEN_SPACES.values()]
+    tables += [S.ring for S in PARITY_SETS.values()]
+    tables += [equivariant_projective_torus(w, N) for w, N in oracle_weight_cases()]
+    tables += [make(4 * n) for make, n in lifted_models().values()]
+    for T in tables:
+        scale, rows = T._integer_partners()
+        bg = getattr(T, "bg", None)
+        base = T if bg is None else T.base
+        degree = [d for _, d in base.basis]
+        for s, row in enumerate(rows):
+            for k, code, v in row:
+                extra = 0 if bg is None else bg.mono_degree(bg.mono_of[code])
+                assert code == 0 or bg is not None, (T, s, k)
+                assert v and degree[s] + degree[k] == 2 * base.dim + extra, (T, s, k)
+                assert extra % 2 == 0 and degree[s] % 2 == degree[k] % 2, (T, s, k)
+        assert any(rows), T
 
 
 def test_a_failing_verdict_stays_a_failing_entry():
